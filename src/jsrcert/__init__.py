@@ -34,7 +34,6 @@ from .matcore import (
     IntMatrix,
     MatrixFamily,
     Product,
-    avg_sr_compare,
     char_poly,
     evaluate,
     frobenius_norm_sq,

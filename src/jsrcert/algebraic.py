@@ -18,6 +18,8 @@ from enum import IntEnum
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from .linalg import matmul, solve
+
 Rational = Fraction
 RationalLike = Union[int, Fraction]
 
@@ -244,16 +246,6 @@ def gcd_int_poly(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
         _, fr = divmod_fraction(fa, fb)
         fa, fb = fb, fr
     return from_fractions(fa)
-
-
-def resultant(a: IntPolynomial, b: IntPolynomial) -> int:
-    """Resultant of two integer polynomials via the subresultant PRS."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    pa = sympy.Poly(list(reversed(a.coeffs)), x)
-    pb = sympy.Poly(list(reversed(b.coeffs)), x)
-    return int(sympy.resultant(pa, pb))
 
 
 def factor_int_poly(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
@@ -1109,31 +1101,13 @@ def _char_poly_fraction(M: list[list[Fraction]]) -> list[Fraction]:
     Mk = [row[:] for row in I]
     for k in range(1, d + 1):
         # Mk = M @ (previous Mk adjusted)
-        Mk = _mat_mul_fraction(M, Mk)
+        Mk = matmul(M, Mk)
         tr = sum(Mk[i][i] for i in range(d))
         c = -tr / k
         coeffs[d - k] = c
         for i in range(d):
             Mk[i][i] += c
     return coeffs
-
-
-def _mat_mul_fraction(A: list[list[Fraction]], B: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(A)
-    m = len(B[0])
-    k = len(B)
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                row = out[i]
-                for j in range(m):
-                    if Bt[j]:
-                        row[j] += a * Bt[j]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1208,27 +1182,10 @@ def _basis_change(ctx: NumberFieldContext, alpha: FieldElement,
     # solve sum_i c_i * cols[i] = target.coords
     A = [[cols[j][i] for j in range(d)] for i in range(d)]
     rhs = list(target.coords)
-    sol = _solve_fraction(A, rhs)
+    sol = solve(A, rhs)
     if sol is None:
         raise AlgebraicError("basis change is singular; alpha does not generate")
     return sol
-
-
-def _solve_fraction(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    n = len(A)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        pv = M[col][col]
-        M[col] = [x / pv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
 
 
 def _compositum(ctx: NumberFieldContext, v: RealAlgebraic, degree_cap: int

@@ -11,26 +11,17 @@ from __future__ import annotations
 import json
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .algebraic import Ordering, RealAlgebraic, compare, nth_root
-from .geometry import HullKind
-from .ipa import (
-    IpaOptions,
-    IpaStatus,
-    certificate_from_json,
-    certificate_to_json,
-    run_ipa,
-    verify_certificate,
-)
-from .matcore import IntMatrix, MatrixFamily, evaluate, spectral_radius
+from .algebraic import Ordering, RealAlgebraic, compare
+from .ipa import IpaStatus, run_ipa, verify_certificate
+from .matcore import MatrixFamily, evaluate, spectral_radius
 from .reduce import (
     Outcome,
     PairCode,
-    ReductionVerdict,
     canonical_key,
     decode,
     enumerate_campaign,
@@ -43,22 +34,12 @@ STORE_SCHEMA = "jsr-campaign/1"
 DEPTH_LADDER = (10, 14, 18, 22)
 
 
-@dataclass
-class ResolveLimits:
-    depth_ladder: tuple[int, ...] = DEPTH_LADDER
-    max_vertices: int = 512
-    max_rounds: int = 64
-    sample_count: int = 64
-
-
-def resolve_family(family: MatrixFamily,
-                   limits: ResolveLimits | None = None) -> dict:
+def resolve_family(family: MatrixFamily) -> dict:
     """Full pipeline for one matrix family: quick lemmas, reducibility
     splitting, candidate search with depth escalation, polytope run.
 
     Returns a plain-dict record fragment (status/reason/jsr/smp/...).
     """
-    limits = limits or ResolveLimits()
     pair = tuple(family.matrices)
     if len(pair) == 2:
         verdict = quick_decide(pair, family.alphabet)
@@ -72,16 +53,16 @@ def resolve_family(family: MatrixFamily,
             }
         irr, dec = irreducible(pair)
         if not irr and dec is not None:
-            return _resolve_blocks(family, dec, limits)
-    return _resolve_ipa(family, limits)
+            return _resolve_blocks(family, dec)
+    return _resolve_ipa(family)
 
 
-def _resolve_blocks(family: MatrixFamily, dec, limits: ResolveLimits) -> dict:
+def _resolve_blocks(family: MatrixFamily, dec) -> dict:
     sub = MatrixFamily.make(list(dec.sub_blocks), "general")
     quot = MatrixFamily.make(list(dec.quot_blocks), "general")
     parts = []
     for blocks, scale in ((sub, dec.sub_scale), (quot, dec.quot_scale)):
-        rec = resolve_family(blocks, limits)
+        rec = resolve_family(blocks)
         if rec["status"] not in ("settled", "proved"):
             return {"status": "unresolved", "reason": "block_unresolved",
                     "detail": rec}
@@ -107,9 +88,9 @@ def _resolve_blocks(family: MatrixFamily, dec, limits: ResolveLimits) -> dict:
     }
 
 
-def _resolve_ipa(family: MatrixFamily, limits: ResolveLimits) -> dict:
+def _resolve_ipa(family: MatrixFamily) -> dict:
     last = None
-    for depth in limits.depth_ladder:
+    for depth in DEPTH_LADDER:
         cs = gripenberg_search(family, max_depth=depth)
         if cs.lambda_.sign() == 0:
             # nilpotent semigroup: radius zero with any letter as witness
@@ -122,9 +103,7 @@ def _resolve_ipa(family: MatrixFamily, limits: ResolveLimits) -> dict:
                     "witness": {"nilpotent": True},
                 }
             continue
-        res = run_ipa(family, cs, IpaOptions(
-            max_vertices=limits.max_vertices, max_rounds=limits.max_rounds,
-            sample_count=limits.sample_count))
+        res = run_ipa(family, cs)
         last = (cs, res)
         if res.status is IpaStatus.PROVED:
             check = verify_certificate(res.certificate)
@@ -151,11 +130,11 @@ def _resolve_ipa(family: MatrixFamily, limits: ResolveLimits) -> dict:
     }
 
 
-def resolve_code(code: PairCode, limits: ResolveLimits | None = None) -> dict:
+def resolve_code(code: PairCode) -> dict:
     pair = decode(code)
     family = MatrixFamily.make(list(pair), code.alphabet)
     t0 = time.monotonic()
-    rec = resolve_family(family, limits)
+    rec = resolve_family(family)
     rec["code"] = str(code)
     rec["seconds"] = round(time.monotonic() - t0, 3)
     return rec
@@ -223,7 +202,6 @@ def run_campaign(alphabet: str, dim: int, store_path: str | Path,
                  only_a1: Optional[int] = None,
                  codes: Optional[list[str]] = None,
                  workers: int = 1,
-                 limits: ResolveLimits | None = None,
                  recheck: bool = False,
                  progress=None) -> dict:
     """Resolve every requested case, persisting one record per code.
@@ -232,7 +210,6 @@ def run_campaign(alphabet: str, dim: int, store_path: str | Path,
     representative, whose own record is computed even when it falls
     outside the requested slice.  Resumable: existing records are kept.
     """
-    limits = limits or ResolveLimits()
     store = Store(store_path, alphabet, dim)
     requested = _requested_codes(alphabet, dim, only_a1, codes)
 
@@ -260,7 +237,7 @@ def run_campaign(alphabet: str, dim: int, store_path: str | Path,
         import concurrent.futures as cf
 
         with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(resolve_code, c, limits): str(c)
+            futs = {pool.submit(resolve_code, c): str(c)
                     for c in canon_to_solve}
             for fut in cf.as_completed(futs):
                 rec = fut.result()
@@ -269,7 +246,7 @@ def run_campaign(alphabet: str, dim: int, store_path: str | Path,
                     progress(rec)
     else:
         for c in canon_to_solve:
-            rec = resolve_code(c, limits)
+            rec = resolve_code(c)
             solved[rec["code"]] = rec
             if progress:
                 progress(rec)
@@ -352,21 +329,15 @@ def load_expected_csv(path: str | Path) -> list[ExpectedRow]:
 
 
 def parse_smp_word(text: str) -> list[int]:
-    """Product-order indices from compact notation like 'A1A2^4'."""
+    """Application-order indices from product notation like 'A1A2^4'
+    (rightmost letter applied first), the inverse of `_word_str`."""
     out: list[int] = []
     for m in re.finditer(r"A(\d+)(?:\^(\d+))?", text):
         idx, exp = int(m.group(1)), int(m.group(2) or 1)
         out.extend([idx] * exp)
     if not out:
         raise ValueError(f"cannot parse product word {text!r}")
-    return out
-
-
-def smp_word_value(word_product_order: list[int], family: MatrixFamily) -> IntMatrix:
-    acc = family[word_product_order[0] - 1]
-    for j in word_product_order[1:]:
-        acc = acc @ family[j - 1]
-    return acc
+    return out[::-1]
 
 
 def diff_expected(store: Store, rows: list[ExpectedRow]) -> dict:
@@ -389,8 +360,7 @@ def diff_expected(store: Store, rows: list[ExpectedRow]) -> dict:
             continue
         family = MatrixFamily.make(list(decode(code)), store.alphabet)
         word = parse_smp_word(row.smp_word)
-        value = smp_word_value(word, family)
-        rho = spectral_radius(value).value
+        rho = spectral_radius(evaluate(word, family).value).value
         stored = RealAlgebraic.deserialize(rec["jsr"])
         ok = compare(rho, stored.pow(len(word))) == Ordering.EQUAL
         results.append({

@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 from .campaign import (
-    ResolveLimits,
     Store,
     diff_expected,
     load_expected_csv,

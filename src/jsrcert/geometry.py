@@ -27,6 +27,10 @@ from .algebraic import (
 
 Scalar = object  # Fraction or FieldElement, duck-typed
 
+# a numeric norm estimate this far from 1 decides membership without the
+# exact LP; certificates record the value
+NUMERIC_TOLERANCE = 1e-9
+
 
 def _sgn(x) -> int:
     if isinstance(x, FieldElement):
@@ -539,15 +543,15 @@ def _lower_rational(value) -> Fraction:
 # -- numeric-first classification with exact escalation ----------------------
 
 
-def classify_with_fallback(poly: VertexPolytope, x, mode: Mode = Mode.NUMERIC_FIRST,
-                           tolerance: float = 1e-9) -> NormResult:
+def classify_with_fallback(poly: VertexPolytope, x,
+                           mode: Mode = Mode.NUMERIC_FIRST) -> NormResult:
     """Numeric LP prefilter with exact escalation near the boundary.
 
     In NUMERIC_FIRST mode a floating LP estimates the norm; verdicts
-    whose margin from 1 exceeds `tolerance` are returned tagged numeric.
-    Anything near the boundary (or any numeric failure) escalates to the
-    exact path.  EXACT_ONLY skips the numeric stage.  Kind C has no
-    exact escalation and returns UNKNOWN results as such.
+    whose margin from 1 exceeds NUMERIC_TOLERANCE are returned tagged
+    numeric.  Anything near the boundary (or any numeric failure)
+    escalates to the exact path.  EXACT_ONLY skips the numeric stage.
+    Kind C has no exact escalation and returns UNKNOWN results as such.
     """
     if poly.kind is HullKind.C:
         return minkowski_norm(poly, x)
@@ -559,7 +563,7 @@ def classify_with_fallback(poly: VertexPolytope, x, mode: Mode = Mode.NUMERIC_FI
             return NormResult(one, [i], Classification.BOUNDARY)
     if mode is Mode.NUMERIC_FIRST:
         est = _numeric_norm(poly, x)
-        if est is not None and abs(est - 1.0) > tolerance:
+        if est is not None and abs(est - 1.0) > NUMERIC_TOLERANCE:
             cls = Classification.INTERIOR if est < 1 else Classification.EXTERIOR
             return NormResult(None, [], cls, numeric=True)
     return minkowski_norm(poly, x)

@@ -32,11 +32,11 @@ from .algebraic import (
     nth_root,
 )
 from .geometry import (
+    NUMERIC_TOLERANCE,
     Classification,
     ComplexVertex,
     HullKind,
     Mode,
-    NormResult,
     VertexPolytope,
     classify_with_fallback,
     minkowski_norm,
@@ -55,6 +55,10 @@ from .matcore import (
 from .smp import CandidateSet
 
 SCHEMA = "jsr-certificate/1"
+MAX_VERTICES = 512
+MAX_ROUNDS = 64
+SAMPLE_COUNT = 64  # kind C, doubled on Unknown up to MAX_SAMPLE_COUNT
+MAX_SAMPLE_COUNT = 1024
 
 
 class IpaStatus(enum.Enum):
@@ -67,15 +71,7 @@ class IpaStatus(enum.Enum):
 
 @dataclass
 class IpaOptions:
-    hull_override: Optional[HullKind] = None
-    max_vertices: int = 512
-    max_rounds: int = 64
-    tolerance: float = 1e-9  # numeric-first escalation tolerance
-    balance_bound: int = 16
     augment: bool = False
-    sample_count: int = 64  # kind C, doubled on Unknown up to max
-    max_sample_count: int = 1024
-    degree_cap: int = 12
     mode: Mode = Mode.NUMERIC_FIRST
 
 
@@ -223,7 +219,7 @@ def run_ipa(family: MatrixFamily, candidates: CandidateSet,
         raise ValueError("the polytope algorithm needs lambda > 0")
 
     try:
-        setup = _build_field(family, candidates, opts)
+        setup = _build_field(family, candidates)
     except FieldDegreeError as exc:
         return IpaResult(IpaStatus.CASE_C_UNKNOWN, lam, None,
                          candidates.candidates, [],
@@ -233,8 +229,7 @@ def run_ipa(family: MatrixFamily, candidates: CandidateSet,
     ctx, lam_elem, hull, seeds = setup
 
     scales = balance([s.coords for s in seeds], family, lam,
-                     HullKind.R if hull is HullKind.C else hull,
-                     opts.balance_bound)
+                     HullKind.R if hull is HullKind.C else hull)
     for s, sc in zip(seeds, scales):
         s.coords = _scale_vec(s.coords, sc)
         if s.imag is not None:
@@ -259,13 +254,13 @@ def run_ipa(family: MatrixFamily, candidates: CandidateSet,
     if opts.augment:
         limits = augment_limits(family, candidates, ctx, lam_elem)
 
-    sample = opts.sample_count
+    sample = SAMPLE_COUNT
     frontier = list(range(len(vertices)))
     rounds = 0
     while True:
         while frontier:
             rounds += 1
-            if rounds > opts.max_rounds:
+            if rounds > MAX_ROUNDS:
                 return _cap_result(IpaStatus.NO_SPECTRAL_GAP, lam, hull,
                                    vertices, candidates, trace, family, sample)
             new_frontier: list[int] = []
@@ -289,45 +284,42 @@ def run_ipa(family: MatrixFamily, candidates: CandidateSet,
                 trace.append({"round": rounds, "vertex": len(vertices) - 1,
                               "parent": vi, "matrix": j})
                 new_frontier.append(len(vertices) - 1)
-                if len(vertices) > opts.max_vertices:
+                if len(vertices) > MAX_VERTICES:
                     return _cap_result(IpaStatus.VERTEX_CAP_EXCEEDED, lam,
                                        hull, vertices, candidates, trace,
                                        family, sample)
             frontier = new_frontier
         # frontier empty: certify exactly; any violation re-opens the loop
         evidence, offender = _certify_sweep(vertices, family, inv_lam, hull,
-                                            sample, opts)
+                                            sample)
         if offender is None:
             poly = _as_polytope(vertices, hull, family.dim, sample)
             cert = _emit_certificate(family, candidates, lam, ctx, lam_elem,
                                      hull, vertices, seed_map, scales,
-                                     evidence, trace, sample, opts, limits)
+                                     evidence, trace, sample, limits)
             return IpaResult(IpaStatus.PROVED, lam, poly,
                              candidates.candidates, trace, cert,
                              diagnostics={"vertices": len(vertices),
                                           "rounds": rounds})
         vi, j, img = offender
-        if hull is HullKind.C and sample >= opts.max_sample_count:
+        if hull is HullKind.C and sample >= MAX_SAMPLE_COUNT:
             return _cap_result(IpaStatus.CASE_C_UNKNOWN, lam, hull,
                                vertices, candidates, trace, family, sample)
         vertices.append(img)
         trace.append({"round": rounds + 1, "vertex": len(vertices) - 1,
                       "parent": vi, "matrix": j})
         frontier = [len(vertices) - 1]
-        if len(vertices) > opts.max_vertices:
+        if len(vertices) > MAX_VERTICES:
             return _cap_result(IpaStatus.VERTEX_CAP_EXCEEDED, lam, hull,
                                vertices, candidates, trace, family, sample)
 
 
-def _build_field(family: MatrixFamily, candidates: CandidateSet,
-                 opts: IpaOptions):
+def _build_field(family: MatrixFamily, candidates: CandidateSet):
     """Context Q(lambda[, imag parts]), lambda embedding, hull kind, seeds."""
     lam = candidates.lambda_
 
     srs = [spectral_radius(c.value) for c in candidates.candidates]
-    if opts.hull_override is not None:
-        hull = opts.hull_override
-    elif all(m.is_nonnegative() for m in family.matrices):
+    if all(m.is_nonnegative() for m in family.matrices):
         hull = HullKind.P
     elif any(sr.leading_complex for sr in srs):
         hull = HullKind.C
@@ -354,10 +346,7 @@ def _build_field(family: MatrixFamily, candidates: CandidateSet,
             s = nth_root(RealAlgebraic.from_rational(disc), 2)
             joins.append(s)
             complex_data.append((M, tau, s))
-    try:
-        ctx, embedded = field_join(joins, opts.degree_cap)
-    except FieldDegreeError:
-        raise
+    ctx, embedded = field_join(joins)
     lam_elem = embedded[0]
 
     seeds: list[_Vertex] = []
@@ -497,14 +486,14 @@ def _membership(vertices: list[_Vertex], img: _Vertex, hull: HullKind,
             if res.classification is Classification.INTERIOR:
                 return True, sample
             if res.classification is Classification.UNKNOWN and \
-                    sample < opts.max_sample_count:
+                    sample < MAX_SAMPLE_COUNT:
                 sample *= 2
                 continue
             return False, sample
     poly = _as_polytope(vertices, hull, dim, sample)
     if hull is HullKind.P and any(c.sign() < 0 for c in img.coords):
         return False, sample
-    res = classify_with_fallback(poly, img.coords, opts.mode, opts.tolerance)
+    res = classify_with_fallback(poly, img.coords, opts.mode)
     if res.classification in (Classification.INTERIOR, Classification.BOUNDARY):
         return True, sample
     return False, sample
@@ -519,8 +508,7 @@ def _as_polytope(vertices: list[_Vertex], hull: HullKind, dim: int,
 
 
 def _certify_sweep(vertices: list[_Vertex], family: MatrixFamily,
-                   inv_lam: FieldElement, hull: HullKind, sample: int,
-                   opts: IpaOptions):
+                   inv_lam: FieldElement, hull: HullKind, sample: int):
     """Exact evidence for every (vertex, matrix) image, or the first
     offending image that is provably not coverable."""
     evidence = []
@@ -599,7 +587,7 @@ def _ser_scalar(x) -> object:
 
 
 def _emit_certificate(family, candidates, lam, ctx, lam_elem, hull, vertices,
-                      seed_map, scales, evidence, trace, sample, opts,
+                      seed_map, scales, evidence, trace, sample,
                       limits) -> dict:
     cert = {
         "schema": SCHEMA,
@@ -631,7 +619,7 @@ def _emit_certificate(family, candidates, lam, ctx, lam_elem, hull, vertices,
         "evidence": evidence,
         "augmented": [idx for idx, _ in limits],
         "options": {
-            "tolerance": repr(opts.tolerance),
+            "tolerance": repr(NUMERIC_TOLERANCE),
             "search_depth": candidates.depth_reached,
             "search_exhausted": candidates.exhausted,
         },
@@ -694,6 +682,9 @@ def _verify(cert: dict) -> VerifyResult:
     if not smp_words:
         return VerifyResult(False, "no s.m.p. words")
     for w in smp_words:
+        if not all(1 <= j <= len(family) for j in w):
+            return VerifyResult(False, f"s.m.p. word {w} has a letter "
+                                       "outside the family")
         rho = spectral_radius(evaluate(w, family).value).value
         if compare(rho, lam.pow(len(w))) != Ordering.EQUAL:
             return VerifyResult(
@@ -748,6 +739,9 @@ def _verify(cert: dict) -> VerifyResult:
                 if cur_i is not None:
                     cur_i = _apply_rows(L, cur_i, ctx)
                 continue
+            if not 1 <= j <= len(family):
+                return VerifyResult(
+                    False, f"vertex {vi} word has letter {j} outside the family")
             A = family[j - 1]
             cur_r = [c * inv_lam for c in A.apply(cur_r)]
             if cur_i is not None:
@@ -843,7 +837,7 @@ def _check_evidence(e: dict, vi: int, j: int, family, coords, imags,
     kind = e.get("type")
     if kind == "vertex":
         k = int(e["index"])
-        if k >= len(coords):
+        if not 0 <= k < len(coords):
             return False, "vertex reference out of range"
         if hull is HullKind.C:
             tgt = _Vertex(coords[k], imags[k], (), 0)

@@ -1,0 +1,94 @@
+"""Exact dense linear algebra over Fractions or number-field elements.
+
+Matrices are lists of rows.  Entries may be `Fraction` or `FieldElement`
+(any exact field type with `== 0` and `+ - * /` works); integers alone
+are not enough, since division must stay exact.  Elimination is
+Gauss-Jordan with the first nonzero entry of each column as its pivot,
+and each pivot is inverted once.  The reduced row echelon form is unique,
+so kernels, solutions and inverses do not depend on that pivot order.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+
+def _eliminate(rows: list[list], ncols: int) -> list[int]:
+    """Reduce `rows` in place to reduced row echelon form over its first
+    `ncols` columns; returns the pivot column of each leading row."""
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def kernel(M: list[list]) -> list[list]:
+    """Basis of the right kernel of M: one vector per free column, with a
+    1 in that column and 0 in the other free columns."""
+    n = len(M[0])
+    zero = M[0][0] * 0
+    rows = [list(row) for row in M]
+    pivots = _eliminate(rows, n)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [zero] * n
+        v[fc] = zero + 1
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][fc]
+        basis.append(v)
+    return basis
+
+
+def solve(A: list[list], b: list) -> Optional[list]:
+    """The x with A x = b for square A, or None when A is singular."""
+    n = len(A)
+    rows = [list(row) + [b[i]] for i, row in enumerate(A)]
+    if len(_eliminate(rows, n)) < n:
+        return None
+    return [rows[i][n] for i in range(n)]
+
+
+def inverse(A: list[list]) -> Optional[list[list]]:
+    """The inverse of square A, or None when A is singular."""
+    n = len(A)
+    zero = A[0][0] * 0
+    rows = [list(row) + [zero + int(i == j) for j in range(n)]
+            for i, row in enumerate(A)]
+    if len(_eliminate(rows, n)) < n:
+        return None
+    return [rows[i][n:] for i in range(n)]
+
+
+def matmul(A: list[list], B: list[list]) -> list[list]:
+    zero = A[0][0] * 0
+    return [[sum((A[i][t] * B[t][j] for t in range(len(B))), start=zero)
+             for j in range(len(B[0]))] for i in range(len(A))]
+
+
+def add_to_basis(basis: list[list], vec: list) -> bool:
+    """Reduce vec against an echelon basis (each vector's first nonzero
+    entry is zero in every later one) and append the remainder when it is
+    nonzero.  Returns whether the span grew; stored vectors are not
+    rescaled."""
+    v = list(vec)
+    for b in basis:
+        piv = next(i for i, c in enumerate(b) if c != 0)
+        if v[piv] != 0:
+            f = v[piv] / b[piv]
+            v = [x - f * y for x, y in zip(v, b)]
+    if all(c == 0 for c in v):
+        return False
+    basis.append(v)
+    return True

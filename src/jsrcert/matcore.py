@@ -25,6 +25,7 @@ from .algebraic import (
     isolate_real_roots,
     nth_root,
 )
+from .linalg import kernel
 
 
 @dataclass(frozen=True)
@@ -314,7 +315,7 @@ def leading_eigenvector(A: IntMatrix, rho: RealAlgebraic | FieldElement,
     n = A.dim
     M = [[ctx.from_rational(A.rows[i][j]) - (lam if i == j else ctx.zero())
           for j in range(n)] for i in range(n)]
-    kern = _kernel(M, ctx)
+    kern = kernel(M)
     if len(kern) != 1:
         raise AlgebraicError(
             f"kernel dimension {len(kern)} != 1 for eigenvalue (multiplicity issue)")
@@ -323,36 +324,6 @@ def leading_eigenvector(A: IntMatrix, rho: RealAlgebraic | FieldElement,
     pivot = next(e for e in v if not e.is_zero())
     v = [e / pivot for e in v]
     return v
-
-
-def _kernel(M: list[list[FieldElement]], ctx) -> list[list[FieldElement]]:
-    """Kernel basis of a square matrix over the field by Gaussian elimination."""
-    n = len(M)
-    rows = [row[:] for row in M]
-    pivots = {}
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots[c] = r
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ctx.zero()] * n
-        v[fc] = ctx.one()
-        for c, pr in pivots.items():
-            v[c] = -rows[pr][fc]
-        basis.append(v)
-    return basis
 
 
 def two_norm_sq(A: IntMatrix) -> RealAlgebraic:
@@ -367,22 +338,3 @@ def two_norm_sq(A: IntMatrix) -> RealAlgebraic:
 
 def frobenius_norm_sq(A: IntMatrix) -> Fraction:
     return Fraction(sum(v * v for r in A.rows for v in r))
-
-
-def avg_sr_compare(p: Product, q: Product) -> Ordering:
-    """Order rho(p)^(1/len p) against rho(q)^(1/len q) exactly.
-
-    Root extraction is avoided by comparing rho(p)^len(q) with
-    rho(q)^len(p).
-    """
-    rp = spectral_radius(p.value).value
-    rq = spectral_radius(q.value).value
-    return compare(rp.pow(q.length), rq.pow(p.length))
-
-
-def averaged_spectral_radius(p: Product) -> RealAlgebraic:
-    """rho(p)^(1/len p) as an exact value."""
-    rho = spectral_radius(p.value).value
-    if rho.sign() == 0:
-        return RealAlgebraic.from_rational(0)
-    return nth_root(rho, p.length)

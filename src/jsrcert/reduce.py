@@ -2,9 +2,9 @@
 
 A pair of dim x dim matrices over a digit alphabet is addressed by two
 nonnegative integers whose base-|alphabet| digits list the entries
-row-major, most significant digit first (entry (1,1) of the first
-matrix; the least significant digit of the second number is entry
-(dim,dim) of the second matrix).
+column-major, most significant digit first: the most significant digit
+is entry (1,1), the next entry (2,1), and the least significant entry
+(dim,dim).
 
 Quick decisions settle a pair without running the polytope algorithm:
 entrywise domination, sub-identity, product-order comparisons (for
@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .algebraic import Ordering, RealAlgebraic, compare, nth_root
+from .algebraic import Ordering, RealAlgebraic, compare
+from .linalg import add_to_basis, inverse, kernel, matmul
 from .matcore import (
     IntMatrix,
     MatrixFamily,
@@ -49,7 +50,6 @@ class Reason(enum.Enum):
 
 
 class Outcome(enum.Enum):
-    DUPLICATE = "duplicate"
     SETTLED = "settled"
     NEEDS_IPA = "needs_ipa"
 
@@ -82,7 +82,6 @@ class PairCode:
 class ReductionVerdict:
     outcome: Outcome
     reason: Optional[Reason] = None
-    canonical: Optional[PairCode] = None  # for DUPLICATE
     jsr: Optional[RealAlgebraic] = None
     smp_word: Optional[tuple[int, ...]] = None
     witness: dict = field(default_factory=dict)
@@ -344,7 +343,7 @@ def _algebra_dimension(pair) -> int:
 
     def add(M: IntMatrix) -> bool:
         vec = [Fraction(v) for v in M.flat()]
-        return _add_to_basis(basis, vec)
+        return add_to_basis(basis, vec)
 
     gens = [IntMatrix.identity(dim), A1, A2]
     frontier = [g for g in gens if add(g)]
@@ -359,19 +358,6 @@ def _algebra_dimension(pair) -> int:
                         new.append(Pd)
         current = new
     return len(basis)
-
-
-def _add_to_basis(basis: list, vec: list[Fraction]) -> bool:
-    v = list(vec)
-    for b in basis:
-        piv = next(i for i, c in enumerate(b) if c != 0)
-        if v[piv] != 0:
-            f = v[piv] / b[piv]
-            v = [x - f * y for x, y in zip(v, b)]
-    if all(c == 0 for c in v):
-        return False
-    basis.append(v)
-    return True
 
 
 def _find_invariant_subspace(pair) -> Optional[BlockDecomposition]:
@@ -389,8 +375,7 @@ def _find_invariant_subspace(pair) -> Optional[BlockDecomposition]:
             lam = r.as_rational()
             rows = [[Fraction(M.rows[i][j]) - (lam if i == j else 0)
                      for j in range(dim)] for i in range(dim)]
-            for v in _rational_kernel(rows):
-                seeds.append(v)
+            seeds.extend(kernel(rows))
     # also try coordinate vectors (catches triangular forms)
     for i in range(dim):
         seeds.append([Fraction(int(j == i)) for j in range(dim)])
@@ -405,46 +390,17 @@ def _find_invariant_subspace(pair) -> Optional[BlockDecomposition]:
     return None
 
 
-def _rational_kernel(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(rows)
-    M = [row[:] for row in rows]
-    pivots = {}
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        pv = M[r][c]
-        M[r] = [x / pv for x in M[r]]
-        for i in range(n):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots[c] = r
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for c, pr in pivots.items():
-            v[c] = -M[pr][fc]
-        out.append(v)
-    return out
-
-
 def _close_under(space: list[list[Fraction]], mats) -> None:
     basis: list = []
     for v in space:
-        _add_to_basis(basis, v)
+        add_to_basis(basis, v)
     frontier = list(space)
     while frontier:
         new = []
         for v in frontier:
             for M in mats:
                 img = M.apply(v)
-                if _add_to_basis(basis, [Fraction(c) for c in img]):
+                if add_to_basis(basis, [Fraction(c) for c in img]):
                     new.append([Fraction(c) for c in img])
         frontier = new
     space.clear()
@@ -462,22 +418,23 @@ def _split_blocks(pair, space: list[list[Fraction]]) -> Optional[BlockDecomposit
     dim = A1.dim
     k = len(space)
     basis_vecs = [list(v) for v in space]
+    echelon = list(space)  # add_to_basis only appends
     for i in range(dim):
-        cand = basis_vecs + [[Fraction(int(j == i)) for j in range(dim)]]
-        if _rank(cand) > len(basis_vecs):
-            basis_vecs = cand
+        unit = [Fraction(int(j == i)) for j in range(dim)]
+        if add_to_basis(echelon, unit):
+            basis_vecs.append(unit)
         if len(basis_vecs) == dim:
             break
     if len(basis_vecs) != dim:
         return None
     U = [[basis_vecs[c][r] for c in range(dim)] for r in range(dim)]  # columns
-    Uinv = _mat_inverse_q(U)
+    Uinv = inverse(U)
     if Uinv is None:
         return None
     raw_subs, raw_quots = [], []
     for M in (A1, A2):
         Mq = [[Fraction(v) for v in row] for row in M.rows]
-        C = _mat_mul_q(_mat_mul_q(Uinv, Mq), U)
+        C = matmul(matmul(Uinv, Mq), U)
         for i in range(k, dim):
             for j in range(k):
                 if C[i][j] != 0:
@@ -517,34 +474,3 @@ def _primitive_int(v: list[Fraction]) -> list[int]:
     for c in ints:
         g = gcd(g, abs(c))
     return [c // (g or 1) for c in ints]
-
-
-def _rank(vecs: list[list[Fraction]]) -> int:
-    basis: list = []
-    for v in vecs:
-        _add_to_basis(basis, list(v))
-    return len(basis)
-
-
-def _mat_inverse_q(U: list[list[Fraction]]) -> Optional[list[list[Fraction]]]:
-    n = len(U)
-    M = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(U)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        pv = M[col][col]
-        M[col] = [x / pv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [[M[i][n + j] for j in range(n)] for i in range(n)]
-
-
-def _mat_mul_q(A: list[list[Fraction]], B: list[list[Fraction]]) -> list[list[Fraction]]:
-    n, k, m = len(A), len(B), len(B[0])
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]

@@ -11,7 +11,7 @@ loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebraic import (
@@ -34,20 +34,18 @@ from .matcore import (
 
 @dataclass
 class CandidateSet:
-    """Search result: certified lower bound and the products attaining it."""
+    """Search result: the certified lower bound lambda_ and the products
+    attaining it.  The matching upper bound comes from the invariant
+    polytope, not from the search."""
 
     lambda_: RealAlgebraic
     candidates: list[Product]
-    upper_bound: RealAlgebraic
     depth_reached: int
     exhausted: bool
     # diagnostics
     nodes_visited: int = 0
     frobenius_prunes: int = 0
     two_norm_prunes: int = 0
-
-    def lambda_power(self, k: int) -> RealAlgebraic:
-        return self.lambda_.pow(k)
 
 
 def canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -88,11 +86,6 @@ class _Best:
         self.rho_is_zero = rho.sign() == 0
 
 
-def _interval_pow(lo: Fraction, hi: Fraction, k: int) -> tuple[Fraction, Fraction]:
-    # nonnegative base intervals only
-    return lo**k, hi**k
-
-
 def _prune_test(norm_sq: RealAlgebraic, length: int, best: _Best,
                 slack: Fraction) -> bool:
     """True iff norm^(1/length) < (1-slack) * best averaged radius, exactly.
@@ -109,7 +102,8 @@ def _prune_test(norm_sq: RealAlgebraic, length: int, best: _Best,
     for _ in range(3):
         nlo, nhi = norm_sq.interval()
         rlo, rhi = rhs.interval()
-        plo, phi = _interval_pow(max(nlo, Fraction(0)), max(nhi, Fraction(0)), m)
+        # the norm is nonnegative, so clip the interval at 0 before powering
+        plo, phi = max(nlo, Fraction(0)) ** m, max(nhi, Fraction(0)) ** m
         if phi < rlo:
             return True
         if plo > rhi:
@@ -136,7 +130,7 @@ def gripenberg_search(family: MatrixFamily, max_depth: int = 10,
     J = len(family)
     best = _Best()
     raw_candidates: list[Product] = []  # words tying best at registration time
-    open_leaves: list[Product] = []
+    exhausted = True
     stats = {"nodes": 0, "fro": 0, "two": 0}
     depth_reached = 0
 
@@ -186,7 +180,7 @@ def gripenberg_search(family: MatrixFamily, max_depth: int = 10,
             if closed_by_repetition(word, value, prefixes):
                 continue
             if len(word) >= max_depth:
-                open_leaves.append(Product(word, value))
+                exhausted = False
                 continue
             survivors.append((word, value, prefixes))
         for word, value, prefixes in survivors:
@@ -217,19 +211,7 @@ def gripenberg_search(family: MatrixFamily, max_depth: int = 10,
     else:
         lam = nth_root(spectral_radius(candidates[0].value).value,
                        candidates[0].length)
-    exhausted = not open_leaves
-    if exhausted:
-        ub = lam
-    else:
-        ub = lam
-        for leaf in open_leaves:
-            nsq = spectral_radius(leaf.value @ leaf.value.transpose())
-            # ||leaf||^(1/len) = (norm_sq)^(1/(2 len))
-            cand = nth_root(nsq.value, 2 * leaf.length) if nsq.value.sign() > 0 \
-                else RealAlgebraic.from_rational(0)
-            if compare(cand, ub) == Ordering.GREATER:
-                ub = cand
-    return CandidateSet(lam, candidates, ub, depth_reached, exhausted,
+    return CandidateSet(lam, candidates, depth_reached, exhausted,
                         stats["nodes"], stats["fro"], stats["two"])
 
 
@@ -289,64 +271,3 @@ def _assemble_candidates(raw: list[Product], family: MatrixFamily) -> list[Produ
             continue
         kept.append(p)
     return kept
-
-
-def spectral_gap_estimate(family: MatrixFamily, candidates: list[Product],
-                          lam: RealAlgebraic, depth: int) -> Fraction | None:
-    """Rational upper bound < 1 on normalized non-candidate spectral radii.
-
-    Enumerates every product of length <= depth.  A product tying lam is
-    benign when its canonical form evaluates to a scalar multiple of a
-    candidate's matrix (it carries the same eigeninformation); any other
-    tie means no usable spectral gap and None is returned.  A
-    single-matrix family with no non-candidate products yields 0.
-    """
-    cand_words = {p.word for p in candidates}
-    cand_values = [p.value for p in candidates]
-    gap = Fraction(0)
-    benign_cache: dict[tuple[int, ...], bool] = {}
-    stack: list[tuple[tuple[int, ...], IntMatrix]] = [
-        ((j,), family[j - 1]) for j in range(1, len(family) + 1)]
-    while stack:
-        word, value = stack.pop()
-        cw = canonical_word(word)
-        if cw not in cand_words:
-            rho = spectral_radius(value).value
-            if lam.sign() == 0:
-                if rho.sign() != 0:
-                    return None  # lambda is not even maximal
-                tie = True
-            else:
-                c = compare(rho, lam.pow(len(word)))
-                if c == Ordering.GREATER:
-                    return None
-                tie = c == Ordering.EQUAL
-            if tie:
-                if cw not in benign_cache:
-                    cv = evaluate(cw, family).value
-                    benign_cache[cw] = any(
-                        _scalar_multiple(cv, k) is not None for k in cand_values)
-                if not benign_cache[cw]:
-                    return None
-            elif rho.sign() > 0:
-                avg = nth_root(rho, len(word))
-                gap = max(gap, _ratio_upper_bound(avg, lam))
-        if len(word) < depth:
-            for j in range(1, len(family) + 1):
-                stack.append((word + (j,), family[j - 1] @ value))
-    return gap
-
-
-def _ratio_upper_bound(num: RealAlgebraic, den: RealAlgebraic) -> Fraction:
-    """A rational q < 1 with num <= q * den, for exact num < den."""
-    guard = 0
-    while True:
-        nlo, nhi = num.interval()
-        dlo, dhi = den.interval()
-        if dlo > 0 and nhi / dlo < 1:
-            return max(nhi, Fraction(0)) / dlo
-        num.refine()
-        den.refine()
-        guard += 1
-        if guard > 200:
-            raise RuntimeError("gap ratio refinement stalled")

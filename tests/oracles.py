@@ -185,3 +185,20 @@ def _solve(A, b):
                 f = M[r][col]
                 M[r] = [v - f * w for v, w in zip(M[r], M[col])]
     return [M[i][n] for i in range(n)]
+
+
+def rank(vectors):
+    """Rank of a list of rational vectors by forward elimination, column
+    by column."""
+    rows = [[Fraction(c) for c in v] for v in vectors]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] / rows[r][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r

@@ -169,6 +169,46 @@ class TestMutationTesting:
                         f"perturbing vertex {k} coord {ci} was not caught"
 
 
+    def test_letter_past_the_family_rejects(self):
+        for family in (T_FAMILY, B_FAMILY):
+            cert = self._proved_cert(family)
+            k = next(i for i, v in enumerate(cert["vertices"]) if v["word"])
+            mut = copy.deepcopy(cert)
+            mut["vertices"][k]["word"][-1] = len(family) + 1
+            assert not verify_certificate(mut)
+
+    def test_letter_zero_rejects(self):
+        # letter 0 must not be read as the last matrix of the family
+        for family in (T_FAMILY, B_FAMILY):
+            cert = self._proved_cert(family)
+            last = len(family)
+            words = [("vertices", k, v["word"])
+                     for k, v in enumerate(cert["vertices"])]
+            words += [("smp_words", k, w)
+                      for k, w in enumerate(cert["smp_words"])]
+            sites = [(key, k, i) for key, k, w in words
+                     for i, j in enumerate(w) if j == last]
+            assert sites
+            for key, k, i in sites:
+                mut = copy.deepcopy(cert)
+                word = mut[key][k]["word"] if key == "vertices" else mut[key][k]
+                word[i] = 0
+                assert not verify_certificate(mut), f"{key} {k} letter {i}"
+
+    def test_negative_vertex_index_rejects(self):
+        # index -1 must not be read as the last vertex
+        for family in (T_FAMILY, B_FAMILY):
+            cert = self._proved_cert(family)
+            last = len(cert["vertices"]) - 1
+            sites = [n for n, e in enumerate(cert["evidence"])
+                     if e["type"] == "vertex" and int(e["index"]) == last]
+            assert sites
+            for n in sites:
+                mut = copy.deepcopy(cert)
+                mut["evidence"][n]["index"] = -1
+                assert not verify_certificate(mut)
+
+
 class TestSingletonFamily:
     def test_single_matrix_proved_in_one_round(self):
         fam = MatrixFamily.make([[[2, 1], [0, 1]]])

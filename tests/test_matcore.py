@@ -16,8 +16,6 @@ from jsrcert.algebraic import (
 from jsrcert.matcore import (
     IntMatrix,
     MatrixFamily,
-    avg_sr_compare,
-    averaged_spectral_radius,
     char_poly,
     evaluate,
     frobenius_norm_sq,
@@ -203,20 +201,10 @@ class TestProducts:
         assert B2.power(3) == B2.scale(2)
         assert (B1 @ B2.power(3)) == (B1 @ B2).scale(2)
 
-    def test_avg_sr_compare_showcase(self):
-        fam = MatrixFamily.make([B1, B2])
-        a2 = evaluate([2], fam)
-        a1a2 = evaluate([2, 1], fam)  # B1 B2
-        assert avg_sr_compare(a2, a1a2) == Ordering.GREATER
-        assert avg_sr_compare(a2, a2) == Ordering.EQUAL
-
     def test_smp_value_for_f2_pair(self):
-        # pair {[0 1;0 0],[1 0;1 1]}: product A1 A2^4 has radius 4, so the
-        # averaged spectral radius is 4^(1/5)
+        # pair {[0 1;0 0],[1 0;1 1]}: product A1 A2^4 has radius 4
         fam = MatrixFamily.make([[[0, 1], [0, 0]], [[1, 0], [1, 1]]])
         p = evaluate([2, 2, 2, 2, 1], fam)  # A1 applied last
         assert p.value == fam[0] @ fam[1].power(4)
         sr = spectral_radius(p.value)
         assert sr.value.as_rational() == 4
-        lam = averaged_spectral_radius(p)
-        assert compare(lam.pow(5), RealAlgebraic.from_rational(4)) == Ordering.EQUAL

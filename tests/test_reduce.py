@@ -20,6 +20,8 @@ from jsrcert.reduce import (
 )
 from jsrcert.smp import gripenberg_search
 
+from oracles import rank
+
 M = IntMatrix.make
 
 
@@ -36,7 +38,7 @@ class TestCoding:
         assert A.is_zero() and B.is_zero()
 
     def test_dim2_binary_6_9_base2_oracle(self):
-        # oracle: digits of 6 = 0110 and 9 = 1001 read row-major
+        # oracle: digits of 6 = 0110 and 9 = 1001 read column-major
         A, B = decode(PairCode(6, 9, 2, "binary"))
         assert A == M([[0, 1], [1, 0]])
         assert B == M([[1, 0], [0, 1]])
@@ -216,13 +218,7 @@ class TestIrreducible:
             for n in range(1, 5):
                 for w in itertools.product((1, 2), repeat=n):
                     mats.append(evaluate(w, MatrixFamily.make([A, B])).value)
-            vecs = [[Fraction(v) for v in m.flat()] for m in mats]
-            basis = []
-            from jsrcert.reduce import _add_to_basis
-
-            for v in vecs:
-                _add_to_basis(basis, v)
-            return len(basis) == 4
+            return rank([m.flat() for m in mats]) == 4
 
         count = 0
         for code in enumerate_campaign("binary", 2):

@@ -16,7 +16,6 @@ from jsrcert.smp import (
     canonical_word,
     canonicalize_product,
     gripenberg_search,
-    spectral_gap_estimate,
 )
 
 M = IntMatrix.make
@@ -82,7 +81,6 @@ class TestGripenbergShowcase3x3:
         assert compare(cs.lambda_,
                        nth_root(RealAlgebraic.from_rational(2), 2)) == Ordering.EQUAL
         assert [c.word for c in cs.candidates] == [(2,)]
-        assert compare(cs.upper_bound, cs.lambda_) == Ordering.EQUAL
 
 
 class TestGripenbergDemo2x2:
@@ -148,39 +146,6 @@ class TestGripenbergBinaryPairs:
         cs = gripenberg_search(fam, max_depth=4)
         assert cs.lambda_.as_rational() == 0
         assert cs.exhausted
-
-
-class TestSpectralGap:
-    def test_demo_family_has_gap(self):
-        fam = MatrixFamily.make([T1, T2])
-        cs = gripenberg_search(fam, max_depth=8)
-        g = spectral_gap_estimate(fam, cs.candidates, cs.lambda_, 6)
-        assert g is not None and 0 <= g < 1
-
-    def test_duplicated_identity_all_ties_benign(self):
-        # every product of {I, I} equals a candidate matrix, so all ties
-        # collapse onto the candidates and the non-candidate set is empty
-        I = IntMatrix.identity(2)
-        fam = MatrixFamily.make([I, I])
-        cs = gripenberg_search(fam, max_depth=4)
-        g = spectral_gap_estimate(fam, cs.candidates, cs.lambda_, 4)
-        assert g == 0
-
-    def test_genuine_tie_not_found(self):
-        # candidate list restricted to A1 only: the tying matrix A2 is not
-        # a scalar multiple of it, so no usable gap exists
-        I = IntMatrix.identity(2)
-        S = M([[0, 1], [1, 0]])
-        fam = MatrixFamily.make([I, S])
-        cs = gripenberg_search(fam, max_depth=4)
-        g = spectral_gap_estimate(fam, [cs.candidates[0]], cs.lambda_, 3)
-        assert g is None
-
-    def test_singleton_zero_by_convention(self):
-        fam = MatrixFamily.make([T2])
-        cs = gripenberg_search(fam, max_depth=4)
-        g = spectral_gap_estimate(fam, cs.candidates, cs.lambda_, 5)
-        assert g == 0
 
 
 class TestSymmetryInvariance:
