@@ -159,20 +159,34 @@ class Store:
             self._write_header()
 
     def _load(self) -> None:
-        with self.path.open() as fh:
-            header = json.loads(fh.readline())
-            if header.get("schema") != STORE_SCHEMA:
-                raise ValueError(f"store schema mismatch: {header.get('schema')}")
-            if self.alphabet and header.get("alphabet") != self.alphabet:
-                raise ValueError("store belongs to a different campaign")
-            self.alphabet = header["alphabet"]
-            self.dim = int(header["dim"])
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
+        """Read the store.  A last line that does not decode is a write
+        cut short: it is dropped and the file truncated to the end of the
+        last complete line, so later appends stay valid JSON lines."""
+        data = self.path.read_bytes()
+        first, *lines = data.split(b"\n")
+        header = json.loads(first)
+        if header.get("schema") != STORE_SCHEMA:
+            raise ValueError(f"store schema mismatch: {header.get('schema')}")
+        if self.alphabet and header.get("alphabet") != self.alphabet:
+            raise ValueError("store belongs to a different campaign")
+        self.alphabet = header["alphabet"]
+        self.dim = int(header["dim"])
+        end = len(first) + 1  # where the line being read starts
+        for n, line in enumerate(lines):
+            if line.strip():
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError:
+                    if any(rest.strip() for rest in lines[n + 1:]):
+                        raise
+                    with self.path.open("r+b") as fh:
+                        fh.truncate(end)
+                    return
                 self.records[rec["code"]] = rec
+            end += len(line) + 1
+        if not data.endswith(b"\n"):  # a complete last record, newline lost
+            with self.path.open("ab") as fh:
+                fh.write(b"\n")
 
     def _write_header(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)

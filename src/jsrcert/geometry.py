@@ -1,31 +1,25 @@
-"""Exact linear programming and Minkowski-norm queries on vertex polytopes.
+"""Exact linear programming and membership queries on vertex polytopes.
 
 The simplex solver runs over any exact ordered field (Fractions or
 FieldElements) with Bland's rule, so it terminates and is deterministic.
 Three hull kinds are supported: cone hulls of nonnegative vertices (P),
-symmetric convex hulls (R), and elliptic hulls spanned by complex
-vertices (C).  Kinds P and R answer membership exactly; kind C returns
-a certified rational interval from an inscribed sample polygon with a
-circumscribed correction factor, sound in the Interior direction only.
+symmetric convex hulls (R), and, in dimension 2, symmetric hulls of the
+ellipses spanned by complex vertices (C).  All three answer membership
+exactly: kinds P and R by the Minkowski norm from one LP, kind C by an
+arc cover of the half turn on which one vertex's quadratic form
+dominates the query's (`norm_ellipse`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebraic import (
-    ContextMismatchError,
-    FieldElement,
-    NumberFieldContext,
-    Ordering,
-)
-
-Scalar = object  # Fraction or FieldElement, duck-typed
+from .algebraic import ContextMismatchError, FieldElement
 
 # a numeric norm estimate this far from 1 decides membership without the
 # exact LP; certificates record the value
@@ -267,7 +261,6 @@ class Classification(enum.Enum):
     INTERIOR = "interior"
     BOUNDARY = "boundary"
     EXTERIOR = "exterior"
-    UNKNOWN = "unknown"
 
 
 class Mode(enum.Enum):
@@ -282,9 +275,6 @@ class ComplexVertex:
     real: tuple
     imag: tuple
 
-    def is_real(self) -> bool:
-        return all(_is_zero(c) for c in self.imag)
-
 
 @dataclass
 class VertexPolytope:
@@ -298,7 +288,6 @@ class VertexPolytope:
     kind: HullKind
     vertices: list
     dim: int
-    sample_count: int = 64  # kind C only
 
     def __post_init__(self):
         if self.kind is HullKind.P:
@@ -313,7 +302,6 @@ class NormResult:
     face: list[int]
     classification: Classification
     numeric: bool = False
-    interval: Optional[tuple[Fraction, Fraction]] = None  # kind C
 
     def combination(self):
         """Feasible certificate combination attached by the exact path."""
@@ -323,17 +311,16 @@ class NormResult:
         self._combination = combo
 
 
-def minkowski_norm(poly: VertexPolytope, x, m: int | None = None) -> NormResult:
-    """The Minkowski norm of x w.r.t. the polytope, exactly (kinds P, R)
-    or as a certified interval (kind C)."""
+def minkowski_norm(poly: VertexPolytope, x) -> NormResult:
+    """The Minkowski norm of x w.r.t. a kind-P or kind-R polytope, exactly."""
     if poly.kind is HullKind.P:
         return _norm_cone(poly, x)
     if poly.kind is HullKind.R:
         return _norm_sym(poly, x)
-    return _norm_elliptic_point(poly, x, m or poly.sample_count)
+    raise ValueError("kind-C membership is decided by norm_ellipse")
 
 
-def _classify_value(value, face, boundary_tol=None) -> NormResult:
+def _classify_value(value, face) -> NormResult:
     s = _sgn(value - 1) if not isinstance(value, FieldElement) \
         else (value - 1).sign()
     if s < 0:
@@ -416,128 +403,87 @@ def _one_like(x):
     return Fraction(1)
 
 
-# -- kind C: elliptic hulls --------------------------------------------------
+# -- kind C: elliptic hulls in dimension 2 ---------------------------------
+
+# how many times one arc may be split before the query counts as not contained
+ARC_SPLIT_DEPTH = 12
+_HALF_TURN = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0))
 
 
-def rational_circle_points(m: int) -> list[tuple[Fraction, Fraction]]:
-    """m points exactly on the unit circle, approximately equally spaced.
+def gram_form(v: ComplexVertex) -> tuple:
+    """(q11, q12, q22) of Q = a a^T + b b^T for the vertex (a, b).
 
-    Quadrant points come from the tangent half-angle parametrization
-    (1-u^2, 2u)/(1+u^2) at u = k/q, then symmetry fills the circle.
-    Deterministic for a given m.
+    The support function of the ellipse {a cos t + b sin t} is
+    sqrt(u^T Q u); a real vertex (b = 0) gives the segment [-a, a].
     """
-    q = max(1, m // 4)
-    quarter = []
-    for k in range(q + 1):
-        u = Fraction(k, q)
-        den = 1 + u * u
-        quarter.append(((1 - u * u) / den, 2 * u / den))
-    pts = []
-    for (c, s) in quarter:
-        pts.extend([(c, s), (-c, s), (-c, -s), (c, -s)])
-    # dedupe (axis points repeat)
-    return sorted(set(pts))
+    (a0, a1), (b0, b1) = v.real, v.imag
+    return (a0 * a0 + b0 * b0, a0 * a1 + b0 * b1, a1 * a1 + b1 * b1)
 
 
-def circumscribe_factor(m: int) -> Fraction:
-    """A rational lower bound on cos(theta_max/2) for the sample family.
+def _form(q, u, w):
+    """The bilinear form u^T Q w for integer directions u, w."""
+    return (q[0] * (u[0] * w[0]) + q[1] * (u[0] * w[1] + u[1] * w[0])
+            + q[2] * (u[1] * w[1]))
 
-    The u-grid step is 1/floor(m/4) and d(theta)/du <= 2, so adjacent
-    samples are at most 2/q radians apart; cos(x) >= 1 - x^2/2 gives a
-    certified bound.  Scaling sample norms by its inverse circumscribes
-    the true curve.
+
+def arc_nonnegative(q, d0, d1) -> bool:
+    """Exactly: u^T Q u >= 0 for every u = (1-t) d0 + t d1, t in [0, 1].
+
+    On the arc the form is A(1-t)^2 + 2Bt(1-t) + Ct^2 in Bernstein
+    coefficients, which is nonnegative on [0, 1] if and only if A >= 0,
+    C >= 0 and either B >= 0 or B^2 <= AC.
     """
-    q = max(1, m // 4)
-    half_gap = Fraction(1, q)  # theta_max/2 <= 1/q
-    return 1 - half_gap * half_gap / 2
+    a, c = _form(q, d0, d0), _form(q, d1, d1)
+    if _sgn(a) < 0 or _sgn(c) < 0:
+        return False
+    b = _form(q, d0, d1)
+    return _sgn(b) >= 0 or _sgn(b * b - a * c) <= 0
 
 
-def elliptic_generators(poly: VertexPolytope) -> list:
-    """Inscribed sample points of every vertex ellipse (plus real vertices)."""
-    gens = []
-    pts = rational_circle_points(poly.sample_count)
-    for v in poly.vertices:
-        if v.is_real():
-            gens.append(list(v.real))
-        else:
-            for (c, s) in pts:
-                gens.append([a * c + b * s for a, b in zip(v.real, v.imag)])
-    return gens
+def _float_min(q, d0, d1) -> float:
+    """The least value of u^T Q u over the arc, in floats (Q as floats)."""
+    a, b, c = _form(q, d0, d0), _form(q, d0, d1), _form(q, d1, d1)
+    curve = a - 2 * b + c
+    if curve > 0 and 0 < a - b < curve:
+        return a - (a - b) ** 2 / curve
+    return min(a, c)
 
 
-def _norm_elliptic_point(poly: VertexPolytope, x, m: int) -> NormResult:
-    """Certified interval for the norm of a real point w.r.t. kind C."""
-    gens = elliptic_generators(poly)
-    inner = VertexPolytope(HullKind.R, gens, poly.dim)
-    res = _norm_sym(inner, x)
-    if res.value is None:
-        return NormResult(None, res.face, Classification.EXTERIOR)
-    factor = circumscribe_factor(poly.sample_count)
-    upper = _upper_rational(res.value)
-    lower = _lower_rational(res.value) * factor
-    iv = (lower, upper)
-    if upper < 1:
-        cls = Classification.INTERIOR
-    elif lower > 1:
-        cls = Classification.EXTERIOR
-    else:
-        cls = Classification.UNKNOWN
-    out = NormResult(res.value, res.face, cls, interval=iv)
-    out.set_combination(res.combination())
-    return out
+def norm_ellipse(poly: VertexPolytope, v: ComplexVertex) -> Optional[list]:
+    """An arc cover proving E(v) inside the kind-C hull, or None.
 
-
-def norm_ellipse(poly: VertexPolytope, v: ComplexVertex,
-                 m: int | None = None) -> NormResult:
-    """Certified interval for max norm over a whole query ellipse E(v).
-
-    Sound Interior verdicts only: the circumscribed sample polygon of
-    E(v) contains the ellipse, so if every scaled sample point is
-    interior the ellipse is too.
+    E(v) lies in the closed symmetric hull of the vertex ellipses E_k
+    exactly when every direction u has some k with u^T (Q_k - Q_v) u >= 0.
+    The cover is a counterclockwise chain of integer directions from
+    (1, 0) to (-1, 0), with one such k per arc; the forms are even in u,
+    so the half turn covers every direction.  Each arc tries the
+    generators in order of their float margin and keeps the first that
+    passes `arc_nonnegative`; an arc none passes is split at d0 + d1.
+    None when some endpoint has every Q_k - Q_v negative (E(v) is not
+    contained) or an arc still fails after ARC_SPLIT_DEPTH splits (E(v)
+    may touch the hull where the dominating generator changes);
+    the caller then makes v a vertex, which is always sound.
     """
-    if v.is_real():
-        return _norm_elliptic_point(poly, list(v.real), m or poly.sample_count)
-    mm = m or poly.sample_count
-    pts = rational_circle_points(mm)
-    factor = circumscribe_factor(mm)
-    lo_best = Fraction(0)
-    hi_best = Fraction(0)
-    face: list[int] = []
-    for (c, s) in pts:
-        p = [a * c + b * s for a, b in zip(v.real, v.imag)]
-        r = _norm_elliptic_point(poly, p, mm)
-        if r.value is None:
-            return NormResult(None, r.face, Classification.EXTERIOR)
-        plo, phi = r.interval
-        hi_best = max(hi_best, phi / factor)  # circumscribed query sample
-        lo_best = max(lo_best, plo)
-        face = sorted(set(face) | set(r.face))
-    if hi_best < 1:
-        cls = Classification.INTERIOR
-    elif lo_best > 1:
-        cls = Classification.EXTERIOR
-    else:
-        cls = Classification.UNKNOWN
-    return NormResult(None, face, cls, interval=(lo_best, hi_best))
-
-
-def _upper_rational(value) -> Fraction:
-    if isinstance(value, FieldElement):
-        guard = 0
-        while True:
-            lo, hi = value.interval()
-            if hi - lo < Fraction(1, 10**12) or guard > 64:
-                return hi
-            value.context.refine_root()
-            guard += 1
-    return Fraction(value)
-
-
-def _lower_rational(value) -> Fraction:
-    if isinstance(value, FieldElement):
-        lo, _ = value.interval()
-        return lo
-    return Fraction(value)
+    qv = gram_form(v)
+    forms = [tuple(x - y for x, y in zip(gram_form(w), qv))
+             for w in poly.vertices]
+    floats = [tuple(float(x) for x in q) for q in forms]
+    cover = []
+    stack = [(d0, d1, 0) for d0, d1 in zip(_HALF_TURN, _HALF_TURN[1:])][::-1]
+    while stack:
+        d0, d1, depth = stack.pop()
+        order = sorted(range(len(forms)),
+                       key=lambda k: -_float_min(floats[k], d0, d1))
+        k = next((k for k in order if arc_nonnegative(forms[k], d0, d1)), None)
+        if k is not None:
+            cover.append((d0, d1, k))
+            continue
+        if depth == ARC_SPLIT_DEPTH or any(
+                all(_sgn(_form(q, d, d)) < 0 for q in forms) for d in (d0, d1)):
+            return None
+        mid = (d0[0] + d1[0], d0[1] + d1[1])
+        stack += [(mid, d1, depth + 1), (d0, mid, depth + 1)]
+    return cover
 
 
 # -- numeric-first classification with exact escalation ----------------------
@@ -551,10 +497,8 @@ def classify_with_fallback(poly: VertexPolytope, x,
     whose margin from 1 exceeds NUMERIC_TOLERANCE are returned tagged
     numeric.  Anything near the boundary (or any numeric failure)
     escalates to the exact path.  EXACT_ONLY skips the numeric stage.
-    Kind C has no exact escalation and returns UNKNOWN results as such.
+    Kinds P and R only.
     """
-    if poly.kind is HullKind.C:
-        return minkowski_norm(poly, x)
     # exact duplicate-vertex test before any LP
     for i, v in enumerate(poly.vertices):
         if _vectors_equal(v, x) or (poly.kind is HullKind.R and

@@ -7,8 +7,18 @@ keeps adding images that cannot be proven inside the current hull.  An
 empty frontier means every image lies in the closed hull; the run then
 emits a self-contained certificate whose every claim is re-checkable by
 pure exact arithmetic (verify_certificate), with no re-run of any
-search: vertex reachability words, eigen-relations for the seeds, and a
-feasible-combination witness for every vertex image.
+search: vertex reachability words, eigen-relations for the seeds, and
+one piece of evidence for every (vertex, matrix) image, of one of three
+types:
+
+- "vertex": the image is a vertex (up to sign in kind R; in kind C, an
+  ellipse with the same Gram form);
+- "combination" (kinds P and R): coefficients whose absolute values sum
+  to at most 1 and whose combination of the vertices equals the image
+  (kind R) or, all nonnegative, dominates it entrywise (kind P);
+- "arcs" (kind C): a counterclockwise chain of integer directions from
+  (1, 0) to (-1, 0), each arc naming a vertex whose quadratic form is at
+  least the image's on every direction of the arc.
 """
 
 from __future__ import annotations
@@ -38,10 +48,11 @@ from .geometry import (
     HullKind,
     Mode,
     VertexPolytope,
+    arc_nonnegative,
     classify_with_fallback,
+    gram_form,
     minkowski_norm,
     norm_ellipse,
-    rational_circle_points,
 )
 from .matcore import (
     IntMatrix,
@@ -57,8 +68,6 @@ from .smp import CandidateSet
 SCHEMA = "jsr-certificate/1"
 MAX_VERTICES = 512
 MAX_ROUNDS = 64
-SAMPLE_COUNT = 64  # kind C, doubled on Unknown up to MAX_SAMPLE_COUNT
-MAX_SAMPLE_COUNT = 1024
 
 
 class IpaStatus(enum.Enum):
@@ -66,6 +75,8 @@ class IpaStatus(enum.Enum):
     VERTEX_CAP_EXCEEDED = "vertex_cap_exceeded"
     NO_SPECTRAL_GAP = "no_spectral_gap"
     MULTIPLE_LEADING_EIGENVECTOR = "multiple_leading_eigenvector"
+    # a complex leading eigenvalue in dimension other than 2, or a field
+    # of too high a degree (FieldDegreeError)
     CASE_C_UNKNOWN = "case_c_unknown"
 
 
@@ -81,9 +92,6 @@ class _Vertex:
     imag: Optional[list]  # kind C only (None entries mean real vertex)
     word: tuple  # generating word, seed-first application order
     seed: int  # seed index
-
-    def is_real(self) -> bool:
-        return self.imag is None or all(c.is_zero() for c in self.imag)
 
 
 @dataclass
@@ -128,8 +136,6 @@ def balance(eigs: list, family: MatrixFamily, lam: RealAlgebraic,
         changed = False
         for i in range(n):
             others = [_scale_vec(eigs[j], scales[j]) for j in range(n) if j != i]
-            if hull is HullKind.C:
-                return scales  # balancing beyond two real seeds is kind R/P
             poly = VertexPolytope(hull, others, family.dim)
             me = _scale_vec(eigs[i], scales[i])
             try:
@@ -141,7 +147,7 @@ def balance(eigs: list, family: MatrixFamily, lam: RealAlgebraic,
             s = _sgn_vs_one(res.value)
             if s < 0:
                 # strictly inside: scale up by a rational above 1/norm
-                lo = _lower_rational_positive(res.value)
+                lo = _positive_lower_bound(res.value)
                 scales[i] = scales[i] / lo
                 changed = True
         if not changed:
@@ -159,7 +165,7 @@ def _sgn_vs_one(value) -> int:
     return (value > 1) - (value < 1)
 
 
-def _lower_rational_positive(value) -> Fraction:
+def _positive_lower_bound(value) -> Fraction:
     if isinstance(value, FieldElement):
         guard = 0
         while True:
@@ -254,7 +260,6 @@ def run_ipa(family: MatrixFamily, candidates: CandidateSet,
     if opts.augment:
         limits = augment_limits(family, candidates, ctx, lam_elem)
 
-    sample = SAMPLE_COUNT
     frontier = list(range(len(vertices)))
     rounds = 0
     while True:
@@ -262,7 +267,7 @@ def run_ipa(family: MatrixFamily, candidates: CandidateSet,
             rounds += 1
             if rounds > MAX_ROUNDS:
                 return _cap_result(IpaStatus.NO_SPECTRAL_GAP, lam, hull,
-                                   vertices, candidates, trace, family, sample)
+                                   vertices, candidates, trace, family)
             new_frontier: list[int] = []
             images = []
             for vi in frontier:
@@ -276,9 +281,7 @@ def run_ipa(family: MatrixFamily, candidates: CandidateSet,
             for vi, j, img in images:
                 if _find_duplicate(vertices, img, hull) is not None:
                     continue
-                verdict, sample = _membership(vertices, img, hull, family.dim,
-                                              sample, opts)
-                if verdict:
+                if _membership(vertices, img, hull, family.dim, opts):
                     continue
                 vertices.append(img)
                 trace.append({"round": rounds, "vertex": len(vertices) - 1,
@@ -287,31 +290,27 @@ def run_ipa(family: MatrixFamily, candidates: CandidateSet,
                 if len(vertices) > MAX_VERTICES:
                     return _cap_result(IpaStatus.VERTEX_CAP_EXCEEDED, lam,
                                        hull, vertices, candidates, trace,
-                                       family, sample)
+                                       family)
             frontier = new_frontier
         # frontier empty: certify exactly; any violation re-opens the loop
-        evidence, offender = _certify_sweep(vertices, family, inv_lam, hull,
-                                            sample)
+        evidence, offender = _certify_sweep(vertices, family, inv_lam, hull)
         if offender is None:
-            poly = _as_polytope(vertices, hull, family.dim, sample)
+            poly = _as_polytope(vertices, hull, family.dim)
             cert = _emit_certificate(family, candidates, lam, ctx, lam_elem,
                                      hull, vertices, seed_map, scales,
-                                     evidence, trace, sample, limits)
+                                     evidence, limits)
             return IpaResult(IpaStatus.PROVED, lam, poly,
                              candidates.candidates, trace, cert,
                              diagnostics={"vertices": len(vertices),
                                           "rounds": rounds})
         vi, j, img = offender
-        if hull is HullKind.C and sample >= MAX_SAMPLE_COUNT:
-            return _cap_result(IpaStatus.CASE_C_UNKNOWN, lam, hull,
-                               vertices, candidates, trace, family, sample)
         vertices.append(img)
         trace.append({"round": rounds + 1, "vertex": len(vertices) - 1,
                       "parent": vi, "matrix": j})
         frontier = [len(vertices) - 1]
         if len(vertices) > MAX_VERTICES:
             return _cap_result(IpaStatus.VERTEX_CAP_EXCEEDED, lam, hull,
-                               vertices, candidates, trace, family, sample)
+                               vertices, candidates, trace, family)
 
 
 def _build_field(family: MatrixFamily, candidates: CandidateSet):
@@ -472,47 +471,35 @@ def _gram_equal(a: _Vertex, b: _Vertex) -> bool:
 
 
 def _membership(vertices: list[_Vertex], img: _Vertex, hull: HullKind,
-                dim: int, sample: int, opts: IpaOptions) -> tuple[bool, int]:
-    """True when the image is provably in the (closed) current hull.
-
-    Kind C escalates the sample count on Unknown; returns the possibly
-    increased sample count.
-    """
+                dim: int, opts: IpaOptions) -> bool:
+    """True when the image is provably in the (closed) current hull."""
+    poly = _as_polytope(vertices, hull, dim)
     if hull is HullKind.C:
-        while True:
-            poly = _as_polytope(vertices, hull, dim, sample)
-            res = norm_ellipse(poly, ComplexVertex(tuple(img.coords),
-                                                   tuple(img.imag)))
-            if res.classification is Classification.INTERIOR:
-                return True, sample
-            if res.classification is Classification.UNKNOWN and \
-                    sample < MAX_SAMPLE_COUNT:
-                sample *= 2
-                continue
-            return False, sample
-    poly = _as_polytope(vertices, hull, dim, sample)
+        return norm_ellipse(poly, _complex(img)) is not None
     if hull is HullKind.P and any(c.sign() < 0 for c in img.coords):
-        return False, sample
+        return False
     res = classify_with_fallback(poly, img.coords, opts.mode)
-    if res.classification in (Classification.INTERIOR, Classification.BOUNDARY):
-        return True, sample
-    return False, sample
+    return res.classification in (Classification.INTERIOR,
+                                  Classification.BOUNDARY)
 
 
-def _as_polytope(vertices: list[_Vertex], hull: HullKind, dim: int,
-                 sample: int) -> VertexPolytope:
+def _complex(v: _Vertex) -> ComplexVertex:
+    return ComplexVertex(tuple(v.coords), tuple(v.imag))
+
+
+def _as_polytope(vertices: list[_Vertex], hull: HullKind,
+                 dim: int) -> VertexPolytope:
     if hull is HullKind.C:
-        vs = [ComplexVertex(tuple(v.coords), tuple(v.imag)) for v in vertices]
-        return VertexPolytope(HullKind.C, vs, dim, sample_count=sample)
+        return VertexPolytope(HullKind.C, [_complex(v) for v in vertices], dim)
     return VertexPolytope(hull, [list(v.coords) for v in vertices], dim)
 
 
 def _certify_sweep(vertices: list[_Vertex], family: MatrixFamily,
-                   inv_lam: FieldElement, hull: HullKind, sample: int):
+                   inv_lam: FieldElement, hull: HullKind):
     """Exact evidence for every (vertex, matrix) image, or the first
     offending image that is provably not coverable."""
     evidence = []
-    poly = _as_polytope(vertices, hull, family.dim, sample)
+    poly = _as_polytope(vertices, hull, family.dim)
     for vi, vert in enumerate(vertices):
         for j in range(1, len(family) + 1):
             img = _apply(family[j - 1], vert, inv_lam, j)
@@ -522,13 +509,13 @@ def _certify_sweep(vertices: list[_Vertex], family: MatrixFamily,
                                  "type": "vertex", "index": dup})
                 continue
             if hull is HullKind.C:
-                res = norm_ellipse(poly, ComplexVertex(tuple(img.coords),
-                                                       tuple(img.imag)))
-                if res.classification is Classification.INTERIOR:
-                    evidence.append(_ellipse_evidence(vi, j, img, vertices,
-                                                      poly, sample))
-                    continue
-                return None, (vi, j, img)
+                cover = norm_ellipse(poly, _complex(img))
+                if cover is None:
+                    return None, (vi, j, img)
+                evidence.append({"vertex": vi, "matrix": j, "type": "arcs",
+                                 "arcs": [[list(d0), list(d1), k]
+                                          for d0, d1, k in cover]})
+                continue
             res = minkowski_norm(poly, img.coords)
             ok = res.value is not None and _sgn_vs_one(res.value) <= 0
             if not ok:
@@ -540,35 +527,9 @@ def _certify_sweep(vertices: list[_Vertex], family: MatrixFamily,
     return evidence, None
 
 
-def _ellipse_evidence(vi, j, img, vertices, poly, sample):
-    """Per-sample-point combinations covering the circumscribed polygon
-    of the image ellipse."""
-    pts = rational_circle_points(sample)
-    factor = _circ_factor(sample)
-    combos = []
-    from .geometry import elliptic_generators, _norm_sym
-
-    gens = elliptic_generators(poly)
-    inner = VertexPolytope(HullKind.R, gens, poly.dim)
-    for (c, s) in pts:
-        p = [(a * c + b * s) * (1 / factor)
-             for a, b in zip(img.coords, img.imag)]
-        res = _norm_sym(inner, p)
-        combos.append({"point": [str(c), str(s)],
-                       "coeffs": [_ser_scalar(x) for x in res.combination()]})
-    return {"vertex": vi, "matrix": j, "type": "ellipse",
-            "sample_count": sample, "combos": combos}
-
-
-def _circ_factor(m: int) -> Fraction:
-    from .geometry import circumscribe_factor
-
-    return circumscribe_factor(m)
-
-
 def _cap_result(status: IpaStatus, lam, hull, vertices, candidates, trace,
-                family, sample) -> IpaResult:
-    poly = _as_polytope(vertices, hull, family.dim, sample) if vertices else None
+                family) -> IpaResult:
+    poly = _as_polytope(vertices, hull, family.dim) if vertices else None
     return IpaResult(status, lam, poly, candidates.candidates, trace,
                      diagnostics={"vertices": len(vertices)})
 
@@ -587,8 +548,7 @@ def _ser_scalar(x) -> object:
 
 
 def _emit_certificate(family, candidates, lam, ctx, lam_elem, hull, vertices,
-                      seed_map, scales, evidence, trace, sample,
-                      limits) -> dict:
+                      seed_map, scales, evidence, limits) -> dict:
     cert = {
         "schema": SCHEMA,
         "dim": family.dim,
@@ -602,7 +562,6 @@ def _emit_certificate(family, candidates, lam, ctx, lam_elem, hull, vertices,
         },
         "lambda_element": [_ser_scalar(c) for c in lam_elem.coords],
         "hull": hull.value,
-        "sample_count": sample if hull is HullKind.C else None,
         "smp_words": [list(c.word) for c in candidates.candidates],
         "seed_map": list(seed_map),
         "balance": [_ser_scalar(s) for s in scales],
@@ -872,40 +831,24 @@ def _check_evidence(e: dict, vi: int, j: int, family, coords, imags,
                 return False, "cone combination weight exceeds 1"
             return True, ""
         return False, "combination evidence invalid for this hull"
-    if kind == "ellipse":
-        if hull is not HullKind.C:
-            return False, "ellipse evidence for non-elliptic hull"
-        m = int(e["sample_count"])
-        from .geometry import circumscribe_factor, elliptic_generators
-
-        factor = circumscribe_factor(m)
-        gens = []
-        pts = rational_circle_points(m)
-        for k in range(len(coords)):
-            if imags[k] is None or all(c.is_zero() for c in imags[k]):
-                gens.append(list(coords[k]))
-            else:
-                for (cc, ss) in pts:
-                    gens.append([a * cc + b * ss
-                                 for a, b in zip(coords[k], imags[k])])
-        combos = e["combos"]
-        if len(combos) != len(pts):
-            return False, "sample combo count mismatch"
-        for (cc, ss), combo in zip(pts, combos):
-            if [str(cc), str(ss)] != combo["point"]:
-                return False, "sample point order mismatch"
-            p = [(a * cc + b * ss) * (1 / factor)
-                 for a, b in zip(img_r, img_i)]
-            mu = [_parse_elem_or_scalar(c, ctx) for c in combo["coeffs"]]
-            if len(mu) != len(gens):
-                return False, "ellipse combination width mismatch"
-            comb = [sum((mu[i] * gens[i][r] for i in range(len(mu))),
-                        start=ctx.zero()) for r in range(family.dim)]
-            if not _vec_equal(comb, p):
-                return False, "ellipse combination mismatch"
-            total = sum((_abs_elem(mm) for mm in mu), start=ctx.zero())
-            if (total - 1).sign() > 0:
-                return False, "ellipse combination weight exceeds 1"
+    if kind == "arcs":
+        if hull is not HullKind.C or family.dim != 2:
+            return False, "arc evidence for a non-elliptic hull"
+        arcs = [((int(x0), int(y0)), (int(x1), int(y1)), int(k))
+                for (x0, y0), (x1, y1), k in e["arcs"]]
+        if not arcs or arcs[0][0] != (1, 0) or arcs[-1][1] != (-1, 0):
+            return False, "arc chain does not run from (1, 0) to (-1, 0)"
+        if any(a[1] != b[0] for a, b in zip(arcs, arcs[1:])):
+            return False, "gap in the arc chain"
+        qv = gram_form(ComplexVertex(img_r, img_i))
+        for d0, d1, k in arcs:
+            if not 0 <= k < len(coords):
+                return False, "arc generator out of range"
+            if d0[0] * d1[1] - d0[1] * d1[0] <= 0:
+                return False, "arc is not counterclockwise"
+            qk = gram_form(ComplexVertex(coords[k], imags[k]))
+            if not arc_nonnegative([x - y for x, y in zip(qk, qv)], d0, d1):
+                return False, f"generator {k} does not cover arc {d0}-{d1}"
         return True, ""
     return False, f"unknown evidence type {kind!r}"
 

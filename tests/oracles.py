@@ -12,6 +12,7 @@ import itertools
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 
 def eval_poly(coeffs, x):
@@ -202,3 +203,22 @@ def rank(vectors):
             rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         r += 1
     return r
+
+
+def ellipse_hull_margin(gens, query, grid=4096):
+    """min over directions u of max_k h_k(u) - h_q(u), in floats.
+
+    Each ellipse is a pair (a, b) of real 2-vectors, the curve
+    a cos t + b sin t; its support function in direction u is
+    h(u) = hypot(u.a, u.b).  The symmetric hull of the generators
+    contains the query ellipse exactly when the margin is >= 0.  The
+    support functions are even in u, so angles in [0, pi) suffice.
+    """
+    t = np.pi * np.arange(grid) / grid
+    u = np.stack([np.cos(t), np.sin(t)])
+
+    def h(pair):
+        a, b = (np.array([float(c) for c in v]) for v in pair)
+        return np.hypot(a @ u, b @ u)
+
+    return float(np.min(np.max([h(g) for g in gens], axis=0) - h(query)))

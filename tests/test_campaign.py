@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,56 @@ class TestF2Campaign:
         result = diff_expected(Store(store_path),
                                load_expected_csv(DATA / "expected_f2.csv"))
         assert (result["pass"], result["fail"], result["missing"]) == (6, 0, 0)
+
+
+# the F2s orbit representatives whose invariant body is an elliptic hull
+KIND_C_F2S = ["1/16", "1/42", "3/16", "3/17", "3/43", "3/49", "4/15", "4/17",
+              "4/42", "4/43", "4/49", "5/15", "5/16", "5/43", "5/48", "5/49",
+              "12/16", "12/32", "16/32", "16/47", "16/50", "32/47"]
+
+
+class TestF2sEllipticCases:
+    def test_every_kind_c_representative_is_proved(self, tmp_path):
+        store_path = tmp_path / "f2s.jsonl"
+        summary = run_campaign("sign", 2, store_path, codes=KIND_C_F2S,
+                               recheck=True)
+        assert summary["counts"] == {"proved": 22}
+        store = Store(store_path)
+        assert {store.get(c)["hull"] for c in KIND_C_F2S} == {"C"}
+
+
+def _records(path):
+    return {code: {k: v for k, v in rec.items() if k != "seconds"}
+            for code, rec in Store(path).records.items()}
+
+
+class TestStoreRecovery:
+    # canonical and duplicate F2 codes: 2/1 links to 1/2
+    CODES = ["1/2", "2/1", "3/5", "6/9", "11/13"]
+
+    def test_resume_after_a_torn_last_line(self, tmp_path):
+        whole, torn = tmp_path / "whole.jsonl", tmp_path / "torn.jsonl"
+        run_campaign("binary", 2, whole, codes=self.CODES)
+        data = whole.read_bytes()
+        torn.write_bytes(data[:-20])
+        run_campaign("binary", 2, torn, codes=self.CODES)
+        assert _records(torn) == _records(whole)
+        for line in torn.read_text().splitlines():
+            json.loads(line)
+
+    def test_complete_last_line_without_newline_is_kept(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        run_campaign("binary", 2, path, codes=self.CODES)
+        before = _records(path)
+        path.write_bytes(path.read_bytes()[:-1])
+        assert _records(path) == before
+        assert path.read_bytes().endswith(b"}\n")
+
+    def test_torn_line_before_the_last_raises(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        run_campaign("binary", 2, path, codes=self.CODES)
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = lines[1][:-20]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(json.JSONDecodeError):
+            Store(path)

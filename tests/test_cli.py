@@ -1,0 +1,26 @@
+import json
+
+from jsrcert.campaign import Store
+from jsrcert.cli import main
+
+
+def test_certify_report_and_verify(tmp_path, capsys):
+    store = tmp_path / "c.jsonl"
+    assert main(["certify", "--alphabet", "sign", "--dim", "2",
+                 "--codes", "3/16,4/43", "--store", str(store),
+                 "--strict", "--recheck", "--quiet"]) == 0
+    assert main(["report", "--store", str(store), "--strict"]) == 0
+
+    cert = Store(store).get("3/16")["certificate"]
+    good = tmp_path / "cert.json"
+    good.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify", "--certificate", str(good)]) == 0
+    assert capsys.readouterr().out.startswith("ACCEPT")
+
+    arcs = next(e for e in cert["evidence"] if e["type"] == "arcs")
+    arcs["arcs"].pop()  # the chain now stops short of (-1, 0)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    assert main(["verify", "--certificate", str(bad)]) == 1
+    assert capsys.readouterr().out.startswith("REJECT")

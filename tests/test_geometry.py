@@ -19,11 +19,10 @@ from jsrcert.geometry import (
     classify_with_fallback,
     minkowski_norm,
     norm_ellipse,
-    rational_circle_points,
     simplex_solve,
 )
 
-from oracles import cone_norm_facets, sym_norm_facets
+from oracles import cone_norm_facets, ellipse_hull_margin, sym_norm_facets
 
 F = Fraction
 
@@ -227,58 +226,66 @@ class TestVertexNormProperty:
 
 
 class TestEllipticHull:
-    def test_circle_points_on_unit_circle(self):
-        for m in (8, 64):
-            pts = rational_circle_points(m)
-            assert all(c * c + s * s == 1 for c, s in pts)
-            assert len(pts) >= m
+    CIRCLE = ComplexVertex((F(1), F(0)), (F(0), F(1)))
 
-    def test_point_inside_circle_hull(self):
-        # single complex vertex (e1 + i e2): ellipse = unit circle
-        v = ComplexVertex((F(1), F(0)), (F(0), F(1)))
-        poly = VertexPolytope(HullKind.C, [v], 2, sample_count=64)
-        r = minkowski_norm(poly, [F(1, 2), F(0)])
-        assert r.classification is Classification.INTERIOR
-        lo, hi = r.interval
-        assert lo <= F(1, 2) <= hi and hi < F(51, 100)
+    def _cover(self, gens, a, b=(F(0), F(0))):
+        poly = VertexPolytope(HullKind.C, list(gens), 2)
+        return norm_ellipse(poly, ComplexVertex(tuple(a), tuple(b)))
 
-    def test_boundary_point_unknown(self):
-        v = ComplexVertex((F(1), F(0)), (F(0), F(1)))
-        poly = VertexPolytope(HullKind.C, [v], 2, sample_count=64)
-        r = minkowski_norm(poly, [F(1), F(0)])
-        # (1,0) is exactly on the circle; the sandwich must straddle 1
-        assert r.classification in (Classification.UNKNOWN, Classification.BOUNDARY)
-        lo, hi = r.interval
-        assert lo <= 1 <= hi
+    def test_shrunk_circle_inside(self):
+        cover = self._cover([self.CIRCLE], (F(1, 2), F(0)), (F(0), F(1, 2)))
+        assert cover is not None
+        assert cover[0][0] == (1, 0) and cover[-1][1] == (-1, 0)
+        assert all(a[1] == b[0] for a, b in zip(cover, cover[1:]))
 
-    def test_interval_tightens_with_samples(self):
-        v = ComplexVertex((F(1), F(0)), (F(0), F(1)))
-        x = [F(3, 4), F(1, 5)]
-        widths = []
-        for m in (16, 64, 256):
-            poly = VertexPolytope(HullKind.C, [v], 2, sample_count=m)
-            lo, hi = minkowski_norm(poly, x).interval
-            widths.append(hi - lo)
-        assert widths[0] > widths[1] > widths[2]
+    def test_circle_itself_inside(self):
+        # the boundary counts: the hull is closed
+        assert self._cover([self.CIRCLE], self.CIRCLE.real,
+                           self.CIRCLE.imag) is not None
 
-    def test_ellipse_query_invariant_circle(self):
-        # the unit-circle ellipse mapped by a rotation stays inside itself
-        v = ComplexVertex((F(1), F(0)), (F(0), F(1)))
-        poly = VertexPolytope(HullKind.C, [v], 2, sample_count=64)
-        shrunk = ComplexVertex((F(1, 2), F(0)), (F(0), F(1, 2)))
-        r = norm_ellipse(poly, shrunk)
-        assert r.classification is Classification.INTERIOR
-        same = norm_ellipse(poly, v)
-        assert same.classification in (Classification.UNKNOWN,
-                                       Classification.BOUNDARY)
+    def test_point_on_circle_inside(self):
+        assert self._cover([self.CIRCLE], (F(1), F(0))) is not None
 
-    def test_soundness_never_false_interior(self):
-        # points sampled on the true circle must never classify Interior
-        v = ComplexVertex((F(1), F(0)), (F(0), F(1)))
-        poly = VertexPolytope(HullKind.C, [v], 2, sample_count=32)
-        for c, s in rational_circle_points(48):
-            r = minkowski_norm(poly, [c, s])
-            assert r.classification is not Classification.INTERIOR
+    def test_points_outside_circle_not_inside(self):
+        assert self._cover([self.CIRCLE], (F(1), F(1, 10))) is None
+        assert self._cover([self.CIRCLE], (F(3, 4), F(3, 4))) is None
+
+    def test_rotated_ellipse_poking_out_not_inside(self):
+        # semi-axes 2 and 1; the query is the same ellipse turned by the
+        # rational rotation (3/5, 4/5), and then that one halved
+        flat = ComplexVertex((F(2), F(0)), (F(0), F(1)))
+        assert self._cover([flat], (F(6, 5), F(8, 5)),
+                           (F(-4, 5), F(3, 5))) is None
+        assert self._cover([flat], (F(3, 5), F(4, 5)),
+                           (F(-2, 5), F(3, 10))) is not None
+
+    def test_agrees_with_support_function_oracle(self):
+        rng = random.Random(7)
+
+        def vec():
+            return tuple(F(rng.randint(-3, 3), rng.randint(1, 3))
+                         for _ in range(2))
+
+        decided = {True: 0, False: 0}
+        for _ in range(400):
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                a = vec()
+                b = vec() if rng.random() < 0.7 else (F(0), F(0))
+                if any(a + b):
+                    gens.append(ComplexVertex(a, b))
+            if not gens:
+                continue
+            scale = F(1, rng.randint(1, 3))
+            a, b = (tuple(c * scale for c in vec()) for _ in range(2))
+            margin = ellipse_hull_margin(
+                [(g.real, g.imag) for g in gens], (a, b))
+            if abs(margin) <= 1e-6:
+                continue
+            inside = self._cover(gens, a, b) is not None
+            assert inside == (margin > 0), (gens, a, b, margin)
+            decided[inside] += 1
+        assert min(decided.values()) >= 50, decided
 
 
 class TestClassifyWithFallback:

@@ -32,6 +32,9 @@ M = IntMatrix.make
 # the 2x2 mixed-sign demo family
 T_FAMILY = MatrixFamily.make([[[0, 1], [0, 1]], [[1, 0], [1, -1]]])
 
+# F2s pair 4/43: the s.m.p. A2 has eigenvalues 1 +- i (kind C)
+C_FAMILY = MatrixFamily.make([[[0, 1], [0, 1]], [[1, -1], [1, 1]]])
+
 # sqrt2-scaled 3x3 showcase family
 B_FAMILY = MatrixFamily.make([
     [[0, 0, -1], [0, 0, 0], [0, 1, 0]],
@@ -94,6 +97,26 @@ class TestShowcaseFamily3x3:
         assert len(res.polytope.vertices) == 5
 
 
+class TestEllipticFamily2x2:
+    def test_proved_with_an_elliptic_hull(self):
+        res, _ = _run(C_FAMILY)
+        assert res.status is IpaStatus.PROVED
+        assert res.polytope.kind is HullKind.C
+        sqrt2 = nth_root(RealAlgebraic.from_rational(2), 2)
+        assert compare(res.lambda_, sqrt2) == Ordering.EQUAL
+        assert verify_certificate(res.certificate)
+        kinds = {e["type"] for e in res.certificate["evidence"]}
+        assert kinds == {"vertex", "arcs"}
+
+    def test_sampled_ellipse_type_is_rejected(self):
+        res, _ = _run(C_FAMILY)
+        cert = copy.deepcopy(res.certificate)
+        arcs = next(e for e in cert["evidence"] if e["type"] == "arcs")
+        arcs["type"] = "ellipse"
+        check = verify_certificate(cert)
+        assert not check and "unknown evidence type 'ellipse'" in check.reason
+
+
 class TestHandBuiltCertificate:
     def test_showcase_polytope_from_listed_vertices(self):
         """A certificate written by hand from the known invariant polytope
@@ -145,14 +168,14 @@ class TestMutationTesting:
         return mut
 
     def test_deleting_any_vertex_rejects(self):
-        for family in (T_FAMILY, B_FAMILY):
+        for family in (T_FAMILY, B_FAMILY, C_FAMILY):
             cert = self._proved_cert(family)
             for k in range(len(cert["vertices"])):
                 assert not verify_certificate(self._delete_vertex(cert, k)), \
                     f"deleting vertex {k} was not caught"
 
     def test_perturbing_any_coordinate_rejects(self):
-        for family in (T_FAMILY, B_FAMILY):
+        for family in (T_FAMILY, B_FAMILY, C_FAMILY):
             cert = self._proved_cert(family)
             for k, v in enumerate(cert["vertices"]):
                 for ci in range(len(v["coords"])):
@@ -207,6 +230,44 @@ class TestMutationTesting:
                 mut = copy.deepcopy(cert)
                 mut["evidence"][n]["index"] = -1
                 assert not verify_certificate(mut)
+
+
+    def _arc_mutation(self, change):
+        cert = self._proved_cert(C_FAMILY)
+        mut = copy.deepcopy(cert)
+        e = next(e for e in mut["evidence"] if e["type"] == "arcs")
+        change(e["arcs"], len(mut["vertices"]))
+        assert verify_certificate(cert)
+        return verify_certificate(mut)
+
+    def test_gap_in_arc_chain_rejects(self):
+        check = self._arc_mutation(lambda arcs, n: arcs.pop(1))
+        assert not check and "gap" in check.reason
+
+    def test_clockwise_arc_rejects(self):
+        def detour(arcs, n):
+            # a continuous chain whose first arc turns clockwise
+            d0, d1, k = arcs[0]
+            arcs[0:1] = [[d0, [1, -1], k], [[1, -1], d1, k]]
+        check = self._arc_mutation(detour)
+        assert not check and "counterclockwise" in check.reason
+
+    def test_arc_generator_out_of_range_rejects(self):
+        def past_the_end(arcs, n):
+            arcs[0][2] = n
+        check = self._arc_mutation(past_the_end)
+        assert not check and "out of range" in check.reason
+
+    def test_arc_generator_below_the_image_rejects(self):
+        def one_generator(arcs, n):
+            # vertex 1 alone does not dominate this image on the half turn
+            arcs[:] = [[[1, 0], [0, 1], 1], [[0, 1], [-1, 0], 1]]
+        check = self._arc_mutation(one_generator)
+        assert not check and "does not cover" in check.reason
+
+    def test_arc_chain_stopping_short_rejects(self):
+        check = self._arc_mutation(lambda arcs, n: arcs.pop())
+        assert not check and "(-1, 0)" in check.reason
 
 
 class TestSingletonFamily:
