@@ -8,13 +8,11 @@ from .algebraic import (
     Ordering,
     RealAlgebraic,
     compare,
-    field_join,
     isolate_real_roots,
     nth_root,
 )
 from .geometry import (
     Classification,
-    ComplexVertex,
     HullKind,
     LinearProgram,
     Mode,
@@ -50,6 +48,6 @@ from .reduce import (
     irreducible,
     quick_decide,
 )
-from .smp import CandidateSet, canonicalize_product, gripenberg_search
+from .smp import CandidateSet, gripenberg_search
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from enum import IntEnum
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .linalg import matmul, solve
+from .linalg import matmul
 
 Rational = Fraction
 RationalLike = Union[int, Fraction]
@@ -43,10 +43,6 @@ class ZeroPolynomialError(AlgebraicError):
 
 class ContextMismatchError(AlgebraicError):
     pass
-
-
-class FieldDegreeError(AlgebraicError):
-    """Raised when a field join would exceed the configured degree cap."""
 
 
 def _sgn(q) -> int:
@@ -102,14 +98,6 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def eval_interval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-        """Exact interval extension by Horner over interval endpoints."""
-        alo, ahi = Fraction(0), Fraction(0)
-        for c in reversed(self.coeffs):
-            cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-            alo, ahi = min(cands) + c, max(cands) + c
-        return alo, ahi
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -815,10 +803,6 @@ class NumberFieldContext:
     def refine_root(self) -> None:
         self._root.refine()
 
-    def generator_value(self) -> RealAlgebraic:
-        lo, hi = self._root.interval()
-        return RealAlgebraic(self.minpoly, lo, hi)
-
     # -- element constructors -------------------------------------------------
 
     def element(self, coords: Sequence[RationalLike]) -> "FieldElement":
@@ -1108,199 +1092,3 @@ def _char_poly_fraction(M: list[list[Fraction]]) -> list[Fraction]:
         for i in range(d):
             Mk[i][i] += c
     return coeffs
-
-
-# ---------------------------------------------------------------------------
-# field joins
-# ---------------------------------------------------------------------------
-
-
-def field_join(values: Sequence[RealAlgebraic], degree_cap: int = 12
-               ) -> tuple[NumberFieldContext, list[FieldElement]]:
-    """A common field Q(alpha) containing every input value.
-
-    Returns the context and each input re-expressed as a FieldElement.
-    Raises FieldDegreeError when the joint degree would exceed the cap,
-    which signals a case needing manual treatment.
-    """
-    ctx = NumberFieldContext.rational_context()
-    embedded: list[FieldElement] = []
-    for v in values:
-        ctx, embedded = _join_one(ctx, embedded, v, degree_cap)
-    # re-express against the final context
-    return ctx, embedded
-
-
-def _join_one(ctx: NumberFieldContext, embedded: list[FieldElement],
-              v: RealAlgebraic, degree_cap: int
-              ) -> tuple[NumberFieldContext, list[FieldElement]]:
-    if v.is_rational:
-        return ctx, embedded + [ctx.from_rational(v.as_rational())]
-    if ctx.degree == 1:
-        new = NumberFieldContext.from_real_algebraic(v)
-        moved = [new.from_rational(e.as_rational()) for e in embedded]
-        return new, moved + [new.generator()]
-    new_ctx, alpha_in_new, v_in_new = _compositum(ctx, v, degree_cap)
-    if new_ctx.degree == ctx.degree:
-        # v already lies in the current field: change basis back to alpha
-        coords = _basis_change(new_ctx, alpha_in_new, v_in_new)
-        return ctx, embedded + [ctx.element(coords)]
-    moved = []
-    for e in embedded:
-        acc = new_ctx.zero()
-        for i in reversed(range(len(e.coords))):
-            acc = acc * alpha_in_new + new_ctx.from_rational(e.coords[i])
-        moved.append(acc)
-    return new_ctx, moved + [v_in_new]
-
-
-def find_root_in_field(ctx: NumberFieldContext, v: RealAlgebraic) -> FieldElement | None:
-    """Express v as an element of ctx, or None if it does not lie there."""
-    if v.is_rational:
-        return ctx.from_rational(v.as_rational())
-    if ctx.degree == 1 or ctx.degree % v.degree != 0:
-        return None
-    if ctx.minpoly == v.minpoly and \
-            compare(ctx.generator_value(), v) == Ordering.EQUAL:
-        return ctx.generator()
-    new_ctx, alpha_in_new, v_in_new = _compositum(ctx, v, ctx.degree * v.degree + 1)
-    if new_ctx.degree != ctx.degree:
-        return None
-    return ctx.element(_basis_change(new_ctx, alpha_in_new, v_in_new))
-
-
-def _basis_change(ctx: NumberFieldContext, alpha: FieldElement,
-                  target: FieldElement) -> list[Fraction]:
-    """Coordinates of target over the power basis of alpha (which must
-    generate the whole field)."""
-    d = ctx.degree
-    cols = []
-    p = ctx.one()
-    for _ in range(d):
-        cols.append(list(p.coords))
-        p = p * alpha
-    # solve sum_i c_i * cols[i] = target.coords
-    A = [[cols[j][i] for j in range(d)] for i in range(d)]
-    rhs = list(target.coords)
-    sol = solve(A, rhs)
-    if sol is None:
-        raise AlgebraicError("basis change is singular; alpha does not generate")
-    return sol
-
-
-def _compositum(ctx: NumberFieldContext, v: RealAlgebraic, degree_cap: int
-                ) -> tuple[NumberFieldContext, FieldElement, FieldElement]:
-    """Build Q(alpha, v) with a primitive element gamma = v + k*alpha."""
-    import sympy
-
-    f = ctx.minpoly
-    g = v.minpoly
-    x, y = sympy.symbols("x y")
-    fp = sympy.Poly(list(reversed(f.coeffs)), y)
-    for k in range(1, 40):
-        # resultant_y( f(y), g(x - k y) ) has roots {beta_j + k alpha_i}
-        gk = sympy.Poly(sympy.expand(
-            sympy.Poly(list(reversed(g.coeffs)), x).as_expr().subs(x, x - k * y)), y)
-        R = sympy.resultant(fp, gk, y)
-        Rp = sympy.Poly(R, x)
-        coeffs = [int(c) for c in reversed(Rp.all_coeffs())]
-        Rpoly = IntPolynomial.make(coeffs)
-        if Rpoly.is_zero:
-            continue
-        if gcd_int_poly(Rpoly, Rpoly.derivative()).degree > 0:
-            continue  # not squarefree: k collides two embeddings
-        # gamma interval = v + k*alpha, refined until it isolates one root
-        gamma_poly = Rpoly
-        guard = 0
-        while True:
-            vlo, vhi = v.interval()
-            alo, ahi = ctx.root_interval()
-            lo, hi = vlo + k * alo, vhi + k * ahi
-            if gamma_poly(lo) != 0 and gamma_poly(hi) != 0 and \
-                    count_roots_in(gamma_poly, lo, hi) == 1:
-                break
-            v.refine()
-            ctx.refine_root()
-            guard += 1
-            if guard > _MAX_REFINE:
-                raise AlgebraicError("compositum root isolation failed")
-        gamma = real_algebraic_root(gamma_poly, lo, hi)
-        if gamma.degree > degree_cap:
-            raise FieldDegreeError(
-                f"joint field degree {gamma.degree} exceeds cap {degree_cap}")
-        new_ctx = NumberFieldContext.from_real_algebraic(gamma)
-        # alpha inside the new field: common root of f(t) and g(gamma - k t)
-        alpha_new = _alpha_from_gamma(new_ctx, f, g, k)
-        if alpha_new is None:
-            continue
-        v_new = new_ctx.generator() - alpha_new * new_ctx.from_rational(k)
-        # sanity: embeddings must satisfy their minimal polynomials
-        if not _poly_vanishes(f, alpha_new) or not _poly_vanishes(g, v_new):
-            continue
-        # pick the embedding matching the actual real numbers
-        if compare(alpha_new.to_real_algebraic(), ctx.generator_value()) != Ordering.EQUAL:
-            continue
-        if compare(v_new.to_real_algebraic(), v) != Ordering.EQUAL:
-            continue
-        return new_ctx, alpha_new, v_new
-    raise AlgebraicError("no primitive element found (pathological input)")
-
-
-def _poly_vanishes(p: IntPolynomial, e: FieldElement) -> bool:
-    acc = e.context.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * e + e.context.from_rational(c)
-    return acc.is_zero()
-
-
-def _alpha_from_gamma(new_ctx: NumberFieldContext, f: IntPolynomial,
-                      g: IntPolynomial, k: int) -> FieldElement | None:
-    """Solve for alpha in Q(gamma): gcd(f(t), g(gamma - k t)) over the field."""
-    gamma = new_ctx.generator()
-    # f(t) with coefficients in the field
-    fC = [new_ctx.from_rational(c) for c in f.coeffs]
-    # g(gamma - k t) expanded in t
-    gC = [new_ctx.zero() for _ in range(g.degree + 1)]
-    for i, c in enumerate(g.coeffs):
-        if c == 0:
-            continue
-        # (gamma - k t)^i via binomial expansion
-        term = [new_ctx.zero()] * (i + 1)
-        from math import comb
-
-        for j in range(i + 1):
-            term[j] = (gamma ** (i - j)) * new_ctx.from_rational(
-                Fraction(comb(i, j)) * Fraction((-k) ** j) * Fraction(c))
-        for j in range(i + 1):
-            gC[j] = gC[j] + term[j]
-    a, b = _fe_trim(fC), _fe_trim(gC)
-    while b:
-        r = _fe_polymod(a, b)
-        a, b = b, r
-    if len(a) != 2:
-        return None
-    # linear: a[1] * t + a[0] = 0  ->  t = -a[0]/a[1]
-    return -(a[0] / a[1])
-
-
-def _fe_trim(cs: list[FieldElement]) -> list[FieldElement]:
-    cs = list(cs)
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
-
-
-def _fe_polymod(a: list[FieldElement], b: list[FieldElement]) -> list[FieldElement]:
-    r = list(a)
-    db, lead = len(b) - 1, b[-1]
-    inv = lead.inverse()
-    while len(r) - 1 >= db and r:
-        if r[-1].is_zero():
-            r.pop()
-            continue
-        fct = r[-1] * inv
-        k = len(r) - 1 - db
-        for i in range(db + 1):
-            r[i + k] = r[i + k] - fct * b[i]
-        r.pop()
-    return _fe_trim(r)

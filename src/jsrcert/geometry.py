@@ -3,11 +3,13 @@
 The simplex solver runs over any exact ordered field (Fractions or
 FieldElements) with Bland's rule, so it terminates and is deterministic.
 Three hull kinds are supported: cone hulls of nonnegative vertices (P),
-symmetric convex hulls (R), and, in dimension 2, symmetric hulls of the
-ellipses spanned by complex vertices (C).  All three answer membership
-exactly: kinds P and R by the Minkowski norm from one LP, kind C by an
-arc cover of the half turn on which one vertex's quadratic form
-dominates the query's (`norm_ellipse`).
+symmetric convex hulls (R), and, in dimension 2, symmetric hulls of
+ellipses (C).  A kind-C vertex is the Gram form (q11, q12, q22) of its
+ellipse {a cos t + b sin t}, Q = a a^T + b b^T, whose support function
+is sqrt(u^T Q u); a segment [-a, a] has Q = a a^T.  All three answer
+membership exactly: kinds P and R by the Minkowski norm from one LP,
+kind C by an arc cover of the half turn on which one vertex's quadratic
+form dominates the query's (`norm_ellipse`).
 """
 
 from __future__ import annotations
@@ -269,20 +271,12 @@ class Mode(enum.Enum):
 
 
 @dataclass
-class ComplexVertex:
-    """A complex vector split into real and imaginary parts."""
-
-    real: tuple
-    imag: tuple
-
-
-@dataclass
 class VertexPolytope:
     """Hull kind + vertex list.
 
-    Kinds P and R store real vertices (tuples of Fraction or
-    FieldElement); kind C stores ComplexVertex entries.  Vertices must
-    be nonzero and pairwise distinct.
+    Kinds P and R store real vertices (sequences of Fraction or
+    FieldElement); kind C stores Gram forms (q11, q12, q22).  Vertices
+    must be nonzero and pairwise distinct.
     """
 
     kind: HullKind
@@ -410,16 +404,6 @@ ARC_SPLIT_DEPTH = 12
 _HALF_TURN = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0))
 
 
-def gram_form(v: ComplexVertex) -> tuple:
-    """(q11, q12, q22) of Q = a a^T + b b^T for the vertex (a, b).
-
-    The support function of the ellipse {a cos t + b sin t} is
-    sqrt(u^T Q u); a real vertex (b = 0) gives the segment [-a, a].
-    """
-    (a0, a1), (b0, b1) = v.real, v.imag
-    return (a0 * a0 + b0 * b0, a0 * a1 + b0 * b1, a1 * a1 + b1 * b1)
-
-
 def _form(q, u, w):
     """The bilinear form u^T Q w for integer directions u, w."""
     return (q[0] * (u[0] * w[0]) + q[1] * (u[0] * w[1] + u[1] * w[0])
@@ -449,8 +433,9 @@ def _float_min(q, d0, d1) -> float:
     return min(a, c)
 
 
-def norm_ellipse(poly: VertexPolytope, v: ComplexVertex) -> Optional[list]:
-    """An arc cover proving E(v) inside the kind-C hull, or None.
+def norm_ellipse(poly: VertexPolytope, qv) -> Optional[list]:
+    """An arc cover proving the ellipse of Gram form qv inside the kind-C
+    hull, or None.
 
     E(v) lies in the closed symmetric hull of the vertex ellipses E_k
     exactly when every direction u has some k with u^T (Q_k - Q_v) u >= 0.
@@ -464,9 +449,7 @@ def norm_ellipse(poly: VertexPolytope, v: ComplexVertex) -> Optional[list]:
     may touch the hull where the dominating generator changes);
     the caller then makes v a vertex, which is always sound.
     """
-    qv = gram_form(v)
-    forms = [tuple(x - y for x, y in zip(gram_form(w), qv))
-             for w in poly.vertices]
+    forms = [tuple(x - y for x, y in zip(q, qv)) for q in poly.vertices]
     floats = [tuple(float(x) for x in q) for q in forms]
     cover = []
     stack = [(d0, d1, 0) for d0, d1 in zip(_HALF_TURN, _HALF_TURN[1:])][::-1]

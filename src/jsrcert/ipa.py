@@ -7,12 +7,19 @@ keeps adding images that cannot be proven inside the current hull.  An
 empty frontier means every image lies in the closed hull; the run then
 emits a self-contained certificate whose every claim is re-checkable by
 pure exact arithmetic (verify_certificate), with no re-run of any
-search: vertex reachability words, eigen-relations for the seeds, and
-one piece of evidence for every (vertex, matrix) image, of one of three
-types:
+search.
 
-- "vertex": the image is a vertex (up to sign in kind R; in kind C, an
-  ellipse with the same Gram form);
+In kinds P and R a vertex is a vector v and its image under A is
+A v / lambda.  In kind C (dimension 2) a vertex is the Gram form
+(q11, q12, q22) of its ellipse {a cos t + b sin t}, Q = a a^T + b b^T,
+and its image is A Q A^T / lambda^2; a seed with the complex leading
+eigenvector a + ib needs only b b^T, which is rational, so every hull
+kind works in Q(lambda).  A certificate lists each vertex's "coords"
+(the vector, or in kind C the Gram form), its reachability word from a
+seed, the seeds' eigen-relations, and one piece of evidence for every
+(vertex, matrix) image, of one of three types:
+
+- "vertex": the image equals a vertex (up to sign in kind R);
 - "combination" (kinds P and R): coefficients whose absolute values sum
   to at most 1 and whose combination of the vertices equals the image
   (kind R) or, all nonnegative, dominates it entrywise (kind P);
@@ -31,29 +38,26 @@ from typing import Optional
 
 from .algebraic import (
     AlgebraicError,
-    FieldDegreeError,
     FieldElement,
     IntPolynomial,
     NumberFieldContext,
     Ordering,
     RealAlgebraic,
     compare,
-    field_join,
-    nth_root,
+    real_algebraic_root,
 )
 from .geometry import (
     NUMERIC_TOLERANCE,
     Classification,
-    ComplexVertex,
     HullKind,
     Mode,
     VertexPolytope,
     arc_nonnegative,
     classify_with_fallback,
-    gram_form,
     minkowski_norm,
     norm_ellipse,
 )
+from .linalg import add_to_basis
 from .matcore import (
     IntMatrix,
     MatrixFamily,
@@ -68,6 +72,7 @@ from .smp import CandidateSet
 SCHEMA = "jsr-certificate/1"
 MAX_VERTICES = 512
 MAX_ROUNDS = 64
+BALANCE_ROUNDS = 16
 
 
 class IpaStatus(enum.Enum):
@@ -75,8 +80,7 @@ class IpaStatus(enum.Enum):
     VERTEX_CAP_EXCEEDED = "vertex_cap_exceeded"
     NO_SPECTRAL_GAP = "no_spectral_gap"
     MULTIPLE_LEADING_EIGENVECTOR = "multiple_leading_eigenvector"
-    # a complex leading eigenvalue in dimension other than 2, or a field
-    # of too high a degree (FieldDegreeError)
+    # a complex leading eigenvalue in dimension other than 2
     CASE_C_UNKNOWN = "case_c_unknown"
 
 
@@ -88,8 +92,7 @@ class IpaOptions:
 
 @dataclass
 class _Vertex:
-    coords: list  # FieldElements; kind C: the real part
-    imag: Optional[list]  # kind C only (None entries mean real vertex)
+    coords: list  # FieldElements; kind C: the Gram form (q11, q12, q22)
     word: tuple  # generating word, seed-first application order
     seed: int  # seed index
 
@@ -100,7 +103,6 @@ class IpaResult:
     lambda_: RealAlgebraic
     polytope: Optional[VertexPolytope]
     smps: list[Product]
-    trace: list[dict]
     certificate: Optional[dict] = None
     diagnostics: dict = dfield(default_factory=dict)
 
@@ -119,20 +121,20 @@ class VerifyResult:
 # ---------------------------------------------------------------------------
 
 
-def balance(eigs: list, family: MatrixFamily, lam: RealAlgebraic,
-            hull: HullKind = HullKind.R, bound: int = 16) -> list[Fraction]:
+def balance(eigs: list, family: MatrixFamily,
+            hull: HullKind = HullKind.R) -> list[Fraction]:
     """Rational scales making every seed non-interior to the others' hull.
 
     A seed strictly inside the hull of the remaining scaled seeds is
-    scaled up just past its norm; the loop runs until stable or until
-    the iteration bound, in which case the current scales are returned
+    scaled up just past its norm; the loop runs until stable or for
+    BALANCE_ROUNDS rounds, in which case the current scales are returned
     (the caller proceeds unbalanced and surfaces any non-termination).
     """
     n = len(eigs)
     if n <= 1:
         return [Fraction(1)] * n
     scales = [Fraction(1)] * n
-    for _ in range(bound):
+    for _ in range(BALANCE_ROUNDS):
         changed = False
         for i in range(n):
             others = [_scale_vec(eigs[j], scales[j]) for j in range(n) if j != i]
@@ -224,41 +226,39 @@ def run_ipa(family: MatrixFamily, candidates: CandidateSet,
     if lam.sign() <= 0:
         raise ValueError("the polytope algorithm needs lambda > 0")
 
-    try:
-        setup = _build_field(family, candidates)
-    except FieldDegreeError as exc:
-        return IpaResult(IpaStatus.CASE_C_UNKNOWN, lam, None,
-                         candidates.candidates, [],
-                         diagnostics={"error": str(exc)})
+    setup = _build_field(family, candidates)
     if isinstance(setup, IpaResult):
         return setup
-    ctx, lam_elem, hull, seeds = setup
+    ctx, lam_elem, hull, seeds, imag_sq = setup
 
-    scales = balance([s.coords for s in seeds], family, lam,
+    # balance the seeds (kind C: their real parts) as a kind-R hull; a
+    # Gram form scales by the square of its seed's scale
+    scales = balance([s.coords for s in seeds], family,
                      HullKind.R if hull is HullKind.C else hull)
-    for s, sc in zip(seeds, scales):
+    for s, sc, d in zip(seeds, scales, imag_sq):
         s.coords = _scale_vec(s.coords, sc)
-        if s.imag is not None:
-            s.imag = _scale_vec(s.imag, sc)
+        if hull is HullKind.C:
+            r0, r1 = s.coords
+            s.coords = [r0 * r0, r0 * r1, r1 * r1 + d * sc * sc]
 
     inv_lam = lam_elem.inverse()
+    scale = inv_lam * inv_lam if hull is HullKind.C else inv_lam
     # deduplicate seeds (ties may share an eigenvector up to sign)
     vertices: list[_Vertex] = []
     seed_map: list[int] = []
     for s in seeds:
-        dup = _find_duplicate(vertices, s, hull)
+        dup = _find_duplicate(vertices, s.coords, hull)
         if dup is None:
             vertices.append(s)
             seed_map.append(len(vertices) - 1)
         else:
             seed_map.append(dup)
-    trace: list[dict] = [
-        {"round": 0, "vertex": i, "parent": None, "matrix": None}
-        for i in range(len(vertices))]
 
     limits = []
     if opts.augment:
         limits = augment_limits(family, candidates, ctx, lam_elem)
+    maps = [(j, family[j - 1], scale) for j in range(1, len(family) + 1)]
+    maps += [(-(li + 1), L, None) for li, L in limits]
 
     frontier = list(range(len(vertices)))
     rounds = 0
@@ -267,99 +267,83 @@ def run_ipa(family: MatrixFamily, candidates: CandidateSet,
             rounds += 1
             if rounds > MAX_ROUNDS:
                 return _cap_result(IpaStatus.NO_SPECTRAL_GAP, lam, hull,
-                                   vertices, candidates, trace, family)
+                                   vertices, candidates, family)
             new_frontier: list[int] = []
-            images = []
-            for vi in frontier:
-                for j in range(1, len(family) + 1):
-                    images.append((vi, j,
-                                   _apply(family[j - 1], vertices[vi],
-                                          inv_lam, j)))
-                for li, L in limits:
-                    images.append((vi, -(li + 1),
-                                   _apply_elem(L, vertices[vi], -(li + 1))))
-            for vi, j, img in images:
-                if _find_duplicate(vertices, img, hull) is not None:
+            images = [_Vertex(_apply(A, vertices[vi].coords, hull, sc),
+                              vertices[vi].word + (j,), vertices[vi].seed)
+                      for vi in frontier for j, A, sc in maps]
+            for img in images:
+                if _find_duplicate(vertices, img.coords, hull) is not None:
                     continue
                 if _membership(vertices, img, hull, family.dim, opts):
                     continue
                 vertices.append(img)
-                trace.append({"round": rounds, "vertex": len(vertices) - 1,
-                              "parent": vi, "matrix": j})
                 new_frontier.append(len(vertices) - 1)
                 if len(vertices) > MAX_VERTICES:
                     return _cap_result(IpaStatus.VERTEX_CAP_EXCEEDED, lam,
-                                       hull, vertices, candidates, trace,
-                                       family)
+                                       hull, vertices, candidates, family)
             frontier = new_frontier
         # frontier empty: certify exactly; any violation re-opens the loop
-        evidence, offender = _certify_sweep(vertices, family, inv_lam, hull)
+        evidence, offender = _certify_sweep(vertices, family, scale, hull)
         if offender is None:
             poly = _as_polytope(vertices, hull, family.dim)
             cert = _emit_certificate(family, candidates, lam, ctx, lam_elem,
                                      hull, vertices, seed_map, scales,
                                      evidence, limits)
             return IpaResult(IpaStatus.PROVED, lam, poly,
-                             candidates.candidates, trace, cert,
+                             candidates.candidates, cert,
                              diagnostics={"vertices": len(vertices),
                                           "rounds": rounds})
-        vi, j, img = offender
-        vertices.append(img)
-        trace.append({"round": rounds + 1, "vertex": len(vertices) - 1,
-                      "parent": vi, "matrix": j})
+        vertices.append(offender)
         frontier = [len(vertices) - 1]
         if len(vertices) > MAX_VERTICES:
             return _cap_result(IpaStatus.VERTEX_CAP_EXCEEDED, lam, hull,
-                               vertices, candidates, trace, family)
+                               vertices, candidates, family)
 
 
 def _build_field(family: MatrixFamily, candidates: CandidateSet):
-    """Context Q(lambda[, imag parts]), lambda embedding, hull kind, seeds."""
+    """Context Q(lambda), lambda embedding, hull kind and seeds.
+
+    Kind-C seeds carry their real part; the last item lists, per seed,
+    the square of the one nonzero entry of its imaginary part (0 for a
+    real seed), which sits on the (2,2) entry of the Gram form.
+    """
     lam = candidates.lambda_
+    if lam.is_rational:
+        ctx = NumberFieldContext.rational_context()
+        lam_elem = ctx.from_rational(lam.as_rational())
+    else:
+        ctx = NumberFieldContext.from_real_algebraic(lam)
+        lam_elem = ctx.generator()
 
     srs = [spectral_radius(c.value) for c in candidates.candidates]
     if all(m.is_nonnegative() for m in family.matrices):
         hull = HullKind.P
     elif any(sr.leading_complex for sr in srs):
         hull = HullKind.C
+        if family.dim != 2:
+            return IpaResult(
+                IpaStatus.CASE_C_UNKNOWN, lam, None, candidates.candidates,
+                diagnostics={"error": "elliptic hulls are built for "
+                                      "dimension 2 only"})
     else:
         hull = HullKind.R
 
-    joins: list[RealAlgebraic] = [lam]
-    complex_data: list[Optional[tuple]] = []
-    if hull is HullKind.C:
-        for cand, sr in zip(candidates.candidates, srs):
-            if not sr.leading_complex:
-                complex_data.append(None)
-                continue
-            if family.dim != 2:
-                return IpaResult(
-                    IpaStatus.CASE_C_UNKNOWN, lam, None,
-                    candidates.candidates, [],
-                    diagnostics={"error": "complex leading eigenvectors are "
-                                          "constructed for dimension 2 only"})
-            M = cand.value
-            (a, b), (c, d) = M.rows
-            tau, det = a + d, a * d - b * c
-            disc = 4 * det - tau * tau  # positive for a complex pair
-            s = nth_root(RealAlgebraic.from_rational(disc), 2)
-            joins.append(s)
-            complex_data.append((M, tau, s))
-    ctx, embedded = field_join(joins)
-    lam_elem = embedded[0]
-
     seeds: list[_Vertex] = []
-    k = 1
-    ci = 0
+    imag_sq: list[Fraction] = []
     for idx, (cand, sr) in enumerate(zip(candidates.candidates, srs)):
-        rho_elem = lam_elem ** cand.length
         if hull is HullKind.C and sr.leading_complex:
-            M, tau, _s = complex_data[idx]
-            s_elem = embedded[1 + ci]
-            ci += 1
-            real, imag = _complex_eigvec_dim2(M, tau, s_elem, ctx)
-            seeds.append(_Vertex(real, imag, (), idx))
+            # mu = (tau + i s)/2 with s^2 = 4 det - tau^2 has the eigenvector
+            # (b, mu - a); b != 0, since a triangular matrix has real
+            # eigenvalues
+            (a, b), (c, d) = cand.value.rows
+            tau, det = a + d, a * d - b * c
+            seeds.append(_Vertex([ctx.from_rational(b),
+                                  ctx.from_rational(Fraction(tau, 2) - a)],
+                                 (), idx))
+            imag_sq.append(det - Fraction(tau * tau, 4))
             continue
+        rho_elem = lam_elem ** cand.length
         sign = 1
         if not _is_eigenvalue(cand.value, rho_elem):
             if _is_eigenvalue(cand.value, -rho_elem):
@@ -367,7 +351,7 @@ def _build_field(family: MatrixFamily, candidates: CandidateSet):
             else:
                 return IpaResult(
                     IpaStatus.MULTIPLE_LEADING_EIGENVECTOR, lam, None,
-                    candidates.candidates, [],
+                    candidates.candidates,
                     diagnostics={"error": "neither +rho nor -rho is an "
                                           "eigenvalue in the field"})
         try:
@@ -375,32 +359,17 @@ def _build_field(family: MatrixFamily, candidates: CandidateSet):
         except AlgebraicError as exc:
             return IpaResult(
                 IpaStatus.MULTIPLE_LEADING_EIGENVECTOR, lam, None,
-                candidates.candidates, [], diagnostics={"error": str(exc)})
+                candidates.candidates, diagnostics={"error": str(exc)})
         if hull is HullKind.P:
             v = _resign_nonnegative(v)
             if v is None:
                 return IpaResult(
                     IpaStatus.MULTIPLE_LEADING_EIGENVECTOR, lam, None,
-                    candidates.candidates, [],
+                    candidates.candidates,
                     diagnostics={"error": "no nonnegative leading eigenvector"})
-        seeds.append(_Vertex(v, [ctx.zero()] * family.dim
-                             if hull is HullKind.C else None, (), idx))
-    return ctx, lam_elem, hull, seeds
-
-
-def _complex_eigvec_dim2(M: IntMatrix, tau: int, s_elem: FieldElement, ctx):
-    """Real/imag parts of an eigenvector for mu = (tau + i*s)/2."""
-    (a, b), (c, d) = M.rows
-    half = Fraction(1, 2)
-    if b != 0:
-        # (b, mu - a)
-        real = [ctx.from_rational(b), ctx.from_rational(Fraction(tau, 2) - a)]
-        imag = [ctx.zero(), s_elem * half]
-    else:
-        # (mu - d, c)
-        real = [ctx.from_rational(Fraction(tau, 2) - d), ctx.from_rational(c)]
-        imag = [s_elem * half, ctx.zero()]
-    return real, imag
+        seeds.append(_Vertex(v, (), idx))
+        imag_sq.append(Fraction(0))
+    return ctx, lam_elem, hull, seeds, imag_sq
 
 
 def _resign_nonnegative(v):
@@ -412,37 +381,35 @@ def _resign_nonnegative(v):
     return None
 
 
-def _apply(A: IntMatrix, vert: _Vertex, inv_lam: FieldElement,
-           letter: int) -> _Vertex:
-    coords = [c * inv_lam for c in A.apply(vert.coords)]
-    imag = None
-    if vert.imag is not None:
-        imag = [c * inv_lam for c in A.apply(vert.imag)]
-    return _Vertex(coords, imag, vert.word + (letter,), vert.seed)
+def _apply(A, coords: list, hull: HullKind, scale=None) -> list:
+    """A v in kinds P and R, A Q A^T in kind C, times scale when given.
+
+    A is a family matrix or a limit matrix given by its rows over the
+    field (limit matrices are already normalized: no scale).
+    """
+    if hull is HullKind.C:
+        # the columns of A Q, then A (A Q)^T = A Q A^T, as Q is symmetric
+        c1, c2 = _matvec(A, coords[:2]), _matvec(A, coords[1:])
+        f1, f2 = _matvec(A, [c1[0], c2[0]]), _matvec(A, [c1[1], c2[1]])
+        coords = [f1[0], f1[1], f2[1]]
+    else:
+        coords = _matvec(A, coords)
+    return coords if scale is None else [c * scale for c in coords]
 
 
-def _apply_elem(L: list[list[FieldElement]], vert: _Vertex,
-                letter: int) -> _Vertex:
-    """Apply a limit matrix (already normalized: no lambda scaling)."""
-
-    def mv(vec):
-        return [sum((L[i][j] * vec[j] for j in range(len(vec))),
-                    start=L[0][0] * 0) for i in range(len(L))]
-
-    return _Vertex(mv(vert.coords),
-                   mv(vert.imag) if vert.imag is not None else None,
-                   vert.word + (letter,), vert.seed)
+def _matvec(A, vec: list) -> list:
+    if isinstance(A, IntMatrix):
+        return A.apply(vec)
+    return [sum((a * x for a, x in zip(row, vec)), start=vec[0] * 0)
+            for row in A]
 
 
-def _find_duplicate(vertices: list[_Vertex], img: _Vertex,
+def _find_duplicate(vertices: list[_Vertex], coords: list,
                     hull: HullKind) -> Optional[int]:
     for i, v in enumerate(vertices):
-        if hull is HullKind.C:
-            if _gram_equal(v, img):
-                return i
-        elif _vec_equal(v.coords, img.coords):
+        if _vec_equal(v.coords, coords):
             return i
-        elif hull is HullKind.R and _vec_equal(_neg(v.coords), img.coords):
+        if hull is HullKind.R and _vec_equal(_neg(v.coords), coords):
             return i
     return None
 
@@ -456,26 +423,12 @@ def _neg(v):
     return [-c for c in v]
 
 
-def _gram_equal(a: _Vertex, b: _Vertex) -> bool:
-    """Ellipse equality: identical quadratic forms aa^T + bb^T."""
-    n = len(a.coords)
-    ai = a.imag or [a.coords[0] * 0] * n
-    bi = b.imag or [b.coords[0] * 0] * n
-    for i in range(n):
-        for j in range(i, n):
-            ga = a.coords[i] * a.coords[j] + ai[i] * ai[j]
-            gb = b.coords[i] * b.coords[j] + bi[i] * bi[j]
-            if not (ga - gb).is_zero():
-                return False
-    return True
-
-
 def _membership(vertices: list[_Vertex], img: _Vertex, hull: HullKind,
                 dim: int, opts: IpaOptions) -> bool:
     """True when the image is provably in the (closed) current hull."""
     poly = _as_polytope(vertices, hull, dim)
     if hull is HullKind.C:
-        return norm_ellipse(poly, _complex(img)) is not None
+        return norm_ellipse(poly, img.coords) is not None
     if hull is HullKind.P and any(c.sign() < 0 for c in img.coords):
         return False
     res = classify_with_fallback(poly, img.coords, opts.mode)
@@ -483,35 +436,30 @@ def _membership(vertices: list[_Vertex], img: _Vertex, hull: HullKind,
                                   Classification.BOUNDARY)
 
 
-def _complex(v: _Vertex) -> ComplexVertex:
-    return ComplexVertex(tuple(v.coords), tuple(v.imag))
-
-
 def _as_polytope(vertices: list[_Vertex], hull: HullKind,
                  dim: int) -> VertexPolytope:
-    if hull is HullKind.C:
-        return VertexPolytope(HullKind.C, [_complex(v) for v in vertices], dim)
     return VertexPolytope(hull, [list(v.coords) for v in vertices], dim)
 
 
 def _certify_sweep(vertices: list[_Vertex], family: MatrixFamily,
-                   inv_lam: FieldElement, hull: HullKind):
+                   scale: FieldElement, hull: HullKind):
     """Exact evidence for every (vertex, matrix) image, or the first
     offending image that is provably not coverable."""
     evidence = []
     poly = _as_polytope(vertices, hull, family.dim)
     for vi, vert in enumerate(vertices):
         for j in range(1, len(family) + 1):
-            img = _apply(family[j - 1], vert, inv_lam, j)
-            dup = _find_duplicate(vertices, img, hull)
+            img = _Vertex(_apply(family[j - 1], vert.coords, hull, scale),
+                          vert.word + (j,), vert.seed)
+            dup = _find_duplicate(vertices, img.coords, hull)
             if dup is not None:
                 evidence.append({"vertex": vi, "matrix": j,
                                  "type": "vertex", "index": dup})
                 continue
             if hull is HullKind.C:
-                cover = norm_ellipse(poly, _complex(img))
+                cover = norm_ellipse(poly, img.coords)
                 if cover is None:
-                    return None, (vi, j, img)
+                    return None, img
                 evidence.append({"vertex": vi, "matrix": j, "type": "arcs",
                                  "arcs": [[list(d0), list(d1), k]
                                           for d0, d1, k in cover]})
@@ -519,7 +467,7 @@ def _certify_sweep(vertices: list[_Vertex], family: MatrixFamily,
             res = minkowski_norm(poly, img.coords)
             ok = res.value is not None and _sgn_vs_one(res.value) <= 0
             if not ok:
-                return None, (vi, j, img)
+                return None, img
             combo = res.combination()
             evidence.append({"vertex": vi, "matrix": j, "type": "combination",
                              "coeffs": [_ser_scalar(c) for c in combo],
@@ -527,10 +475,10 @@ def _certify_sweep(vertices: list[_Vertex], family: MatrixFamily,
     return evidence, None
 
 
-def _cap_result(status: IpaStatus, lam, hull, vertices, candidates, trace,
+def _cap_result(status: IpaStatus, lam, hull, vertices, candidates,
                 family) -> IpaResult:
     poly = _as_polytope(vertices, hull, family.dim) if vertices else None
-    return IpaResult(status, lam, poly, candidates.candidates, trace,
+    return IpaResult(status, lam, poly, candidates.candidates,
                      diagnostics={"vertices": len(vertices)})
 
 
@@ -570,8 +518,6 @@ def _emit_certificate(family, candidates, lam, ctx, lam_elem, hull, vertices,
                 "seed": v.seed,
                 "word": list(v.word),
                 "coords": [_ser_scalar(c) for c in v.coords],
-                "imag": [_ser_scalar(c) for c in v.imag]
-                        if v.imag is not None else None,
             }
             for v in vertices
         ],
@@ -603,12 +549,14 @@ def certificate_from_json(text: str) -> dict:
 def verify_certificate(cert: dict) -> VerifyResult:
     """Re-check a Proved claim with exact arithmetic only.
 
-    Checks, in order: the context and lambda parse and are consistent;
-    every s.m.p. word attains lambda exactly; every claimed vertex is
-    reachable from its seed by its recorded word; every seed satisfies
-    its eigen-relation; and for every vertex and family matrix the
-    recorded evidence places the scaled image inside the closed hull.
-    The lower and upper bound then coincide, so JSR = lambda.
+    Checks, in order: the context, lambda and vertices parse and are
+    consistent; every s.m.p. word attains lambda exactly; every seed
+    satisfies its eigen-relation (in kind C: its Gram form Q is positive
+    semidefinite with M Q M^T = rho^2 Q); every claimed vertex is
+    reachable from its seed by its recorded word; the hull has interior;
+    and for every vertex and family matrix the recorded evidence places
+    the scaled image inside the closed hull.  The lower and upper bound
+    then coincide, so JSR = lambda.
     """
     try:
         return _verify(cert)
@@ -624,10 +572,15 @@ def _verify(cert: dict) -> VerifyResult:
             for row in ([list(map(int, f)) for f in cert["family"]])]
     family = MatrixFamily.make(mats, cert.get("alphabet", "general"))
     hull = HullKind(cert["hull"])
+    if hull is HullKind.C and dim != 2:
+        return VerifyResult(False, "an elliptic hull needs dimension 2")
 
     minpoly = IntPolynomial.make([int(c) for c in cert["context"]["minpoly"]])
-    ctx = NumberFieldContext(minpoly, Fraction(cert["context"]["root_lo"]),
-                             Fraction(cert["context"]["root_hi"]))
+    root_lo = Fraction(cert["context"]["root_lo"])
+    root_hi = Fraction(cert["context"]["root_hi"])
+    if real_algebraic_root(minpoly, root_lo, root_hi).minpoly != minpoly:
+        return VerifyResult(False, "context polynomial is not irreducible")
+    ctx = NumberFieldContext(minpoly, root_lo, root_hi)
     lam_elem = _parse_elem(cert["lambda_element"], ctx)
     lam = RealAlgebraic.deserialize(cert["lambda"])
     # lambda element must match the serialized lambda value
@@ -654,11 +607,13 @@ def _verify(cert: dict) -> VerifyResult:
         return VerifyResult(False, "empty vertex list")
     coords = [[_parse_elem_or_scalar(c, ctx) for c in v["coords"]]
               for v in verts]
-    imags = [[_parse_elem_or_scalar(c, ctx) for c in v["imag"]]
-             if v.get("imag") is not None else None for v in verts]
+    width = 3 if hull is HullKind.C else dim
+    if any(len(c) != width for c in coords):
+        return VerifyResult(False, "vertex coordinates have the wrong width")
 
     # (ii) seeds carry the eigen-relation; vertices are word-reachable
     inv_lam = lam_elem.inverse()
+    scale = inv_lam * inv_lam if hull is HullKind.C else inv_lam
     seed_map = [int(i) for i in cert["seed_map"]]
     if len(seed_map) != len(smp_words):
         return VerifyResult(False, "seed map and s.m.p. list differ in length")
@@ -666,8 +621,18 @@ def _verify(cert: dict) -> VerifyResult:
         vi = seed_map[si]
         if not (0 <= vi < len(verts)) or verts[vi]["word"]:
             return VerifyResult(False, f"seed for candidate {si} missing")
-        if not _check_eigen(evaluate(w, family).value, coords[vi], imags[vi],
-                            lam_elem ** len(w), ctx):
+        M, rho_elem = evaluate(w, family).value, lam_elem ** len(w)
+        if hull is HullKind.C:
+            if not _is_psd(coords[vi]):
+                return VerifyResult(
+                    False, f"seed {si} Gram form is not positive semidefinite")
+            ok = _vec_equal(_apply(M, coords[vi], hull),
+                            [c * rho_elem * rho_elem for c in coords[vi]])
+        else:
+            img = M.apply(coords[vi])
+            ok = _vec_equal(img, [c * rho_elem for c in coords[vi]]) or \
+                _vec_equal(img, [-c * rho_elem for c in coords[vi]])
+        if not ok:
             return VerifyResult(False, f"seed {si} eigen-relation fails")
     # limit matrices for augmented reachability letters
     limit_maps: dict[int, list] = {}
@@ -685,32 +650,27 @@ def _verify(cert: dict) -> VerifyResult:
         si = int(v["seed"])
         if not (0 <= si < len(seed_map)):
             return VerifyResult(False, f"vertex {vi} references missing seed")
-        base = seed_map[si]
-        cur_r = list(coords[base])
-        cur_i = list(imags[base]) if imags[base] is not None else None
+        cur = coords[seed_map[si]]
         for j in word:
             if j < 0:
                 L = limit_maps.get(j)
                 if L is None:
                     return VerifyResult(
                         False, f"vertex {vi} uses undeclared limit matrix")
-                cur_r = _apply_rows(L, cur_r, ctx)
-                if cur_i is not None:
-                    cur_i = _apply_rows(L, cur_i, ctx)
+                cur = _apply(L, cur, hull)
                 continue
             if not 1 <= j <= len(family):
                 return VerifyResult(
                     False, f"vertex {vi} word has letter {j} outside the family")
-            A = family[j - 1]
-            cur_r = [c * inv_lam for c in A.apply(cur_r)]
-            if cur_i is not None:
-                cur_i = [c * inv_lam for c in A.apply(cur_i)]
-        if not _vec_equal(cur_r, coords[vi]) or \
-                (cur_i is not None and imags[vi] is not None and
-                 not _vec_equal(cur_i, imags[vi])):
+            cur = _apply(family[j - 1], cur, hull, scale)
+        if not _vec_equal(cur, coords[vi]):
             return VerifyResult(False, f"vertex {vi} not reachable by its word")
 
-    # (iii) every (vertex, matrix) image is covered by recorded evidence
+    # (iii) the hull is a body, so its gauge is a norm
+    if not _has_interior(coords, hull, dim):
+        return VerifyResult(False, "the hull has no interior: not a body")
+
+    # (iv) every (vertex, matrix) image is covered by recorded evidence
     evid = {(int(e["vertex"]), int(e["matrix"])): e for e in cert["evidence"]}
     for vi in range(len(verts)):
         for j in range(1, len(family) + 1):
@@ -718,8 +678,8 @@ def _verify(cert: dict) -> VerifyResult:
             if e is None:
                 return VerifyResult(
                     False, f"no evidence for vertex {vi} matrix {j}")
-            ok, why = _check_evidence(e, vi, j, family, coords, imags,
-                                      inv_lam, hull, ctx)
+            img = _apply(family[j - 1], coords[vi], hull, scale)
+            ok, why = _check_evidence(e, img, coords, hull, ctx)
             if not ok:
                 return VerifyResult(
                     False, f"evidence for vertex {vi} matrix {j}: {why}")
@@ -729,11 +689,6 @@ def _verify(cert: dict) -> VerifyResult:
 
 def _parse_elem(serialized: list, ctx) -> FieldElement:
     return ctx.element([Fraction(c) for c in serialized])
-
-
-def _apply_rows(L: list[list[FieldElement]], vec: list, ctx) -> list:
-    return [sum((L[i][j] * vec[j] for j in range(len(vec))),
-                start=ctx.zero()) for i in range(len(L))]
 
 
 def _limit_matrix(M: IntMatrix, rho_elem: FieldElement, ctx):
@@ -761,50 +716,37 @@ def _parse_elem_or_scalar(c, ctx) -> FieldElement:
     return ctx.from_rational(Fraction(c))
 
 
-def _check_eigen(M: IntMatrix, real, imag, rho_elem: FieldElement, ctx) -> bool:
-    """M (real + i*imag) == mu (real + i*imag) for mu in {rho, -rho} or,
-    for complex seeds, mu with |mu|^2 = rho^2 read off the Gram identity.
-
-    For real seeds the check is exact sign-insensitive eigen-equation;
-    for complex seeds it verifies M maps the ellipse onto itself:
-    Gram(M v) == |rho|^2 Gram(v).
-    """
-    if imag is None or all(c.is_zero() for c in imag):
-        img = M.apply(real)
-        plus = all((a - rho_elem * b).is_zero() for a, b in zip(img, real))
-        minus = all((a + rho_elem * b).is_zero() for a, b in zip(img, real))
-        return plus or minus
-    n = len(real)
-    mi_r = M.apply(real)
-    mi_i = M.apply(imag)
-    rho_sq = rho_elem * rho_elem
-    for i in range(n):
-        for j in range(i, n):
-            lhs = mi_r[i] * mi_r[j] + mi_i[i] * mi_i[j]
-            rhs = (real[i] * real[j] + imag[i] * imag[j]) * rho_sq
-            if not (lhs - rhs).is_zero():
-                return False
-    return True
+def _is_psd(q: list) -> bool:
+    q11, q12, q22 = q
+    return q11.sign() >= 0 and q22.sign() >= 0 and \
+        (q11 * q22 - q12 * q12).sign() >= 0
 
 
-def _check_evidence(e: dict, vi: int, j: int, family, coords, imags,
-                    inv_lam, hull: HullKind, ctx) -> tuple[bool, str]:
-    A = family[j - 1]
-    img_r = [c * inv_lam for c in A.apply(coords[vi])]
-    img_i = [c * inv_lam for c in A.apply(imags[vi])] \
-        if imags[vi] is not None else None
+def _has_interior(coords: list, hull: HullKind, dim: int) -> bool:
+    """Kind P: every coordinate is positive in some vertex.  Kind R: the
+    vertices span R^dim.  Kind C: the sum of the Gram forms is positive
+    definite."""
+    if hull is HullKind.P:
+        return all(any(c[r].sign() > 0 for c in coords) for r in range(dim))
+    if hull is HullKind.R:
+        basis: list = []
+        for c in coords:
+            add_to_basis(basis, c)
+        return len(basis) == dim
+    q11, q12, q22 = (sum(c[i] for c in coords) for i in range(3))
+    return q11.sign() > 0 and (q11 * q22 - q12 * q12).sign() > 0
+
+
+def _check_evidence(e: dict, img: list, coords: list, hull: HullKind,
+                    ctx) -> tuple[bool, str]:
     kind = e.get("type")
     if kind == "vertex":
         k = int(e["index"])
         if not 0 <= k < len(coords):
             return False, "vertex reference out of range"
-        if hull is HullKind.C:
-            tgt = _Vertex(coords[k], imags[k], (), 0)
-            got = _Vertex(img_r, img_i, (), 0)
-            return (_gram_equal(tgt, got), "ellipse mismatch")
-        if _vec_equal(img_r, coords[k]):
+        if _vec_equal(img, coords[k]):
             return True, ""
-        if hull is HullKind.R and _vec_equal(_neg(img_r), coords[k]):
+        if hull is HullKind.R and _vec_equal(_neg(img), coords[k]):
             return True, ""
         return False, "image does not equal referenced vertex"
     if kind == "combination":
@@ -812,9 +754,9 @@ def _check_evidence(e: dict, vi: int, j: int, family, coords, imags,
         if len(mu) != len(coords):
             return False, "combination width mismatch"
         comb = [sum((mu[i] * coords[i][r] for i in range(len(mu))),
-                    start=ctx.zero()) for r in range(family.dim)]
+                    start=ctx.zero()) for r in range(len(img))]
         if hull is HullKind.R:
-            if not _vec_equal(comb, img_r):
+            if not _vec_equal(comb, img):
                 return False, "combination does not reproduce the image"
             total = sum((_abs_elem(m) for m in mu), start=ctx.zero())
             if (total - 1).sign() > 0:
@@ -823,8 +765,8 @@ def _check_evidence(e: dict, vi: int, j: int, family, coords, imags,
         if hull is HullKind.P:
             if any(m.sign() < 0 for m in mu):
                 return False, "negative cone coefficient"
-            for r in range(family.dim):
-                if (comb[r] - img_r[r]).sign() < 0:
+            for r in range(len(img)):
+                if (comb[r] - img[r]).sign() < 0:
                     return False, "cone combination does not dominate image"
             total = sum(mu, start=ctx.zero())
             if (total - 1).sign() > 0:
@@ -832,7 +774,7 @@ def _check_evidence(e: dict, vi: int, j: int, family, coords, imags,
             return True, ""
         return False, "combination evidence invalid for this hull"
     if kind == "arcs":
-        if hull is not HullKind.C or family.dim != 2:
+        if hull is not HullKind.C:
             return False, "arc evidence for a non-elliptic hull"
         arcs = [((int(x0), int(y0)), (int(x1), int(y1)), int(k))
                 for (x0, y0), (x1, y1), k in e["arcs"]]
@@ -840,14 +782,13 @@ def _check_evidence(e: dict, vi: int, j: int, family, coords, imags,
             return False, "arc chain does not run from (1, 0) to (-1, 0)"
         if any(a[1] != b[0] for a, b in zip(arcs, arcs[1:])):
             return False, "gap in the arc chain"
-        qv = gram_form(ComplexVertex(img_r, img_i))
         for d0, d1, k in arcs:
             if not 0 <= k < len(coords):
                 return False, "arc generator out of range"
             if d0[0] * d1[1] - d0[1] * d1[0] <= 0:
                 return False, "arc is not counterclockwise"
-            qk = gram_form(ComplexVertex(coords[k], imags[k]))
-            if not arc_nonnegative([x - y for x, y in zip(qk, qv)], d0, d1):
+            if not arc_nonnegative([x - y for x, y in zip(coords[k], img)],
+                                   d0, d1):
                 return False, f"generator {k} does not cover arc {d0}-{d1}"
         return True, ""
     return False, f"unknown evidence type {kind!r}"

@@ -5,7 +5,7 @@ Matrices are lists of rows.  Entries may be `Fraction` or `FieldElement`
 are not enough, since division must stay exact.  Elimination is
 Gauss-Jordan with the first nonzero entry of each column as its pivot,
 and each pivot is inverted once.  The reduced row echelon form is unique,
-so kernels, solutions and inverses do not depend on that pivot order.
+so kernels and inverses do not depend on that pivot order.
 """
 
 from __future__ import annotations
@@ -49,15 +49,6 @@ def kernel(M: list[list]) -> list[list]:
             v[c] = -rows[r][fc]
         basis.append(v)
     return basis
-
-
-def solve(A: list[list], b: list) -> Optional[list]:
-    """The x with A x = b for square A, or None when A is singular."""
-    n = len(A)
-    rows = [list(row) + [b[i]] for i, row in enumerate(A)]
-    if len(_eliminate(rows, n)) < n:
-        return None
-    return [rows[i][n] for i in range(n)]
 
 
 def inverse(A: list[list]) -> Optional[list[list]]:

@@ -23,6 +23,7 @@ from .algebraic import (
     compare,
     factor_int_poly,
     isolate_real_roots,
+    largest_real_root_fast,
     nth_root,
 )
 from .linalg import kernel
@@ -101,9 +102,6 @@ class IntMatrix:
                      if self.rows[i][j]), start=vec[0] * 0)
                 for i in range(self.dim)]
 
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.dim))
-
     def flat(self) -> list[int]:
         return [v for r in self.rows for v in r]
 
@@ -155,9 +153,6 @@ class Product:
     @property
     def length(self) -> int:
         return len(self.word)
-
-    def word_str(self) -> str:
-        return "".join(str(j) for j in self.word)
 
 
 def evaluate(word: Sequence[int], family: MatrixFamily) -> Product:
@@ -287,9 +282,7 @@ def _complex_pair_modulus_squares(fac: IntPolynomial) -> list[RealAlgebraic]:
 
 
 def leading_eigenvector(A: IntMatrix, rho: RealAlgebraic | FieldElement,
-                        sign: int = 1,
-                        context: NumberFieldContext | None = None
-                        ) -> list[FieldElement]:
+                        sign: int = 1) -> list[FieldElement]:
     """A kernel vector of (A - sign*rho*I) over Q(rho).
 
     Normalized so the first nonzero coordinate is 1.  Raises if
@@ -300,8 +293,8 @@ def leading_eigenvector(A: IntMatrix, rho: RealAlgebraic | FieldElement,
         ctx = rho.context
         lam = rho * sign
     else:
-        ctx = context or (NumberFieldContext.from_real_algebraic(rho)
-                          if not rho.is_rational else NumberFieldContext.rational_context())
+        ctx = (NumberFieldContext.rational_context() if rho.is_rational
+               else NumberFieldContext.from_real_algebraic(rho))
         if rho.is_rational:
             lam = ctx.from_rational(rho.as_rational() * sign)
         else:
@@ -327,13 +320,13 @@ def leading_eigenvector(A: IntMatrix, rho: RealAlgebraic | FieldElement,
 
 
 def two_norm_sq(A: IntMatrix) -> RealAlgebraic:
-    """Largest eigenvalue of A^T A; the squared matrix 2-norm."""
-    if A.is_zero():
-        return RealAlgebraic.from_rational(0)
-    G = A.transpose() @ A
-    cp = char_poly(G)
-    roots = isolate_real_roots(cp)
-    return roots[-1]
+    """Largest eigenvalue of A^T A; the squared matrix 2-norm.
+
+    The value carries the squarefree part of the characteristic
+    polynomial, not a factored minimal polynomial (see
+    `largest_real_root_fast`).
+    """
+    return largest_real_root_fast(char_poly(A.transpose() @ A))
 
 
 def frobenius_norm_sq(A: IntMatrix) -> Fraction:

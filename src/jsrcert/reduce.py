@@ -29,8 +29,10 @@ from .matcore import (
     Product,
     evaluate,
     spectral_radius,
-    two_norm_sq,
 )
+
+# products of this length are norm-checked by the integer <= 1 lemma
+NORM_CHECK_DEPTH = 8
 
 ALPHABETS = {
     "binary": (0, 1),
@@ -188,8 +190,7 @@ def enumerate_campaign(alphabet: str, dim: int) -> Iterator[PairCode]:
 
 
 def quick_decide(pair: tuple[IntMatrix, IntMatrix],
-                 alphabet: str = "general",
-                 norm_check_depth: int = 8) -> ReductionVerdict:
+                 alphabet: str = "general") -> ReductionVerdict:
     """Settle a pair by reduction lemmas, or report that it needs the
     polytope algorithm.  Checks run in both orderings of the pair."""
     A1, A2 = pair
@@ -247,13 +248,13 @@ def quick_decide(pair: tuple[IntMatrix, IntMatrix],
             witness={"normal": True})
 
     # bounded-norm integer families: JSR <= 1 forces JSR in {0, 1}
-    leq1 = _norm_bounded_by_one(pair, norm_check_depth)
+    leq1 = _norm_bounded_by_one(pair)
     if leq1 is not None:
         jsr_val, word = leq1
         return ReductionVerdict(
             Outcome.SETTLED, Reason.INTEGER_LEQ_ONE,
             jsr=RealAlgebraic.from_rational(jsr_val), smp_word=word,
-            witness={"norm_depth": norm_check_depth, "jsr": str(jsr_val)})
+            witness={"norm_depth": NORM_CHECK_DEPTH, "jsr": str(jsr_val)})
 
     return ReductionVerdict(Outcome.NEEDS_IPA)
 
@@ -262,38 +263,37 @@ def _is_normal(A: IntMatrix) -> bool:
     return A.transpose() @ A == A @ A.transpose()
 
 
-def _norm_bounded_by_one(pair, depth: int) -> Optional[tuple[int, tuple[int, ...]]]:
-    """If max over all length-`depth` products of ||.||_2^(1/depth) <= 1,
-    the JSR is 0 or 1 exactly (integer matrices).  Returns (jsr, word)
-    with an attaining product, or None when the bound fails or no
-    attaining witness exists.
+def _norm_bounded_by_one(pair) -> Optional[tuple[int, tuple[int, ...]]]:
+    """If every product of length NORM_CHECK_DEPTH has 2-norm <= 1, the
+    JSR is 0 or 1 exactly (integer matrices: by Kronecker every spectral
+    radius is then 0 or 1).  Returns (jsr, word) with an attaining
+    product, or None when the bound fails or no attaining witness exists.
     """
     fam = MatrixFamily.make(list(pair))
-    attaining: Optional[tuple[int, ...]] = None
-    ok = True
-    for word in itertools.product((1, 2), repeat=depth):
-        value = evaluate(word, fam).value
-        nsq = two_norm_sq(value)
-        c = compare(nsq, Fraction(1))
-        if c == Ordering.GREATER:
-            ok = False
-            break
-    if not ok:
-        return None
+    for word in itertools.product((1, 2), repeat=NORM_CHECK_DEPTH):
+        if not _norm_at_most_one(evaluate(word, fam).value):
+            return None
     # JSR <= 1; find a product of spectral radius exactly 1 if one exists
-    for n in range(1, depth + 1):
+    for n in range(1, NORM_CHECK_DEPTH + 1):
         for word in itertools.product((1, 2), repeat=n):
             rho = spectral_radius(evaluate(word, fam).value).value
             if rho.is_rational and rho.as_rational() == 1:
                 return (1, word)
-    # no radius-1 witness: all radii are 0 up to `depth`; treat as JSR 0
-    # only if every product of length dim is nilpotent-consistent
-    for n in range(1, depth + 1):
-        for word in itertools.product((1, 2), repeat=n):
-            rho = spectral_radius(evaluate(word, fam).value).value
-            if rho.sign() != 0:
-                return None  # irrational radius in (0,1] cannot happen; guard
-    return (0, (1,))
+    # JSR 0 exactly when the semigroup is nilpotent, that is (Levitzki)
+    # when every product of length dim is zero
+    dim = fam.dim
+    if all(evaluate(word, fam).value.is_zero()
+           for word in itertools.product((1, 2), repeat=dim)):
+        return (0, (1,))
+    return None
+
+
+def _norm_at_most_one(A: IntMatrix) -> bool:
+    """Exactly ||A||_2 <= 1 for an integer matrix: every row and every
+    column holds at most one nonzero entry, and that entry is +-1."""
+    return (all(abs(v) <= 1 for r in A.rows for v in r)
+            and all(sum(v != 0 for v in r) <= 1 for r in A.rows)
+            and all(sum(v != 0 for v in c) <= 1 for c in zip(*A.rows)))
 
 
 # ---------------------------------------------------------------------------

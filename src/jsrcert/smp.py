@@ -14,21 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebraic import (
-    Ordering,
-    RealAlgebraic,
-    compare,
-    largest_real_root_fast,
-    nth_root,
-)
+from .algebraic import Ordering, RealAlgebraic, compare, nth_root
 from .matcore import (
     IntMatrix,
     MatrixFamily,
     Product,
-    char_poly,
     evaluate,
     frobenius_norm_sq,
     spectral_radius,
+    two_norm_sq,
 )
 
 
@@ -59,11 +53,6 @@ def canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:
     return min(rots)
 
 
-def canonicalize_product(p: Product, family: MatrixFamily) -> Product:
-    """Canonical representative of p under cyclic shifts and power roots."""
-    return evaluate(canonical_word(p.word), family)
-
-
 class _Best:
     """Monotone best-so-far averaged spectral radius, kept as (rho, length)."""
 
@@ -86,18 +75,16 @@ class _Best:
         self.rho_is_zero = rho.sign() == 0
 
 
-def _prune_test(norm_sq: RealAlgebraic, length: int, best: _Best,
-                slack: Fraction) -> bool:
-    """True iff norm^(1/length) < (1-slack) * best averaged radius, exactly.
+def _prune_test(norm_sq: RealAlgebraic, length: int, best: _Best) -> bool:
+    """True iff norm^(1/length) < best averaged radius, exactly.
 
     norm_sq is the squared operator norm of the prefix.
     """
     if best.rho_is_zero:
         return False
     m, l = best.length, length
-    sigma = (1 - slack) ** (2 * l * m)
-    # compare norm_sq^m  vs  sigma * best.rho^(2l)
-    rhs = best.rho.pow(2 * l).scale(sigma)
+    # compare norm_sq^m  vs  best.rho^(2l)
+    rhs = best.rho.pow(2 * l)
     # interval fast path: refine a little, decide on strict separation
     for _ in range(3):
         nlo, nhi = norm_sq.interval()
@@ -114,8 +101,7 @@ def _prune_test(norm_sq: RealAlgebraic, length: int, best: _Best,
     return compare(norm_sq.canonical().pow(m), rhs) == Ordering.LESS
 
 
-def gripenberg_search(family: MatrixFamily, max_depth: int = 10,
-                      slack: Fraction = Fraction(0)) -> CandidateSet:
+def gripenberg_search(family: MatrixFamily, max_depth: int = 10) -> CandidateSet:
     """Branch-and-bound candidate search with exact norm pruning.
 
     Returns every product (canonicalized, up to cyclic shifts and power
@@ -126,7 +112,6 @@ def gripenberg_search(family: MatrixFamily, max_depth: int = 10,
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    slack = Fraction(slack)
     J = len(family)
     best = _Best()
     raw_candidates: list[Product] = []  # words tying best at registration time
@@ -192,11 +177,11 @@ def gripenberg_search(family: MatrixFamily, max_depth: int = 10,
                     continue
                 # cheap exact Frobenius pre-prune (||.||_F >= ||.||_2)
                 fro = frobenius_norm_sq(child)
-                if _prune_rational_norm(fro, len(cw), best, slack):
+                if _prune_rational_norm(fro, len(cw), best):
                     stats["fro"] += 1
                     continue
-                nsq = _two_norm_sq_fast(child)
-                if _prune_test(nsq, len(cw), best, slack):
+                nsq = two_norm_sq(child)
+                if _prune_test(nsq, len(cw), best):
                     stats["two"] += 1
                     continue
                 stats["nodes"] += 1
@@ -215,19 +200,13 @@ def gripenberg_search(family: MatrixFamily, max_depth: int = 10,
                         stats["nodes"], stats["fro"], stats["two"])
 
 
-def _prune_rational_norm(norm_sq: Fraction, length: int, best: _Best,
-                         slack: Fraction) -> bool:
+def _prune_rational_norm(norm_sq: Fraction, length: int, best: _Best) -> bool:
     if best.rho_is_zero:
         return False
     m, l = best.length, length
-    sigma = (1 - slack) ** (2 * l * m)
     lhs = norm_sq**m
-    rhs = best.rho.pow(2 * l).scale(sigma)
+    rhs = best.rho.pow(2 * l)
     return compare(RealAlgebraic.from_rational(lhs), rhs) == Ordering.LESS
-
-
-def _two_norm_sq_fast(A: IntMatrix) -> RealAlgebraic:
-    return largest_real_root_fast(char_poly(A.transpose() @ A))
 
 
 def _scalar_multiple(A: IntMatrix, B: IntMatrix) -> Fraction | None:

@@ -7,15 +7,12 @@ import pytest
 from jsrcert.algebraic import (
     AlgebraicError,
     ContextMismatchError,
-    FieldDegreeError,
     IntPolynomial,
     NumberFieldContext,
     Ordering,
     RealAlgebraic,
     compare,
     factor_int_poly,
-    field_join,
-    find_root_in_field,
     isolate_real_roots,
     nth_root,
     real_algebraic_root,
@@ -218,50 +215,6 @@ class TestFieldArithmetic:
         c2 = NumberFieldContext.from_real_algebraic(sqrt2)
         with pytest.raises(ContextMismatchError):
             c1.generator() + c2.generator()
-
-
-class TestFieldJoin:
-    def test_single_sqrt2(self):
-        sqrt2 = isolate_real_roots(P([-2, 0, 1]))[1]
-        ctx, (e,) = field_join([sqrt2])
-        assert ctx.minpoly == P([-2, 0, 1])
-        assert e.coords == (0, 1)
-
-    def test_sqrt2_and_one_plus_sqrt2_share_context(self):
-        sqrt2 = isolate_real_roots(P([-2, 0, 1]))[1]
-        ops = isolate_real_roots(P([-1, -2, 1]))[1]  # 1 + sqrt2
-        ctx, (e1, e2) = field_join([sqrt2, ops])
-        assert ctx.degree == 2
-        assert e1.coords == (0, 1)
-        assert e2.coords == (1, 1)
-
-    def test_sqrt2_and_golden_ratio_degree_four(self):
-        sqrt2 = isolate_real_roots(P([-2, 0, 1]))[1]
-        phi = isolate_real_roots(P([-1, -1, 1]))[1]
-        ctx, (e1, e2) = field_join([sqrt2, phi])
-        assert ctx.degree == 4
-        # both embeddings satisfy their minimal polynomials exactly
-        assert (e1 * e1).as_rational() == 2
-        assert (e2 * e2 - e2).as_rational() == 1
-        # and match the actual real numbers
-        assert compare(e1.to_real_algebraic(), sqrt2) == Ordering.EQUAL
-        assert compare(e2.to_real_algebraic(), phi) == Ordering.EQUAL
-
-    def test_degree_cap(self):
-        vals = [isolate_real_roots(P([-p, 0, 1]))[1] for p in (2, 3, 5)]
-        with pytest.raises(FieldDegreeError):
-            field_join(vals, degree_cap=4)
-
-    def test_find_root_in_field(self):
-        sqrt2 = isolate_real_roots(P([-2, 0, 1]))[1]
-        ctx = NumberFieldContext.from_real_algebraic(sqrt2)
-        two = find_root_in_field(ctx, RealAlgebraic.from_rational(2))
-        assert two.as_rational() == 2
-        ops = isolate_real_roots(P([-1, -2, 1]))[1]
-        e = find_root_in_field(ctx, ops)
-        assert e is not None and e.coords == (1, 1)
-        sqrt3 = isolate_real_roots(P([-3, 0, 1]))[1]
-        assert find_root_in_field(ctx, sqrt3) is None
 
 
 class TestSerialization:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from jsrcert.algebraic import RealAlgebraic
 from jsrcert.campaign import (
     Store,
     _word_str,
@@ -57,6 +58,12 @@ class TestF2sEllipticCases:
         assert summary["counts"] == {"proved": 22}
         store = Store(store_path)
         assert {store.get(c)["hull"] for c in KIND_C_F2S} == {"C"}
+        # the certificates work in Q(lambda), whatever the discriminants
+        for c in KIND_C_F2S:
+            rec = store.get(c)
+            lam = RealAlgebraic.deserialize(rec["jsr"]).canonical()
+            assert len(rec["certificate"]["context"]["minpoly"]) == \
+                lam.degree + 1, c
 
 
 def _records(path):

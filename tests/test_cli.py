@@ -24,3 +24,15 @@ def test_certify_report_and_verify(tmp_path, capsys):
     bad.write_text(json.dumps(cert))
     assert main(["verify", "--certificate", str(bad)]) == 1
     assert capsys.readouterr().out.startswith("REJECT")
+
+
+def test_solve_writes_a_certificate_that_verifies(tmp_path, capsys):
+    # F2s pair 4/43, proved with an elliptic hull
+    family = tmp_path / "c.json"
+    family.write_text(json.dumps([[[0, 1], [0, 1]], [[1, -1], [1, 1]]]))
+    assert main(["solve", "--matrices", str(family)]) == 0
+    cert = tmp_path / "c.certificate.json"
+    assert cert.is_file()
+    capsys.readouterr()
+    assert main(["verify", "--certificate", str(cert)]) == 0
+    assert capsys.readouterr().out.startswith("ACCEPT")

@@ -10,7 +10,6 @@ from jsrcert.algebraic import (
 )
 from jsrcert.geometry import (
     Classification,
-    ComplexVertex,
     HullKind,
     LinearProgram,
     LPStatus,
@@ -225,39 +224,44 @@ class TestVertexNormProperty:
                 assert r.value is not None and r.value <= 1
 
 
-class TestEllipticHull:
-    CIRCLE = ComplexVertex((F(1), F(0)), (F(0), F(1)))
+def gram(a, b=(F(0), F(0))):
+    """(q11, q12, q22) of a a^T + b b^T: the ellipse a cos t + b sin t."""
+    return (a[0] * a[0] + b[0] * b[0], a[0] * a[1] + b[0] * b[1],
+            a[1] * a[1] + b[1] * b[1])
 
-    def _cover(self, gens, a, b=(F(0), F(0))):
-        poly = VertexPolytope(HullKind.C, list(gens), 2)
-        return norm_ellipse(poly, ComplexVertex(tuple(a), tuple(b)))
+
+class TestEllipticHull:
+    CIRCLE = gram((F(1), F(0)), (F(0), F(1)))
+
+    def _cover(self, forms, query):
+        return norm_ellipse(VertexPolytope(HullKind.C, list(forms), 2), query)
 
     def test_shrunk_circle_inside(self):
-        cover = self._cover([self.CIRCLE], (F(1, 2), F(0)), (F(0), F(1, 2)))
+        half = gram((F(1, 2), F(0)), (F(0), F(1, 2)))
+        cover = self._cover([self.CIRCLE], half)
         assert cover is not None
         assert cover[0][0] == (1, 0) and cover[-1][1] == (-1, 0)
         assert all(a[1] == b[0] for a, b in zip(cover, cover[1:]))
 
     def test_circle_itself_inside(self):
         # the boundary counts: the hull is closed
-        assert self._cover([self.CIRCLE], self.CIRCLE.real,
-                           self.CIRCLE.imag) is not None
+        assert self._cover([self.CIRCLE], self.CIRCLE) is not None
 
     def test_point_on_circle_inside(self):
-        assert self._cover([self.CIRCLE], (F(1), F(0))) is not None
+        assert self._cover([self.CIRCLE], gram((F(1), F(0)))) is not None
 
     def test_points_outside_circle_not_inside(self):
-        assert self._cover([self.CIRCLE], (F(1), F(1, 10))) is None
-        assert self._cover([self.CIRCLE], (F(3, 4), F(3, 4))) is None
+        assert self._cover([self.CIRCLE], gram((F(1), F(1, 10)))) is None
+        assert self._cover([self.CIRCLE], gram((F(3, 4), F(3, 4)))) is None
 
     def test_rotated_ellipse_poking_out_not_inside(self):
         # semi-axes 2 and 1; the query is the same ellipse turned by the
         # rational rotation (3/5, 4/5), and then that one halved
-        flat = ComplexVertex((F(2), F(0)), (F(0), F(1)))
-        assert self._cover([flat], (F(6, 5), F(8, 5)),
-                           (F(-4, 5), F(3, 5))) is None
-        assert self._cover([flat], (F(3, 5), F(4, 5)),
-                           (F(-2, 5), F(3, 10))) is not None
+        flat = gram((F(2), F(0)), (F(0), F(1)))
+        assert self._cover([flat], gram((F(6, 5), F(8, 5)),
+                                        (F(-4, 5), F(3, 5)))) is None
+        assert self._cover([flat], gram((F(3, 5), F(4, 5)),
+                                        (F(-2, 5), F(3, 10)))) is not None
 
     def test_agrees_with_support_function_oracle(self):
         rng = random.Random(7)
@@ -273,16 +277,16 @@ class TestEllipticHull:
                 a = vec()
                 b = vec() if rng.random() < 0.7 else (F(0), F(0))
                 if any(a + b):
-                    gens.append(ComplexVertex(a, b))
+                    gens.append((a, b))
             if not gens:
                 continue
             scale = F(1, rng.randint(1, 3))
             a, b = (tuple(c * scale for c in vec()) for _ in range(2))
-            margin = ellipse_hull_margin(
-                [(g.real, g.imag) for g in gens], (a, b))
+            margin = ellipse_hull_margin(gens, (a, b))
             if abs(margin) <= 1e-6:
                 continue
-            inside = self._cover(gens, a, b) is not None
+            forms = [gram(*g) for g in gens]
+            inside = self._cover(forms, gram(a, b)) is not None
             assert inside == (margin > 0), (gens, a, b, margin)
             decided[inside] += 1
         assert min(decided.values()) >= 50, decided

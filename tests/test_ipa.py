@@ -17,6 +17,7 @@ from jsrcert.geometry import HullKind, Mode
 from jsrcert.ipa import (
     IpaOptions,
     IpaStatus,
+    _apply,
     augment_limits,
     balance,
     certificate_from_json,
@@ -25,6 +26,7 @@ from jsrcert.ipa import (
     verify_certificate,
 )
 from jsrcert.matcore import IntMatrix, MatrixFamily, evaluate
+from jsrcert.reduce import PairCode, decode
 from jsrcert.smp import gripenberg_search
 
 M = IntMatrix.make
@@ -107,6 +109,23 @@ class TestEllipticFamily2x2:
         assert verify_certificate(res.certificate)
         kinds = {e["type"] for e in res.certificate["evidence"]}
         assert kinds == {"vertex", "arcs"}
+
+    def test_image_of_a_gram_form_is_the_congruence(self):
+        ctx = NumberFieldContext.rational_context()
+        A, Q = M([[1, -1], [2, 3]]), M([[2, -1], [-1, 5]])
+        q = [ctx.from_rational(x) for x in (2, -1, 5)]
+        (want11, want12), (_, want22) = (A @ Q @ A.transpose()).rows
+        assert _apply(A, q, HullKind.C) == [want11, want12, want22]
+        half = ctx.from_rational(Fraction(1, 2))
+        assert _apply(A, q, HullKind.C, half) == \
+            [Fraction(x, 2) for x in (want11, want12, want22)]
+
+    def test_context_is_q_of_lambda(self):
+        res, _ = _run(C_FAMILY)
+        cert = res.certificate
+        assert cert["context"]["minpoly"] == ["-2", "0", "1"]
+        assert all(len(v["coords"]) == 3 and "imag" not in v
+                   for v in cert["vertices"])
 
     def test_sampled_ellipse_type_is_rejected(self):
         res, _ = _run(C_FAMILY)
@@ -232,6 +251,20 @@ class TestMutationTesting:
                 assert not verify_certificate(mut)
 
 
+    def test_negated_gram_form_rejects(self):
+        # F2s 3/43 proves with one vertex; its negated Gram form keeps the
+        # eigen-relation, the reachability and the "vertex" evidence, so
+        # only the semidefinite seed check can reject it
+        fam = MatrixFamily.make(
+            list(decode(PairCode.parse("3/43", 2, "sign"))), "sign")
+        cert = self._proved_cert(fam)
+        assert cert["hull"] == "C" and len(cert["vertices"]) == 1
+        mut = copy.deepcopy(cert)
+        v = mut["vertices"][0]
+        v["coords"] = [[str(-Fraction(x)) for x in c] for c in v["coords"]]
+        check = verify_certificate(mut)
+        assert not check and "positive semidefinite" in check.reason
+
     def _arc_mutation(self, change):
         cert = self._proved_cert(C_FAMILY)
         mut = copy.deepcopy(cert)
@@ -272,12 +305,57 @@ class TestMutationTesting:
 
 class TestSingletonFamily:
     def test_single_matrix_proved_in_one_round(self):
+        # the run closes on the one vertex e1, but the polytope is the
+        # segment [0, e1] of a reducible family: it has no interior, so
+        # it bounds no norm and the verifier must refuse it
         fam = MatrixFamily.make([[[2, 1], [0, 1]]])
         res, cs = _run(fam, depth=4)
         assert res.status is IpaStatus.PROVED
         assert res.lambda_.as_rational() == 2
         assert len(res.polytope.vertices) == 1
-        assert verify_certificate(res.certificate)
+        check = verify_certificate(res.certificate)
+        assert not check and "not a body" in check.reason
+
+
+class TestRejectedInputs:
+    # {[1 1; 0 1], [1 0; 1 1]} has JSR the golden ratio; a certificate
+    # claiming 1 with the single seed 0 passes every check but the body
+    FAMILY = MatrixFamily.make([[[1, 1], [0, 1]], [[1, 0], [1, 1]]])
+
+    def _zero_seed_certificate(self, hull):
+        return {
+            "schema": "jsr-certificate/1", "dim": 2, "alphabet": "general",
+            "family": [m.flat() for m in self.FAMILY.matrices],
+            "lambda": RealAlgebraic.from_rational(1).serialize(),
+            "context": {"minpoly": ["0", "1"], "root_lo": "0", "root_hi": "0"},
+            "lambda_element": ["1"], "hull": hull, "smp_words": [[1]],
+            "seed_map": [0], "balance": ["1"],
+            "vertices": [{"seed": 0, "word": [], "coords": ["0", "0"]}],
+            "evidence": [{"vertex": 0, "matrix": j, "type": "vertex",
+                          "index": 0} for j in (1, 2)],
+            "augmented": [],
+        }
+
+    @pytest.mark.parametrize("hull", ["R", "P"])
+    def test_zero_seed_rejected(self, hull):
+        check = verify_certificate(self._zero_seed_certificate(hull))
+        assert not check and "not a body" in check.reason
+
+    def test_reducible_context_rejected(self):
+        res, _ = _run(C_FAMILY)
+        cert = copy.deepcopy(res.certificate)
+        assert cert["context"]["minpoly"] == ["-2", "0", "1"]
+        # x^4 - 4 = (x^2 - 2)(x^2 + 2) has the same root sqrt2
+        cert["context"]["minpoly"] = ["-4", "0", "0", "0", "1"]
+        check = verify_certificate(cert)
+        assert not check and "not irreducible" in check.reason
+
+    def test_interval_isolating_no_root_rejected(self):
+        res, _ = _run(C_FAMILY)
+        cert = copy.deepcopy(res.certificate)
+        cert["context"]["root_lo"], cert["context"]["root_hi"] = "2", "3"
+        check = verify_certificate(cert)
+        assert not check and "does not isolate" in check.reason
 
 
 class TestConeHull:
@@ -298,15 +376,14 @@ class TestBalance:
     def test_single_candidate(self):
         sqrt2 = isolate_real_roots(IntPolynomial.make([-2, 0, 1]))[1]
         ctx = NumberFieldContext.from_real_algebraic(sqrt2)
-        out = balance([[ctx.one(), ctx.one()]], T_FAMILY,
-                      RealAlgebraic.from_rational(1))
+        out = balance([[ctx.one(), ctx.one()]], T_FAMILY)
         assert out == [1]
 
     def test_identical_seeds_up_to_sign(self):
         ctx = NumberFieldContext.rational_context()
         v = [ctx.one(), ctx.one()]
         w = [-ctx.one(), -ctx.one()]
-        out = balance([v, w], T_FAMILY, RealAlgebraic.from_rational(1))
+        out = balance([v, w], T_FAMILY)
         assert out == [1, 1]
 
     def test_demo_family_seeds_mutually_non_interior(self):

@@ -167,7 +167,8 @@ class TestLeadingEigenvector:
 class TestNorms:
     def test_showcase_two_norms(self):
         # ||B1||_2 = 1, so the 1/sqrt2-scaled matrix has norm sqrt2/2
-        assert two_norm_sq(B1).as_rational() == 1
+        # the value keeps the squarefree part x(x - 1) of det(xI - B1^T B1)
+        assert compare(two_norm_sq(B1), 1) == Ordering.EQUAL
         # ||B1 B2||_2^2 = (3+sqrt5)/2; scaled by 1/2 gives (sqrt5+3)/8
         v = two_norm_sq(B1 @ B2)
         sqrt5 = isolate_real_roots(P([-5, 0, 1]))[1]

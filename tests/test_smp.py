@@ -13,8 +13,8 @@ from jsrcert.matcore import (
     spectral_radius,
 )
 from jsrcert.smp import (
+    _assemble_candidates,
     canonical_word,
-    canonicalize_product,
     gripenberg_search,
 )
 
@@ -65,9 +65,9 @@ class TestCanonicalWord:
                 assert canonical_word(w[i:] + w[:i]) == c
 
     def test_canonicalize_product(self):
+        # a tying product is kept in its canonical rotation
         fam = MatrixFamily.make([T1, T2])
-        p = evaluate((2, 1, 2), fam)
-        c = canonicalize_product(p, fam)
+        (c,) = _assemble_candidates([evaluate((2, 1, 2), fam)], fam)
         assert c.word == (1, 2, 2)
         assert c.value == evaluate((1, 2, 2), fam).value
 
