@@ -25,6 +25,8 @@ RationalLike = Union[int, Fraction]
 
 # maximum interval-halving rounds before a sign query is declared a bug
 _MAX_REFINE = 256
+# interval halvings compare_powers tries before building exact powers
+_POWER_REFINE_ROUNDS = 3
 
 
 class Ordering(IntEnum):
@@ -454,9 +456,53 @@ class RealAlgebraic:
     # -- serialization (certificate text form) --------------------------------
 
     def serialize(self) -> str:
-        cs = ",".join(str(c) for c in self.minpoly.coeffs)
-        lo, hi = _format_rational(self._lo), _format_rational(self._hi)
-        return f"minpoly=[{cs}];interval=[{lo},{hi}]"
+        """Text that depends on the number alone, not on refinement history.
+
+        The polynomial is the irreducible minimal polynomial and the
+        interval is the widest dyadic cell [k/2^j, (k+1)/2^j], j >= 0,
+        that isolates the root; a rational q is written [q,q].
+        """
+        x = self.canonical()
+        cs = ",".join(str(c) for c in x.minpoly.coeffs)
+        lo, hi = (x._lo, x._hi) if x.is_rational else x._dyadic_cell()
+        return f"minpoly=[{cs}];interval=[{_format_rational(lo)},{_format_rational(hi)}]"
+
+    def _dyadic_cell(self) -> tuple[Fraction, Fraction]:
+        """The widest dyadic cell of width <= 1 isolating this irrational root.
+
+        The cell is found by bisection from the unit cell that contains
+        the root, so only the number decides it.  No rational point is a
+        root of an irreducible polynomial of degree >= 2, so every cell
+        endpoint is a non-root.
+        """
+        p, chain = self.minpoly, self._sturm()
+        lo, hi = self._lo, self._hi
+        s_lo = _sgn(p(lo))
+
+        def left_of(c: Fraction) -> bool:
+            # (lo, hi) isolates the root, so inside it the sign of p
+            # tells the side
+            if c <= lo:
+                return False
+            if c >= hi:
+                return True
+            return _sgn(p(c)) != s_lo
+
+        k = lo.numerator // lo.denominator
+        while not left_of(Fraction(k + 1)):
+            k += 1
+        a, b = Fraction(k), Fraction(k + 1)
+        guard = 0
+        while count_roots_in(p, a, b, chain) != 1:
+            mid = (a + b) / 2
+            if left_of(mid):
+                b = mid
+            else:
+                a = mid
+            guard += 1
+            if guard > _MAX_REFINE:
+                raise AlgebraicError("dyadic isolation did not converge")
+        return a, b
 
     @staticmethod
     def deserialize(text: str) -> "RealAlgebraic":
@@ -664,6 +710,43 @@ def compare(a, b) -> Ordering:
         guard += 1
         if guard > _MAX_REFINE:
             raise AlgebraicError("comparison did not converge")
+
+
+def compare_powers(a: Union[Fraction, RealAlgebraic], m: int,
+                   b: RealAlgebraic, n: int,
+                   b_powers: dict[int, RealAlgebraic] | None = None) -> Ordering:
+    """Exact order of a^m against b^n for nonnegative a and b.
+
+    The powered isolating intervals decide on strict separation, after
+    at most `_POWER_REFINE_ROUNDS` halvings of each interval; only on
+    overlap are the powers built exactly, through `RealAlgebraic.pow`.
+    `b_powers`, when given, memoizes the exact powers of b by exponent
+    and is filled in place.
+    """
+    if isinstance(a, RealAlgebraic) and a.is_rational:
+        a = a.as_rational()
+    exact = not isinstance(a, RealAlgebraic)
+    if exact and b.is_rational:
+        return Ordering(_sgn(a**m - b.as_rational()**n))
+    zero = Fraction(0)
+    for rounds in range(_POWER_REFINE_ROUNDS + 1):
+        alo, ahi = (a, a) if exact else a.interval()
+        blo, bhi = b.interval()
+        # both values are nonnegative: clip the intervals at 0 to power them
+        if max(ahi, zero)**m < max(blo, zero)**n:
+            return Ordering.LESS
+        if max(alo, zero)**m > max(bhi, zero)**n:
+            return Ordering.GREATER
+        if rounds < _POWER_REFINE_ROUNDS:
+            if not exact:
+                a.refine()
+            b.refine()
+    bn = None if b_powers is None else b_powers.get(n)
+    if bn is None:
+        bn = b if n == 1 else b.pow(n)
+        if b_powers is not None:
+            b_powers[n] = bn
+    return compare(a**m if exact else a if m == 1 else a.pow(m), bn)
 
 
 def largest_real_root_fast(p: IntPolynomial) -> RealAlgebraic:

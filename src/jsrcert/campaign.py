@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .algebraic import Ordering, RealAlgebraic, compare
+from .algebraic import Ordering, RealAlgebraic, compare, compare_powers
 from .ipa import IpaStatus, run_ipa, verify_certificate
 from .matcore import MatrixFamily, evaluate, spectral_radius
 from .reduce import (
@@ -76,7 +76,7 @@ def _resolve_blocks(family: MatrixFamily, dec) -> dict:
     word = tuple(rec["smp_words"][0])
     # re-verify on the full pair: rho(word)^(1/len) == jsr exactly
     rho = spectral_radius(evaluate(word, family).value).value
-    if compare(rho, jsr.pow(len(word))) != Ordering.EQUAL:
+    if compare_powers(rho, 1, jsr, len(word)) != Ordering.EQUAL:
         return {"status": "unresolved", "reason": "block_witness_mismatch"}
     return {
         "status": "settled",
@@ -268,7 +268,7 @@ def run_campaign(alphabet: str, dim: int, store_path: str | Path,
     # canonical records first (in code order), then duplicate links
     for c in sorted(solved, key=_code_sort_key):
         store.append(solved[c])
-    for text, canon in pending:
+    for text, canon in sorted(pending, key=lambda tc: _code_sort_key(tc[0])):
         if canon is not None and text not in store:
             store.append({"code": text, "status": "duplicate",
                           "canonical": canon})
@@ -376,7 +376,7 @@ def diff_expected(store: Store, rows: list[ExpectedRow]) -> dict:
         word = parse_smp_word(row.smp_word)
         rho = spectral_radius(evaluate(word, family).value).value
         stored = RealAlgebraic.deserialize(rec["jsr"])
-        ok = compare(rho, stored.pow(len(word))) == Ordering.EQUAL
+        ok = compare_powers(rho, 1, stored, len(word)) == Ordering.EQUAL
         results.append({
             "row": f"{row.a1}/{row.a2}",
             "word": row.smp_word,

@@ -44,6 +44,7 @@ from .algebraic import (
     Ordering,
     RealAlgebraic,
     compare,
+    compare_powers,
     real_algebraic_root,
 )
 from .geometry import (
@@ -598,7 +599,7 @@ def _verify(cert: dict) -> VerifyResult:
             return VerifyResult(False, f"s.m.p. word {w} has a letter "
                                        "outside the family")
         rho = spectral_radius(evaluate(w, family).value).value
-        if compare(rho, lam.pow(len(w))) != Ordering.EQUAL:
+        if compare_powers(rho, 1, lam, len(w)) != Ordering.EQUAL:
             return VerifyResult(
                 False, f"s.m.p. word {w} does not attain lambda")
 

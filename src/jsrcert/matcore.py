@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .algebraic import (
@@ -27,6 +28,9 @@ from .algebraic import (
     nth_root,
 )
 from .linalg import kernel
+
+# characteristic polynomials whose spectral radius each process remembers
+SPECTRAL_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -205,17 +209,31 @@ def spectral_radius(A: IntMatrix) -> SpectralRadius:
     conjugate pairs.  leading_complex is true iff the attaining
     eigenvalue is non-real.  The zero matrix returns 0 with
     leading_simple True by convention.
+
+    The result depends on the characteristic polynomial alone and is
+    memoized by it (per process, bounded).  Every call returns a fresh
+    value built from the interval of the first computation, so refining
+    one result never narrows another.
     """
     if A.is_zero():
         return SpectralRadius(RealAlgebraic.from_rational(0), True, False)
-    cp = char_poly(A)
+    minpoly, lo, hi, irreducible, simple, leading_complex = \
+        _spectral_radius_of(char_poly(A))
+    return SpectralRadius(RealAlgebraic(minpoly, lo, hi, irreducible),
+                          simple, leading_complex)
+
+
+@lru_cache(maxsize=SPECTRAL_CACHE_SIZE)
+def _spectral_radius_of(cp: IntPolynomial) -> tuple:
+    """(minpoly, lo, hi, irreducible, simple, complex) of the radius of a
+    nonzero matrix with characteristic polynomial cp."""
     factors = factor_int_poly(cp)
-    real_eigs: list[tuple[RealAlgebraic, int]] = []  # (eigenvalue, multiplicity)
+    real_mods: list[tuple[RealAlgebraic, int]] = []  # (|eigenvalue|, multiplicity)
     complex_mods: list[tuple[RealAlgebraic, int]] = []  # (|pair|^2, multiplicity)
     for fac, mult in factors:
         roots = isolate_real_roots(fac)
         for r in roots:
-            real_eigs.append((r, mult))
+            real_mods.append((r if r.sign() >= 0 else -r, mult))
         n_complex_pairs = (fac.degree - len(roots)) // 2
         if n_complex_pairs:
             for m2 in _complex_pair_modulus_squares(fac):
@@ -223,34 +241,32 @@ def spectral_radius(A: IntMatrix) -> SpectralRadius:
     # the radius: maximum of |real eigenvalue| and sqrt(|pair|^2)
     best: RealAlgebraic | None = None
     best_sq: RealAlgebraic | None = None
-    for r, _ in real_eigs:
-        a = r if r.sign() >= 0 else -r
+    for a, _ in real_mods:
         if best is None or compare(a, best) == Ordering.GREATER:
             best = a
     for m2, _ in complex_mods:
         if best_sq is None or compare(m2, best_sq) == Ordering.GREATER:
             best_sq = m2
+    rho_sq = None
+    rho = best
     if best_sq is not None:
         root = nth_root(best_sq, 2)
         if best is None or compare(root, best) == Ordering.GREATER:
-            rho = root
-        else:
-            rho = best
-    else:
-        rho = best
+            rho, rho_sq = root, best_sq
     # attainment count with multiplicity (a conjugate pair counts once)
-    rho_sq = rho.pow(2)
     attain = 0
-    for r, mult in real_eigs:
-        if compare(r.pow(2), rho_sq) == Ordering.EQUAL:
+    for a, mult in real_mods:
+        if compare(a, rho) == Ordering.EQUAL:
             attain += mult
     pair_attain = 0
+    if complex_mods and rho_sq is None:
+        rho_sq = rho.pow(2)
     for m2, mult in complex_mods:
         if compare(m2, rho_sq) == Ordering.EQUAL:
             pair_attain += mult
-    simple = (attain + pair_attain) == 1
-    leading_complex = pair_attain > 0
-    return SpectralRadius(rho, simple, leading_complex)
+    lo, hi = rho.interval()
+    return (rho.minpoly, lo, hi, rho.irreducible,
+            attain + pair_attain == 1, pair_attain > 0)
 
 
 def _complex_pair_modulus_squares(fac: IntPolynomial) -> list[RealAlgebraic]:

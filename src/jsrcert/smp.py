@@ -4,9 +4,10 @@ A branch-and-bound walk over the prefix tree of products: a prefix is
 pruned once its averaged operator norm drops strictly below the best
 averaged spectral radius found so far, and a branch terminates when its
 product matrix repeats one of its own prefixes (further extensions then
-duplicate already-explored behaviour).  All comparisons are exact; a
-staged rational/interval fast path keeps the exact algebra off the hot
-loop.
+duplicate already-explored behaviour).  All comparisons are exact and
+go through `algebraic.compare_powers`: powered isolating intervals
+decide first, and exact powers of the best radius are built, once per
+exponent, only where the intervals overlap.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebraic import Ordering, RealAlgebraic, compare, nth_root
+from .algebraic import Ordering, RealAlgebraic, compare_powers, nth_root
 from .matcore import (
     IntMatrix,
     MatrixFamily,
@@ -54,51 +55,40 @@ def canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _Best:
-    """Monotone best-so-far averaged spectral radius, kept as (rho, length)."""
+    """Monotone best-so-far averaged spectral radius, kept as (rho, length),
+    with the exact powers of rho built so far, by exponent."""
 
-    __slots__ = ("rho", "length", "rho_is_zero")
+    __slots__ = ("rho", "length", "rho_is_zero", "powers")
 
     def __init__(self):
-        self.rho = RealAlgebraic.from_rational(0)
-        self.length = 1
-        self.rho_is_zero = True
+        self.update(RealAlgebraic.from_rational(0), 1)
+
+    def cmp_powers(self, x, m: int, n: int) -> Ordering:
+        """compare x^m with rho^n, exactly."""
+        return compare_powers(x, m, self.rho, n, self.powers)
 
     def cmp_avg(self, rho: RealAlgebraic, length: int) -> Ordering:
         """compare rho^(1/length) with the stored best, exactly."""
         if self.rho_is_zero:
             return Ordering(rho.sign())
-        return compare(rho.pow(self.length), self.rho.pow(length))
+        return self.cmp_powers(rho, self.length, length)
 
     def update(self, rho: RealAlgebraic, length: int) -> None:
         self.rho = rho
         self.length = length
         self.rho_is_zero = rho.sign() == 0
+        self.powers = {}
 
 
-def _prune_test(norm_sq: RealAlgebraic, length: int, best: _Best) -> bool:
+def _prunes(norm_sq: Fraction | RealAlgebraic, length: int, best: _Best) -> bool:
     """True iff norm^(1/length) < best averaged radius, exactly.
 
-    norm_sq is the squared operator norm of the prefix.
+    norm_sq is the squared norm (Frobenius or operator) of the prefix.
     """
     if best.rho_is_zero:
         return False
-    m, l = best.length, length
     # compare norm_sq^m  vs  best.rho^(2l)
-    rhs = best.rho.pow(2 * l)
-    # interval fast path: refine a little, decide on strict separation
-    for _ in range(3):
-        nlo, nhi = norm_sq.interval()
-        rlo, rhi = rhs.interval()
-        # the norm is nonnegative, so clip the interval at 0 before powering
-        plo, phi = max(nlo, Fraction(0)) ** m, max(nhi, Fraction(0)) ** m
-        if phi < rlo:
-            return True
-        if plo > rhi:
-            return False
-        norm_sq.refine()
-        rhs.refine()
-    # exact decision on the boundary
-    return compare(norm_sq.canonical().pow(m), rhs) == Ordering.LESS
+    return best.cmp_powers(norm_sq, best.length, 2 * length) == Ordering.LESS
 
 
 def gripenberg_search(family: MatrixFamily, max_depth: int = 10) -> CandidateSet:
@@ -142,9 +132,8 @@ def gripenberg_search(family: MatrixFamily, max_depth: int = 10) -> CandidateSet
             if ac == 1:
                 return True
             dl = len(word) - depth_q
-            if not best.rho_is_zero and compare(
-                    RealAlgebraic.from_rational(ac**best.length),
-                    best.rho.pow(dl)) != Ordering.GREATER:
+            if not best.rho_is_zero and best.cmp_powers(
+                    ac, best.length, dl) != Ordering.GREATER:
                 return True
         return False
 
@@ -177,11 +166,11 @@ def gripenberg_search(family: MatrixFamily, max_depth: int = 10) -> CandidateSet
                     continue
                 # cheap exact Frobenius pre-prune (||.||_F >= ||.||_2)
                 fro = frobenius_norm_sq(child)
-                if _prune_rational_norm(fro, len(cw), best):
+                if _prunes(fro, len(cw), best):
                     stats["fro"] += 1
                     continue
                 nsq = two_norm_sq(child)
-                if _prune_test(nsq, len(cw), best):
+                if _prunes(nsq, len(cw), best):
                     stats["two"] += 1
                     continue
                 stats["nodes"] += 1
@@ -198,15 +187,6 @@ def gripenberg_search(family: MatrixFamily, max_depth: int = 10) -> CandidateSet
                        candidates[0].length)
     return CandidateSet(lam, candidates, depth_reached, exhausted,
                         stats["nodes"], stats["fro"], stats["two"])
-
-
-def _prune_rational_norm(norm_sq: Fraction, length: int, best: _Best) -> bool:
-    if best.rho_is_zero:
-        return False
-    m, l = best.length, length
-    lhs = norm_sq**m
-    rhs = best.rho.pow(2 * l)
-    return compare(RealAlgebraic.from_rational(lhs), rhs) == Ordering.LESS
 
 
 def _scalar_multiple(A: IntMatrix, B: IntMatrix) -> Fraction | None:

@@ -12,13 +12,16 @@ from jsrcert.algebraic import (
     Ordering,
     RealAlgebraic,
     compare,
+    compare_powers,
     factor_int_poly,
     isolate_real_roots,
+    largest_real_root_fast,
     nth_root,
     real_algebraic_root,
 )
+from jsrcert.matcore import IntMatrix, spectral_radius
 
-from oracles import bisect_roots, mp_value
+from oracles import bisect_roots, char_poly_cofactor, mp_poly_roots, mp_value
 
 
 P = IntPolynomial.make
@@ -111,6 +114,103 @@ class TestCompare:
             assert compare(b, a) == -cab  # antisymmetry
             if cab != Ordering.GREATER and cbc != Ordering.GREATER:
                 assert cac != Ordering.GREATER  # transitivity
+
+
+def _radius_and_oracle(rows):
+    """rho(A) exactly, and at 60 digits from mpmath roots of the
+    cofactor characteristic polynomial."""
+    A = IntMatrix.make(rows)
+    coeffs = [int(c) for c in char_poly_cofactor(rows)]
+    with mpmath.workdps(60):
+        mp = max(abs(z) for z in mp_poly_roots(coeffs))
+    return spectral_radius(A).value, mp
+
+
+def _random_radii(rng, count):
+    out = []
+    while len(out) < count:
+        n = rng.choice((2, 3))
+        rows = [[rng.randint(-1, 2) for _ in range(n)] for _ in range(n)]
+        if any(any(r) for r in rows):
+            out.append(_radius_and_oracle(rows))
+    return out
+
+
+class TestComparePowers:
+    def test_agrees_with_exact_compare_and_mpmath_oracle(self):
+        rng = random.Random(21)
+        radii = _random_radii(rng, 24)
+        decided = 0
+        for _ in range(40):
+            (a, a_mp), (b, b_mp) = rng.sample(radii, 2)
+            m, n = rng.randint(1, 12), rng.randint(1, 12)
+            got = compare_powers(a, m, b, n)
+            assert got == compare(a.pow(m), b.pow(n))
+            with mpmath.workdps(60):
+                diff = a_mp**m - b_mp**n
+                if abs(diff) > mpmath.mpf(10) ** -30:
+                    assert got == (Ordering.GREATER if diff > 0 else Ordering.LESS)
+                    decided += 1
+        assert decided >= 30
+
+    def test_fraction_left_hand_sides(self):
+        rng = random.Random(22)
+        radii = _random_radii(rng, 12)
+        for _ in range(30):
+            b, b_mp = rng.choice(radii)
+            q = Fraction(rng.randint(0, 40), rng.randint(1, 12))
+            m, n = rng.randint(1, 12), rng.randint(1, 12)
+            got = compare_powers(q, m, b, n)
+            assert got == compare(q**m, b.pow(n))
+            with mpmath.workdps(60):
+                diff = (mpmath.mpf(q.numerator) / q.denominator)**m - b_mp**n
+                if abs(diff) > mpmath.mpf(10) ** -30:
+                    assert got == (Ordering.GREATER if diff > 0 else Ordering.LESS)
+
+    def test_squarefree_left_hand_side(self):
+        # a fast (merely squarefree) value, as the norm prune passes it
+        a = largest_real_root_fast(P([-2, 0, 1]) * P([-1, 1]))
+        sqrt2 = isolate_real_roots(P([-2, 0, 1]))[1]
+        assert compare_powers(a, 4, sqrt2, 4) == Ordering.EQUAL
+        assert compare_powers(a, 3, sqrt2, 4) == Ordering.LESS
+
+    def test_power_of_a_matrix_ties_with_its_radius_power(self):
+        rows = [[1, 1, 0], [0, 1, 1], [1, 0, 0]]
+        A = IntMatrix.make(rows)
+        for k in (2, 3, 5, 7):
+            rk = spectral_radius(A.power(k)).value
+            r = spectral_radius(A).value
+            assert compare_powers(r, k, rk, 1) == Ordering.EQUAL
+            assert compare_powers(rk, 1, r, k) == Ordering.EQUAL
+            assert compare_powers(rk, 2, r, 2 * k) == Ordering.EQUAL
+
+    def test_known_ties(self):
+        sqrt2 = isolate_real_roots(P([-2, 0, 1]))[1]
+        two = RealAlgebraic.from_rational(2)
+        assert compare_powers(sqrt2, 2, two, 1) == Ordering.EQUAL
+        assert compare_powers(Fraction(2), 1, sqrt2, 2) == Ordering.EQUAL
+        assert compare_powers(Fraction(4), 1, sqrt2, 4) == Ordering.EQUAL
+        phi = isolate_real_roots(P([-1, -1, 1]))[1]
+        phi_plus_one = isolate_real_roots(P([1, -3, 1]))[1]  # (3 + sqrt5)/2
+        assert compare_powers(phi, 2, phi_plus_one, 1) == Ordering.EQUAL
+        assert compare_powers(phi, 4, phi_plus_one, 2) == Ordering.EQUAL
+        assert compare_powers(phi, 3, phi_plus_one, 1) == Ordering.GREATER
+
+    def test_fraction_against_rational_and_zero(self):
+        zero = RealAlgebraic.from_rational(0)
+        assert compare_powers(Fraction(0), 3, zero, 2) == Ordering.EQUAL
+        assert compare_powers(Fraction(1, 2), 3, zero, 2) == Ordering.GREATER
+        assert compare_powers(Fraction(3, 2), 2, RealAlgebraic.from_rational(
+            Fraction(9, 4)), 1) == Ordering.EQUAL
+
+    def test_memo_is_filled_and_read(self):
+        sqrt2 = isolate_real_roots(P([-2, 0, 1]))[1]
+        memo = {}
+        assert compare_powers(Fraction(2), 1, sqrt2, 2, memo) == Ordering.EQUAL
+        assert compare(memo[2], 2) == Ordering.EQUAL
+        # a planted memo entry is what the exact fallback reads
+        memo[2] = RealAlgebraic.from_rational(3)
+        assert compare_powers(Fraction(2), 1, sqrt2, 2, memo) == Ordering.LESS
 
 
 class TestNthRoot:
@@ -240,6 +340,42 @@ class TestSerialization:
         assert hi - lo <= Fraction(1, 10**12)
         # minpoly still straddles zero on the interval
         assert sqrt2.minpoly(lo) * sqrt2.minpoly(hi) < 0
+
+
+    def test_text_ignores_refinement_history(self):
+        cubic = P([-1, -1, 0, 1])  # plastic number, the real root of x^3 - x - 1
+        for poly in (P([-2, 0, 1]), cubic, P([-1, -1, 1])):
+            first = isolate_real_roots(poly)[-1]
+            second = isolate_real_roots(poly)[-1]
+            second.refine_below(Fraction(1, 10**15))
+            third = largest_real_root_fast(poly * P([5, 1]))  # root -5
+            assert first.interval() != second.interval()
+            text = first.serialize()
+            assert second.serialize() == text
+            assert third.serialize() == text
+            back = RealAlgebraic.deserialize(text)
+            assert compare(back, first) == Ordering.EQUAL
+            assert back.serialize() == text
+
+    def test_interval_is_the_widest_isolating_dyadic_cell(self):
+        for poly in (P([-2, 0, 1]), P([1, -3, 1]), P([-1, -1, 0, 1]),
+                     P([1, -3, 0, 1])):
+            for root in isolate_real_roots(poly):
+                iv = root.serialize().split("interval=[")[1].rstrip("]")
+                lo, hi = (Fraction(t) for t in iv.split(","))
+                width = hi - lo
+                j = width.denominator.bit_length() - 1
+                assert width.numerator == 1 and width.denominator == 2**j
+                assert (lo * 2**j).denominator == 1
+                assert len(bisect_roots(list(poly.coeffs), lo, hi)) == 1
+                if j > 0:  # the parent cell holds another root
+                    plo = Fraction((lo * 2**(j - 1)) // 1, 2**(j - 1))
+                    assert len(bisect_roots(list(poly.coeffs), plo,
+                                            plo + 2 * width)) > 1
+
+    def test_rational_text_is_a_point(self):
+        q = RealAlgebraic.from_rational(Fraction(2, 9))
+        assert q.serialize() == "minpoly=[-2,9];interval=[2/9,2/9]"
 
 
 class TestFactor:

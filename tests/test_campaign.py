@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from jsrcert import matcore
 from jsrcert.algebraic import RealAlgebraic
 from jsrcert.campaign import (
     Store,
@@ -101,3 +102,26 @@ class TestStoreRecovery:
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(json.JSONDecodeError):
             Store(path)
+
+
+def _lines_without_seconds(path):
+    out = []
+    for line in Path(path).read_text().splitlines():
+        rec = json.loads(line)
+        rec.pop("seconds", None)
+        out.append(json.dumps(rec, sort_keys=True))
+    return out
+
+
+class TestDeterministicRecords:
+    # proved, settled, reducible, unresolved and duplicate F3 cases
+    CODES = ["3/374", "3/378", "3/440", "3/66", "3/1", "3/2", "3/5", "3/9"]
+
+    def test_case_order_and_warm_caches_do_not_change_the_store(self, tmp_path):
+        matcore._spectral_radius_of.cache_clear()
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        run_campaign("binary", 3, first, codes=self.CODES)
+        # the second run finds every spectral radius in the cache
+        run_campaign("binary", 3, second, codes=self.CODES[::-1])
+        assert matcore._spectral_radius_of.cache_info().hits > 0
+        assert _lines_without_seconds(first) == _lines_without_seconds(second)

@@ -13,6 +13,7 @@ from jsrcert.algebraic import (
     isolate_real_roots,
     nth_root,
 )
+from jsrcert import matcore
 from jsrcert.matcore import (
     IntMatrix,
     MatrixFamily,
@@ -119,6 +120,40 @@ class TestSpectralRadius:
                                      for i in range(3)])
                 conj = Pm.transpose() @ A @ Pm
                 assert compare(spectral_radius(conj).value, r) == Ordering.EQUAL
+
+
+class TestSpectralRadiusCache:
+    # a primitive 0/1 matrix whose radius is the plastic number (x^3 - x - 1)
+    A = M([[0, 1, 0], [0, 0, 1], [1, 1, 0]])
+
+    def test_repeat_call_is_fresh_and_unrefined(self):
+        first = spectral_radius(self.A)
+        interval = first.value.interval()
+        first.value.refine_below(Fraction(1, 10**20))
+        second = spectral_radius(self.A)
+        assert second.value is not first.value
+        assert second.value.interval() == interval
+        assert (second.leading_simple, second.leading_complex) == \
+            (first.leading_simple, first.leading_complex)
+        second.value.refine_below(Fraction(1, 10**30))
+        assert spectral_radius(self.A).value.interval() == interval
+        assert compare(first.value, second.value) == Ordering.EQUAL
+
+    def test_similar_matrices_share_one_entry(self):
+        Pm = M([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+        matcore._spectral_radius_of.cache_clear()
+        values = [spectral_radius(X).value
+                  for X in (self.A, self.A.transpose(), Pm.transpose() @ self.A @ Pm)]
+        info = matcore._spectral_radius_of.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert len({v.interval() for v in values}) == 1
+
+    def test_zero_matrix_convention_stays_ahead_of_the_cache(self):
+        nilpotent = M([[0, 1, 0], [0, 0, 1], [0, 0, 0]])  # same char poly as 0
+        assert not spectral_radius(nilpotent).leading_simple
+        zero = spectral_radius(IntMatrix.zero(3))
+        assert zero.value.as_rational() == 0 and zero.leading_simple
+        assert not spectral_radius(nilpotent).leading_simple
 
 
 class TestLeadingEigenvector:
