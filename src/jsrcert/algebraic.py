@@ -7,8 +7,14 @@ Every number here is exact.  A real algebraic number is represented by
 its (irreducible, primitive) integer minimal polynomial together with a
 rational interval isolating exactly one real root.  Comparisons are
 decided by interval refinement plus minimal-polynomial identity, never
-by a floating tolerance.  Number field elements are coordinate vectors
-over a shared immutable context; mixing contexts is a hard error.
+by a floating tolerance.  Number field elements are integer numerators
+of the coordinates over one positive denominator, in lowest terms, over
+a shared immutable context; mixing contexts is a hard error.
+
+The kernels below the public API work in integers: a polynomial's sign
+at n/d is the sign of its homogenized value at (n, d), Sturm chains and
+gcds come from pseudo-remainders with the content divided out, and
+field products reduce modulo the integer minimal polynomial.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 from .linalg import matmul
@@ -95,11 +102,15 @@ class IntPolynomial:
             raise ZeroPolynomialError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def __call__(self, x):
-        acc = 0
+    def sign_at(self, x: RationalLike) -> int:
+        """Sign of p(n/d), from the integer sum c_i n^i d^(deg-i), which is
+        p(n/d) times d^deg > 0."""
+        n, d = x.numerator, x.denominator
+        acc, dk = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * n + c * dk
+            dk *= d
+        return (acc > 0) - (acc < 0)
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -139,12 +150,7 @@ class IntPolynomial:
         return IntPolynomial.make(out)
 
     def content(self) -> int:
-        from math import gcd
-
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
-        return g
+        return gcd(*self.coeffs)
 
     def primitive(self) -> "IntPolynomial":
         """Primitive part with positive leading coefficient."""
@@ -159,11 +165,8 @@ class IntPolynomial:
         g = gcd_int_poly(self, self.derivative())
         if g.degree <= 0:
             return self.primitive()
-        q, _ = divmod_fraction(self.to_fractions(), g.to_fractions())
-        return from_fractions(q).primitive()
-
-    def to_fractions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c) for c in self.coeffs)
+        q, _ = _pseudo_divmod(self, g)
+        return q.primitive()
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -180,62 +183,46 @@ class IntPolynomial:
         return " + ".join(parts)
 
 
-# -- polynomial arithmetic over Q (as coefficient tuples, low degree first) --
+# -- integer pseudo-division ---------------------------------------------------
 
 
-def _ftrim(cs: list[Fraction]) -> tuple[Fraction, ...]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+def _pseudo_divmod(a: IntPolynomial, b: IntPolynomial
+                   ) -> tuple[IntPolynomial, IntPolynomial]:
+    """(q, r) with |lc(b)|^k a = q b + r, k = max(deg a - deg b + 1, 0)
+    and deg r < deg b, for nonzero b.
+
+    The scale |lc(b)|^k is positive, so r is a positive multiple of the
+    remainder over Q and keeps its signs.
+    """
+    lead, db = b.coeffs[-1], b.degree
+    r = list(a.coeffs)
+    q = [0] * max(0, len(r) - db)
+    for i in range(len(r) - 1, db - 1, -1):
+        # r <- lead * r - c x^(i-db) b cancels the top term c
+        c = r.pop()
+        q = [lead * x for x in q]
+        q[i - db] = c
+        r = [lead * x for x in r]
+        if c:
+            for j in range(db):
+                r[i - db + j] -= c * b.coeffs[j]
+    if lead < 0 and len(q) % 2:
+        q, r = [-x for x in q], [-x for x in r]
+    return IntPolynomial.make(q), IntPolynomial.make(r)
 
 
-def from_fractions(cs: Sequence[Fraction]) -> IntPolynomial:
-    """Clear denominators, returning the primitive integer polynomial."""
-    from math import lcm
-
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        return IntPolynomial(())
-    m = 1
-    for c in cs:
-        m = lcm(m, c.denominator)
-    return IntPolynomial.make(int(c * m) for c in cs).primitive()
-
-
-def divmod_fraction(
-    num: Sequence[Fraction], den: Sequence[Fraction]
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    num = list(num)
-    den = list(den)
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    r = list(num)
-    while len(r) >= len(den) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(den):
-            break
-        f = r[-1] / den[-1]
-        k = len(r) - len(den)
-        q[k] = f
-        for i, d in enumerate(den):
-            r[i + k] -= f * d
-        r.pop()
-    return _ftrim(q), _ftrim(r)
+def _content_free(p: IntPolynomial) -> IntPolynomial:
+    """p divided by its (positive) content; the signs are kept."""
+    g = p.content()
+    return p if g <= 1 else IntPolynomial(tuple(c // g for c in p.coeffs))
 
 
 def gcd_int_poly(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Primitive gcd over Q, normalized to an integer polynomial."""
-    fa, fb = a.to_fractions(), b.to_fractions()
-    while fb:
-        _, fr = divmod_fraction(fa, fb)
-        fa, fb = fb, fr
-    return from_fractions(fa)
+    while not b.is_zero:
+        _, r = _pseudo_divmod(a, b)
+        a, b = b, _content_free(r)
+    return a.primitive()
 
 
 def factor_int_poly(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
@@ -264,38 +251,19 @@ def factor_int_poly(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
 # -- Sturm sequences ---------------------------------------------------------
 
 
-def _clear_denominators_keep_sign(cs: Sequence[Fraction]) -> IntPolynomial:
-    """Integer polynomial equal to a positive multiple of cs."""
-    from math import lcm, gcd
-
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        return IntPolynomial(())
-    m = 1
-    for c in cs:
-        m = lcm(m, c.denominator)
-    ints = [int(c * m) for c in cs]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    return IntPolynomial(tuple(c // g for c in ints))
-
-
 def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     chain = [p, p.derivative()]
     while not chain[-1].is_zero and chain[-1].degree >= 1:
-        _, r = divmod_fraction(chain[-2].to_fractions(), chain[-1].to_fractions())
-        if not r:
+        _, r = _pseudo_divmod(chain[-2], chain[-1])
+        if r.is_zero:
             break
         # only positive scaling preserves Sturm sign sequences
-        chain.append(_clear_denominators_keep_sign([-c for c in r]))
+        chain.append(_content_free(-r))
     return [q for q in chain if not q.is_zero]
 
 
 def _sign_changes(chain: list[IntPolynomial], x: Fraction) -> int:
-    signs = [s for s in (_sgn(q(x)) for q in chain) if s != 0]
+    signs = [s for s in (q.sign_at(x) for q in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -372,12 +340,12 @@ class RealAlgebraic:
         if self._lo == self._hi:
             return
         mid = (self._lo + self._hi) / 2
-        s = _sgn(self.minpoly(mid))
+        s = self.minpoly.sign_at(mid)
         if s == 0:
             # rational root hit exactly; can only happen for degree-1 minpoly
             self._lo = self._hi = mid
             return
-        if s == _sgn(self.minpoly(self._hi)):
+        if s == self.minpoly.sign_at(self._hi):
             self._hi = mid
         else:
             self._lo = mid
@@ -477,7 +445,7 @@ class RealAlgebraic:
         """
         p, chain = self.minpoly, self._sturm()
         lo, hi = self._lo, self._hi
-        s_lo = _sgn(p(lo))
+        s_lo = p.sign_at(lo)
 
         def left_of(c: Fraction) -> bool:
             # (lo, hi) isolates the root, so inside it the sign of p
@@ -486,7 +454,7 @@ class RealAlgebraic:
                 return False
             if c >= hi:
                 return True
-            return _sgn(p(c)) != s_lo
+            return p.sign_at(c) != s_lo
 
         k = lo.numerator // lo.denominator
         while not left_of(Fraction(k + 1)):
@@ -519,11 +487,12 @@ class RealAlgebraic:
         # deserialized data is untrusted: force squarefree, check isolation,
         # and route equality through the gcd fallback
         if lo == hi:
-            if poly(lo) != 0:
+            if poly.sign_at(lo) != 0:
                 raise AlgebraicError("interval point is not a root")
             return RealAlgebraic.from_rational(lo)
         sf = poly.squarefree_part()
-        if sf(lo) == 0 or sf(hi) == 0 or count_roots_in(sf, lo, hi) != 1:
+        if sf.sign_at(lo) == 0 or sf.sign_at(hi) == 0 or \
+                count_roots_in(sf, lo, hi) != 1:
             raise AlgebraicError("interval does not isolate one root")
         return RealAlgebraic(sf, lo, hi, irreducible=False)
 
@@ -545,7 +514,7 @@ def _canonical_root(factors: list[tuple[IntPolynomial, int]],
         else:
             # widen the closed interval infinitesimally via endpoint checks
             n = count_roots_in(fac, lo, hi)
-            if fac(lo) == 0 or fac(hi) == 0:
+            if fac.sign_at(lo) == 0 or fac.sign_at(hi) == 0:
                 raise AlgebraicError("isolating interval endpoint is a root")
             if n == 1:
                 hits.append((fac, lo, hi))
@@ -566,18 +535,18 @@ def real_algebraic_root(p: IntPolynomial, lo: Fraction, hi: Fraction) -> RealAlg
     if p.is_zero:
         raise ZeroPolynomialError("zero polynomial")
     if lo == hi:
-        if p(lo) != 0:
+        if p.sign_at(lo) != 0:
             raise AlgebraicError("claimed rational root does not vanish")
         return RealAlgebraic.from_rational(lo)
     sf = p.squarefree_part()
-    if sf(lo) == 0:
+    if sf.sign_at(lo) == 0:
         if count_roots_in(sf, lo, hi) == 0:
             return RealAlgebraic.from_rational(lo)
         raise AlgebraicError("interval does not isolate a single root")
     n = count_roots_in(sf, lo, hi)
     if n != 1:
         raise AlgebraicError("interval does not isolate a single root")
-    if sf(hi) == 0:
+    if sf.sign_at(hi) == 0:
         # the isolated root is the rational endpoint hi itself
         return RealAlgebraic.from_rational(hi)
     return _canonical_root(factor_int_poly(sf), lo, hi)
@@ -701,7 +670,7 @@ def compare(a, b) -> Ordering:
             g = gcd_int_poly(a.minpoly, b.minpoly)
             if g.degree >= 1:
                 lo, hi = max(alo, blo), min(ahi, bhi)
-                if lo <= hi and (g(lo) == 0 or g(hi) == 0 or
+                if lo <= hi and (g.sign_at(lo) == 0 or g.sign_at(hi) == 0 or
                                  count_roots_in(g, lo, hi) >= 1):
                     return Ordering.EQUAL
             gcd_done = True
@@ -771,7 +740,7 @@ def largest_real_root_fast(p: IntPolynomial) -> RealAlgebraic:
     guard = 0
     while count_roots_in(sf, lo, hi, chain) != 1:
         mid = (lo + hi) / 2
-        if sf(mid) == 0:
+        if sf.sign_at(mid) == 0:
             if count_roots_in(sf, mid, hi, chain) == 0:
                 return RealAlgebraic.from_rational(mid)
             lo = mid
@@ -782,12 +751,12 @@ def largest_real_root_fast(p: IntPolynomial) -> RealAlgebraic:
         guard += 1
         if guard > _MAX_REFINE:
             raise AlgebraicError("largest-root isolation did not converge")
-    if sf(hi) == 0:
+    if sf.sign_at(hi) == 0:
         return RealAlgebraic.from_rational(hi)
-    if lo < 0 <= hi and sf(0) == 0:
+    if lo < 0 <= hi and sf.coeffs[0] == 0:
         return RealAlgebraic.from_rational(0)
     guard = 0
-    while sf(lo) == 0:
+    while sf.sign_at(lo) == 0:
         # endpoints must not be roots: move lo toward the isolated root
         mid = (lo + hi) / 2
         if count_roots_in(sf, mid, hi, chain) == 1:
@@ -841,13 +810,20 @@ def nth_root(a: RealAlgebraic, n: int) -> RealAlgebraic:
 
 
 def _int_nth_root(m: int, n: int) -> int | None:
-    if m < 0:
-        return None
-    r = round(m ** (1.0 / n))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c**n == m:
-            return c
-    return None
+    """The integer r with r**n == m, or None when m is no n-th power."""
+    if m < 2:
+        return m if m >= 0 else None
+    if n == 2:
+        r = isqrt(m)
+    else:
+        # integer Newton from 2^ceil(bits/n) >= m^(1/n) decreases to the floor
+        r = 1 << -(-m.bit_length() // n)
+        while True:
+            s = ((n - 1) * r + m // r ** (n - 1)) // n
+            if s >= r:
+                break
+            r = s
+    return r if r**n == m else None
 
 
 # ---------------------------------------------------------------------------
@@ -862,14 +838,12 @@ class NumberFieldContext:
     context objects must never be mixed, even if mathematically equal.
     """
 
-    __slots__ = ("minpoly", "_root", "_monic", "degree")
+    __slots__ = ("minpoly", "_root", "degree")
 
     def __init__(self, minpoly: IntPolynomial, lo: Fraction, hi: Fraction):
         self.minpoly = minpoly
         self.degree = minpoly.degree
         self._root = RealAlgebraic(minpoly, lo, hi)
-        lead = Fraction(minpoly.coeffs[-1])
-        self._monic = tuple(Fraction(c) / lead for c in minpoly.coeffs)
 
     @staticmethod
     def rational_context() -> "NumberFieldContext":
@@ -890,37 +864,50 @@ class NumberFieldContext:
 
     def element(self, coords: Sequence[RationalLike]) -> "FieldElement":
         cs = [Fraction(c) for c in coords]
-        if len(cs) > self.degree:
-            cs = self._reduce(cs)
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return FieldElement(self, tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        return self._element([c.numerator * (den // c.denominator) for c in cs], den)
 
     def from_rational(self, q: RationalLike) -> "FieldElement":
-        return self.element([Fraction(q)])
+        q = Fraction(q)
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1),
+                            q.denominator)
 
     def zero(self) -> "FieldElement":
-        return self.element([])
+        return self.from_rational(0)
 
     def one(self) -> "FieldElement":
-        return self.element([1])
+        return self.from_rational(1)
 
     def generator(self) -> "FieldElement":
         if self.degree == 1:
             # alpha is the rational root itself
-            r = Fraction(-self.minpoly.coeffs[0], self.minpoly.coeffs[1])
-            return self.from_rational(r)
-        return self.element([0, 1])
+            return self.from_rational(
+                Fraction(-self.minpoly.coeffs[0], self.minpoly.coeffs[1]))
+        return self._element([0, 1], 1)
 
-    def _reduce(self, cs: list[Fraction]) -> list[Fraction]:
+    def _element(self, nums: list[int], den: int) -> "FieldElement":
+        """The element nums(alpha) / den for den != 0, in lowest terms."""
         d = self.degree
-        cs = list(cs)
-        for i in range(len(cs) - 1, d - 1, -1):
-            f = cs[i]
-            if f:
+        m = self.minpoly.coeffs
+        lead = m[-1]
+        # each step r <- lead * r - c x^(i-d) minpoly cancels the top term
+        # c and multiplies the value by lead
+        for i in range(len(nums) - 1, d - 1, -1):
+            c = nums.pop()
+            if c:
+                if lead != 1:
+                    nums = [lead * x for x in nums]
+                    den *= lead
                 for j in range(d):
-                    cs[i - d + j] -= f * self._monic[j]
-            cs.pop()
-        return cs
+                    nums[i - d + j] -= c * m[j]
+        nums += [0] * (d - len(nums))
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+        return FieldElement(self, tuple(nums), den)
 
     def __repr__(self) -> str:
         lo, hi = self.root_interval()
@@ -928,13 +915,26 @@ class NumberFieldContext:
 
 
 class FieldElement:
-    """Element of a NumberFieldContext: sum coords[i] * alpha**i."""
+    """Element of a NumberFieldContext: sum nums[i] * alpha**i / den.
 
-    __slots__ = ("context", "coords")
+    The numerators are integers over one positive denominator with
+    gcd(den, *nums) == 1, so each value has one representation and `==`
+    and `hash` are exact.  `coords` gives the same value as Fractions.
+    Build elements through the context; the constructor takes the
+    representation as is.
+    """
 
-    def __init__(self, context: NumberFieldContext, coords: tuple[Fraction, ...]):
+    __slots__ = ("context", "nums", "den")
+
+    def __init__(self, context: NumberFieldContext, nums: tuple[int, ...],
+                 den: int = 1):
         self.context = context
-        self.coords = coords
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def _check(self, other: "FieldElement") -> None:
         if self.context is not other.context:
@@ -948,12 +948,22 @@ class FieldElement:
             return self.context.from_rational(other)
         return NotImplemented
 
+    def _combine(self, o: "FieldElement", sign: int) -> "FieldElement":
+        a, b = self.den, o.den
+        if a == b:
+            nums = [x + sign * y for x, y in zip(self.nums, o.nums)]
+        else:
+            g = gcd(a, b)
+            ma, mb = b // g, a // g
+            nums = [x * ma + sign * y * mb for x, y in zip(self.nums, o.nums)]
+            a *= ma
+        return self.context._element(nums, a)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElement(self.context,
-                            tuple(a + b for a, b in zip(self.coords, o.coords)))
+        return self._combine(o, 1)
 
     __radd__ = __add__
 
@@ -961,35 +971,32 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElement(self.context,
-                            tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return self._combine(o, -1)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __neg__(self):
-        return FieldElement(self.context, tuple(-a for a in self.coords))
+        return FieldElement(self.context, tuple(-a for a in self.nums), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        den = self.den * o.den
         if self.is_rational():
-            q = self.coords[0]
-            return FieldElement(self.context, tuple(q * b for b in o.coords))
+            q = self.nums[0]
+            return self.context._element([q * b for b in o.nums], den)
         if o.is_rational():
-            q = o.coords[0]
-            return FieldElement(self.context, tuple(q * a for a in self.coords))
-        d = self.context.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
+            q = o.nums[0]
+            return self.context._element([q * a for a in self.nums], den)
+        prod = [0] * (2 * self.context.degree - 1)
+        for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(o.coords):
+                for j, b in enumerate(o.nums):
                     if b:
                         prod[i + j] += a * b
-        red = self.context._reduce(prod)
-        red += [Fraction(0)] * (d - len(red))
-        return FieldElement(self.context, tuple(red))
+        return self.context._element(prod, den)
 
     __rmul__ = __mul__
 
@@ -1017,66 +1024,80 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("division by zero field element")
+        ctx = self.context
         if self.is_rational():
-            return self.context.from_rational(1 / self.coords[0])
-        # extended Euclid against the (irreducible) context minimal polynomial
-        a = _ftrim(list(self.coords))
-        m = self.context.minpoly.to_fractions()
-        r0, r1 = m, a
-        s0, s1 = (), (Fraction(1),)
-        while True:
-            q, r = divmod_fraction(r0, r1)
-            if not r:
-                break
-            s = _fsub(s0, _fmul(q, s1))
-            r0, r1, s0, s1 = r1, r, s1, s
-        # r1 is a nonzero constant (minpoly irreducible)
-        c = r1[0]
-        inv = [x / c for x in s1]
-        red = self.context._reduce(inv)
-        red += [Fraction(0)] * (self.context.degree - len(red))
-        return FieldElement(self.context, tuple(red))
+            return ctx._element([self.den], self.nums[0])
+        # extended Euclid against the (irreducible) context minimal
+        # polynomial m by pseudo-division, keeping r_i = s_i * a (mod m)
+        # for the numerator polynomial a
+        r0, r1 = ctx.minpoly, IntPolynomial.make(self.nums)
+        s0, s1 = IntPolynomial(()), IntPolynomial((1,))
+        while r1.degree >= 1:
+            q, r = _pseudo_divmod(r0, r1)
+            if r.is_zero:
+                raise AlgebraicError("context polynomial is reducible")
+            k = r0.degree - r1.degree + 1
+            s = s0.scale(abs(r1.leading) ** k) - q * s1
+            g = gcd(r.content(), s.content())
+            r0, r1 = r1, IntPolynomial(tuple(c // g for c in r.coeffs))
+            s0, s1 = s1, IntPolynomial(tuple(c // g for c in s.coeffs))
+        # s1(alpha) * a(alpha) = r1, a nonzero constant, and self = a(alpha) / den
+        return ctx._element([self.den * c for c in s1.coeffs], r1.coeffs[0])
 
     # -- queries ---------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise AlgebraicError("element is not rational")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coords[0] == other
+            return self.is_rational() and \
+                self.nums[0] * other.denominator == other.numerator * self.den
         if not isinstance(other, FieldElement):
             return NotImplemented
         self._check(other)
-        return self.coords == other.coords
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash((id(self.context), self.coords))
+        return hash((id(self.context), self.nums, self.den))
+
+    def _interval_nums(self) -> tuple[int, int, int]:
+        """(lo, hi, q) with q > 0: interval Horner over the root interval
+        gives [lo/q, hi/q], with every step over one common denominator."""
+        rlo, rhi = self.context.root_interval()
+        dd = lcm(rlo.denominator, rhi.denominator)
+        a = rlo.numerator * (dd // rlo.denominator)
+        b = rhi.numerator * (dd // rhi.denominator)
+        # after t steps the bounds are over den * dd^(t-1)
+        alo = ahi = 0
+        scale = 1
+        for t, c in enumerate(reversed(self.nums)):
+            if t:
+                scale *= dd
+            cands = (alo * a, alo * b, ahi * a, ahi * b)
+            alo, ahi = min(cands) + c * scale, max(cands) + c * scale
+        return alo, ahi, self.den * scale
 
     def interval(self) -> tuple[Fraction, Fraction]:
-        lo, hi = self.context.root_interval()
-        alo, ahi = Fraction(0), Fraction(0)
-        for c in reversed(self.coords):
-            cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-            alo, ahi = min(cands) + c, max(cands) + c
-        return alo, ahi
+        lo, hi, q = self._interval_nums()
+        return Fraction(lo, q), Fraction(hi, q)
 
     def sign(self) -> int:
         if self.is_zero():
             return 0
         if self.is_rational():
-            return _sgn(self.coords[0])
+            return _sgn(self.nums[0])
         guard = 0
         while True:
-            lo, hi = self.interval()
+            lo, hi, _ = self._interval_nums()
             if lo > 0:
                 return 1
             if hi < 0:
@@ -1092,31 +1113,28 @@ class FieldElement:
     def __float__(self) -> float:
         guard = 0
         while True:
-            lo, hi = self.interval()
-            if hi - lo < Fraction(1, 10**17) or guard > 80:
-                return float((lo + hi) / 2)
+            lo, hi, q = self._interval_nums()
+            # width below 1e-17
+            if (hi - lo) * 10**17 < q or guard > 80:
+                return (lo + hi) / (2 * q)
             self.context.refine_root()
             guard += 1
 
     def minimal_polynomial(self) -> IntPolynomial:
         """Minimal polynomial over Q via the multiplication matrix."""
         if self.is_rational():
-            q = self.coords[0]
-            return IntPolynomial.make([-q.numerator, q.denominator]).primitive()
+            return IntPolynomial.make([-self.nums[0], self.den]).primitive()
         d = self.context.degree
-        cols = []
-        for i in range(d):
-            col = (self * self.context.element([0] * i + [1])).coords
-            cols.append(col)
-        # characteristic polynomial of the multiplication matrix; its
+        cols = [self * self.context._element([0] * i + [1], 1) for i in range(d)]
+        den = lcm(*(col.den for col in cols))
+        N = [[cols[j].nums[i] * (den // cols[j].den) for j in range(d)]
+             for i in range(d)]
+        # det(xI - N/den) is a positive multiple of sum cp_i den^i x^i; its
         # squarefree part is the minimal polynomial since the context
-        # minpoly is irreducible
-        M = [[cols[j][i] for j in range(d)] for i in range(d)]
-        cp = _char_poly_fraction(M)
-        poly = from_fractions(cp)
-        sf = poly.squarefree_part()
-        # minimal polynomial = squarefree part (power of one irreducible)
-        return sf
+        # minpoly is irreducible (the characteristic polynomial is a power
+        # of one irreducible)
+        cp = _char_poly_int(N)
+        return IntPolynomial.make(c * den**i for i, c in enumerate(cp)).squarefree_part()
 
     def to_real_algebraic(self) -> RealAlgebraic:
         mp = self.minimal_polynomial()
@@ -1126,7 +1144,8 @@ class FieldElement:
         guard = 0
         while True:
             lo, hi = self.interval()
-            if mp(lo) != 0 and mp(hi) != 0 and count_roots_in(mp, lo, hi, chain) == 1:
+            if mp.sign_at(lo) != 0 and mp.sign_at(hi) != 0 and \
+                    count_roots_in(mp, lo, hi, chain) == 1:
                 return RealAlgebraic(mp, lo, hi)
             self.context.refine_root()
             guard += 1
@@ -1140,37 +1159,16 @@ class FieldElement:
         return f"FieldElement({self.serialize()})"
 
 
-def _fsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    n = max(len(a), len(b))
-    aa = list(a) + [Fraction(0)] * (n - len(a))
-    bb = list(b) + [Fraction(0)] * (n - len(b))
-    return _ftrim([x - y for x, y in zip(aa, bb)])
-
-
-def _fmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ftrim(out)
-
-
-def _char_poly_fraction(M: list[list[Fraction]]) -> list[Fraction]:
-    """det(xI - M) by Faddeev-LeVerrier, lowest degree first."""
+def _char_poly_int(M: list[list[int]]) -> list[int]:
+    """det(xI - M) of an integer matrix by Faddeev-LeVerrier, lowest
+    degree first; each trace divides exactly by its step number."""
     d = len(M)
-    coeffs = [Fraction(0)] * (d + 1)
-    coeffs[d] = Fraction(1)
-    A = [[Fraction(0)] * d for _ in range(d)]
-    I = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    Mk = [row[:] for row in I]
+    coeffs = [0] * (d + 1)
+    coeffs[d] = 1
+    Mk = [[int(i == j) for j in range(d)] for i in range(d)]
     for k in range(1, d + 1):
-        # Mk = M @ (previous Mk adjusted)
         Mk = matmul(M, Mk)
-        tr = sum(Mk[i][i] for i in range(d))
-        c = -tr / k
+        c = -sum(Mk[i][i] for i in range(d)) // k
         coeffs[d - k] = c
         for i in range(d):
             Mk[i][i] += c

@@ -2,7 +2,8 @@
 
 Matrices are lists of rows.  Entries may be `Fraction` or `FieldElement`
 (any exact field type with `== 0` and `+ - * /` works); integers alone
-are not enough, since division must stay exact.  Elimination is
+are not enough for `kernel` and `inverse`, since division must stay
+exact, but they are for the fraction-free `add_to_basis`.  Elimination is
 Gauss-Jordan with the first nonzero entry of each column as its pivot,
 and each pivot is inverted once.  The reduced row echelon form is unique,
 so kernels and inverses do not depend on that pivot order.
@@ -71,14 +72,19 @@ def matmul(A: list[list], B: list[list]) -> list[list]:
 def add_to_basis(basis: list[list], vec: list) -> bool:
     """Reduce vec against an echelon basis (each vector's first nonzero
     entry is zero in every later one) and append the remainder when it is
-    nonzero.  Returns whether the span grew; stored vectors are not
-    rescaled."""
+    nonzero.  Returns whether the span grew.
+
+    Elimination is fraction-free, v <- b[p] v - v[p] b, so it divides
+    nothing and works over the integers too.  The appended remainder is
+    a nonzero multiple of the one that dividing elimination gives;
+    vectors already in the basis are never changed."""
     v = list(vec)
     for b in basis:
         piv = next(i for i, c in enumerate(b) if c != 0)
-        if v[piv] != 0:
-            f = v[piv] / b[piv]
-            v = [x - f * y for x, y in zip(v, b)]
+        f = v[piv]
+        if f != 0:
+            p = b[piv]
+            v = [p * x - f * y for x, y in zip(v, b)]
     if all(c == 0 for c in v):
         return False
     basis.append(v)

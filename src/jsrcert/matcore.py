@@ -183,13 +183,10 @@ def char_poly(A: IntMatrix) -> IntPolynomial:
         # sum of principal 2x2 minors
         m2 = (e * i - f * h) + (a * i - c * g) + (a * e - b * d)
         return IntPolynomial.make([-det, m2, -tr, 1])
-    # general fallback: Faddeev-LeVerrier over fractions
-    from .algebraic import _char_poly_fraction, from_fractions
+    # general fallback: Faddeev-LeVerrier over the integers
+    from .algebraic import _char_poly_int
 
-    M = [[Fraction(v) for v in row] for row in A.rows]
-    cp = _char_poly_fraction(M)
-    ints = [int(c) for c in cp]
-    return IntPolynomial.make(ints)
+    return IntPolynomial.make(_char_poly_int([list(r) for r in A.rows]))
 
 
 @dataclass

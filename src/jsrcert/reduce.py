@@ -339,11 +339,10 @@ def irreducible(pair: tuple[IntMatrix, IntMatrix]
 def _algebra_dimension(pair) -> int:
     A1, A2 = pair
     dim = A1.dim
-    basis: list[tuple[Fraction, ...]] = []
+    basis: list[list[int]] = []
 
     def add(M: IntMatrix) -> bool:
-        vec = [Fraction(v) for v in M.flat()]
-        return add_to_basis(basis, vec)
+        return add_to_basis(basis, M.flat())
 
     gens = [IntMatrix.identity(dim), A1, A2]
     frontier = [g for g in gens if add(g)]

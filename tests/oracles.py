@@ -66,6 +66,25 @@ def mp_poly_roots(coeffs, dps=60):
         return mpmath.polyroots(cs, maxsteps=200, extraprec=200)
 
 
+def mp_real_root_count(coeffs, lo, hi, dps=60):
+    """Distinct real roots of a squarefree integer polynomial in (lo, hi],
+    from mpmath.polyroots; None when a root is too close to an endpoint
+    or to the real axis to decide at this precision."""
+    with mpmath.workdps(dps):
+        tiny = mpmath.mpf(10) ** (-(dps // 3))
+        a = mpmath.mpf(lo.numerator) / lo.denominator
+        b = mpmath.mpf(hi.numerator) / hi.denominator
+        count = 0
+        for z in mp_poly_roots(coeffs, dps):
+            z = mpmath.mpc(z)
+            if abs(z.imag) > tiny:
+                continue
+            if abs(z.imag) > tiny ** 2 or min(abs(z.real - a), abs(z.real - b)) < tiny:
+                return None
+            count += a < z.real <= b
+        return count
+
+
 def mp_value(coords, alpha, dps=100):
     """Evaluate sum coords[i] * alpha**i at high precision."""
     with mpmath.workdps(dps):

@@ -13,15 +13,19 @@ from jsrcert.algebraic import (
     RealAlgebraic,
     compare,
     compare_powers,
+    count_roots_in,
     factor_int_poly,
+    gcd_int_poly,
     isolate_real_roots,
     largest_real_root_fast,
     nth_root,
     real_algebraic_root,
+    sturm_chain,
 )
 from jsrcert.matcore import IntMatrix, spectral_radius
 
-from oracles import bisect_roots, char_poly_cofactor, mp_poly_roots, mp_value
+from oracles import (bisect_roots, char_poly_cofactor, eval_poly, mp_poly_roots,
+                     mp_real_root_count, mp_value)
 
 
 P = IntPolynomial.make
@@ -237,6 +241,14 @@ class TestNthRoot:
             r = nth_root(sqrt3, n)
             assert compare(r.pow(n), sqrt3) == Ordering.EQUAL
 
+    def test_exact_roots_beyond_float_range(self):
+        big = RealAlgebraic.from_rational(10**400)
+        assert nth_root(big, 2).as_rational() == 10**200
+        assert nth_root(RealAlgebraic.from_rational(Fraction(10**600, 27)), 3) \
+            .as_rational() == Fraction(10**200, 3)
+        assert nth_root(RealAlgebraic.from_rational(7**5 * 10**350), 5) \
+            .as_rational() == 7 * 10**70
+
     def test_rejects_nonpositive(self):
         with pytest.raises(AlgebraicError):
             nth_root(RealAlgebraic.from_rational(0), 2)
@@ -273,7 +285,10 @@ class TestFieldArithmetic:
         # random quadratic/cubic field samples, all four operations,
         # checked against mpmath at 100 digits to 50 digits
         rng = random.Random(5)
-        polys = [P([-2, 0, 1]), P([-7, 0, 1]), P([-2, -1, 0, 1]), P([1, -4, 0, 1])]
+        # the last two contexts are not monic: products reduce with the
+        # leading-coefficient scaling that no campaign context reaches
+        polys = [P([-2, 0, 1]), P([-7, 0, 1]), P([-2, -1, 0, 1]), P([1, -4, 0, 1]),
+                 P([-3, 0, 2]), P([-1, -1, 0, 3])]
         checked = 0
         for poly in polys:
             roots = isolate_real_roots(poly)
@@ -309,12 +324,110 @@ class TestFieldArithmetic:
                         checked += 1
         assert checked >= 500
 
+    def test_one_value_has_one_representation(self):
+        for poly in (P([-2, 0, 1]), P([-1, -1, 0, 3])):
+            ctx = NumberFieldContext.from_real_algebraic(isolate_real_roots(poly)[-1])
+            g = ctx.generator()
+            a = ctx.element([Fraction(1, 2), Fraction(-1, 3)])
+            forms = [ctx.element([Fraction(3, 6), Fraction(-4, 12)]),
+                     ctx.element([Fraction(1, 2), Fraction(-1, 3), 0]),
+                     (a * 6) / 6, (a * g) / g, a + g - g, ctx.one() / (1 / a)]
+            for b in forms:
+                assert b == a and hash(b) == hash(a)
+                assert b.coords == (Fraction(1, 2), Fraction(-1, 3)) + (0,) * (ctx.degree - 2)
+            assert a != a * 2 and g * g * 3 != g
+            # a value of degree above the context's reduces to the same element
+            assert ctx.element([0] * ctx.degree + [1]) == g ** ctx.degree
+
     def test_context_mixing_is_hard_error(self):
         sqrt2 = isolate_real_roots(P([-2, 0, 1]))[1]
         c1 = NumberFieldContext.from_real_algebraic(sqrt2)
         c2 = NumberFieldContext.from_real_algebraic(sqrt2)
         with pytest.raises(ContextMismatchError):
             c1.generator() + c2.generator()
+
+
+def _random_poly(rng, degree, bound=40, sparse=False):
+    """A random integer polynomial of exactly this degree, with leading
+    coefficients of either sign and often not a unit.  Sparse ones have
+    Sturm chains whose degrees drop by more than one."""
+    lead = rng.choice([-1, 1]) * rng.randint(1, 12)
+    return P([0 if sparse and rng.random() < 0.6 else rng.randint(-bound, bound)
+              for _ in range(degree)] + [lead])
+
+
+def _random_rational(rng):
+    den = rng.choice([1, 2, 3, 7, 2**40, 10**30 + 7])
+    return Fraction(rng.randint(-8 * den, 8 * den), den)
+
+
+def _sympy_primitive(expr):
+    import sympy
+
+    x = sympy.Symbol("x")
+    _, prim = sympy.Poly(expr, x).primitive()
+    coeffs = [int(c) for c in reversed(prim.all_coeffs())]
+    return P(coeffs).primitive()
+
+
+class TestPolynomialKernel:
+    def test_sign_at_matches_fraction_evaluation(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            p = _random_poly(rng, rng.randint(0, 8))
+            x = _random_rational(rng)
+            want = eval_poly(p.coeffs, x)
+            assert p.sign_at(x) == (want > 0) - (want < 0)
+            # an exact rational root, also with a huge denominator
+            n, d = x.numerator, x.denominator
+            q = p * P([-n, d])
+            assert q.sign_at(x) == 0
+            assert q.sign_at(x + Fraction(1, 10**40)) == \
+                (eval_poly(q.coeffs, x + Fraction(1, 10**40)) > 0) - \
+                (eval_poly(q.coeffs, x + Fraction(1, 10**40)) < 0)
+        assert P([]).sign_at(Fraction(3, 2)) == 0
+        assert P([5]).sign_at(Fraction(-7, 3)) == 1
+
+    def test_sturm_counts_match_mpmath_oracle(self):
+        rng = random.Random(23)
+        checked = 0
+        while checked < 120:
+            p = _random_poly(rng, rng.randint(1, 7), bound=rng.choice([3, 40]),
+                             sparse=checked % 2 == 1)
+            if gcd_int_poly(p, p.derivative()).degree > 0:
+                continue
+            lo = _random_rational(rng)
+            hi = lo + abs(_random_rational(rng)) + Fraction(1, 5)
+            want = mp_real_root_count(list(p.coeffs), lo, hi)
+            if want is None:
+                continue
+            assert count_roots_in(p, lo, hi) == want
+            assert count_roots_in(-p, lo, hi) == want
+            checked += 1
+        # x^4 + 4x - 1: the chain drops from degree 3 to 1, and dividing by
+        # its negative-leading linear member takes an odd power of -3
+        for p in (P([-1, 4, 0, 0, 1]), P([-1, -4, 0, 0, -1])):
+            assert [q.degree for q in sturm_chain(p)] == [4, 3, 1, 0]
+            assert count_roots_in(p, Fraction(-3), Fraction(3)) == 2
+
+    def test_gcd_and_squarefree_part_match_sympy(self):
+        import sympy
+
+        x = sympy.Symbol("x")
+        rng = random.Random(29)
+        for _ in range(60):
+            common = _random_poly(rng, rng.randint(0, 3), bound=6)
+            a = common * _random_poly(rng, rng.randint(0, 3), bound=6)
+            b = common * _random_poly(rng, rng.randint(0, 3), bound=6)
+            sa = sum(c * x**i for i, c in enumerate(a.coeffs))
+            sb = sum(c * x**i for i, c in enumerate(b.coeffs))
+            assert gcd_int_poly(a, b) == _sympy_primitive(sympy.gcd(sa, sb))
+            # repeated factors, with negative and non-unit leading coefficients
+            f = _random_poly(rng, rng.randint(1, 2), bound=6)
+            g = _random_poly(rng, rng.randint(1, 2), bound=6)
+            p = a * f * f * g * g * g
+            sp = sum(c * x**i for i, c in enumerate(p.coeffs))
+            assert p.squarefree_part() == _sympy_primitive(sympy.sqf_part(sp))
 
 
 class TestSerialization:
@@ -339,7 +452,7 @@ class TestSerialization:
         lo, hi = sqrt2.interval()
         assert hi - lo <= Fraction(1, 10**12)
         # minpoly still straddles zero on the interval
-        assert sqrt2.minpoly(lo) * sqrt2.minpoly(hi) < 0
+        assert eval_poly(sqrt2.minpoly.coeffs, lo) * eval_poly(sqrt2.minpoly.coeffs, hi) < 0
 
 
     def test_text_ignores_refinement_history(self):

@@ -100,7 +100,11 @@ class TestSolveInverse:
             assert inverse(A) is None
 
 
-@pytest.mark.parametrize("make,rank_of", FIELDS)
+def _integer(a, b):
+    return a
+
+
+@pytest.mark.parametrize("make,rank_of", FIELDS + [(_integer, rank)])
 def test_add_to_basis_counts_rank(make, rank_of):
     rng = random.Random(4)
     for _ in range(20):
@@ -109,3 +113,5 @@ def test_add_to_basis_counts_rank(make, rank_of):
         basis = []
         grew = [add_to_basis(basis, v) for v in vecs]
         assert sum(grew) == len(basis) == rank_of(vecs)
+        # fraction-free elimination keeps integers integers
+        assert all(type(c) is type(vecs[0][0]) for b in basis for c in b)
