@@ -571,19 +571,21 @@ def isolate_real_roots(p: IntPolynomial) -> list[RealAlgebraic]:
         # g has no rational roots, so rational bisection points are safe
         chain = sturm_chain(g)
         bound = root_bound(g)
-        stack = [(-bound, bound, count_roots_in(g, -bound, bound, chain))]
+        stack = [(-bound, bound, count_roots_in(g, -bound, bound, chain), 0)]
         intervals = []
         while stack:
-            lo, hi, n = stack.pop()
+            lo, hi, n, depth = stack.pop()
             if n == 0:
                 continue
             if n == 1:
                 intervals.append((lo, hi))
                 continue
+            if depth == _MAX_REFINE:
+                raise AlgebraicError("root isolation did not converge")
             mid = (lo + hi) / 2
             nl = count_roots_in(g, lo, mid, chain)
-            stack.append((lo, mid, nl))
-            stack.append((mid, hi, n - nl))
+            stack.append((lo, mid, nl, depth + 1))
+            stack.append((mid, hi, n - nl, depth + 1))
         # shrink intervals until disjoint from the rational roots
         rationals = [r.as_rational() for r in out]
         irr_factors = [(f, 1) for f in irrational]

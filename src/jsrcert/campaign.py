@@ -13,6 +13,7 @@ import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -32,6 +33,8 @@ from .smp import gripenberg_search
 
 STORE_SCHEMA = "jsr-campaign/1"
 DEPTH_LADDER = (10, 14, 18, 22)
+# block families whose record each process remembers
+BLOCK_CACHE_SIZE = 4096
 
 
 def resolve_family(family: MatrixFamily) -> dict:
@@ -58,11 +61,10 @@ def resolve_family(family: MatrixFamily) -> dict:
 
 
 def _resolve_blocks(family: MatrixFamily, dec) -> dict:
-    sub = MatrixFamily.make(list(dec.sub_blocks), "general")
-    quot = MatrixFamily.make(list(dec.quot_blocks), "general")
     parts = []
-    for blocks, scale in ((sub, dec.sub_scale), (quot, dec.quot_scale)):
-        rec = resolve_family(blocks)
+    for blocks, scale in ((dec.sub_blocks, dec.sub_scale),
+                          (dec.quot_blocks, dec.quot_scale)):
+        rec = json.loads(_block_record(tuple(m.rows for m in blocks)))
         if rec["status"] not in ("settled", "proved"):
             return {"status": "unresolved", "reason": "block_unresolved",
                     "detail": rec}
@@ -86,6 +88,13 @@ def _resolve_blocks(family: MatrixFamily, dec) -> dict:
         "witness": {"invariant_subspace": dec.basis,
                     "block_records": [parts[0][1], parts[1][1]]},
     }
+
+
+@lru_cache(maxsize=BLOCK_CACHE_SIZE)
+def _block_record(rows: tuple) -> str:
+    """The record of the block family with these matrix rows, as JSON
+    text, so that every caller decodes a dict of its own."""
+    return json.dumps(resolve_family(MatrixFamily.make(rows, "general")))
 
 
 def _resolve_ipa(family: MatrixFamily) -> dict:
@@ -118,6 +127,7 @@ def _resolve_ipa(family: MatrixFamily) -> dict:
                 "gripenberg_depth": depth,
                 "gripenberg_exhausted": cs.exhausted,
                 "vertices": len(res.polytope.vertices),
+                "membership": res.diagnostics["membership"],
                 "certificate": res.certificate,
             }
         if not cs.exhausted:

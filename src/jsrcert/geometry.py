@@ -10,16 +10,27 @@ is sqrt(u^T Q u); a segment [-a, a] has Q = a a^T.  All three answer
 membership exactly: kinds P and R by the Minkowski norm from one LP,
 kind C by an arc cover of the half turn on which one vertex's quadratic
 form dominates the query's (`norm_ellipse`).
+
+Most kind-P and kind-R queries need no LP.  Two exact tests settle them
+first: `dominating_vertex` finds a vertex at least the query entrywise
+(kind P: inside), and `outside_bound` finds a coordinate, or in kind P
+the coordinate sum, that no vertex reaches (outside).  Only the queries
+both leave open go to `classify_with_fallback`, whose float LP decides
+those far from the boundary and escalates the rest to the exact LP.
+Floats never decide an exact test; they only order its candidates.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
+# imported here, not at first use: a worker that reaches the prefilter
+# would otherwise pay the import (about 0.8 s) inside its first case
+from scipy.optimize import linprog
 
 from .algebraic import ContextMismatchError, FieldElement
 
@@ -38,10 +49,6 @@ def _is_zero(x) -> bool:
     if isinstance(x, FieldElement):
         return x.is_zero()
     return x == 0
-
-
-def _to_float(x) -> float:
-    return float(x)
 
 
 class LPStatus(enum.Enum):
@@ -282,12 +289,21 @@ class VertexPolytope:
     kind: HullKind
     vertices: list
     dim: int
+    _floats: list = field(default_factory=list, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if self.kind is HullKind.P:
             for v in self.vertices:
                 if any(_sgn(c) < 0 for c in v):
                     raise ValueError("cone-hull vertices must be nonnegative")
+
+    def floats(self) -> list[list[float]]:
+        """The vertices in floats.  Vertices may be appended to
+        `vertices` (never changed or removed): each is converted once."""
+        for v in self.vertices[len(self._floats):]:
+            self._floats.append([float(c) for c in v])
+        return self._floats
 
 
 @dataclass
@@ -469,6 +485,63 @@ def norm_ellipse(poly: VertexPolytope, qv) -> Optional[list]:
     return cover
 
 
+# -- exact tests that settle most queries without an LP ----------------------
+
+
+def dominating_vertex(poly: VertexPolytope, x) -> Optional[int]:
+    """Kind P: the index of a vertex v with x <= v entrywise, or None.
+
+    Such an x lies in the hull with the combination 1 * v.  Floats order
+    the vertices (largest least margin first) and, within one, the
+    coordinates (smallest margin first), so a failing check usually stops
+    at its first exact comparison; every vertex is checked exactly.
+    """
+    xf = [float(c) for c in x]
+    margins = [[a - b for a, b in zip(v, xf)] for v in poly.floats()]
+    for i in sorted(range(len(margins)), key=lambda i: -min(margins[i])):
+        v = poly.vertices[i]
+        order = sorted(range(poly.dim), key=margins[i].__getitem__)
+        if all(_sgn(v[j] - x[j]) >= 0 for j in order):
+            return i
+    return None
+
+
+def outside_bound(poly: VertexPolytope, x) -> bool:
+    """True when x violates a bound that every hull point satisfies.
+
+    Kind P: a coordinate is negative, or some x_j exceeds every vertex's
+    v_j, or sum(x) exceeds every vertex's coordinate sum (x <= sum mu_i v_i
+    with mu >= 0 and sum mu_i <= 1 keeps both).  Kind R: some |x_j|
+    exceeds every |v_j|.  False means only that no bound fails.  Floats
+    order the bounds (largest float excess first) and the vertices within
+    one (largest first); every comparison that decides is exact.
+    """
+    if poly.kind is HullKind.C:
+        raise ValueError("kind-C membership is decided by norm_ellipse")
+    cone = poly.kind is HullKind.P
+    if cone and any(_sgn(c) < 0 for c in x):
+        return True
+    n = poly.dim
+
+    def value(v, j):  # bound j: coordinate j, or for j == n the sum
+        return v[j] if j < n else sum(v[1:], v[0])
+
+    bounds = range(n + cone)
+    xf = [float(c) for c in x]
+    fx = [abs(value(xf, j)) for j in bounds]
+    fv = [[abs(value(v, j)) for j in bounds] for v in poly.floats()]
+    order = range(len(fv))
+    for j in sorted(bounds, key=lambda j: max(r[j] for r in fv) - fx[j]):
+        t = value(x, j)
+        if not cone and _sgn(t) < 0:
+            t = -t
+        if all(_sgn(t - c) > 0 and (cone or _sgn(t + c) > 0)
+               for c in (value(poly.vertices[i], j)
+                         for i in sorted(order, key=lambda i: -fv[i][j]))):
+            return True
+    return False
+
+
 # -- numeric-first classification with exact escalation ----------------------
 
 
@@ -480,7 +553,8 @@ def classify_with_fallback(poly: VertexPolytope, x,
     whose margin from 1 exceeds NUMERIC_TOLERANCE are returned tagged
     numeric.  Anything near the boundary (or any numeric failure)
     escalates to the exact path.  EXACT_ONLY skips the numeric stage.
-    Kinds P and R only.
+    Kinds P and R only.  The polytope algorithm calls it only for the
+    queries that `dominating_vertex` and `outside_bound` leave open.
     """
     # exact duplicate-vertex test before any LP
     for i, v in enumerate(poly.vertices):
@@ -501,10 +575,8 @@ def _vectors_equal(v, x) -> bool:
 
 
 def _numeric_norm(poly: VertexPolytope, x) -> float | None:
-    from scipy.optimize import linprog
-
-    V = [[_to_float(c) for c in v] for v in poly.vertices]
-    xf = [_to_float(c) for c in x]
+    V = poly.floats()
+    xf = [float(c) for c in x]
     N, n = len(V), poly.dim
     if all(abs(c) < 1e-300 for c in xf):
         return 0.0

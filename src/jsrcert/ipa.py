@@ -26,6 +26,14 @@ seed, the seeds' eigen-relations, and one piece of evidence for every
 - "arcs" (kind C): a counterclockwise chain of integer directions from
   (1, 0) to (-1, 0), each arc naming a vertex whose quadratic form is at
   least the image's on every direction of the arc.
+
+Each image is decided once, and its evidence is recorded then (see
+`_membership` for the order of the tests): an equal vertex; in kind C an
+arc cover; in kind P a single dominating vertex; a coordinate bound that
+puts it outside; and only then the float LP, whose interior verdicts the
+exact LP turns into a combination.  An image not shown inside becomes a
+vertex.  Vertices are only ever appended, so a combination over the
+vertices of its time stays valid; the certificate pads it with zeros.
 """
 
 from __future__ import annotations
@@ -55,8 +63,10 @@ from .geometry import (
     VertexPolytope,
     arc_nonnegative,
     classify_with_fallback,
+    dominating_vertex,
     minkowski_norm,
     norm_ellipse,
+    outside_bound,
 )
 from .linalg import add_to_basis
 from .matcore import (
@@ -74,6 +84,10 @@ SCHEMA = "jsr-certificate/1"
 MAX_VERTICES = 512
 MAX_ROUNDS = 64
 BALANCE_ROUNDS = 16
+# how a membership query was decided; IpaResult.diagnostics["membership"]
+# counts the queries of a proved run by these keys
+MEMBERSHIP_WAYS = ("duplicate", "arc_cover", "domination", "bound",
+                   "numeric_exterior", "exact_lp")
 
 
 class IpaStatus(enum.Enum):
@@ -261,45 +275,40 @@ def run_ipa(family: MatrixFamily, candidates: CandidateSet,
     maps = [(j, family[j - 1], scale) for j in range(1, len(family) + 1)]
     maps += [(-(li + 1), L, None) for li, L in limits]
 
+    # one polytope, grown in place: `vertices` is only ever appended to,
+    # so evidence recorded against a prefix of it stays valid
+    poly = _as_polytope(vertices, hull, family.dim)
+    evidence: dict[tuple[int, int], dict] = {}
+    counts = dict.fromkeys(MEMBERSHIP_WAYS, 0)
     frontier = list(range(len(vertices)))
     rounds = 0
-    while True:
-        while frontier:
-            rounds += 1
-            if rounds > MAX_ROUNDS:
-                return _cap_result(IpaStatus.NO_SPECTRAL_GAP, lam, hull,
-                                   vertices, candidates, family)
-            new_frontier: list[int] = []
-            images = [_Vertex(_apply(A, vertices[vi].coords, hull, sc),
-                              vertices[vi].word + (j,), vertices[vi].seed)
-                      for vi in frontier for j, A, sc in maps]
-            for img in images:
-                if _find_duplicate(vertices, img.coords, hull) is not None:
-                    continue
-                if _membership(vertices, img, hull, family.dim, opts):
-                    continue
-                vertices.append(img)
-                new_frontier.append(len(vertices) - 1)
-                if len(vertices) > MAX_VERTICES:
-                    return _cap_result(IpaStatus.VERTEX_CAP_EXCEEDED, lam,
-                                       hull, vertices, candidates, family)
-            frontier = new_frontier
-        # frontier empty: certify exactly; any violation re-opens the loop
-        evidence, offender = _certify_sweep(vertices, family, scale, hull)
-        if offender is None:
-            poly = _as_polytope(vertices, hull, family.dim)
-            cert = _emit_certificate(family, candidates, lam, ctx, lam_elem,
-                                     hull, vertices, seed_map, scales,
-                                     evidence, limits)
-            return IpaResult(IpaStatus.PROVED, lam, poly,
-                             candidates.candidates, cert,
-                             diagnostics={"vertices": len(vertices),
-                                          "rounds": rounds})
-        vertices.append(offender)
-        frontier = [len(vertices) - 1]
-        if len(vertices) > MAX_VERTICES:
-            return _cap_result(IpaStatus.VERTEX_CAP_EXCEEDED, lam, hull,
+    while frontier:
+        rounds += 1
+        if rounds > MAX_ROUNDS:
+            return _cap_result(IpaStatus.NO_SPECTRAL_GAP, lam, hull,
                                vertices, candidates, family)
+        new_frontier: list[int] = []
+        for vi in frontier:
+            vert = vertices[vi]
+            for j, A, sc in maps:
+                img = _apply(A, vert.coords, hull, sc)
+                ev = _membership(vertices, poly, img, hull, opts.mode, counts)
+                if ev is None:
+                    vertices.append(_Vertex(img, vert.word + (j,), vert.seed))
+                    poly.vertices.append(img)
+                    new_frontier.append(len(vertices) - 1)
+                    if len(vertices) > MAX_VERTICES:
+                        return _cap_result(IpaStatus.VERTEX_CAP_EXCEEDED, lam,
+                                           hull, vertices, candidates, family)
+                    ev = {"type": "vertex", "index": len(vertices) - 1}
+                if j > 0:  # the certificate covers the family's matrices
+                    evidence[vi, j] = ev
+        frontier = new_frontier
+    cert = _emit_certificate(family, candidates, lam, ctx, lam_elem, hull,
+                             vertices, seed_map, scales, evidence, limits)
+    return IpaResult(IpaStatus.PROVED, lam, poly, candidates.candidates, cert,
+                     diagnostics={"vertices": len(vertices), "rounds": rounds,
+                                  "membership": counts})
 
 
 def _build_field(family: MatrixFamily, candidates: CandidateSet):
@@ -424,56 +433,58 @@ def _neg(v):
     return [-c for c in v]
 
 
-def _membership(vertices: list[_Vertex], img: _Vertex, hull: HullKind,
-                dim: int, opts: IpaOptions) -> bool:
-    """True when the image is provably in the (closed) current hull."""
-    poly = _as_polytope(vertices, hull, dim)
+def _membership(vertices: list[_Vertex], poly: VertexPolytope, x: list,
+                hull: HullKind, mode: Mode, counts: dict) -> Optional[dict]:
+    """Certificate evidence placing the image x in the closed hull, or
+    None when x must become a vertex.
+
+    Tried in order, the first that decides wins and is counted in
+    `counts`: an equal vertex ("duplicate"); kind C, one arc cover
+    ("arc_cover"); kind P, a vertex dominating x ("domination"); a
+    coordinate or sum bound x violates ("bound"); then the float LP,
+    whose exterior verdict stands ("numeric_exterior") and whose interior
+    verdict is made exact by the exact LP ("exact_lp"), as is any query
+    near the boundary.  Combination coefficients cover the vertices as
+    they are now; the certificate pads them with zeros.
+    """
+    dup = _find_duplicate(vertices, x, hull)
+    if dup is not None:
+        counts["duplicate"] += 1
+        return {"type": "vertex", "index": dup}
     if hull is HullKind.C:
-        return norm_ellipse(poly, img.coords) is not None
-    if hull is HullKind.P and any(c.sign() < 0 for c in img.coords):
-        return False
-    res = classify_with_fallback(poly, img.coords, opts.mode)
-    return res.classification in (Classification.INTERIOR,
-                                  Classification.BOUNDARY)
+        counts["arc_cover"] += 1
+        cover = norm_ellipse(poly, x)
+        if cover is None:
+            return None
+        return {"type": "arcs",
+                "arcs": [[list(d0), list(d1), k] for d0, d1, k in cover]}
+    if hull is HullKind.P:
+        i = dominating_vertex(poly, x)
+        if i is not None:
+            counts["domination"] += 1
+            zero = x[0] * 0
+            coeffs = [zero] * len(poly.vertices)
+            coeffs[i] = zero + 1
+            return {"type": "combination", "coeffs": coeffs, "face": [i]}
+    if outside_bound(poly, x):
+        counts["bound"] += 1
+        return None
+    res = classify_with_fallback(poly, x, mode)
+    if res.numeric and res.classification is Classification.EXTERIOR:
+        counts["numeric_exterior"] += 1
+        return None
+    counts["exact_lp"] += 1
+    if res.numeric:
+        res = minkowski_norm(poly, x)
+    if res.classification is Classification.EXTERIOR:
+        return None
+    return {"type": "combination", "coeffs": res.combination(),
+            "face": res.face}
 
 
 def _as_polytope(vertices: list[_Vertex], hull: HullKind,
                  dim: int) -> VertexPolytope:
     return VertexPolytope(hull, [list(v.coords) for v in vertices], dim)
-
-
-def _certify_sweep(vertices: list[_Vertex], family: MatrixFamily,
-                   scale: FieldElement, hull: HullKind):
-    """Exact evidence for every (vertex, matrix) image, or the first
-    offending image that is provably not coverable."""
-    evidence = []
-    poly = _as_polytope(vertices, hull, family.dim)
-    for vi, vert in enumerate(vertices):
-        for j in range(1, len(family) + 1):
-            img = _Vertex(_apply(family[j - 1], vert.coords, hull, scale),
-                          vert.word + (j,), vert.seed)
-            dup = _find_duplicate(vertices, img.coords, hull)
-            if dup is not None:
-                evidence.append({"vertex": vi, "matrix": j,
-                                 "type": "vertex", "index": dup})
-                continue
-            if hull is HullKind.C:
-                cover = norm_ellipse(poly, img.coords)
-                if cover is None:
-                    return None, img
-                evidence.append({"vertex": vi, "matrix": j, "type": "arcs",
-                                 "arcs": [[list(d0), list(d1), k]
-                                          for d0, d1, k in cover]})
-                continue
-            res = minkowski_norm(poly, img.coords)
-            ok = res.value is not None and _sgn_vs_one(res.value) <= 0
-            if not ok:
-                return None, img
-            combo = res.combination()
-            evidence.append({"vertex": vi, "matrix": j, "type": "combination",
-                             "coeffs": [_ser_scalar(c) for c in combo],
-                             "face": res.face})
-    return evidence, None
 
 
 def _cap_result(status: IpaStatus, lam, hull, vertices, candidates,
@@ -498,6 +509,16 @@ def _ser_scalar(x) -> object:
 
 def _emit_certificate(family, candidates, lam, ctx, lam_elem, hull, vertices,
                       seed_map, scales, evidence, limits) -> dict:
+    """The certificate; `evidence` maps (vertex, matrix) to the evidence
+    recorded when that image was decided."""
+    zero = ctx.zero()
+    records = []
+    for (vi, j), e in sorted(evidence.items()):
+        rec = {"vertex": vi, "matrix": j, **e}
+        if e["type"] == "combination":
+            pad = [zero] * (len(vertices) - len(e["coeffs"]))
+            rec["coeffs"] = [_ser_scalar(c) for c in e["coeffs"] + pad]
+        records.append(rec)
     cert = {
         "schema": SCHEMA,
         "dim": family.dim,
@@ -522,7 +543,7 @@ def _emit_certificate(family, candidates, lam, ctx, lam_elem, hull, vertices,
             }
             for v in vertices
         ],
-        "evidence": evidence,
+        "evidence": records,
         "augmented": [idx for idx, _ in limits],
         "options": {
             "tolerance": repr(NUMERIC_TOLERANCE),

@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from jsrcert import algebraic
 from jsrcert.algebraic import (
     AlgebraicError,
     ContextMismatchError,
@@ -84,6 +85,13 @@ class TestIsolateRealRoots:
         p = P([-1, 1]) * P([-1, 1]) * P([-1, 1])
         roots = isolate_real_roots(p)
         assert len(roots) == 1 and roots[0].as_rational() == 1
+
+    def test_wrong_root_count_raises_instead_of_bisecting_forever(
+            self, monkeypatch):
+        # a Sturm count that always claims two roots can never split them
+        monkeypatch.setattr(algebraic, "count_roots_in", lambda *args: 2)
+        with pytest.raises(AlgebraicError, match="did not converge"):
+            isolate_real_roots(P([-2, 0, 1]))
 
 
 class TestCompare:

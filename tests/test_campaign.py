@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from jsrcert import matcore
+from jsrcert import campaign, matcore
 from jsrcert.algebraic import RealAlgebraic
 from jsrcert.campaign import (
     Store,
@@ -11,9 +11,11 @@ from jsrcert.campaign import (
     diff_expected,
     load_expected_csv,
     parse_smp_word,
+    resolve_code,
     run_campaign,
 )
 from jsrcert.matcore import MatrixFamily, evaluate
+from jsrcert.reduce import PairCode
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -119,9 +121,23 @@ class TestDeterministicRecords:
 
     def test_case_order_and_warm_caches_do_not_change_the_store(self, tmp_path):
         matcore._spectral_radius_of.cache_clear()
+        campaign._block_record.cache_clear()
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         run_campaign("binary", 3, first, codes=self.CODES)
-        # the second run finds every spectral radius in the cache
+        # the second run finds every spectral radius and block in the cache
         run_campaign("binary", 3, second, codes=self.CODES[::-1])
         assert matcore._spectral_radius_of.cache_info().hits > 0
+        assert campaign._block_record.cache_info().hits > 0
         assert _lines_without_seconds(first) == _lines_without_seconds(second)
+
+
+class TestBlockMemo:
+    def test_each_caller_gets_block_records_of_its_own(self):
+        campaign._block_record.cache_clear()
+        code = PairCode.parse("3/72", 3, "binary")  # a proved and a settled block
+        first = resolve_code(code)["witness"]["block_records"]
+        expected = json.dumps(first, sort_keys=True)
+        first[0]["status"] = first[1]["status"] = "tampered"
+        second = resolve_code(code)["witness"]["block_records"]
+        assert campaign._block_record.cache_info().hits >= 2
+        assert json.dumps(second, sort_keys=True) == expected

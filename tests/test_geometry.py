@@ -16,8 +16,10 @@ from jsrcert.geometry import (
     Mode,
     VertexPolytope,
     classify_with_fallback,
+    dominating_vertex,
     minkowski_norm,
     norm_ellipse,
+    outside_bound,
     simplex_solve,
 )
 
@@ -318,3 +320,81 @@ class TestClassifyWithFallback:
         poly = VertexPolytope(HullKind.R, [[F(1), F(0)], [F(0), F(1)]], 2)
         r = classify_with_fallback(poly, [F(1, 4), F(1, 4)], Mode.EXACT_ONLY)
         assert not r.numeric and r.value == F(1, 2)
+
+
+class TestExactPreTests:
+    """`dominating_vertex` and `outside_bound` against their definitions
+    and against the exact LP, on random rational polytopes."""
+
+    def _queries(self, rng, verts, cone):
+        dim = len(verts[0])
+        lo = 0 if cone else -4
+        out = [[F(rng.randint(lo, 4), rng.randint(1, 2)) for _ in range(dim)]
+               for _ in range(4)]
+        # on the edge of each test: a vertex (dominated with equality and
+        # reaching the bounds), a vertex with one coordinate lowered, and
+        # a vertex with one coordinate raised
+        for step in (0, F(-1, 2), F(1, 3)):
+            x = list(rng.choice(verts))
+            j = rng.randrange(dim)
+            if not cone or x[j] + step >= 0:
+                x[j] += step
+            out.append(x)
+        return out
+
+    @pytest.mark.parametrize("kind", [HullKind.P, HullKind.R])
+    def test_verdicts_match_definitions_and_exact_lp(self, kind):
+        rng = random.Random(29)
+        cone = kind is HullKind.P
+        seen = {"dominated": 0, "not dominated": 0, "outside": 0,
+                "no bound": 0}
+        for _ in range(120):
+            dim = rng.choice([2, 3])
+            lo = 0 if cone else -4
+            verts = [[F(rng.randint(lo, 4), rng.randint(1, 3))
+                      for _ in range(dim)] for _ in range(rng.randint(1, 5))]
+            if any(all(c == 0 for c in v) for v in verts):
+                continue
+            poly = VertexPolytope(kind, verts, dim)
+            for x in self._queries(rng, verts, cone):
+                if all(c == 0 for c in x):
+                    continue
+                norm = minkowski_norm(poly, x).value
+                inside = norm is not None and norm <= 1
+                if cone:
+                    i = dominating_vertex(poly, x)
+                    dominated = any(all(a >= b for a, b in zip(v, x))
+                                    for v in verts)
+                    assert (i is not None) == dominated, (verts, x)
+                    if i is not None:
+                        assert all(a >= b for a, b in zip(verts[i], x))
+                        assert inside, (verts, x, norm)
+                    seen["dominated" if dominated else "not dominated"] += 1
+                    bounds = [[*v, sum(v)] for v in verts]
+                    point = [*x, sum(x)]
+                else:
+                    bounds = [[abs(c) for c in v] for v in verts]
+                    point = [abs(c) for c in x]
+                violated = any(point[j] > max(b[j] for b in bounds)
+                               for j in range(len(point)))
+                assert outside_bound(poly, x) == violated, (verts, x)
+                if violated:
+                    assert not inside, (verts, x, norm)
+                seen["outside" if violated else "no bound"] += 1
+        assert min(v for k, v in seen.items()
+                   if cone or "dominated" not in k) >= 50, seen
+
+    def test_field_coordinates(self):
+        sqrt2 = isolate_real_roots(IntPolynomial.make([-2, 0, 1]))[1]
+        ctx = NumberFieldContext.from_real_algebraic(sqrt2)
+        r, q = ctx.generator(), ctx.from_rational
+        cone = VertexPolytope(HullKind.P, [[q(1), r], [r, q(1)]], 2)
+        assert dominating_vertex(cone, [q(1), q(F(7, 5))]) == 0
+        assert dominating_vertex(cone, [r, q(1)]) == 1
+        assert dominating_vertex(cone, [q(1), q(F(3, 2))]) is None
+        # 1 + 3/2 exceeds every coordinate sum, 1 + sqrt2
+        assert outside_bound(cone, [q(1), q(F(3, 2))])
+        assert not outside_bound(cone, [q(F(6, 5)), q(F(6, 5))])
+        sym = VertexPolytope(HullKind.R, [[r, q(0)], [q(0), q(1)]], 2)
+        assert outside_bound(sym, [q(F(-3, 2)), q(0)])
+        assert not outside_bound(sym, [-r, q(1)])

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from jsrcert import ipa
 from jsrcert.algebraic import (
     IntPolynomial,
     NumberFieldContext,
@@ -15,6 +16,7 @@ from jsrcert.algebraic import (
 )
 from jsrcert.geometry import HullKind, Mode
 from jsrcert.ipa import (
+    MEMBERSHIP_WAYS,
     IpaOptions,
     IpaStatus,
     _apply,
@@ -301,6 +303,51 @@ class TestMutationTesting:
     def test_arc_chain_stopping_short_rejects(self):
         check = self._arc_mutation(lambda arcs, n: arcs.pop())
         assert not check and "(-1, 0)" in check.reason
+
+
+# a binary pair proved with a kind-P polytope of five vertices
+CONE_FAMILY = MatrixFamily.make([[[0, 1], [0, 0]], [[1, 0], [1, 1]]],
+                                alphabet="binary")
+
+
+class TestEvidenceRecordedWhenDecided:
+    @pytest.mark.parametrize("family, hull, way", [
+        (CONE_FAMILY, HullKind.P, "domination"),
+        (B_FAMILY, HullKind.R, "exact_lp")])
+    def test_combination_from_a_smaller_hull_verifies(self, monkeypatch,
+                                                      family, hull, way):
+        widths = []
+
+        def spy(*args):
+            ev = membership(*args)
+            if ev is not None and ev["type"] == "combination":
+                widths.append(len(ev["coeffs"]))
+            return ev
+
+        membership = ipa._membership
+        monkeypatch.setattr(ipa, "_membership", spy)
+        res, _ = _run(family, depth=14)
+        assert res.status is IpaStatus.PROVED and res.polytope.kind is hull
+        n = len(res.polytope.vertices)
+        # evidence recorded while later vertices were still to come
+        assert widths and min(widths) < n
+        assert res.diagnostics["membership"][way] > 0
+        combos = [e for e in res.certificate["evidence"]
+                  if e["type"] == "combination"]
+        assert len(combos) == len(widths)
+        assert all(len(e["coeffs"]) == n for e in combos)
+        assert verify_certificate(res.certificate)
+
+    @pytest.mark.parametrize("family", [CONE_FAMILY, B_FAMILY, C_FAMILY,
+                                        T_FAMILY])
+    def test_membership_counts_every_query_once(self, family):
+        res, _ = _run(family, depth=14)
+        counts = res.diagnostics["membership"]
+        assert tuple(counts) == MEMBERSHIP_WAYS
+        # each vertex has its image under each matrix decided once
+        assert sum(counts.values()) == \
+            len(res.polytope.vertices) * len(family)
+        assert _run(family, depth=14)[0].diagnostics["membership"] == counts
 
 
 class TestSingletonFamily:
