@@ -25,6 +25,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
+import sympy
+
 from .linalg import matmul
 
 Rational = Fraction
@@ -34,6 +36,9 @@ RationalLike = Union[int, Fraction]
 _MAX_REFINE = 256
 # interval halvings compare_powers tries before building exact powers
 _POWER_REFINE_ROUNDS = 3
+# a cubic is factored by trial of its rational root candidates when its
+# constant and leading coefficients are at most this in absolute value
+_RATIONAL_ROOT_LIMIT = 1 << 14
 
 
 class Ordering(IntEnum):
@@ -229,23 +234,77 @@ def factor_int_poly(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
     """Irreducible factorization over Q (primitive integer factors).
 
     The constant content is dropped; only non-constant factors with
-    their multiplicities are returned.
+    their multiplicities are returned, sorted by degree and coefficients.
+    Degree 3 or less is factored by rational roots (`_factor_low_degree`),
+    higher degrees by sympy.
     """
-    import sympy
-
     if p.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(p.coeffs)), x)
-    _, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        coeffs = [int(c) for c in reversed(fac.all_coeffs())]
-        q = IntPolynomial.make(coeffs).primitive()
-        if q.degree >= 1:
-            out.append((q, int(mult)))
+    out = _factor_low_degree(p) if p.degree <= 3 else None
+    if out is None:
+        x = sympy.Symbol("x")
+        poly = sympy.Poly(list(reversed(p.coeffs)), x)
+        _, factors = poly.factor_list()
+        out = []
+        for fac, mult in factors:
+            coeffs = [int(c) for c in reversed(fac.all_coeffs())]
+            q = IntPolynomial.make(coeffs).primitive()
+            if q.degree >= 1:
+                out.append((q, int(mult)))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
+
+
+def _factor_low_degree(p: IntPolynomial
+                       ) -> list[tuple[IntPolynomial, int]] | None:
+    """The factors of p, of degree at most 3, or None for a cubic whose
+    rational root candidates are too many to try.
+
+    Over Q such a polynomial is reducible iff it has a rational root
+    s/t, and then s divides the constant and t the leading coefficient.
+    Roots at 0 give the factor x; a cubic without one is deflated by the
+    linear factor t x - s of a rational root found by trial; a quadratic
+    splits iff its discriminant is a square.
+    """
+    zeros = next(k for k, c in enumerate(p.coeffs) if c)
+    rest = IntPolynomial(p.coeffs[zeros:]).primitive()
+    linear = [(0, 1)] * zeros  # (s, t) of each rational root s/t
+    if rest.degree == 3:
+        c0, lead = rest.coeffs[0], rest.coeffs[-1]
+        if max(abs(c0), lead) > _RATIONAL_ROOT_LIMIT:
+            return None
+        root = next(((s, t) for t in _divisors(lead) for d in _divisors(c0)
+                     for s in (d, -d)
+                     if gcd(s, t) == 1 and rest.sign_at(Fraction(s, t)) == 0),
+                    None)
+        if root is not None:
+            linear.append(root)
+            # Gauss: the quotient by the primitive t x - s is primitive
+            q, _ = _pseudo_divmod(rest, IntPolynomial((-root[0], root[1])))
+            rest = q.primitive()
+    if rest.degree == 2:
+        c, b, a = rest.coeffs
+        disc = b * b - 4 * a * c
+        r = isqrt(disc) if disc >= 0 else -1
+        if r * r == disc:
+            for num in (-b - r, -b + r):
+                q = Fraction(num, 2 * a)
+                linear.append((q.numerator, q.denominator))
+            rest = IntPolynomial((1,))
+    mult: dict[IntPolynomial, int] = {}
+    for s, t in linear:
+        f = IntPolynomial((-s, t))
+        mult[f] = mult.get(f, 0) + 1
+    if rest.degree >= 1:
+        mult[rest] = mult.get(rest, 0) + 1
+    return list(mult.items())
+
+
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n != 0."""
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 # -- Sturm sequences ---------------------------------------------------------
@@ -780,12 +839,21 @@ def nth_root(a: RealAlgebraic, n: int) -> RealAlgebraic:
     if n == 1:
         return a
     if a.is_rational:
+        # the root of den x^n - num lies in [k, k + 1] / den for
+        # k = floor((num den^(n-1))^(1/n)), at the left end when rational
         q = a.as_rational()
-        # exact rational root if one exists
-        num = _int_nth_root(q.numerator, n)
-        den = _int_nth_root(q.denominator, n)
-        if num is not None and den is not None:
-            return RealAlgebraic.from_rational(Fraction(num, den))
+        num, den = q.numerator, q.denominator
+        m = num * den ** (n - 1)
+        k = _int_floor_root(m, n)
+        lo = Fraction(k, den)
+        if k ** n == m:
+            return RealAlgebraic.from_rational(lo)
+        hi = Fraction(k + 1, den)
+        poly = IntPolynomial.make([-num] + [0] * (n - 1) + [den])
+        # the one factor vanishing in the bracket changes sign across it
+        fac = next(f for f, _ in factor_int_poly(poly)
+                   if f.sign_at(lo) != f.sign_at(hi))
+        return RealAlgebraic(fac, lo, hi)
     comp = a.minpoly.compose_power(n)
     candidates = [r for r in isolate_real_roots(comp) if r.sign() > 0]
     # the root r with r**n == a; isolate by interval power comparison
@@ -811,21 +879,19 @@ def nth_root(a: RealAlgebraic, n: int) -> RealAlgebraic:
             raise AlgebraicError("n-th root isolation did not converge")
 
 
-def _int_nth_root(m: int, n: int) -> int | None:
-    """The integer r with r**n == m, or None when m is no n-th power."""
+def _int_floor_root(m: int, n: int) -> int:
+    """The integer floor(m^(1/n)) of m >= 0."""
     if m < 2:
-        return m if m >= 0 else None
+        return m
     if n == 2:
-        r = isqrt(m)
-    else:
-        # integer Newton from 2^ceil(bits/n) >= m^(1/n) decreases to the floor
-        r = 1 << -(-m.bit_length() // n)
-        while True:
-            s = ((n - 1) * r + m // r ** (n - 1)) // n
-            if s >= r:
-                break
-            r = s
-    return r if r**n == m else None
+        return isqrt(m)
+    # integer Newton from 2^ceil(bits/n) >= m^(1/n) decreases to the floor
+    r = 1 << -(-m.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + m // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,15 @@ form dominates the query's (`norm_ellipse`).
 Most kind-P and kind-R queries need no LP.  Two exact tests settle them
 first: `dominating_vertex` finds a vertex at least the query entrywise
 (kind P: inside), and `outside_bound` finds a coordinate, or in kind P
-the coordinate sum, that no vertex reaches (outside).  Only the queries
-both leave open go to `classify_with_fallback`, whose float LP decides
-those far from the boundary and escalates the rest to the exact LP.
-Floats never decide an exact test; they only order its candidates.
+the coordinate sum, that no vertex reaches (outside).  In dimension 2
+the rest need no LP either: the membership LP has two rows, so a basic
+solution combines at most two vertices, and `two_vertex_combination`
+solves each pair by Cramer's rule.  In other dimensions the queries
+both pre-tests leave open go to `classify_with_fallback`, whose float
+LP decides those far from the boundary and escalates the rest to the
+exact LP.  Floats decide only a query far outside (by the float LP or
+the float two-vertex weights); otherwise they only order the
+candidates of an exact test.
 """
 
 from __future__ import annotations
@@ -542,6 +547,161 @@ def outside_bound(poly: VertexPolytope, x) -> bool:
     return False
 
 
+# -- dimension 2: combinations of at most two vertices -----------------------
+
+
+@dataclass
+class PlanarVerdict:
+    """The answer of `two_vertex_combination`.  `coeffs` (one per vertex,
+    nonzero only on `face`) place x in the closed hull; None means x is
+    outside, by the float estimate alone when `numeric`."""
+
+    coeffs: Optional[list]
+    face: list[int]
+    numeric: bool = False
+
+
+def two_vertex_combination(poly: VertexPolytope, x,
+                           mode: Mode = Mode.NUMERIC_FIRST) -> PlanarVerdict:
+    """Membership in a kind-P or kind-R polygon without an LP.
+
+    The membership LP has two constraint rows, so an optimal basic
+    solution uses at most two vertices.  Kind R: x is in the hull iff
+    x = a v_i + b v_j with |a| + |b| <= 1 for some pair with
+    det(v_i, v_j) != 0, or x = c v_k with |c| <= 1 (the only way in when
+    every vertex is parallel).  Kind P: for x >= 0 that no vertex
+    dominates (`dominating_vertex` decides those), iff some pair has
+    a, b >= 0 and a + b <= 1; scaling x out to the hull's boundary meets
+    an edge between two vertices or a segment below a single vertex.
+
+    Floats rank the pairs (and in kind R the single vertices) by their
+    weight |a| + |b|.  In NUMERIC_FIRST mode a least weight above
+    1 + NUMERIC_TOLERANCE decides x outside; otherwise the candidates are
+    checked exactly in float order, and the first that passes gives the
+    combination.  When none passes, x is exactly outside.  After the
+    first has failed, each pair is also tried as a separating line
+    (`_separated`); near the boundary on the outside one of the first
+    pairs in float order usually is one, and that decides x outside
+    without checking the rest.
+    """
+    if poly.dim != 2 or poly.kind is HullKind.C:
+        raise ValueError("the two-vertex test is for kind-P and kind-R polygons")
+    cone = poly.kind is HullKind.P
+    x0, x1 = float(x[0]), float(x[1])
+    inf = float("inf")
+    ranked = []  # (float weight, i, j); j == i stands for vertex i alone
+    fv = poly.floats()
+    for i, (a0, a1) in enumerate(fv):
+        if not cone:
+            size = a0 * a0 + a1 * a1
+            parallel = abs(x0 * a1 - x1 * a0) <= NUMERIC_TOLERANCE * (
+                abs(x0) + abs(x1)) * (abs(a0) + abs(a1))
+            ranked.append((abs(x0 * a0 + x1 * a1) / size if parallel else inf,
+                           i, i))
+        for j in range(i + 1, len(fv)):
+            b0, b1 = fv[j]
+            d = a0 * b1 - a1 * b0
+            w = inf
+            if d:
+                a, b = (x0 * b1 - x1 * b0) / d, (a0 * x1 - a1 * x0) / d
+                if not cone:
+                    w = abs(a) + abs(b)
+                elif a >= -NUMERIC_TOLERANCE and b >= -NUMERIC_TOLERANCE:
+                    w = a + b
+            # a weight that is not a number (an overflow) ranks last
+            ranked.append((w if w < inf else inf, i, j))
+    if not ranked:
+        return PlanarVerdict(None, [], mode is Mode.NUMERIC_FIRST)
+    best = min(ranked)
+    if mode is Mode.NUMERIC_FIRST and best[0] > 1 + NUMERIC_TOLERANCE:
+        return PlanarVerdict(None, [], True)
+    found = _combination_of(poly, x, *best[1:])
+    if found is None:
+        for _, i, j in sorted(ranked):
+            if i != j and _separated(poly, x, i, j):
+                return PlanarVerdict(None, [])
+            found = _combination_of(poly, x, i, j)
+            if found is not None:
+                break
+    if found is None:
+        return PlanarVerdict(None, [])
+    coeffs = [x[0] * 0] * len(poly.vertices)
+    for k, c in found:
+        coeffs[k] = c
+    return PlanarVerdict(coeffs, [k for k, _ in found])
+
+
+def _combination_of(poly: VertexPolytope, x, i: int, j: int):
+    """Exactly: [(i, a), (j, b)] with x = a v_i + b v_j inside the weight
+    limit of the hull kind, or for j == i [(i, c)] with x = c v_i and
+    |c| <= 1; None when there is no such combination."""
+    u, v = poly.vertices[i], poly.vertices[j]
+    if i == j:
+        if not _is_zero(x[0] * u[1] - x[1] * u[0]):
+            return None
+        r = 0 if not _is_zero(u[0]) else 1
+        su, sx = _sgn(u[r]), _sgn(x[r])
+        if _sgn(su * u[r] - sx * x[r]) < 0:  # |x_r| > |u_r|
+            return None
+        return [(i, x[r] / u[r])]
+    d = u[0] * v[1] - u[1] * v[0]
+    sd = _sgn(d)
+    if sd == 0:
+        return None
+    # Cramer: a = p / d and b = q / d
+    p, q = x[0] * v[1] - x[1] * v[0], u[0] * x[1] - u[1] * x[0]
+    sa, sb = _sgn(p) * sd, _sgn(q) * sd
+    if poly.kind is HullKind.P and (sa < 0 or sb < 0):
+        return None
+    # |a| + |b| <= 1  <=>  sd (d - sa p - sb q) >= 0, as sa p = |p| sd
+    t = d
+    for s, y in ((sa, p), (sb, q)):
+        if s > 0:
+            t = t - y
+        elif s < 0:
+            t = t + y
+    if _sgn(t) * sd < 0:
+        return None
+    inv = d.inverse() if isinstance(d, FieldElement) else 1 / d
+    return [(i, p * inv), (j, q * inv)]
+
+
+def _separated(poly: VertexPolytope, x, i: int, j: int) -> bool:
+    """Exactly: the line l.y = 1 through v_i and v_j (kind R: each
+    signed as its coefficient for x) has l.x > 1 and every vertex within
+    |l.v| <= 1 (kind P: l >= 0 and l.v <= 1), so x is outside.
+
+    Such an l is feasible for the dual of the membership LP, which makes
+    l.x a lower bound on the norm of x.
+    """
+    u, v = poly.vertices[i], poly.vertices[j]
+    cone = poly.kind is HullKind.P
+    if not cone:
+        d = u[0] * v[1] - u[1] * v[0]
+        sd = _sgn(d)
+        p, q = x[0] * v[1] - x[1] * v[0], u[0] * x[1] - u[1] * x[0]
+        if _sgn(p) * sd < 0:
+            u = [-c for c in u]
+        if _sgn(q) * sd < 0:
+            v = [-c for c in v]
+    # l = n / det with n = (v_1 - u_1, u_0 - v_0), so l.u = l.v = 1
+    det = u[0] * v[1] - u[1] * v[0]
+    s = _sgn(det)
+    if s == 0:
+        return False
+    n = (v[1] - u[1], u[0] - v[0])
+    if cone and (_sgn(n[0]) * s < 0 or _sgn(n[1]) * s < 0):
+        return False
+    if _sgn(n[0] * x[0] + n[1] * x[1] - det) * s <= 0:  # l.x <= 1
+        return False
+    for w in poly.vertices:
+        t = n[0] * w[0] + n[1] * w[1]
+        # l.w > 1, or in kind R l.w < -1
+        if _sgn(t - det) * s > 0 or (not cone and _sgn(t + det) * s < 0):
+            return False
+    return True
+
+
 # -- numeric-first classification with exact escalation ----------------------
 
 
@@ -553,8 +713,9 @@ def classify_with_fallback(poly: VertexPolytope, x,
     whose margin from 1 exceeds NUMERIC_TOLERANCE are returned tagged
     numeric.  Anything near the boundary (or any numeric failure)
     escalates to the exact path.  EXACT_ONLY skips the numeric stage.
-    Kinds P and R only.  The polytope algorithm calls it only for the
-    queries that `dominating_vertex` and `outside_bound` leave open.
+    Kinds P and R only.  The polytope algorithm calls it only outside
+    dimension 2, for the queries that `dominating_vertex` and
+    `outside_bound` leave open.
     """
     # exact duplicate-vertex test before any LP
     for i, v in enumerate(poly.vertices):

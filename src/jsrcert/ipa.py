@@ -30,9 +30,11 @@ seed, the seeds' eigen-relations, and one piece of evidence for every
 Each image is decided once, and its evidence is recorded then (see
 `_membership` for the order of the tests): an equal vertex; in kind C an
 arc cover; in kind P a single dominating vertex; a coordinate bound that
-puts it outside; and only then the float LP, whose interior verdicts the
-exact LP turns into a combination.  An image not shown inside becomes a
-vertex.  Vertices are only ever appended, so a combination over the
+puts it outside; in dimension 2 a combination of two vertices, exact and
+without an LP (a two-row LP has basic solutions on two vertices); and
+only in other dimensions the float LP, whose interior verdicts the
+exact LP turns into a combination.  An image not shown inside becomes
+a vertex.  Vertices are only ever appended, so a combination over the
 vertices of its time stays valid; the certificate pads it with zeros.
 """
 
@@ -67,6 +69,7 @@ from .geometry import (
     minkowski_norm,
     norm_ellipse,
     outside_bound,
+    two_vertex_combination,
 )
 from .linalg import add_to_basis
 from .matcore import (
@@ -87,7 +90,7 @@ BALANCE_ROUNDS = 16
 # how a membership query was decided; IpaResult.diagnostics["membership"]
 # counts the queries of a proved run by these keys
 MEMBERSHIP_WAYS = ("duplicate", "arc_cover", "domination", "bound",
-                   "numeric_exterior", "exact_lp")
+                   "two_vertex", "numeric_exterior", "exact_lp")
 
 
 class IpaStatus(enum.Enum):
@@ -441,11 +444,14 @@ def _membership(vertices: list[_Vertex], poly: VertexPolytope, x: list,
     Tried in order, the first that decides wins and is counted in
     `counts`: an equal vertex ("duplicate"); kind C, one arc cover
     ("arc_cover"); kind P, a vertex dominating x ("domination"); a
-    coordinate or sum bound x violates ("bound"); then the float LP,
-    whose exterior verdict stands ("numeric_exterior") and whose interior
-    verdict is made exact by the exact LP ("exact_lp"), as is any query
-    near the boundary.  Combination coefficients cover the vertices as
-    they are now; the certificate pads them with zeros.
+    coordinate or sum bound x violates ("bound").  Then in dimension 2
+    the two-vertex test, whose float weights put x far outside
+    ("numeric_exterior") or whose exact pairs decide it ("two_vertex");
+    in other dimensions the float LP, whose exterior verdict stands
+    ("numeric_exterior") and whose interior verdict is made exact by the
+    exact LP ("exact_lp"), as is any query near the boundary.
+    Combination coefficients cover the vertices as they are now; the
+    certificate pads them with zeros.
     """
     dup = _find_duplicate(vertices, x, hull)
     if dup is not None:
@@ -469,6 +475,16 @@ def _membership(vertices: list[_Vertex], poly: VertexPolytope, x: list,
     if outside_bound(poly, x):
         counts["bound"] += 1
         return None
+    if poly.dim == 2:
+        planar = two_vertex_combination(poly, x, mode)
+        if planar.numeric:
+            counts["numeric_exterior"] += 1
+            return None
+        counts["two_vertex"] += 1
+        if planar.coeffs is None:
+            return None
+        return {"type": "combination", "coeffs": planar.coeffs,
+                "face": planar.face}
     res = classify_with_fallback(poly, x, mode)
     if res.numeric and res.classification is Classification.EXTERIOR:
         counts["numeric_exterior"] += 1

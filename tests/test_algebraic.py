@@ -257,6 +257,17 @@ class TestNthRoot:
         assert nth_root(RealAlgebraic.from_rational(7**5 * 10**350), 5) \
             .as_rational() == 7 * 10**70
 
+    def test_large_rational_that_is_no_perfect_power(self):
+        # 10^401 / 27 is no cube, and its Cauchy bound is about 1e400
+        a = RealAlgebraic.from_rational(Fraction(10**401, 27))
+        r = nth_root(a, 3)
+        assert r.minpoly == P([-10**401, 0, 0, 27]) and r.sign() > 0
+        assert compare(r.pow(3), a) == Ordering.EQUAL
+        assert compare(nth_root(RealAlgebraic.from_rational(Fraction(2, 10**300)),
+                               2).pow(2),
+                       RealAlgebraic.from_rational(Fraction(1, 5 * 10**299))) \
+            == Ordering.EQUAL
+
     def test_rejects_nonpositive(self):
         with pytest.raises(AlgebraicError):
             nth_root(RealAlgebraic.from_rational(0), 2)
@@ -509,3 +520,65 @@ class TestFactor:
         p = P([-2, 0, 1]) * P([-3, 0, 1])
         r = real_algebraic_root(p, Fraction(14, 10), Fraction(15, 10))
         assert r.minpoly == P([-2, 0, 1])
+
+
+def _sympy_factors(p):
+    """factor_int_poly's contract, computed by sympy directly."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(list(reversed(p.coeffs)), x).factor_list()
+    out = [(P([int(c) for c in reversed(f.all_coeffs())]).primitive(), int(m))
+           for f, m in factors]
+    return sorted(((f, m) for f, m in out if f.degree >= 1),
+                  key=lambda fm: (fm[0].degree, fm[0].coeffs))
+
+
+class TestLowDegreeFactoring:
+    def _inputs(self, rng):
+        for _ in range(400):
+            # products of linear and quadratic factors: repeated roots,
+            # roots at 0, content, either sign and non-unit leading terms
+            p = P([rng.choice([-1, 1]) * rng.choice([1, 1, 2, 6])])
+            degree = rng.randint(0, 3)
+            while p.degree < degree:
+                d = min(rng.choice([1, 1, 2]), degree - p.degree)
+                p = p * P([rng.randint(-5, 5) for _ in range(d)]
+                          + [rng.choice([-3, -2, -1, 1, 2, 3])])
+            yield p
+            yield _random_poly(rng, rng.randint(1, 3), bound=rng.choice([3, 40]))
+        yield from (P([0, 0, 0, 1]), P([-5]), P([0, 0, 4]), P([2, -4, 2]),
+                    P([-1, 3, -3, 1]), P([-16384, 0, 0, 1]))
+
+    def test_matches_sympy_without_calling_it(self, monkeypatch):
+        import sympy
+
+        rng = random.Random(53)
+        cases = [(p, _sympy_factors(p)) for p in self._inputs(rng)]
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("degree <= 3 was factored by sympy")
+
+        monkeypatch.setattr(sympy.Poly, "factor_list", refuse)
+        split = 0
+        for p, expected in cases:
+            assert factor_int_poly(p) == expected, p.coeffs
+            split += len(expected) > 1 or any(m > 1 for _, m in expected)
+        assert split >= 200
+
+    def test_large_coefficients_go_to_sympy(self, monkeypatch):
+        import sympy
+
+        calls = []
+        factor_list = sympy.Poly.factor_list
+
+        def spy(self, *args, **kwargs):
+            calls.append(self)
+            return factor_list(self, *args, **kwargs)
+
+        monkeypatch.setattr(sympy.Poly, "factor_list", spy)
+        # constant and leading coefficients beyond trial division
+        p = P([-20011, 1]) * P([1, 0, 1])
+        assert factor_int_poly(p) == [(P([-20011, 1]), 1), (P([1, 0, 1]), 1)]
+        assert factor_int_poly(P([1, 0, 0, 30000])) == [(P([1, 0, 0, 30000]), 1)]
+        assert len(calls) == 2

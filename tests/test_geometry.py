@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from jsrcert.algebraic import (
+    FieldElement,
     IntPolynomial,
     NumberFieldContext,
     isolate_real_roots,
@@ -15,12 +17,14 @@ from jsrcert.geometry import (
     LPStatus,
     Mode,
     VertexPolytope,
+    _separated,
     classify_with_fallback,
     dominating_vertex,
     minkowski_norm,
     norm_ellipse,
     outside_bound,
     simplex_solve,
+    two_vertex_combination,
 )
 
 from oracles import cone_norm_facets, ellipse_hull_margin, sym_norm_facets
@@ -398,3 +402,155 @@ class TestExactPreTests:
         sym = VertexPolytope(HullKind.R, [[r, q(0)], [q(0), q(1)]], 2)
         assert outside_bound(sym, [q(F(-3, 2)), q(0)])
         assert not outside_bound(sym, [-r, q(1)])
+
+
+def _sign(v) -> int:
+    return v.sign() if isinstance(v, FieldElement) else (v > 0) - (v < 0)
+
+
+class TestTwoVertexCombination:
+    """The planar test against the exact LP (`minkowski_norm`), on random
+    polygons over Q and Q(sqrt2).  In kind P its verdict is checked only
+    on queries that no vertex dominates, as in the polytope algorithm;
+    every combination it returns is checked."""
+
+    def _polygons(self, rng, kind, coord):
+        lo = 0 if kind is HullKind.P else -4
+        for _ in range(25):
+            n = rng.randint(1, 5)
+            if rng.random() < 0.25:
+                # every vertex on one line through 0
+                u = [coord(rng, lo) for _ in range(2)]
+                verts = [[c * F(rng.randint(1, 4), rng.randint(1, 3)) for c in u]
+                         for _ in range(n)]
+            else:
+                verts = [[coord(rng, lo) for _ in range(2)] for _ in range(n)]
+            unique = []
+            for v in verts:
+                if any(c != 0 for c in v) and v not in unique:
+                    unique.append(v)
+            if unique:
+                yield VertexPolytope(kind, unique, 2)
+
+    def _queries(self, rng, poly, coord):
+        cone = poly.kind is HullKind.P
+        zero = poly.vertices[0][0] * 0
+        out = [[coord(rng, 0 if cone else -4) for _ in range(2)]
+               for _ in range(4)]
+        out.append([zero, zero])
+        for v in poly.vertices:
+            out.append(list(v))
+            if not cone:
+                out.append([-c for c in v])
+        # points of the boundary (y scaled by its norm, so norm exactly 1),
+        # and just inside and just outside it
+        for y in out[:4]:
+            norm = minkowski_norm(poly, y).value
+            if norm is not None and _sign(norm) != 0:
+                out += [[c / norm * t for c in y] for t in (1, F(9, 10), F(11, 10))]
+        return out
+
+    def _check(self, poly, x, mode, seen):
+        norm = minkowski_norm(poly, x).value
+        inside = norm is not None and _sign(norm - 1) <= 0
+        verdict = two_vertex_combination(poly, x, mode)
+        assert not (verdict.numeric and mode is Mode.EXACT_ONLY)
+        if poly.kind is HullKind.P and dominating_vertex(poly, x) is not None:
+            # outside the test's contract, but a combination it returns
+            # must still be valid
+            seen["dominated"] += 1
+            assert inside
+        else:
+            assert (verdict.coeffs is not None) == inside, \
+                (poly.vertices, x, norm)
+            seen["outside" if not inside else
+                 "boundary" if _sign(norm - 1) == 0 else "inside"] += 1
+        if verdict.coeffs is None:
+            return
+        mu = verdict.coeffs
+        assert len(mu) == len(poly.vertices) and 1 <= len(verdict.face) <= 2
+        assert all(_sign(mu[i]) == 0 for i in range(len(mu))
+                   if i not in verdict.face)
+        comb = [sum((m * v[r] for m, v in zip(mu, poly.vertices)), x[0] * 0)
+                for r in range(2)]
+        weight = sum((m * _sign(m) for m in mu), x[0] * 0)
+        assert _sign(weight - 1) <= 0
+        if poly.kind is HullKind.R:
+            assert all(_sign(c - y) == 0 for c, y in zip(comb, x))
+        else:
+            assert all(_sign(m) >= 0 for m in mu)
+            assert all(_sign(c - y) >= 0 for c, y in zip(comb, x))
+
+    @pytest.mark.parametrize("mode", [Mode.NUMERIC_FIRST, Mode.EXACT_ONLY])
+    @pytest.mark.parametrize("kind", [HullKind.P, HullKind.R])
+    def test_agrees_with_exact_lp_on_rational_polygons(self, kind, mode):
+        rng = random.Random(41)
+
+        def coord(rng, lo):
+            return F(rng.randint(lo, 4), rng.randint(1, 3))
+
+        seen = {"dominated": 0, "inside": 0, "boundary": 0, "outside": 0}
+        for poly in self._polygons(rng, kind, coord):
+            for x in self._queries(rng, poly, coord):
+                self._check(poly, x, mode, seen)
+        assert min(v for k, v in seen.items()
+                   if k != "dominated" or kind is HullKind.P) >= 10, seen
+
+    @pytest.mark.parametrize("kind", [HullKind.P, HullKind.R])
+    def test_agrees_with_exact_lp_over_q_sqrt2(self, kind):
+        sqrt2 = isolate_real_roots(IntPolynomial.make([-2, 0, 1]))[1]
+        ctx = NumberFieldContext.from_real_algebraic(sqrt2)
+        r = ctx.generator()
+        rng = random.Random(43)
+
+        def coord(rng, lo):
+            return ctx.from_rational(F(rng.randint(lo, 3), rng.randint(1, 2))) \
+                + r * F(rng.randint(0 if lo == 0 else -2, 2), 2)
+
+        seen = {"dominated": 0, "inside": 0, "boundary": 0, "outside": 0}
+        for poly in self._polygons(rng, kind, coord):
+            for x in self._queries(rng, poly, coord):
+                self._check(poly, x, Mode.NUMERIC_FIRST, seen)
+        assert min(v for k, v in seen.items()
+                   if k != "dominated" or kind is HullKind.P) >= 10, seen
+
+    @pytest.mark.parametrize("kind", [HullKind.P, HullKind.R])
+    def test_separating_lines_only_for_outside_points(self, kind):
+        # every pair's line that `_separated` accepts proves the point
+        # outside; the line through the facet the point lies beyond is
+        # accepted
+        rng = random.Random(47)
+
+        def coord(rng, lo):
+            return F(rng.randint(lo, 4), rng.randint(1, 3))
+
+        accepted = 0
+        for poly in itertools.islice(self._polygons(rng, kind, coord), 15):
+            n = len(poly.vertices)
+            for x in self._queries(rng, poly, coord):
+                norm = minkowski_norm(poly, x).value
+                outside = norm is None or norm > 1
+                seps = [(i, j) for i in range(n) for j in range(i + 1, n)
+                        if _separated(poly, x, i, j)]
+                assert outside or not seps, (poly.vertices, x, seps)
+                accepted += bool(seps)
+        assert accepted >= 20
+
+    def test_edge_point_single_vertex_and_parallel_hull(self):
+        sym = VertexPolytope(HullKind.R, [[F(1), F(0)], [F(0), F(1)]], 2)
+        v = two_vertex_combination(sym, [F(1, 3), F(-2, 3)])
+        assert v.coeffs == [F(1, 3), F(-2, 3)] and v.face == [0, 1]
+        assert two_vertex_combination(sym, [F(2, 3), F(2, 3)]).coeffs is None
+        line = VertexPolytope(HullKind.R, [[F(2), F(4)], [F(1), F(2)]], 2)
+        v = two_vertex_combination(line, [F(-2), F(-4)])
+        assert v.coeffs == [F(-1), F(0)] and v.face == [0]
+        v = two_vertex_combination(line, [F(1), F(3)], Mode.EXACT_ONLY)
+        assert v.coeffs is None and not v.numeric
+        cone = VertexPolytope(HullKind.P, [[F(2), F(0)], [F(0), F(2)]], 2)
+        v = two_vertex_combination(cone, [F(1), F(1)])
+        assert v.coeffs == [F(1, 2), F(1, 2)]
+        # far outside: the float estimate decides
+        assert two_vertex_combination(cone, [F(3), F(3)]).numeric
+        with pytest.raises(ValueError):
+            two_vertex_combination(VertexPolytope(HullKind.R, [[F(1)] * 3], 3),
+                                   [F(0)] * 3)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from jsrcert import ipa
+from jsrcert import campaign, ipa
 from jsrcert.algebraic import (
     IntPolynomial,
     NumberFieldContext,
@@ -348,6 +348,52 @@ class TestEvidenceRecordedWhenDecided:
         assert sum(counts.values()) == \
             len(res.polytope.vertices) * len(family)
         assert _run(family, depth=14)[0].diagnostics["membership"] == counts
+
+
+# the F2s orbit representatives with first code 1, 4 or 5 whose invariant
+# body is a polytope: kind P (1/44, 4/10, 4/16) or kind R
+POLYGON_F2S = ["1/44", "4/10", "4/14", "4/16", "4/37", "4/38", "4/39", "4/41",
+               "4/45", "4/46", "4/47", "4/48", "4/50", "4/51", "4/53", "5/11",
+               "5/13", "5/14", "5/17", "5/37", "5/38", "5/39", "5/41", "5/42",
+               "5/44", "5/46", "5/47", "5/51", "5/53"]
+
+
+class TestPlanarMembershipWithoutLP:
+    """Dimension-2 queries never reach the LP prefilter: with it made to
+    raise, every polygon campaign still proves and its certificates
+    verify (`recheck`)."""
+
+    @pytest.fixture
+    def no_prefilter(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dimension-2 query reached the LP prefilter")
+
+        monkeypatch.setattr(ipa, "classify_with_fallback", refuse)
+        campaign._block_record.cache_clear()
+        yield
+        campaign._block_record.cache_clear()
+
+    def _membership(self, store_path):
+        records = list(campaign.Store(store_path).records.values())
+        proved = [r for r in records if r["status"] == "proved"]
+        assert all(r["membership"]["exact_lp"] == 0 for r in proved)
+        return records, sum(r["membership"]["two_vertex"] for r in proved)
+
+    def test_f2s_polygon_representatives(self, tmp_path, no_prefilter):
+        store_path = tmp_path / "f2s.jsonl"
+        summary = campaign.run_campaign("sign", 2, store_path,
+                                        codes=POLYGON_F2S, recheck=True)
+        assert summary["counts"] == {"proved": len(POLYGON_F2S)}
+        records, two_vertex = self._membership(store_path)
+        assert sorted(r["hull"] for r in records) == ["P"] * 3 + ["R"] * 26
+        assert two_vertex > 0
+
+    def test_full_f2(self, tmp_path, no_prefilter):
+        store_path = tmp_path / "f2.jsonl"
+        summary = campaign.run_campaign("binary", 2, store_path, recheck=True)
+        assert summary["counts"] == {"settled": 52, "proved": 6,
+                                     "duplicate": 198}
+        self._membership(store_path)
 
 
 class TestSingletonFamily:
