@@ -491,8 +491,13 @@ class RealAlgebraic:
         """
         x = self.canonical()
         cs = ",".join(str(c) for c in x.minpoly.coeffs)
-        lo, hi = (x._lo, x._hi) if x.is_rational else x._dyadic_cell()
+        lo, hi = x.isolating_cell()
         return f"minpoly=[{cs}];interval=[{_format_rational(lo)},{_format_rational(hi)}]"
+
+    def isolating_cell(self) -> tuple[Fraction, Fraction]:
+        """[q, q] for a rational q, else `_dyadic_cell`; either depends on
+        the number alone.  The polynomial must be irreducible."""
+        return (self._lo, self._hi) if self.is_rational else self._dyadic_cell()
 
     def _dyadic_cell(self) -> tuple[Fraction, Fraction]:
         """The widest dyadic cell of width <= 1 isolating this irrational root.
@@ -927,6 +932,12 @@ class NumberFieldContext:
 
     def refine_root(self) -> None:
         self._root.refine()
+
+    def root_cell(self) -> tuple[Fraction, Fraction]:
+        """The root's widest isolating dyadic cell, or [q, q] for a
+        rational root: unlike `root_interval`, it does not depend on how
+        far the root has been refined."""
+        return self._root.isolating_cell()
 
     # -- element constructors -------------------------------------------------
 

@@ -98,7 +98,7 @@ def _block_record(rows: tuple) -> str:
 
 
 def _resolve_ipa(family: MatrixFamily) -> dict:
-    last = None
+    res = None  # the last polytope run
     for depth in DEPTH_LADDER:
         cs = gripenberg_search(family, max_depth=depth)
         if cs.lambda_.sign() == 0:
@@ -110,15 +110,16 @@ def _resolve_ipa(family: MatrixFamily) -> dict:
                     "jsr": RealAlgebraic.from_rational(0).serialize(),
                     "smp_words": [[1]],
                     "witness": {"nilpotent": True},
+                    "search": _search_stats(cs),
                 }
             continue
         res = run_ipa(family, cs)
-        last = (cs, res)
         if res.status is IpaStatus.PROVED:
             check = verify_certificate(res.certificate)
             if not check:
                 return {"status": "unresolved",
-                        "reason": f"certificate rejected: {check.reason}"}
+                        "reason": f"certificate rejected: {check.reason}",
+                        "search": _search_stats(cs)}
             return {
                 "status": "proved",
                 "jsr": res.lambda_.serialize(),
@@ -128,16 +129,28 @@ def _resolve_ipa(family: MatrixFamily) -> dict:
                 "gripenberg_exhausted": cs.exhausted,
                 "vertices": len(res.polytope.vertices),
                 "membership": res.diagnostics["membership"],
+                "search": _search_stats(cs),
                 "certificate": res.certificate,
             }
         if not cs.exhausted:
             continue  # deepen the search before blaming the polytope stage
-    cs, res = last if last else (None, None)
     return {
         "status": "unresolved",
         "reason": res.status.value if res else "search_failed",
         "diagnostics": res.diagnostics if res else {},
+        "search": _search_stats(cs),
     }
+
+
+def _search_stats(cs) -> dict:
+    """The size of a Gripenberg search tree; it depends on the family
+    alone."""
+    return {"nodes": cs.nodes_visited,
+            "frobenius_prunes": cs.frobenius_prunes,
+            "two_norm_prunes": cs.two_norm_prunes,
+            "two_norm_checks": cs.two_norm_checks,
+            "depth": cs.depth_reached,
+            "exhausted": cs.exhausted}
 
 
 def resolve_code(code: PairCode) -> dict:

@@ -36,6 +36,12 @@ only in other dimensions the float LP, whose interior verdicts the
 exact LP turns into a combination.  An image not shown inside becomes
 a vertex.  Vertices are only ever appended, so a combination over the
 vertices of its time stays valid; the certificate pads it with zeros.
+
+A run that closes on a hull without interior ends NOT_A_BODY, since
+such a hull bounds no norm.  The certificate writes the root of
+Q(lambda) as its widest isolating dyadic cell, as `RealAlgebraic.serialize`
+does, so its text depends on lambda alone and not on how far the run
+refined it.
 """
 
 from __future__ import annotations
@@ -98,6 +104,8 @@ class IpaStatus(enum.Enum):
     VERTEX_CAP_EXCEEDED = "vertex_cap_exceeded"
     NO_SPECTRAL_GAP = "no_spectral_gap"
     MULTIPLE_LEADING_EIGENVECTOR = "multiple_leading_eigenvector"
+    # the run closed on a hull without interior, which bounds no norm
+    NOT_A_BODY = "not_a_body"
     # a complex leading eigenvalue in dimension other than 2
     CASE_C_UNKNOWN = "case_c_unknown"
 
@@ -307,6 +315,9 @@ def run_ipa(family: MatrixFamily, candidates: CandidateSet,
                 if j > 0:  # the certificate covers the family's matrices
                     evidence[vi, j] = ev
         frontier = new_frontier
+    if not _has_interior([v.coords for v in vertices], hull, family.dim):
+        return _cap_result(IpaStatus.NOT_A_BODY, lam, hull, vertices,
+                           candidates, family)
     cert = _emit_certificate(family, candidates, lam, ctx, lam_elem, hull,
                              vertices, seed_map, scales, evidence, limits)
     return IpaResult(IpaStatus.PROVED, lam, poly, candidates.candidates, cert,
@@ -528,6 +539,7 @@ def _emit_certificate(family, candidates, lam, ctx, lam_elem, hull, vertices,
     """The certificate; `evidence` maps (vertex, matrix) to the evidence
     recorded when that image was decided."""
     zero = ctx.zero()
+    root_lo, root_hi = ctx.root_cell()
     records = []
     for (vi, j), e in sorted(evidence.items()):
         rec = {"vertex": vi, "matrix": j, **e}
@@ -543,8 +555,8 @@ def _emit_certificate(family, candidates, lam, ctx, lam_elem, hull, vertices,
         "lambda": lam.serialize(),
         "context": {
             "minpoly": [str(c) for c in ctx.minpoly.coeffs],
-            "root_lo": _ser_scalar(ctx.root_interval()[0]),
-            "root_hi": _ser_scalar(ctx.root_interval()[1]),
+            "root_lo": _ser_scalar(root_lo),
+            "root_hi": _ser_scalar(root_hi),
         },
         "lambda_element": [_ser_scalar(c) for c in lam_elem.coords],
         "hull": hull.value,

@@ -5,6 +5,12 @@ Everything is exact: spectral radii are RealAlgebraic values certified
 through characteristic polynomials, eigenvectors are solved over the
 number field generated by the eigenvalue, and matrix 2-norms come from
 the largest eigenvalue of A^T A.
+
+A spectral radius is the largest of the moduli |r| of the real roots
+and sqrt(|z|^2) of the complex pairs.  The pairs are compared through
+their squared moduli against the square of the best real modulus, so a
+square root is taken only when a complex pair attains the radius; for a
+nonnegative matrix (Perron-Frobenius) it never does.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .algebraic import (
     Ordering,
     RealAlgebraic,
     compare,
+    compare_powers,
     factor_int_poly,
     isolate_real_roots,
     largest_real_root_fast,
@@ -246,10 +253,11 @@ def _spectral_radius_of(cp: IntPolynomial) -> tuple:
             best_sq = m2
     rho_sq = None
     rho = best
-    if best_sq is not None:
-        root = nth_root(best_sq, 2)
-        if best is None or compare(root, best) == Ordering.GREATER:
-            rho, rho_sq = root, best_sq
+    # best^2 < best_sq is the test sqrt(best_sq) > best without the root,
+    # which is taken only for a complex pair that wins
+    if best_sq is not None and (
+            best is None or compare_powers(best, 2, best_sq, 1) == Ordering.LESS):
+        rho, rho_sq = nth_root(best_sq, 2), best_sq
     # attainment count with multiplicity (a conjugate pair counts once)
     attain = 0
     for a, mult in real_mods:

@@ -11,6 +11,12 @@ entrywise domination, sub-identity, product-order comparisons (for
 nonnegative alphabets), normality, bounded-norm integer families, and
 common-invariant-subspace reductions.  Every verdict carries a
 machine-checkable witness.
+
+Irreducibility is decided by Shemesh's commutator test for a common
+eigenvector of the pair or of its transpose, with integer elimination
+only.  In dimension <= 3 that is the whole answer; above it, a pair that
+passes falls back to the dimension of the matrix algebra it generates
+(Burnside), which only `jsr solve` reaches.
 """
 
 from __future__ import annotations
@@ -319,8 +325,8 @@ class BlockDecomposition:
 
 def irreducible(pair: tuple[IntMatrix, IntMatrix]
                 ) -> tuple[bool, Optional[BlockDecomposition]]:
-    """Burnside test: the pair is irreducible iff the algebra generated
-    by {I, A1, A2} has full dimension dim^2.
+    """Whether the pair has no common invariant subspace other than 0
+    and the whole space (over C), decided by `_is_irreducible`.
 
     For reducible pairs a common invariant subspace with rational basis
     is searched among eigenspace seeds closed under both matrices; the
@@ -328,12 +334,49 @@ def irreducible(pair: tuple[IntMatrix, IntMatrix]
     None is returned for the decomposition when the algebra is small
     but no rational invariant subspace exists (complex-only reduction).
     """
+    if _is_irreducible(pair):
+        return True, None
+    return False, _find_invariant_subspace(pair)
+
+
+def _is_irreducible(pair) -> bool:
+    """Shemesh's test, with Burnside's as the fallback above dimension 3.
+
+    A common eigenvector of (A1, A2) spans an invariant line, and one of
+    (A1^T, A2^T) is orthogonal to an invariant hyperplane, so either
+    makes the pair reducible.  In dimension <= 3 every proper invariant
+    subspace is a line or a hyperplane, so the converse holds too.  In
+    higher dimensions a pair without either is irreducible iff the
+    algebra generated by {I, A1, A2} has full dimension dim^2 (Burnside).
+    """
     A1, A2 = pair
     dim = A1.dim
-    if _algebra_dimension(pair) == dim * dim:
-        return True, None
-    dec = _find_invariant_subspace(pair)
-    return False, dec
+    if dim == 1:
+        return True
+    if (_has_common_eigenvector(A1, A2) or
+            _has_common_eigenvector(A1.transpose(), A2.transpose())):
+        return False
+    return dim <= 3 or _algebra_dimension(pair) == dim * dim
+
+
+def _has_common_eigenvector(A: IntMatrix, B: IntMatrix) -> bool:
+    """Shemesh ("Common eigenvectors of two matrices", LAA 62, 1984): A
+    and B share an eigenvector over C iff the commutators [A^k, B^l],
+    1 <= k, l <= dim - 1, have a common nonzero kernel vector, that is
+    iff their stacked rows have rank below dim."""
+    dim = A.dim
+    powers_a, powers_b = [A], [B]
+    for _ in range(dim - 2):
+        powers_a.append(powers_a[-1] @ A)
+        powers_b.append(powers_b[-1] @ B)
+    basis: list[list[int]] = []
+    for Ak in powers_a:
+        for Bl in powers_b:
+            for p, q in zip((Ak @ Bl).rows, (Bl @ Ak).rows):
+                row = [x - y for x, y in zip(p, q)]
+                if add_to_basis(basis, row) and len(basis) == dim:
+                    return False
+    return True
 
 
 def _algebra_dimension(pair) -> int:

@@ -9,6 +9,7 @@ stay independent of the code paths they check.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import mpmath
@@ -241,3 +242,35 @@ def ellipse_hull_margin(gens, query, grid=4096):
         return np.hypot(a @ u, b @ u)
 
     return float(np.min(np.max([h(g) for g in gens], axis=0) - h(query)))
+
+
+def algebra_dimension(A, B):
+    """Dimension of the matrix algebra generated by I, A and B (lists of
+    integer rows): the span of every product word, grown by multiplying
+    each newly independent word on the left by A and B until it stops
+    growing.  The pair is irreducible over C iff this is n^2 (Burnside)."""
+    n = len(A)
+    basis = []  # (pivot, row): each row is zero at the earlier pivots
+
+    def independent(M):
+        v = [c for row in M for c in row]
+        for p, b in basis:
+            if v[p]:
+                v = [b[p] * x - v[p] * y for x, y in zip(v, b)]
+        if not any(v):
+            return False
+        g = math.gcd(*v)
+        v = [c // g for c in v]
+        basis.append((next(i for i, c in enumerate(v) if c), v))
+        return True
+
+    def mul(X, Y):
+        return [[sum(X[i][k] * Y[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+
+    frontier = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    independent(frontier[0])
+    while frontier:
+        frontier = [P for X in frontier for P in (mul(A, X), mul(B, X))
+                    if independent(P)]
+    return len(basis)

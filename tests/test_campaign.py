@@ -15,7 +15,8 @@ from jsrcert.campaign import (
     run_campaign,
 )
 from jsrcert.matcore import MatrixFamily, evaluate
-from jsrcert.reduce import PairCode
+from jsrcert.reduce import PairCode, decode
+from jsrcert.smp import gripenberg_search
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -141,3 +142,30 @@ class TestBlockMemo:
         second = resolve_code(code)["witness"]["block_records"]
         assert campaign._block_record.cache_info().hits >= 2
         assert json.dumps(second, sort_keys=True) == expected
+
+
+class TestSearchTelemetry:
+    @staticmethod
+    def _tree(family, depth):
+        cs = gripenberg_search(family, max_depth=depth)
+        return {"nodes": cs.nodes_visited,
+                "frobenius_prunes": cs.frobenius_prunes,
+                "two_norm_prunes": cs.two_norm_prunes,
+                "two_norm_checks": cs.two_norm_checks,
+                "depth": cs.depth_reached, "exhausted": cs.exhausted}
+
+    @pytest.mark.parametrize("text", ["3/108", "3/374"])
+    def test_proved_record_carries_its_search_tree(self, text):
+        code = PairCode.parse(text, 3, "binary")
+        rec = resolve_code(code)
+        family = MatrixFamily.make(list(decode(code)), "binary")
+        assert rec["status"] == "proved"
+        assert rec["search"] == self._tree(family, rec["gripenberg_depth"])
+
+    def test_only_the_searched_block_carries_a_tree(self):
+        # 3/72 splits into a proved and a settled block; the pair itself
+        # is never searched
+        rec = resolve_code(PairCode.parse("3/72", 3, "binary"))
+        proved, settled = rec["witness"]["block_records"]
+        assert "search" not in rec and "search" not in settled
+        assert proved["search"]["nodes"] > 0

@@ -396,18 +396,59 @@ class TestPlanarMembershipWithoutLP:
         self._membership(store_path)
 
 
+class TestCertificateContext:
+    @pytest.mark.parametrize("family", [C_FAMILY, B_FAMILY],
+                             ids=["kind_C", "kind_R"])
+    def test_text_does_not_depend_on_refinement(self, monkeypatch, family):
+        # emit twice, the second time after refining the context root
+        # far past any interval the run used
+        emitted = []
+
+        def emit_twice(fam, candidates, lam, ctx, *rest):
+            first = emit(fam, candidates, lam, ctx, *rest)
+            for _ in range(64):
+                ctx.refine_root()
+            second = emit(fam, candidates, lam, ctx, *rest)
+            emitted.append((certificate_to_json(first),
+                            certificate_to_json(second)))
+            return first
+
+        emit = ipa._emit_certificate
+        monkeypatch.setattr(ipa, "_emit_certificate", emit_twice)
+        res, _ = _run(family)
+        assert res.status is IpaStatus.PROVED and verify_certificate(res.certificate)
+        [(first, second)] = emitted
+        assert first == second
+        # the widest dyadic cell [k/2^j, (k+1)/2^j] isolating lambda
+        context = res.certificate["context"]
+        lo, hi = Fraction(context["root_lo"]), Fraction(context["root_hi"])
+        width = hi - lo
+        assert width.numerator == 1 and width.denominator & (width.denominator - 1) == 0
+        assert (lo / width).denominator == 1
+        assert not res.lambda_.is_rational
+
+    def test_rational_context_is_a_point(self):
+        res, _ = _run(T_FAMILY)
+        context = res.certificate["context"]
+        assert context["root_lo"] == context["root_hi"]
+
+
 class TestSingletonFamily:
-    def test_single_matrix_proved_in_one_round(self):
+    def test_single_matrix_hull_without_interior_not_proved(self):
         # the run closes on the one vertex e1, but the polytope is the
         # segment [0, e1] of a reducible family: it has no interior, so
-        # it bounds no norm and the verifier must refuse it
+        # it bounds no norm and the run must not claim a proof
         fam = MatrixFamily.make([[[2, 1], [0, 1]]])
         res, cs = _run(fam, depth=4)
-        assert res.status is IpaStatus.PROVED
+        assert res.status is IpaStatus.NOT_A_BODY
+        assert res.status.value == "not_a_body"
+        assert res.certificate is None
         assert res.lambda_.as_rational() == 2
         assert len(res.polytope.vertices) == 1
-        check = verify_certificate(res.certificate)
-        assert not check and "not a body" in check.reason
+
+    def test_campaign_stores_it_unresolved(self):
+        rec = campaign.resolve_family(MatrixFamily.make([[[2, 1], [0, 1]]]))
+        assert (rec["status"], rec["reason"]) == ("unresolved", "not_a_body")
 
 
 class TestRejectedInputs:

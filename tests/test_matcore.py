@@ -10,6 +10,7 @@ from jsrcert.algebraic import (
     Ordering,
     RealAlgebraic,
     compare,
+    factor_int_poly,
     isolate_real_roots,
     nth_root,
 )
@@ -24,6 +25,7 @@ from jsrcert.matcore import (
     spectral_radius,
     two_norm_sq,
 )
+from jsrcert.reduce import PairCode, decode
 
 from oracles import char_poly_cofactor
 
@@ -154,6 +156,70 @@ class TestSpectralRadiusCache:
         zero = spectral_radius(IntMatrix.zero(3))
         assert zero.value.as_rational() == 0 and zero.leading_simple
         assert not spectral_radius(nilpotent).leading_simple
+
+
+def _radius_taking_every_root(A):
+    """(rho, simple, complex) with the square root of every complex
+    pair's squared modulus taken, then all moduli compared directly."""
+    mods = []  # (modulus, multiplicity, from a complex pair)
+    for fac, mult in factor_int_poly(char_poly(A)):
+        mods += [(r if r.sign() >= 0 else -r, mult, False)
+                 for r in isolate_real_roots(fac)]
+        mods += [(nth_root(m2, 2), mult, True)
+                 for m2 in matcore._complex_pair_modulus_squares(fac)]
+    rho = mods[0][0]
+    for m, _, _ in mods[1:]:
+        if compare(m, rho) == Ordering.GREATER:
+            rho = m
+    top = [(mult, cplx) for m, mult, cplx in mods
+           if compare(m, rho) == Ordering.EQUAL]
+    return rho, sum(mult for mult, _ in top) == 1, any(c for _, c in top)
+
+
+class TestSquareRootOnlyForAWinningPair:
+    def _matrices(self):
+        rng = random.Random(12)
+        mats = [M([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
+                for d in (2, 3) for _ in range(60)]
+        mats += [M([[0, -1], [1, 0]]), M([[1, -1], [1, 1]]),
+                 M([[1, -1, 0], [1, 1, 0], [0, 0, 1]]),
+                 M([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+                 M([[0, 0, 2], [1, 0, 1], [0, 1, 1]])]
+        # the F2s pairs whose s.m.p. has a complex leading eigenvalue, and
+        # their products up to length 3
+        for text in ("3/16", "3/17", "4/43", "5/49"):
+            fam = MatrixFamily.make(list(decode(PairCode.parse(text, 2, "sign"))))
+            mats += [evaluate(w, fam).value for n in (1, 2, 3)
+                     for w in itertools.product((1, 2), repeat=n)]
+        return [A for A in mats if not A.is_zero()]
+
+    def test_agrees_with_taking_every_root(self):
+        matcore._spectral_radius_of.cache_clear()
+        complex_leading = 0
+        for A in self._matrices():
+            sr = spectral_radius(A)
+            rho, simple, cplx = _radius_taking_every_root(A)
+            assert compare(sr.value, rho) == Ordering.EQUAL, A
+            assert (sr.leading_simple, sr.leading_complex) == (simple, cplx), A
+            complex_leading += cplx
+        assert complex_leading >= 10
+
+    def test_no_root_when_a_real_eigenvalue_wins(self, monkeypatch):
+        # nonnegative matrices with complex pairs: Perron's root wins, or
+        # ties as for the 3-cycle, whose pair of cube roots of unity has
+        # modulus 1 too
+        def refuse(*args):
+            raise AssertionError("square root taken")
+
+        monkeypatch.setattr(matcore, "nth_root", refuse)
+        matcore._spectral_radius_of.cache_clear()
+        for A in (M([[0, 0, 2], [1, 0, 1], [0, 1, 1]]),
+                  M([[0, 1, 0], [0, 0, 1], [1, 1, 0]])):
+            sr = spectral_radius(A)
+            assert sr.leading_simple and not sr.leading_complex
+        cycle = spectral_radius(M([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
+        assert cycle.value.as_rational() == 1
+        assert not cycle.leading_simple and cycle.leading_complex
 
 
 class TestLeadingEigenvector:

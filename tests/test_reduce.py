@@ -15,12 +15,14 @@ from jsrcert.reduce import (
     decode,
     encode,
     enumerate_campaign,
+    _has_common_eigenvector,
+    _is_irreducible,
     irreducible,
     quick_decide,
 )
 from jsrcert.smp import gripenberg_search
 
-from oracles import rank
+from oracles import algebra_dimension, rank
 
 M = IntMatrix.make
 
@@ -227,6 +229,56 @@ class TestIrreducible:
             assert irr == oracle_irreducible(A, B)
             count += 1
         assert count == 256
+
+
+def _blockdiag(X, Y):
+    n = len(X)
+    rows = [list(r) + [0] * n for r in X] + [[0] * n + list(r) for r in Y]
+    return M(rows)
+
+
+class TestShemesh:
+    """Shemesh's commutator test against the algebra closure (Burnside)."""
+
+    @staticmethod
+    def _agrees(A, B):
+        want = algebra_dimension(A.rows, B.rows) == A.dim ** 2
+        return _is_irreducible((A, B)) == want
+
+    @pytest.mark.parametrize("alphabet", ["binary", "sign"])
+    def test_every_dim2_pair(self, alphabet):
+        codes = list(enumerate_campaign(alphabet, 2))
+        assert len(codes) == {"binary": 256, "sign": 6561}[alphabet]
+        assert all(self._agrees(*decode(code)) for code in codes)
+
+    def test_random_3x3_pairs(self):
+        rng = random.Random(1984)
+        alphabets = [(0, 1), (-1, 0, 1), tuple(range(-3, 4))]
+        reducible = 0
+        for n in range(2000):
+            digits = alphabets[n % 3]
+            A, B = (M([[rng.choice(digits) for _ in range(3)]
+                       for _ in range(3)]) for _ in range(2))
+            assert self._agrees(A, B), (A, B)
+            reducible += not _is_irreducible((A, B))
+        assert reducible > 100
+
+    def test_one_by_one_pair_is_irreducible(self):
+        A, B = M([[2]]), M([[0]])
+        assert algebra_dimension(A.rows, B.rows) == 1
+        assert irreducible((A, B)) == (True, None)
+
+    def test_dim4_pair_without_common_eigenvectors_is_reducible(self):
+        # two irreducible 2x2 blocks: only planes are invariant, so
+        # neither side has a common eigenvector, yet the algebra has
+        # dimension 8 < 16 and the Burnside fallback must say reducible
+        A = _blockdiag([[0, 1], [0, 0]], [[1, 1], [0, 1]])
+        B = _blockdiag([[0, 0], [1, 0]], [[1, 0], [1, 1]])
+        assert not _has_common_eigenvector(A, B)
+        assert not _has_common_eigenvector(A.transpose(), B.transpose())
+        assert algebra_dimension(A.rows, B.rows) == 8
+        assert not _is_irreducible((A, B))
+        assert not irreducible((A, B))[0]
 
 
 class TestGroupActionJsrInvariance:

@@ -11,9 +11,19 @@ from jsrcert.matcore import (
     Product,
     evaluate,
     spectral_radius,
+    two_norm_sq,
+)
+from jsrcert import smp
+from jsrcert.reduce import (
+    Outcome,
+    PairCode,
+    decode,
+    enumerate_campaign,
+    quick_decide,
 )
 from jsrcert.smp import (
     _assemble_candidates,
+    _rayleigh_lower,
     canonical_word,
     gripenberg_search,
 )
@@ -172,3 +182,55 @@ class TestSymmetryInvariance:
             for g in images:
                 lam2 = gripenberg_search(g, max_depth=6).lambda_
                 assert compare(lam, lam2) == Ordering.EQUAL
+
+
+def _signed_permutations(n):
+    for p in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield M([[signs[i] * int(p[i] == j) for j in range(n)]
+                     for i in range(n)])
+
+
+class TestRayleighGate:
+    def test_lower_bound_never_exceeds_the_two_norm(self):
+        rng = random.Random(5)
+        for n in range(300):
+            dim = 1 + n % 3
+            A = M([[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)])
+            assert compare(_rayleigh_lower(A), two_norm_sq(A)) != Ordering.GREATER
+
+    def test_equality_for_orthogonal_sign_matrices(self):
+        # Q^T Q = c I: every vector is a top eigenvector of Q^T Q
+        mats = [Q for n in (1, 2, 3) for Q in _signed_permutations(n)]
+        mats += [M([[1, 1], [1, -1]]), M([[1, -1], [1, 1]])]
+        for Q in mats:
+            assert compare(_rayleigh_lower(Q), two_norm_sq(Q)) == Ordering.EQUAL
+
+    @staticmethod
+    def _summary(cs):
+        return ([(c.word, c.value) for c in cs.candidates], cs.lambda_.serialize(),
+                cs.nodes_visited, cs.frobenius_prunes, cs.two_norm_prunes,
+                cs.depth_reached, cs.exhausted)
+
+    def test_search_is_the_same_without_the_gate(self, monkeypatch):
+        # the pairs a campaign searches: those no quick lemma settles;
+        # 3/108, 3/169 and 16/43 each prune a node by its exact 2-norm
+        rng = random.Random(1996)
+        codes = list(enumerate_campaign("binary", 2))
+        codes += [PairCode(3, a2, 3, "binary")
+                  for a2 in [108, 169] + rng.sample(range(512), 40)]
+        codes += [PairCode(a1, a2, 2, "sign") for a1, a2 in
+                  [(16, 43), (16, 49)] + [(rng.randrange(81), rng.randrange(81))
+                                          for _ in range(50)]]
+        pairs = [(decode(c), c.alphabet) for c in codes]
+        families = [MatrixFamily.make(list(p), a) for p, a in pairs
+                    if quick_decide(p, a).outcome is Outcome.NEEDS_IPA]
+        assert len(families) > 50
+        gated = [gripenberg_search(f) for f in families]
+        monkeypatch.setattr(smp, "_rayleigh_lower", lambda A: Fraction(0))
+        plain = [gripenberg_search(f) for f in families]
+        assert [self._summary(cs) for cs in gated] == \
+            [self._summary(cs) for cs in plain]
+        assert sum(cs.two_norm_prunes for cs in gated) >= 3
+        assert sum(cs.two_norm_checks for cs in gated) < \
+            sum(cs.two_norm_checks for cs in plain)
