@@ -747,16 +747,29 @@ def compare(a, b) -> Ordering:
             raise AlgebraicError("comparison did not converge")
 
 
-def compare_powers(a: Union[Fraction, RealAlgebraic], m: int,
+class PowerMemo:
+    """Powers of one nonnegative RealAlgebraic b, by exponent, for
+    `compare_powers`: the exact powers built so far, and the powered
+    endpoints of b's isolating interval as (lo, hi, lo^n, hi^n) for the
+    interval [lo, hi] they were made from."""
+
+    __slots__ = ("exact", "ends")
+
+    def __init__(self):
+        self.exact: dict[int, RealAlgebraic] = {}
+        self.ends: dict[int, tuple[Fraction, Fraction, Fraction, Fraction]] = {}
+
+
+def compare_powers(a: Union[int, Fraction, RealAlgebraic], m: int,
                    b: RealAlgebraic, n: int,
-                   b_powers: dict[int, RealAlgebraic] | None = None) -> Ordering:
+                   b_powers: PowerMemo | None = None) -> Ordering:
     """Exact order of a^m against b^n for nonnegative a and b.
 
     The powered isolating intervals decide on strict separation, after
     at most `_POWER_REFINE_ROUNDS` halvings of each interval; only on
     overlap are the powers built exactly, through `RealAlgebraic.pow`.
-    `b_powers`, when given, memoizes the exact powers of b by exponent
-    and is filled in place.
+    `b_powers`, when given, memoizes the powers of b and is filled in
+    place.
     """
     if isinstance(a, RealAlgebraic) and a.is_rational:
         a = a.as_rational()
@@ -764,24 +777,45 @@ def compare_powers(a: Union[Fraction, RealAlgebraic], m: int,
     if exact and b.is_rational:
         return Ordering(_sgn(a**m - b.as_rational()**n))
     zero = Fraction(0)
+    if exact:
+        alo_m = ahi_m = a**m
     for rounds in range(_POWER_REFINE_ROUNDS + 1):
-        alo, ahi = (a, a) if exact else a.interval()
-        blo, bhi = b.interval()
-        # both values are nonnegative: clip the intervals at 0 to power them
-        if max(ahi, zero)**m < max(blo, zero)**n:
+        if not exact:
+            # both values are nonnegative: clip the intervals at 0 to power them
+            alo, ahi = a.interval()
+            alo_m, ahi_m = max(alo, zero)**m, max(ahi, zero)**m
+        blo_n, bhi_n = _powered_interval(b, n, b_powers)
+        if ahi_m < blo_n:
             return Ordering.LESS
-        if max(alo, zero)**m > max(bhi, zero)**n:
+        if alo_m > bhi_n:
             return Ordering.GREATER
         if rounds < _POWER_REFINE_ROUNDS:
             if not exact:
                 a.refine()
             b.refine()
-    bn = None if b_powers is None else b_powers.get(n)
+    bn = None if b_powers is None else b_powers.exact.get(n)
     if bn is None:
         bn = b if n == 1 else b.pow(n)
         if b_powers is not None:
-            b_powers[n] = bn
-    return compare(a**m if exact else a if m == 1 else a.pow(m), bn)
+            b_powers.exact[n] = bn
+    return compare(alo_m if exact else a if m == 1 else a.pow(m), bn)
+
+
+def _powered_interval(b: RealAlgebraic, n: int,
+                      memo: PowerMemo | None) -> tuple[Fraction, Fraction]:
+    """The endpoints of b's isolating interval, clipped at 0, to the n-th
+    power."""
+    lo, hi = b.interval()
+    if memo is not None:
+        hit = memo.ends.get(n)
+        # refine() replaces an endpoint object whenever it moves it
+        if hit is not None and hit[0] is lo and hit[1] is hi:
+            return hit[2], hit[3]
+    zero = Fraction(0)
+    lo_n, hi_n = max(lo, zero)**n, max(hi, zero)**n
+    if memo is not None:
+        memo.ends[n] = (lo, hi, lo_n, hi_n)
+    return lo_n, hi_n
 
 
 def largest_real_root_fast(p: IntPolynomial) -> RealAlgebraic:

@@ -132,8 +132,8 @@ def _resolve_ipa(family: MatrixFamily) -> dict:
                 "search": _search_stats(cs),
                 "certificate": res.certificate,
             }
-        if not cs.exhausted:
-            continue  # deepen the search before blaming the polytope stage
+        if cs.exhausted:
+            break  # a deeper search would grow the same closed tree
     return {
         "status": "unresolved",
         "reason": res.status.value if res else "search_failed",
@@ -149,6 +149,7 @@ def _search_stats(cs) -> dict:
             "frobenius_prunes": cs.frobenius_prunes,
             "two_norm_prunes": cs.two_norm_prunes,
             "two_norm_checks": cs.two_norm_checks,
+            "radius_checks": cs.radius_checks,
             "depth": cs.depth_reached,
             "exhausted": cs.exhausted}
 

@@ -11,6 +11,11 @@ and sqrt(|z|^2) of the complex pairs.  The pairs are compared through
 their squared moduli against the square of the best real modulus, so a
 square root is taken only when a complex pair attains the radius; for a
 nonnegative matrix (Perron-Frobenius) it never does.
+
+A product is computed row by column in Python integers: the columns of
+the right factor are taken once, and each entry is the sum of the
+elementwise products of a row and a column (`sum(map(mul, row, col))`),
+so the same loop serves every dimension without an index per term.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .algebraic import (
@@ -67,12 +73,9 @@ class IntMatrix:
         return len(self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        n = self.dim
-        orows = other.rows
-        return IntMatrix(tuple(
-            tuple(sum(self.rows[i][k] * orows[k][j] for k in range(n))
-                  for j in range(n))
-            for i in range(n)))
+        cols = tuple(zip(*other.rows))
+        return IntMatrix(tuple(tuple(sum(map(mul, row, col)) for col in cols)
+                               for row in self.rows))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         return IntMatrix(tuple(tuple(a + b for a, b in zip(ra, rb))
@@ -350,5 +353,5 @@ def two_norm_sq(A: IntMatrix) -> RealAlgebraic:
     return largest_real_root_fast(char_poly(A.transpose() @ A))
 
 
-def frobenius_norm_sq(A: IntMatrix) -> Fraction:
-    return Fraction(sum(v * v for r in A.rows for v in r))
+def frobenius_norm_sq(A: IntMatrix) -> int:
+    return sum(v * v for r in A.rows for v in r)

@@ -16,6 +16,17 @@ y^T M y / y^T y is a rational lower bound on ||A||_2^2.  When that bound
 does not prune, the 2-norm cannot either, and its characteristic
 polynomial is never solved.  Both tests are exact, so the tree is the
 one the 2-norm alone would give.
+
+Each node's exact spectral radius is computed once per necklace, the
+least rotation of a word's primitive root (`canonical_word`).  A
+rotation or a power of a word has the same averaged radius as its
+necklace (rho(XY) = rho(YX) and rho(X^k) = rho(X)^k), and the best
+radius only grows.  So once a necklace has been registered, another
+word of it averages no more than the best and never raises it: at most
+it ties the best, and then the word it ties with, a word of the same
+necklace, is already a candidate, and `_assemble_candidates` would drop
+it as a duplicate.  Skipping it changes neither the tree nor the
+candidates.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebraic import Ordering, RealAlgebraic, compare_powers, nth_root
+from .algebraic import Ordering, PowerMemo, RealAlgebraic, compare_powers, nth_root
 from .matcore import (
     IntMatrix,
     MatrixFamily,
@@ -50,6 +61,7 @@ class CandidateSet:
     frobenius_prunes: int = 0
     two_norm_prunes: int = 0
     two_norm_checks: int = 0  # exact 2-norms computed
+    radius_checks: int = 0  # exact spectral radii computed, one per necklace
 
 
 def canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -63,9 +75,13 @@ def canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:
     return min(rots)
 
 
+# the key under which `gripenberg_search` computes one spectral radius
+_necklace = canonical_word
+
+
 class _Best:
     """Monotone best-so-far averaged spectral radius, kept as (rho, length),
-    with the exact powers of rho built so far, by exponent."""
+    with the powers of rho computed so far, by exponent."""
 
     __slots__ = ("rho", "length", "rho_is_zero", "powers")
 
@@ -86,10 +102,11 @@ class _Best:
         self.rho = rho
         self.length = length
         self.rho_is_zero = rho.sign() == 0
-        self.powers = {}
+        self.powers = PowerMemo()
 
 
-def _prunes(norm_sq: Fraction | RealAlgebraic, length: int, best: _Best) -> bool:
+def _prunes(norm_sq: int | Fraction | RealAlgebraic, length: int,
+            best: _Best) -> bool:
     """True iff norm^(1/length) < best averaged radius, exactly.
 
     norm_sq is the squared norm (Frobenius or operator) of the prefix.
@@ -115,10 +132,16 @@ def gripenberg_search(family: MatrixFamily, max_depth: int = 10) -> CandidateSet
     best = _Best()
     raw_candidates: list[Product] = []  # words tying best at registration time
     exhausted = True
-    stats = {"nodes": 0, "fro": 0, "two": 0, "checks": 0}
+    stats = {"nodes": 0, "fro": 0, "two": 0, "checks": 0, "radii": 0}
     depth_reached = 0
+    registered: set[tuple[int, ...]] = set()  # necklaces (module docstring)
 
     def register(word: tuple[int, ...], value: IntMatrix) -> None:
+        necklace = _necklace(word)
+        if necklace in registered:
+            return
+        registered.add(necklace)
+        stats["radii"] += 1
         sr = spectral_radius(value).value
         cmp = best.cmp_avg(sr, len(word))
         if cmp == Ordering.GREATER:
@@ -198,7 +221,7 @@ def gripenberg_search(family: MatrixFamily, max_depth: int = 10) -> CandidateSet
                        candidates[0].length)
     return CandidateSet(lam, candidates, depth_reached, exhausted,
                         stats["nodes"], stats["fro"], stats["two"],
-                        stats["checks"])
+                        stats["checks"], stats["radii"])
 
 
 def _rayleigh_lower(A: IntMatrix) -> Fraction:
@@ -214,23 +237,23 @@ def _rayleigh_lower(A: IntMatrix) -> Fraction:
 
 
 def _scalar_multiple(A: IntMatrix, B: IntMatrix) -> Fraction | None:
-    """c with A == c*B, or None.  Zero matrices yield c=0 only if A==0."""
-    c = None
+    """c with A == c*B, or None.  Zero matrices yield c=0 only if A==0.
+
+    The first nonzero entry q of B, with p its entry in A, fixes c = p/q;
+    every other pair (a, b) must then satisfy a*q == p*b, which also makes
+    a zero wherever b is.
+    """
+    p = q = 0
     for ra, rb in zip(A.rows, B.rows):
         for a, b in zip(ra, rb):
-            if b == 0:
-                if a != 0:
+            if q:
+                if a * q != p * b:
                     return None
-            else:
-                q = Fraction(a, b)
-                if c is None:
-                    c = q
-                elif c != q:
-                    return None
-    if c is None:  # B == 0
-        return Fraction(0) if A.is_zero() else None
-    # all-zero columns of B already checked entrywise
-    return c
+            elif b:
+                p, q = a, b
+            elif a:
+                return None
+    return Fraction(p, q) if q else Fraction(0)
 
 
 def _assemble_candidates(raw: list[Product], family: MatrixFamily) -> list[Product]:

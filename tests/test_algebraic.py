@@ -11,6 +11,7 @@ from jsrcert.algebraic import (
     IntPolynomial,
     NumberFieldContext,
     Ordering,
+    PowerMemo,
     RealAlgebraic,
     compare,
     compare_powers,
@@ -217,12 +218,27 @@ class TestComparePowers:
 
     def test_memo_is_filled_and_read(self):
         sqrt2 = isolate_real_roots(P([-2, 0, 1]))[1]
-        memo = {}
+        memo = PowerMemo()
         assert compare_powers(Fraction(2), 1, sqrt2, 2, memo) == Ordering.EQUAL
-        assert compare(memo[2], 2) == Ordering.EQUAL
+        assert compare(memo.exact[2], 2) == Ordering.EQUAL
         # a planted memo entry is what the exact fallback reads
-        memo[2] = RealAlgebraic.from_rational(3)
+        memo.exact[2] = RealAlgebraic.from_rational(3)
         assert compare_powers(Fraction(2), 1, sqrt2, 2, memo) == Ordering.LESS
+
+    def test_powered_endpoints_are_read_for_the_interval_they_were_made_from(self):
+        sqrt2 = isolate_real_roots(P([-2, 0, 1]))[1]
+        memo = PowerMemo()
+        assert compare_powers(Fraction(3, 2), 2, sqrt2, 2, memo) == Ordering.GREATER
+        lo, hi = sqrt2.interval()
+        assert memo.ends[2] == (lo, hi, max(lo, 0)**2, max(hi, 0)**2)
+        # a planted entry for the current interval decides at once
+        memo.ends[2] = (lo, hi, Fraction(5), Fraction(6))
+        assert compare_powers(Fraction(2), 1, sqrt2, 2, memo) == Ordering.LESS
+        # once the interval moves, the entry is made again from it
+        sqrt2.refine()
+        assert compare_powers(Fraction(3, 2), 2, sqrt2, 2, memo) == Ordering.GREATER
+        assert memo.ends[2][:2] == sqrt2.interval()
+        assert memo.ends[2][2] < 2 < memo.ends[2][3]
 
 
 class TestNthRoot:

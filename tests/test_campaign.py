@@ -152,6 +152,7 @@ class TestSearchTelemetry:
                 "frobenius_prunes": cs.frobenius_prunes,
                 "two_norm_prunes": cs.two_norm_prunes,
                 "two_norm_checks": cs.two_norm_checks,
+                "radius_checks": cs.radius_checks,
                 "depth": cs.depth_reached, "exhausted": cs.exhausted}
 
     @pytest.mark.parametrize("text", ["3/108", "3/374"])
@@ -169,3 +170,32 @@ class TestSearchTelemetry:
         proved, settled = rec["witness"]["block_records"]
         assert "search" not in rec and "search" not in settled
         assert proved["search"]["nodes"] > 0
+
+
+class TestDepthLadder:
+    def test_an_exhausted_search_is_not_deepened(self, monkeypatch):
+        # F2s 16/16: the search closes at depth 3 and the IPA ends
+        # multiple_leading_eigenvector, so no deeper rung can change either
+        code = PairCode.parse("16/16", 2, "sign")
+        search, ipa = campaign.gripenberg_search, campaign.run_ipa
+        depths, ipa_runs = [], []
+
+        def counted_search(family, max_depth):
+            depths.append(max_depth)
+            return search(family, max_depth=max_depth)
+
+        def counted_ipa(family, cs):
+            ipa_runs.append(cs)
+            return ipa(family, cs)
+
+        monkeypatch.setattr(campaign, "gripenberg_search", counted_search)
+        monkeypatch.setattr(campaign, "run_ipa", counted_ipa)
+        rec = resolve_code(code)
+        assert depths == [10] and len(ipa_runs) == 1
+        assert rec["status"] == "unresolved" and rec["search"]["exhausted"]
+        # a ladder that kept climbing ended on its last rung, and stored
+        # that rung's search and IPA run
+        monkeypatch.setattr(campaign, "DEPTH_LADDER", campaign.DEPTH_LADDER[-1:])
+        last_rung = resolve_code(code)
+        del rec["seconds"], last_rung["seconds"]
+        assert rec == last_rung

@@ -281,7 +281,8 @@ class TestNorms:
         assert two_norm_sq(IntMatrix.identity(3)).as_rational() == 1
 
     def test_frobenius(self):
-        assert frobenius_norm_sq(M([[1, 0], [1, -1]])) == 3
+        f = frobenius_norm_sq(M([[1, 0], [1, -1]]))
+        assert f == 3 and type(f) is int
 
     def test_norm_dominates_radius(self):
         rng = random.Random(17)
@@ -292,6 +293,24 @@ class TestNorms:
 
 
 class TestProducts:
+    def test_product_agrees_with_a_triple_loop(self):
+        def oracle(A, B):
+            n = A.dim
+            return [[sum(A.rows[i][k] * B.rows[k][j] for k in range(n))
+                     for j in range(n)] for i in range(n)]
+
+        rng = random.Random(11)
+        for dim in range(1, 5):
+            ident, zero = IntMatrix.identity(dim), IntMatrix.zero(dim)
+            for _ in range(40):
+                A, B = (M([[rng.randint(-3, 3) for _ in range(dim)]
+                           for _ in range(dim)]) for _ in range(2))
+                for X, Y in ((A, B), (B, A), (A, ident), (ident, A),
+                             (A, zero), (zero, B)):
+                    assert (X @ Y).rows == tuple(map(tuple, oracle(X, Y)))
+                assert A @ ident == ident @ A == A
+                assert (A @ zero).is_zero() and (zero @ A).is_zero()
+
     def test_word_order_right_to_left(self):
         fam = MatrixFamily.make([[[0, 1], [0, 0]], [[1, 0], [1, 1]]])
         p = evaluate([1, 2], fam)  # A2 A1

@@ -17,6 +17,7 @@ from jsrcert import smp
 from jsrcert.reduce import (
     Outcome,
     PairCode,
+    canonical_key,
     decode,
     enumerate_campaign,
     quick_decide,
@@ -24,6 +25,7 @@ from jsrcert.reduce import (
 from jsrcert.smp import (
     _assemble_candidates,
     _rayleigh_lower,
+    _scalar_multiple,
     canonical_word,
     gripenberg_search,
 )
@@ -234,3 +236,85 @@ class TestRayleighGate:
         assert sum(cs.two_norm_prunes for cs in gated) >= 3
         assert sum(cs.two_norm_checks for cs in gated) < \
             sum(cs.two_norm_checks for cs in plain)
+
+
+class TestNecklaceMemo:
+    @staticmethod
+    def _summary(cs):
+        return ([(c.word, c.value) for c in cs.candidates], cs.lambda_.serialize(),
+                cs.nodes_visited, cs.frobenius_prunes, cs.two_norm_prunes,
+                cs.two_norm_checks, cs.depth_reached, cs.exhausted)
+
+    def test_search_is_the_same_as_with_one_radius_per_word(self, monkeypatch):
+        # the orbit representatives of full F2, F2s with first codes 1, 4,
+        # 5 and 16, and F3 A1=3 that no quick lemma settles
+        codes = list(enumerate_campaign("binary", 2))
+        codes += [c for c in enumerate_campaign("sign", 2) if c.a1 in (1, 4, 5, 16)]
+        codes += [PairCode(3, a2, 3, "binary") for a2 in range(512)]
+        families = {}
+        for c in codes:
+            rep = canonical_key(decode(c), c.alphabet)
+            pair = decode(rep)
+            if rep not in families and \
+                    quick_decide(pair, c.alphabet).outcome is Outcome.NEEDS_IPA:
+                families[rep] = MatrixFamily.make(list(pair), c.alphabet)
+        assert len(families) > 300
+        runs = [(f, depth) for f in families.values() for depth in (10, 14)]
+        memo = [gripenberg_search(f, max_depth=depth) for f, depth in runs]
+        monkeypatch.setattr(smp, "_necklace", lambda word: word)
+        plain = [gripenberg_search(f, max_depth=depth) for f, depth in runs]
+        assert [self._summary(cs) for cs in memo] == \
+            [self._summary(cs) for cs in plain]
+        # keyed by the word itself, every node computes its radius
+        assert all(cs.radius_checks == cs.nodes_visited for cs in plain)
+        fewer = sum(m.radius_checks < p.radius_checks for m, p in zip(memo, plain))
+        assert 2 * fewer > len(runs)
+
+    def test_a_rotation_or_power_of_a_registered_word_is_skipped(self):
+        # {A, B}: level 2 holds AB and BA (one necklace) and AA, BB (powers
+        # of the letters), so 6 nodes need 3 radii at depth 2
+        fam = MatrixFamily.make([T1, T2])
+        cs = gripenberg_search(fam, max_depth=2)
+        assert cs.nodes_visited == 6 and cs.radius_checks == 3
+
+
+class TestScalarMultiple:
+    @staticmethod
+    def _oracle(A, B):
+        ratios = set()
+        for a, b in zip(A.flat(), B.flat()):
+            if b == 0:
+                if a != 0:
+                    return None
+            else:
+                ratios.add(Fraction(a, b))
+        if len(ratios) > 1:
+            return None
+        return ratios.pop() if ratios else Fraction(0)
+
+    def test_agrees_with_a_fraction_oracle(self):
+        rng = random.Random(7)
+        zero = IntMatrix.zero(3)
+        cases = [(zero, zero), (B1, zero), (zero, B1), (B1.scale(-2), B1),
+                 (B1, B1.scale(-2)), (B2.scale(3), B2.scale(2)),
+                 (M([[0, 0, 0], [2, 4, 6], [0, 0, 0]]),
+                  M([[0, 0, 0], [3, 6, 9], [0, 0, 0]])),
+                 (M([[0, 0, 0], [2, 4, 6], [0, 0, 1]]),
+                  M([[0, 0, 0], [3, 6, 9], [0, 0, 0]]))]
+        for _ in range(400):
+            dim = rng.randint(1, 3)
+            B = M([[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(dim)]
+                   for _ in range(dim)])
+            p, q = rng.randint(-4, 4), rng.randint(1, 3)
+            A = M([[p * v for v in r] for r in B.rows])
+            if rng.random() < 0.5:  # a non-multiple, or a multiple by p/q
+                i, j = rng.randrange(dim), rng.randrange(dim)
+                rows = [list(r) for r in A.rows]
+                rows[i][j] += rng.choice((-1, 1))
+                A = M(rows)
+            cases.append((A, B.scale(q)))
+        for A, B in cases:
+            assert _scalar_multiple(A, B) == self._oracle(A, B), (A, B)
+        found = [_scalar_multiple(A, B) for A, B in cases]
+        assert any(c is not None and c < 0 for c in found)
+        assert any(c is not None and c.denominator > 1 for c in found)
