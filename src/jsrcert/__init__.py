@@ -15,14 +15,12 @@ from .geometry import (
     Classification,
     HullKind,
     LinearProgram,
-    Mode,
     VertexPolytope,
     classify_with_fallback,
     minkowski_norm,
     simplex_solve,
 )
 from .ipa import (
-    IpaOptions,
     IpaResult,
     IpaStatus,
     run_ipa,

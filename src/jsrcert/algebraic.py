@@ -687,23 +687,8 @@ def _separate(a: RealAlgebraic, b: RealAlgebraic) -> None:
 
 
 def compare(a, b) -> Ordering:
-    """Exact total order on real algebraic numbers and rationals.
-
-    FieldElements are compared through their shared context; a
-    RealAlgebraic and a rational may be mixed freely.
-    """
-    if isinstance(a, FieldElement) or isinstance(b, FieldElement):
-        if isinstance(a, FieldElement) and isinstance(b, FieldElement):
-            if a.context is not b.context:
-                raise ContextMismatchError("cannot compare elements of different fields")
-            return (a - b).sign_ordering()
-        fe = a if isinstance(a, FieldElement) else b
-        other = b if isinstance(a, FieldElement) else a
-        if isinstance(other, (int, Fraction)):
-            diff = fe - fe.context.from_rational(Fraction(other))
-            s = diff.sign_ordering()
-            return s if fe is a else Ordering(-s)
-        raise ContextMismatchError("cannot compare a FieldElement with a RealAlgebraic")
+    """Exact total order on real algebraic numbers and rationals; a
+    RealAlgebraic and a rational may be mixed freely."""
     if isinstance(a, (int, Fraction)):
         a = RealAlgebraic.from_rational(a)
     if isinstance(b, (int, Fraction)):
@@ -1219,9 +1204,6 @@ class FieldElement:
             guard += 1
             if guard > _MAX_REFINE:
                 raise AlgebraicError("field element sign did not converge")
-
-    def sign_ordering(self) -> Ordering:
-        return Ordering(self.sign())
 
     def __float__(self) -> float:
         guard = 0

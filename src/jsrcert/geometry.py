@@ -11,18 +11,22 @@ membership exactly: kinds P and R by the Minkowski norm from one LP,
 kind C by an arc cover of the half turn on which one vertex's quadratic
 form dominates the query's (`norm_ellipse`).
 
-Most kind-P and kind-R queries need no LP.  Two exact tests settle them
-first: `dominating_vertex` finds a vertex at least the query entrywise
-(kind P: inside), and `outside_bound` finds a coordinate, or in kind P
-the coordinate sum, that no vertex reaches (outside).  In dimension 2
-the rest need no LP either: the membership LP has two rows, so a basic
-solution combines at most two vertices, and `two_vertex_combination`
-solves each pair by Cramer's rule.  In other dimensions the queries
-both pre-tests leave open go to `classify_with_fallback`, whose float
-LP decides those far from the boundary and escalates the rest to the
-exact LP.  Floats decide only a query far outside (by the float LP or
-the float two-vertex weights); otherwise they only order the
-candidates of an exact test.
+`VertexPolytope.find` answers the cheapest query first: the index of a
+vertex exactly equal to the query (kind R: or to its negative), from a
+hash index of the vertices.  Most other kind-P and kind-R queries need
+no LP.  Two exact tests settle them: `dominating_vertex` finds a vertex
+at least the query entrywise (kind P: inside), and `outside_bound`
+finds a coordinate, or in kind P the coordinate sum, that no vertex
+reaches (outside).  In dimension 2 the rest need no LP either: the
+membership LP has two rows, so a basic solution combines at most two
+vertices, and `two_vertex_combination` solves each pair by Cramer's
+rule.  In other dimensions the queries both pre-tests leave open go to
+`classify_with_fallback`, whose float LP only rules out a query far
+outside and leaves every other to the exact LP.  Floats decide only the
+far exterior (by the float LP or the float two-vertex weights); a
+verdict that places a query inside is always exact and carries its
+combination, and otherwise floats only order the candidates of an exact
+test.  There are no modes: this is the one path.
 """
 
 from __future__ import annotations
@@ -277,18 +281,13 @@ class Classification(enum.Enum):
     EXTERIOR = "exterior"
 
 
-class Mode(enum.Enum):
-    NUMERIC_FIRST = "numeric_first"
-    EXACT_ONLY = "exact_only"
-
-
 @dataclass
 class VertexPolytope:
     """Hull kind + vertex list.
 
     Kinds P and R store real vertices (sequences of Fraction or
     FieldElement); kind C stores Gram forms (q11, q12, q22).  Vertices
-    must be nonzero and pairwise distinct.
+    must be nonzero and pairwise distinct, and in kind P nonnegative.
     """
 
     kind: HullKind
@@ -296,12 +295,34 @@ class VertexPolytope:
     dim: int
     _floats: list = field(default_factory=list, init=False, repr=False,
                           compare=False)
+    # exact coordinates -> first index; covers vertices[:_indexed]
+    _index: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+    _indexed: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind is HullKind.P:
-            for v in self.vertices:
-                if any(_sgn(c) < 0 for c in v):
-                    raise ValueError("cone-hull vertices must be nonnegative")
+        self._index_appended()
+
+    def _index_appended(self) -> None:
+        """Index the vertices appended since the last call, checking in
+        kind P that each is nonnegative."""
+        for i in range(self._indexed, len(self.vertices)):
+            v = self.vertices[i]
+            if self.kind is HullKind.P and any(_sgn(c) < 0 for c in v):
+                raise ValueError("cone-hull vertices must be nonnegative")
+            self._index.setdefault(tuple(v), i)
+            self._indexed = i + 1
+
+    def find(self, x) -> Optional[int]:
+        """The least index of a vertex exactly equal to x (kind R: or to
+        -x), or None.  Coordinates compare by `==` and `hash`, which are
+        exact for Fractions and FieldElements.  Like `floats`, the index
+        takes in the vertices appended since the last call."""
+        self._index_appended()
+        hits = [self._index.get(tuple(x))]
+        if self.kind is HullKind.R:
+            hits.append(self._index.get(tuple(-c for c in x)))
+        return min((i for i in hits if i is not None), default=None)
 
     def floats(self) -> list[list[float]]:
         """The vertices in floats.  Vertices may be appended to
@@ -317,13 +338,8 @@ class NormResult:
     face: list[int]
     classification: Classification
     numeric: bool = False
-
-    def combination(self):
-        """Feasible certificate combination attached by the exact path."""
-        return getattr(self, "_combination", None)
-
-    def set_combination(self, combo) -> None:
-        self._combination = combo
+    # the exact path's feasible combination, one coefficient per vertex
+    combination: Optional[list] = None
 
 
 def minkowski_norm(poly: VertexPolytope, x) -> NormResult:
@@ -335,24 +351,22 @@ def minkowski_norm(poly: VertexPolytope, x) -> NormResult:
     raise ValueError("kind-C membership is decided by norm_ellipse")
 
 
-def _classify_value(value, face) -> NormResult:
-    s = _sgn(value - 1) if not isinstance(value, FieldElement) \
-        else (value - 1).sign()
+def _classify_value(value, face, combination) -> NormResult:
+    s = _sgn(value - 1)
     if s < 0:
         cls = Classification.INTERIOR
     elif s == 0:
         cls = Classification.BOUNDARY
     else:
         cls = Classification.EXTERIOR
-    return NormResult(value, face, cls)
+    return NormResult(value, face, cls, combination=combination)
 
 
 def _norm_sym(poly: VertexPolytope, x) -> NormResult:
     """min sum(mu+ + mu-) s.t. sum (mu+_i - mu-_i) v_i = x."""
     if all(_is_zero(c) for c in x):
-        out = NormResult(_zero_like(x), [], Classification.INTERIOR)
-        out.set_combination([_zero_like(x)] * len(poly.vertices))
-        return out
+        return NormResult(_zero_like(x), [], Classification.INTERIOR,
+                          combination=[_zero_like(x)] * len(poly.vertices))
     V = poly.vertices
     N = len(V)
     n = poly.dim
@@ -368,9 +382,8 @@ def _norm_sym(poly: VertexPolytope, x) -> NormResult:
     mu = res.solution
     face = [i for i in range(N)
             if not _is_zero(mu[i]) or not _is_zero(mu[N + i])]
-    out = _classify_value(res.value, face)
-    out.set_combination([mu[i] - mu[N + i] for i in range(N)])
-    return out
+    return _classify_value(res.value, face,
+                           [mu[i] - mu[N + i] for i in range(N)])
 
 
 def _norm_cone(poly: VertexPolytope, x) -> NormResult:
@@ -378,9 +391,8 @@ def _norm_cone(poly: VertexPolytope, x) -> NormResult:
     if any(_sgn(c) < 0 for c in x):
         raise ValueError("cone-hull queries require nonnegative coordinates")
     if all(_is_zero(c) for c in x):
-        out = NormResult(_zero_like(x), [], Classification.INTERIOR)
-        out.set_combination([_zero_like(x)] * len(poly.vertices))
-        return out
+        return NormResult(_zero_like(x), [], Classification.INTERIOR,
+                          combination=[_zero_like(x)] * len(poly.vertices))
     V = poly.vertices
     N = len(V)
     n = poly.dim
@@ -400,10 +412,8 @@ def _norm_cone(poly: VertexPolytope, x) -> NormResult:
     lam = res.solution[:N]
     face = [i for i in range(N) if not _is_zero(lam[i])]
     inv = s.inverse() if isinstance(s, FieldElement) else 1 / s
-    out = _classify_value(inv, face)
     # scaled combination: x <= sum (l_i / s) v_i with sum l_i/s = 1/s = norm
-    out.set_combination([l * inv for l in lam])
-    return out
+    return _classify_value(inv, face, [l * inv for l in lam])
 
 
 def _zero_like(x):
@@ -561,8 +571,7 @@ class PlanarVerdict:
     numeric: bool = False
 
 
-def two_vertex_combination(poly: VertexPolytope, x,
-                           mode: Mode = Mode.NUMERIC_FIRST) -> PlanarVerdict:
+def two_vertex_combination(poly: VertexPolytope, x) -> PlanarVerdict:
     """Membership in a kind-P or kind-R polygon without an LP.
 
     The membership LP has two constraint rows, so an optimal basic
@@ -575,8 +584,8 @@ def two_vertex_combination(poly: VertexPolytope, x,
     an edge between two vertices or a segment below a single vertex.
 
     Floats rank the pairs (and in kind R the single vertices) by their
-    weight |a| + |b|.  In NUMERIC_FIRST mode a least weight above
-    1 + NUMERIC_TOLERANCE decides x outside; otherwise the candidates are
+    weight |a| + |b|.  A least weight above 1 + NUMERIC_TOLERANCE
+    decides x outside; otherwise the candidates are
     checked exactly in float order, and the first that passes gives the
     combination.  When none passes, x is exactly outside.  After the
     first has failed, each pair is also tried as a separating line
@@ -611,9 +620,9 @@ def two_vertex_combination(poly: VertexPolytope, x,
             # a weight that is not a number (an overflow) ranks last
             ranked.append((w if w < inf else inf, i, j))
     if not ranked:
-        return PlanarVerdict(None, [], mode is Mode.NUMERIC_FIRST)
+        return PlanarVerdict(None, [], True)
     best = min(ranked)
-    if mode is Mode.NUMERIC_FIRST and best[0] > 1 + NUMERIC_TOLERANCE:
+    if best[0] > 1 + NUMERIC_TOLERANCE:
         return PlanarVerdict(None, [], True)
     found = _combination_of(poly, x, *best[1:])
     if found is None:
@@ -702,37 +711,23 @@ def _separated(poly: VertexPolytope, x, i: int, j: int) -> bool:
     return True
 
 
-# -- numeric-first classification with exact escalation ----------------------
+# -- the float LP, which may only rule a query out --------------------------
 
 
-def classify_with_fallback(poly: VertexPolytope, x,
-                           mode: Mode = Mode.NUMERIC_FIRST) -> NormResult:
-    """Numeric LP prefilter with exact escalation near the boundary.
+def classify_with_fallback(poly: VertexPolytope, x) -> NormResult:
+    """The exact `minkowski_norm` of x, unless a float LP puts x far outside.
 
-    In NUMERIC_FIRST mode a floating LP estimates the norm; verdicts
-    whose margin from 1 exceeds NUMERIC_TOLERANCE are returned tagged
-    numeric.  Anything near the boundary (or any numeric failure)
-    escalates to the exact path.  EXACT_ONLY skips the numeric stage.
-    Kinds P and R only.  The polytope algorithm calls it only outside
-    dimension 2, for the queries that `dominating_vertex` and
+    A float norm estimate above 1 + NUMERIC_TOLERANCE is returned as an
+    EXTERIOR verdict tagged numeric, with no value or combination; every
+    other query, and any float failure, gets the exact result.  Kinds P
+    and R only.  The polytope algorithm calls it only outside dimension
+    2, for the queries that `find`, `dominating_vertex` and
     `outside_bound` leave open.
     """
-    # exact duplicate-vertex test before any LP
-    for i, v in enumerate(poly.vertices):
-        if _vectors_equal(v, x) or (poly.kind is HullKind.R and
-                                    _vectors_equal([-c for c in v], x)):
-            one = _one_like(x)
-            return NormResult(one, [i], Classification.BOUNDARY)
-    if mode is Mode.NUMERIC_FIRST:
-        est = _numeric_norm(poly, x)
-        if est is not None and abs(est - 1.0) > NUMERIC_TOLERANCE:
-            cls = Classification.INTERIOR if est < 1 else Classification.EXTERIOR
-            return NormResult(None, [], cls, numeric=True)
+    est = _numeric_norm(poly, x)
+    if est is not None and est > 1 + NUMERIC_TOLERANCE:
+        return NormResult(None, [], Classification.EXTERIOR, numeric=True)
     return minkowski_norm(poly, x)
-
-
-def _vectors_equal(v, x) -> bool:
-    return all(_is_zero(a - b) for a, b in zip(v, x))
 
 
 def _numeric_norm(poly: VertexPolytope, x) -> float | None:

@@ -27,15 +27,18 @@ seed, the seeds' eigen-relations, and one piece of evidence for every
   (1, 0) to (-1, 0), each arc naming a vertex whose quadratic form is at
   least the image's on every direction of the arc.
 
-Each image is decided once, and its evidence is recorded then (see
-`_membership` for the order of the tests): an equal vertex; in kind C an
-arc cover; in kind P a single dominating vertex; a coordinate bound that
-puts it outside; in dimension 2 a combination of two vertices, exact and
-without an LP (a two-row LP has basic solutions on two vertices); and
-only in other dimensions the float LP, whose interior verdicts the
-exact LP turns into a combination.  An image not shown inside becomes
-a vertex.  Vertices are only ever appended, so a combination over the
-vertices of its time stays valid; the certificate pads it with zeros.
+A run keeps one vertex store, a `VertexPolytope` grown in place, with
+each vertex's word and seed alongside.  Each image is decided once, and
+its evidence is recorded then (see `_membership` for the order of the
+tests): an equal vertex (`VertexPolytope.find`); in kind C an arc cover;
+in kind P a single dominating vertex; a coordinate bound that puts it
+outside; in dimension 2 a combination of two vertices, exact and without
+an LP (a two-row LP has basic solutions on two vertices); and only in
+other dimensions the float LP, which may rule the image out, else the
+exact LP, whose combination places it inside.  An image not shown
+inside becomes a vertex.  Vertices are only ever appended, so a
+combination over the vertices of its time stays valid; the certificate
+pads it with zeros.
 
 A run that closes on a hull without interior ends NOT_A_BODY, since
 such a hull bounds no norm.  The certificate writes the root of
@@ -67,7 +70,6 @@ from .geometry import (
     NUMERIC_TOLERANCE,
     Classification,
     HullKind,
-    Mode,
     VertexPolytope,
     arc_nonnegative,
     classify_with_fallback,
@@ -82,8 +84,8 @@ from .matcore import (
     IntMatrix,
     MatrixFamily,
     Product,
-    char_poly,
     evaluate,
+    is_eigenvalue,
     leading_eigenvector,
     spectral_radius,
 )
@@ -111,14 +113,10 @@ class IpaStatus(enum.Enum):
 
 
 @dataclass
-class IpaOptions:
-    augment: bool = False
-    mode: Mode = Mode.NUMERIC_FIRST
-
-
-@dataclass
 class _Vertex:
-    coords: list  # FieldElements; kind C: the Gram form (q11, q12, q22)
+    """Where a vertex of the store came from; its coordinates (kind C:
+    the Gram form) are the polytope's vertex of the same index."""
+
     word: tuple  # generating word, seed-first application order
     seed: int  # seed index
 
@@ -230,22 +228,16 @@ def augment_limits(family: MatrixFamily, candidates: CandidateSet,
     return out
 
 
-def _is_eigenvalue(A: IntMatrix, lam_elem: FieldElement) -> bool:
-    ctx = lam_elem.context
-    acc = ctx.zero()
-    for c in reversed(char_poly(A).coeffs):
-        acc = acc * lam_elem + ctx.from_rational(c)
-    return acc.is_zero()
-
-
 # ---------------------------------------------------------------------------
 # the algorithm
 # ---------------------------------------------------------------------------
 
 
 def run_ipa(family: MatrixFamily, candidates: CandidateSet,
-            opts: IpaOptions | None = None) -> IpaResult:
-    opts = opts or IpaOptions()
+            augment: bool = False) -> IpaResult:
+    """Run the polytope algorithm on the candidates' lambda; with
+    `augment`, also map every vertex by the candidates' limit matrices
+    (`augment_limits`)."""
     if not candidates.candidates:
         raise ValueError("need at least one candidate product")
     lam = candidates.lambda_
@@ -259,36 +251,36 @@ def run_ipa(family: MatrixFamily, candidates: CandidateSet,
 
     # balance the seeds (kind C: their real parts) as a kind-R hull; a
     # Gram form scales by the square of its seed's scale
-    scales = balance([s.coords for s in seeds], family,
-                     HullKind.R if hull is HullKind.C else hull)
-    for s, sc, d in zip(seeds, scales, imag_sq):
-        s.coords = _scale_vec(s.coords, sc)
+    scales = balance(seeds, family, HullKind.R if hull is HullKind.C else hull)
+    for k, (sc, d) in enumerate(zip(scales, imag_sq)):
+        seeds[k] = _scale_vec(seeds[k], sc)
         if hull is HullKind.C:
-            r0, r1 = s.coords
-            s.coords = [r0 * r0, r0 * r1, r1 * r1 + d * sc * sc]
+            r0, r1 = seeds[k]
+            seeds[k] = [r0 * r0, r0 * r1, r1 * r1 + d * sc * sc]
 
     inv_lam = lam_elem.inverse()
     scale = inv_lam * inv_lam if hull is HullKind.C else inv_lam
-    # deduplicate seeds (ties may share an eigenvector up to sign)
+    # the one vertex store, grown in place: vertices are only ever
+    # appended, so evidence recorded against a prefix stays valid;
+    # `vertices[i]` says where `poly.vertices[i]` came from
+    poly = VertexPolytope(hull, [], family.dim)
     vertices: list[_Vertex] = []
+    # deduplicate seeds (ties may share an eigenvector up to sign)
     seed_map: list[int] = []
-    for s in seeds:
-        dup = _find_duplicate(vertices, s.coords, hull)
+    for idx, coords in enumerate(seeds):
+        dup = poly.find(coords)
         if dup is None:
-            vertices.append(s)
-            seed_map.append(len(vertices) - 1)
-        else:
-            seed_map.append(dup)
+            dup = len(vertices)
+            poly.vertices.append(coords)
+            vertices.append(_Vertex((), idx))
+        seed_map.append(dup)
 
     limits = []
-    if opts.augment:
+    if augment:
         limits = augment_limits(family, candidates, ctx, lam_elem)
     maps = [(j, family[j - 1], scale) for j in range(1, len(family) + 1)]
     maps += [(-(li + 1), L, None) for li, L in limits]
 
-    # one polytope, grown in place: `vertices` is only ever appended to,
-    # so evidence recorded against a prefix of it stays valid
-    poly = _as_polytope(vertices, hull, family.dim)
     evidence: dict[tuple[int, int], dict] = {}
     counts = dict.fromkeys(MEMBERSHIP_WAYS, 0)
     frontier = list(range(len(vertices)))
@@ -296,29 +288,27 @@ def run_ipa(family: MatrixFamily, candidates: CandidateSet,
     while frontier:
         rounds += 1
         if rounds > MAX_ROUNDS:
-            return _cap_result(IpaStatus.NO_SPECTRAL_GAP, lam, hull,
-                               vertices, candidates, family)
+            return _cap_result(IpaStatus.NO_SPECTRAL_GAP, lam, poly, candidates)
         new_frontier: list[int] = []
         for vi in frontier:
             vert = vertices[vi]
             for j, A, sc in maps:
-                img = _apply(A, vert.coords, hull, sc)
-                ev = _membership(vertices, poly, img, hull, opts.mode, counts)
+                img = _apply(A, poly.vertices[vi], hull, sc)
+                ev = _membership(poly, img, counts)
                 if ev is None:
-                    vertices.append(_Vertex(img, vert.word + (j,), vert.seed))
                     poly.vertices.append(img)
+                    vertices.append(_Vertex(vert.word + (j,), vert.seed))
                     new_frontier.append(len(vertices) - 1)
                     if len(vertices) > MAX_VERTICES:
                         return _cap_result(IpaStatus.VERTEX_CAP_EXCEEDED, lam,
-                                           hull, vertices, candidates, family)
+                                           poly, candidates)
                     ev = {"type": "vertex", "index": len(vertices) - 1}
                 if j > 0:  # the certificate covers the family's matrices
                     evidence[vi, j] = ev
         frontier = new_frontier
-    if not _has_interior([v.coords for v in vertices], hull, family.dim):
-        return _cap_result(IpaStatus.NOT_A_BODY, lam, hull, vertices,
-                           candidates, family)
-    cert = _emit_certificate(family, candidates, lam, ctx, lam_elem, hull,
+    if not _has_interior(poly.vertices, hull, family.dim):
+        return _cap_result(IpaStatus.NOT_A_BODY, lam, poly, candidates)
+    cert = _emit_certificate(family, candidates, lam, ctx, lam_elem, poly,
                              vertices, seed_map, scales, evidence, limits)
     return IpaResult(IpaStatus.PROVED, lam, poly, candidates.candidates, cert,
                      diagnostics={"vertices": len(vertices), "rounds": rounds,
@@ -328,7 +318,8 @@ def run_ipa(family: MatrixFamily, candidates: CandidateSet,
 def _build_field(family: MatrixFamily, candidates: CandidateSet):
     """Context Q(lambda), lambda embedding, hull kind and seeds.
 
-    Kind-C seeds carry their real part; the last item lists, per seed,
+    Seed k belongs to candidate k.  Kind-C seeds are their eigenvector's
+    real part; the last item lists, per seed,
     the square of the one nonzero entry of its imaginary part (0 for a
     real seed), which sits on the (2,2) entry of the Gram form.
     """
@@ -353,24 +344,23 @@ def _build_field(family: MatrixFamily, candidates: CandidateSet):
     else:
         hull = HullKind.R
 
-    seeds: list[_Vertex] = []
+    seeds: list[list] = []
     imag_sq: list[Fraction] = []
-    for idx, (cand, sr) in enumerate(zip(candidates.candidates, srs)):
+    for cand, sr in zip(candidates.candidates, srs):
         if hull is HullKind.C and sr.leading_complex:
             # mu = (tau + i s)/2 with s^2 = 4 det - tau^2 has the eigenvector
             # (b, mu - a); b != 0, since a triangular matrix has real
             # eigenvalues
             (a, b), (c, d) = cand.value.rows
             tau, det = a + d, a * d - b * c
-            seeds.append(_Vertex([ctx.from_rational(b),
-                                  ctx.from_rational(Fraction(tau, 2) - a)],
-                                 (), idx))
+            seeds.append([ctx.from_rational(b),
+                          ctx.from_rational(Fraction(tau, 2) - a)])
             imag_sq.append(det - Fraction(tau * tau, 4))
             continue
         rho_elem = lam_elem ** cand.length
         sign = 1
-        if not _is_eigenvalue(cand.value, rho_elem):
-            if _is_eigenvalue(cand.value, -rho_elem):
+        if not is_eigenvalue(cand.value, rho_elem):
+            if is_eigenvalue(cand.value, -rho_elem):
                 sign = -1
             else:
                 return IpaResult(
@@ -391,7 +381,7 @@ def _build_field(family: MatrixFamily, candidates: CandidateSet):
                     IpaStatus.MULTIPLE_LEADING_EIGENVECTOR, lam, None,
                     candidates.candidates,
                     diagnostics={"error": "no nonnegative leading eigenvector"})
-        seeds.append(_Vertex(v, (), idx))
+        seeds.append(v)
         imag_sq.append(Fraction(0))
     return ctx, lam_elem, hull, seeds, imag_sq
 
@@ -428,27 +418,11 @@ def _matvec(A, vec: list) -> list:
             for row in A]
 
 
-def _find_duplicate(vertices: list[_Vertex], coords: list,
-                    hull: HullKind) -> Optional[int]:
-    for i, v in enumerate(vertices):
-        if _vec_equal(v.coords, coords):
-            return i
-        if hull is HullKind.R and _vec_equal(_neg(v.coords), coords):
-            return i
-    return None
-
-
-def _vec_equal(a, b) -> bool:
-    return all((x - y).is_zero() if isinstance(x, FieldElement) else x == y
-               for x, y in zip(a, b))
-
-
 def _neg(v):
     return [-c for c in v]
 
 
-def _membership(vertices: list[_Vertex], poly: VertexPolytope, x: list,
-                hull: HullKind, mode: Mode, counts: dict) -> Optional[dict]:
+def _membership(poly: VertexPolytope, x: list, counts: dict) -> Optional[dict]:
     """Certificate evidence placing the image x in the closed hull, or
     None when x must become a vertex.
 
@@ -458,24 +432,23 @@ def _membership(vertices: list[_Vertex], poly: VertexPolytope, x: list,
     coordinate or sum bound x violates ("bound").  Then in dimension 2
     the two-vertex test, whose float weights put x far outside
     ("numeric_exterior") or whose exact pairs decide it ("two_vertex");
-    in other dimensions the float LP, whose exterior verdict stands
-    ("numeric_exterior") and whose interior verdict is made exact by the
-    exact LP ("exact_lp"), as is any query near the boundary.
+    in other dimensions the float LP, whose far-exterior verdict stands
+    ("numeric_exterior"), or else the exact LP ("exact_lp").
     Combination coefficients cover the vertices as they are now; the
     certificate pads them with zeros.
     """
-    dup = _find_duplicate(vertices, x, hull)
+    dup = poly.find(x)
     if dup is not None:
         counts["duplicate"] += 1
         return {"type": "vertex", "index": dup}
-    if hull is HullKind.C:
+    if poly.kind is HullKind.C:
         counts["arc_cover"] += 1
         cover = norm_ellipse(poly, x)
         if cover is None:
             return None
         return {"type": "arcs",
                 "arcs": [[list(d0), list(d1), k] for d0, d1, k in cover]}
-    if hull is HullKind.P:
+    if poly.kind is HullKind.P:
         i = dominating_vertex(poly, x)
         if i is not None:
             counts["domination"] += 1
@@ -487,7 +460,7 @@ def _membership(vertices: list[_Vertex], poly: VertexPolytope, x: list,
         counts["bound"] += 1
         return None
     if poly.dim == 2:
-        planar = two_vertex_combination(poly, x, mode)
+        planar = two_vertex_combination(poly, x)
         if planar.numeric:
             counts["numeric_exterior"] += 1
             return None
@@ -496,29 +469,21 @@ def _membership(vertices: list[_Vertex], poly: VertexPolytope, x: list,
             return None
         return {"type": "combination", "coeffs": planar.coeffs,
                 "face": planar.face}
-    res = classify_with_fallback(poly, x, mode)
-    if res.numeric and res.classification is Classification.EXTERIOR:
+    res = classify_with_fallback(poly, x)
+    if res.numeric:
         counts["numeric_exterior"] += 1
         return None
     counts["exact_lp"] += 1
-    if res.numeric:
-        res = minkowski_norm(poly, x)
     if res.classification is Classification.EXTERIOR:
         return None
-    return {"type": "combination", "coeffs": res.combination(),
+    return {"type": "combination", "coeffs": res.combination,
             "face": res.face}
 
 
-def _as_polytope(vertices: list[_Vertex], hull: HullKind,
-                 dim: int) -> VertexPolytope:
-    return VertexPolytope(hull, [list(v.coords) for v in vertices], dim)
-
-
-def _cap_result(status: IpaStatus, lam, hull, vertices, candidates,
-                family) -> IpaResult:
-    poly = _as_polytope(vertices, hull, family.dim) if vertices else None
+def _cap_result(status: IpaStatus, lam, poly: VertexPolytope,
+                candidates) -> IpaResult:
     return IpaResult(status, lam, poly, candidates.candidates,
-                     diagnostics={"vertices": len(vertices)})
+                     diagnostics={"vertices": len(poly.vertices)})
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +499,7 @@ def _ser_scalar(x) -> object:
         f"{f.numerator}/{f.denominator}"
 
 
-def _emit_certificate(family, candidates, lam, ctx, lam_elem, hull, vertices,
+def _emit_certificate(family, candidates, lam, ctx, lam_elem, poly, vertices,
                       seed_map, scales, evidence, limits) -> dict:
     """The certificate; `evidence` maps (vertex, matrix) to the evidence
     recorded when that image was decided."""
@@ -559,7 +524,7 @@ def _emit_certificate(family, candidates, lam, ctx, lam_elem, hull, vertices,
             "root_hi": _ser_scalar(root_hi),
         },
         "lambda_element": [_ser_scalar(c) for c in lam_elem.coords],
-        "hull": hull.value,
+        "hull": poly.kind.value,
         "smp_words": [list(c.word) for c in candidates.candidates],
         "seed_map": list(seed_map),
         "balance": [_ser_scalar(s) for s in scales],
@@ -567,9 +532,9 @@ def _emit_certificate(family, candidates, lam, ctx, lam_elem, hull, vertices,
             {
                 "seed": v.seed,
                 "word": list(v.word),
-                "coords": [_ser_scalar(c) for c in v.coords],
+                "coords": [_ser_scalar(c) for c in coords],
             }
-            for v in vertices
+            for v, coords in zip(vertices, poly.vertices)
         ],
         "evidence": records,
         "augmented": [idx for idx, _ in limits],
@@ -676,12 +641,12 @@ def _verify(cert: dict) -> VerifyResult:
             if not _is_psd(coords[vi]):
                 return VerifyResult(
                     False, f"seed {si} Gram form is not positive semidefinite")
-            ok = _vec_equal(_apply(M, coords[vi], hull),
-                            [c * rho_elem * rho_elem for c in coords[vi]])
+            ok = _apply(M, coords[vi], hull) == \
+                [c * rho_elem * rho_elem for c in coords[vi]]
         else:
             img = M.apply(coords[vi])
-            ok = _vec_equal(img, [c * rho_elem for c in coords[vi]]) or \
-                _vec_equal(img, [-c * rho_elem for c in coords[vi]])
+            ok = img == [c * rho_elem for c in coords[vi]] or \
+                img == [-c * rho_elem for c in coords[vi]]
         if not ok:
             return VerifyResult(False, f"seed {si} eigen-relation fails")
     # limit matrices for augmented reachability letters
@@ -713,7 +678,7 @@ def _verify(cert: dict) -> VerifyResult:
                 return VerifyResult(
                     False, f"vertex {vi} word has letter {j} outside the family")
             cur = _apply(family[j - 1], cur, hull, scale)
-        if not _vec_equal(cur, coords[vi]):
+        if cur != coords[vi]:
             return VerifyResult(False, f"vertex {vi} not reachable by its word")
 
     # (iii) the hull is a body, so its gauge is a norm
@@ -746,7 +711,7 @@ def _limit_matrix(M: IntMatrix, rho_elem: FieldElement, ctx):
     sr = spectral_radius(M)
     if not sr.leading_simple or sr.leading_complex:
         return None
-    if not _is_eigenvalue(M, rho_elem):
+    if not is_eigenvalue(M, rho_elem):
         return None
     try:
         v = leading_eigenvector(M, rho_elem)
@@ -794,9 +759,9 @@ def _check_evidence(e: dict, img: list, coords: list, hull: HullKind,
         k = int(e["index"])
         if not 0 <= k < len(coords):
             return False, "vertex reference out of range"
-        if _vec_equal(img, coords[k]):
+        if img == coords[k]:
             return True, ""
-        if hull is HullKind.R and _vec_equal(_neg(img), coords[k]):
+        if hull is HullKind.R and _neg(img) == coords[k]:
             return True, ""
         return False, "image does not equal referenced vertex"
     if kind == "combination":
@@ -806,7 +771,7 @@ def _check_evidence(e: dict, img: list, coords: list, hull: HullKind,
         comb = [sum((mu[i] * coords[i][r] for i in range(len(mu))),
                     start=ctx.zero()) for r in range(len(img))]
         if hull is HullKind.R:
-            if not _vec_equal(comb, img):
+            if comb != img:
                 return False, "combination does not reproduce the image"
             total = sum((_abs_elem(m) for m in mu), start=ctx.zero())
             if (total - 1).sign() > 0:

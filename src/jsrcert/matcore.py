@@ -305,6 +305,16 @@ def _complex_pair_modulus_squares(fac: IntPolynomial) -> list[RealAlgebraic]:
         f"complex pair modulus for degree {d} factors is not supported")
 
 
+def is_eigenvalue(A: IntMatrix, lam: FieldElement) -> bool:
+    """Exactly: lam is a root of the characteristic polynomial of A
+    (Horner over lam's field)."""
+    ctx = lam.context
+    acc = ctx.zero()
+    for c in reversed(char_poly(A).coeffs):
+        acc = acc * lam + ctx.from_rational(c)
+    return acc.is_zero()
+
+
 def leading_eigenvector(A: IntMatrix, rho: RealAlgebraic | FieldElement,
                         sign: int = 1) -> list[FieldElement]:
     """A kernel vector of (A - sign*rho*I) over Q(rho).
@@ -323,11 +333,7 @@ def leading_eigenvector(A: IntMatrix, rho: RealAlgebraic | FieldElement,
             lam = ctx.from_rational(rho.as_rational() * sign)
         else:
             lam = ctx.generator() * sign
-    cp = char_poly(A)
-    acc = ctx.zero()
-    for c in reversed(cp.coeffs):
-        acc = acc * lam + ctx.from_rational(c)
-    if not acc.is_zero():
+    if not is_eigenvalue(A, lam):
         raise AlgebraicError("claimed eigenvalue does not satisfy char poly")
     n = A.dim
     M = [[ctx.from_rational(A.rows[i][j]) - (lam if i == j else ctx.zero())

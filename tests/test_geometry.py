@@ -15,7 +15,6 @@ from jsrcert.geometry import (
     HullKind,
     LinearProgram,
     LPStatus,
-    Mode,
     VertexPolytope,
     _separated,
     classify_with_fallback,
@@ -299,31 +298,122 @@ class TestEllipticHull:
 
 
 class TestClassifyWithFallback:
-    def test_far_interior_numeric(self):
+    def test_far_interior_gets_the_exact_answer(self):
         poly = VertexPolytope(HullKind.R, [[F(1), F(0)], [F(0), F(1)]], 2)
-        r = classify_with_fallback(poly, [F(1, 4), F(1, 4)], Mode.NUMERIC_FIRST)
+        r = classify_with_fallback(poly, [F(1, 4), F(1, 4)])
         assert r.classification is Classification.INTERIOR
-        assert r.numeric
+        assert not r.numeric and r.value == F(1, 2)
+        assert r.combination == [F(1, 4), F(1, 4)]
 
     def test_exact_boundary_escalates(self):
         poly = VertexPolytope(HullKind.R, [[F(1), F(0)], [F(0), F(1)]], 2)
         # exactly on the facet between the two vertices
-        r = classify_with_fallback(poly, [F(1, 2), F(1, 2)], Mode.NUMERIC_FIRST)
+        r = classify_with_fallback(poly, [F(1, 2), F(1, 2)])
         assert not r.numeric
         assert r.classification is Classification.BOUNDARY
         assert r.value == 1
 
     def test_exact_duplicate_vertex_shortcut(self):
         poly = VertexPolytope(HullKind.R, [[F(1), F(2)], [F(2), F(1)]], 2)
-        r = classify_with_fallback(poly, [F(1), F(2)], Mode.EXACT_ONLY)
+        r = classify_with_fallback(poly, [F(1), F(2)])
         assert r.classification is Classification.BOUNDARY and r.face == [0]
-        rneg = classify_with_fallback(poly, [F(-1), F(-2)], Mode.EXACT_ONLY)
+        rneg = classify_with_fallback(poly, [F(-1), F(-2)])
         assert rneg.classification is Classification.BOUNDARY and rneg.face == [0]
 
-    def test_exact_only_skips_numeric(self):
-        poly = VertexPolytope(HullKind.R, [[F(1), F(0)], [F(0), F(1)]], 2)
-        r = classify_with_fallback(poly, [F(1, 4), F(1, 4)], Mode.EXACT_ONLY)
-        assert not r.numeric and r.value == F(1, 2)
+    @pytest.mark.parametrize("kind", [HullKind.P, HullKind.R])
+    def test_numeric_only_far_outside_else_the_exact_lp(self, kind):
+        # on random dimension-3 polytopes: a numeric answer is EXTERIOR
+        # and the exact LP agrees; any other answer is the exact LP's
+        rng = random.Random(53)
+        lo = 0 if kind is HullKind.P else -4
+        seen = {"numeric": 0, "interior": 0, "boundary": 0, "exterior": 0}
+        for _ in range(12):
+            verts = [[F(rng.randint(lo, 4), rng.randint(1, 3))
+                      for _ in range(3)] for _ in range(rng.randint(2, 6))]
+            if any(all(c == 0 for c in v) for v in verts):
+                continue
+            poly = VertexPolytope(kind, verts, 3)
+            queries = [[F(rng.randint(lo, 4), rng.randint(1, 2))
+                        for _ in range(3)] for _ in range(3)]
+            for y in queries[:]:
+                norm = minkowski_norm(poly, y).value
+                if norm:  # scaled to the boundary, inside and outside it,
+                    # and outside within the float tolerance
+                    queries += [[c / norm * t for c in y]
+                                for t in (1, F(1, 3), F(99, 100), F(101, 100),
+                                          1 + F(1, 10**12))]
+            for x in queries:
+                got, exact = classify_with_fallback(poly, x), minkowski_norm(poly, x)
+                if got.numeric:
+                    assert got.classification is Classification.EXTERIOR
+                    assert exact.classification is Classification.EXTERIOR
+                    assert got.value is None and got.combination is None
+                    seen["numeric"] += 1
+                    continue
+                assert (got.value, got.classification, got.face,
+                        got.combination) == (exact.value, exact.classification,
+                                             exact.face, exact.combination)
+                seen[got.classification.value] += 1
+        assert min(seen.values()) >= 10, seen
+
+
+class TestVertexPolytopeFind:
+    """`VertexPolytope.find` against a linear scan with exact
+    subtraction, over Q and Q(sqrt2), with vertices appended between
+    calls."""
+
+    @staticmethod
+    def _scan(poly, x):
+        def equal(v, w):
+            return all(_sign(a - b) == 0 for a, b in zip(v, w))
+
+        for i, v in enumerate(poly.vertices):
+            if equal(v, x) or (poly.kind is HullKind.R
+                               and equal([-c for c in v], x)):
+                return i
+        return None
+
+    @pytest.mark.parametrize("field", ["Q", "Q(sqrt2)"])
+    @pytest.mark.parametrize("kind", [HullKind.P, HullKind.R, HullKind.C])
+    def test_matches_linear_scan(self, kind, field):
+        rng = random.Random(59)
+        if field == "Q":
+            def coord(lo):
+                return F(rng.randint(lo, 2), rng.randint(1, 2))
+        else:
+            sqrt2 = isolate_real_roots(IntPolynomial.make([-2, 0, 1]))[1]
+            ctx = NumberFieldContext.from_real_algebraic(sqrt2)
+            r = ctx.generator()
+
+            def coord(lo):
+                return ctx.from_rational(F(rng.randint(lo, 2), 2)) \
+                    + r * rng.randint(min(lo, 0), 1)
+        lo = 0 if kind is HullKind.P else -2
+        width = 3 if kind is HullKind.C else rng.choice([2, 3])
+        for _ in range(30):
+            verts = []
+            for _ in range(rng.randint(1, 8)):
+                v = [coord(lo) for _ in range(width)]
+                if any(_sign(c) != 0 for c in v) and v not in verts:
+                    verts.append(v)
+            if not verts:
+                continue
+            cut = rng.randint(0, len(verts))
+            poly = VertexPolytope(kind, verts[:cut], width)
+            for step in (0, 1):
+                if step:
+                    poly.vertices.extend(verts[cut:])  # after the first call
+                queries = [[coord(lo) for _ in range(width)] for _ in range(4)]
+                for v in poly.vertices:
+                    # equal values built by other arithmetic, and negations
+                    queries.append([(c + 1) * 3 / 3 - 1 for c in v])
+                    queries.append([-c for c in v])
+                for x in queries:
+                    want = self._scan(poly, x)
+                    assert poly.find(x) == want, (kind, poly.vertices, x)
+                if kind is HullKind.R:
+                    assert all(poly.find([-c for c in v]) is not None
+                               for v in poly.vertices)
 
 
 class TestExactPreTests:
@@ -450,11 +540,10 @@ class TestTwoVertexCombination:
                 out += [[c / norm * t for c in y] for t in (1, F(9, 10), F(11, 10))]
         return out
 
-    def _check(self, poly, x, mode, seen):
+    def _check(self, poly, x, seen):
         norm = minkowski_norm(poly, x).value
         inside = norm is not None and _sign(norm - 1) <= 0
-        verdict = two_vertex_combination(poly, x, mode)
-        assert not (verdict.numeric and mode is Mode.EXACT_ONLY)
+        verdict = two_vertex_combination(poly, x)
         if poly.kind is HullKind.P and dominating_vertex(poly, x) is not None:
             # outside the test's contract, but a combination it returns
             # must still be valid
@@ -481,9 +570,8 @@ class TestTwoVertexCombination:
             assert all(_sign(m) >= 0 for m in mu)
             assert all(_sign(c - y) >= 0 for c, y in zip(comb, x))
 
-    @pytest.mark.parametrize("mode", [Mode.NUMERIC_FIRST, Mode.EXACT_ONLY])
     @pytest.mark.parametrize("kind", [HullKind.P, HullKind.R])
-    def test_agrees_with_exact_lp_on_rational_polygons(self, kind, mode):
+    def test_agrees_with_exact_lp_on_rational_polygons(self, kind):
         rng = random.Random(41)
 
         def coord(rng, lo):
@@ -492,7 +580,7 @@ class TestTwoVertexCombination:
         seen = {"dominated": 0, "inside": 0, "boundary": 0, "outside": 0}
         for poly in self._polygons(rng, kind, coord):
             for x in self._queries(rng, poly, coord):
-                self._check(poly, x, mode, seen)
+                self._check(poly, x, seen)
         assert min(v for k, v in seen.items()
                    if k != "dominated" or kind is HullKind.P) >= 10, seen
 
@@ -510,7 +598,7 @@ class TestTwoVertexCombination:
         seen = {"dominated": 0, "inside": 0, "boundary": 0, "outside": 0}
         for poly in self._polygons(rng, kind, coord):
             for x in self._queries(rng, poly, coord):
-                self._check(poly, x, Mode.NUMERIC_FIRST, seen)
+                self._check(poly, x, seen)
         assert min(v for k, v in seen.items()
                    if k != "dominated" or kind is HullKind.P) >= 10, seen
 
@@ -544,8 +632,9 @@ class TestTwoVertexCombination:
         line = VertexPolytope(HullKind.R, [[F(2), F(4)], [F(1), F(2)]], 2)
         v = two_vertex_combination(line, [F(-2), F(-4)])
         assert v.coeffs == [F(-1), F(0)] and v.face == [0]
-        v = two_vertex_combination(line, [F(1), F(3)], Mode.EXACT_ONLY)
-        assert v.coeffs is None and not v.numeric
+        # off the line: no single vertex is parallel, so the floats decide
+        v = two_vertex_combination(line, [F(1), F(3)])
+        assert v.coeffs is None and v.numeric
         cone = VertexPolytope(HullKind.P, [[F(2), F(0)], [F(0), F(2)]], 2)
         v = two_vertex_combination(cone, [F(1), F(1)])
         assert v.coeffs == [F(1, 2), F(1, 2)]

@@ -14,10 +14,9 @@ from jsrcert.algebraic import (
     isolate_real_roots,
     nth_root,
 )
-from jsrcert.geometry import HullKind, Mode
+from jsrcert.geometry import HullKind
 from jsrcert.ipa import (
     MEMBERSHIP_WAYS,
-    IpaOptions,
     IpaStatus,
     _apply,
     augment_limits,
@@ -46,9 +45,9 @@ B_FAMILY = MatrixFamily.make([
 ])
 
 
-def _run(family, depth=8, **opt_kwargs):
+def _run(family, depth=8, augment=False):
     cs = gripenberg_search(family, max_depth=depth)
-    return run_ipa(family, cs, IpaOptions(**opt_kwargs)), cs
+    return run_ipa(family, cs, augment=augment), cs
 
 
 class TestDemoFamily2x2:
@@ -78,11 +77,6 @@ class TestDemoFamily2x2:
         r2, _ = _run(T_FAMILY)
         assert certificate_to_json(r1.certificate) == \
             certificate_to_json(r2.certificate)
-
-    def test_exact_only_mode_agrees(self):
-        res, _ = _run(T_FAMILY, mode=Mode.EXACT_ONLY)
-        assert res.status is IpaStatus.PROVED
-        assert len(res.polytope.vertices) == 3
 
 
 class TestShowcaseFamily3x3:
@@ -498,7 +492,7 @@ class TestConeHull:
                                 alphabet="binary")
         cs = gripenberg_search(fam, max_depth=14)
         assert cs.exhausted
-        res = run_ipa(fam, cs, IpaOptions())
+        res = run_ipa(fam, cs)
         assert res.status is IpaStatus.PROVED
         assert res.polytope.kind is HullKind.P
         assert compare(res.lambda_.pow(5),
@@ -576,6 +570,6 @@ class TestAugmentLimits:
         fam = MatrixFamily.make([[[0, 1], [0, 0]], [[1, 0], [1, 1]]],
                                 alphabet="binary")
         cs = gripenberg_search(fam, max_depth=14)
-        res = run_ipa(fam, cs, IpaOptions(augment=True))
+        res = run_ipa(fam, cs, augment=True)
         assert res.status is IpaStatus.PROVED
         assert verify_certificate(res.certificate)
