@@ -14,7 +14,6 @@ from .algebraic import (
 from .geometry import (
     Classification,
     HullKind,
-    LinearProgram,
     VertexPolytope,
     classify_with_fallback,
     minkowski_norm,

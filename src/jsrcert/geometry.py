@@ -1,15 +1,17 @@
-"""Exact linear programming and membership queries on vertex polytopes.
+"""Membership queries on vertex polytopes, and the one LP they pose.
 
-The simplex solver runs over any exact ordered field (Fractions or
-FieldElements) with Bland's rule, so it terminates and is deterministic.
 Three hull kinds are supported: cone hulls of nonnegative vertices (P),
 symmetric convex hulls (R), and, in dimension 2, symmetric hulls of
 ellipses (C).  A kind-C vertex is the Gram form (q11, q12, q22) of its
 ellipse {a cos t + b sin t}, Q = a a^T + b b^T, whose support function
 is sqrt(u^T Q u); a segment [-a, a] has Q = a a^T.  All three answer
-membership exactly: kinds P and R by the Minkowski norm from one LP,
-kind C by an arc cover of the half turn on which one vertex's quadratic
-form dominates the query's (`norm_ellipse`).
+membership exactly: kind C by an arc cover of the half turn on which one
+vertex's quadratic form dominates the query's (`norm_ellipse`), kinds P
+and R by the Minkowski norm.  That norm is one LP in one standard form,
+min c.y subject to A y = x and y >= 0 (`membership_lp`), solved exactly
+by `simplex_solve`, a two-phase simplex with Bland's rule over any exact
+ordered field (Fractions or FieldElements), or in floats by scipy's
+`linprog` for the prefilter.
 
 `VertexPolytope.find` answers the cheapest query first: the index of a
 vertex exactly equal to the query (kind R: or to its negative), from a
@@ -33,15 +35,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-import numpy as np
 # imported here, not at first use: a worker that reaches the prefilter
 # would otherwise pay the import (about 0.8 s) inside its first case
 from scipy.optimize import linprog
 
-from .algebraic import ContextMismatchError, FieldElement
+from .algebraic import FieldElement
 
 # a numeric norm estimate this far from 1 decides membership without the
 # exact LP; certificates record the value
@@ -60,182 +60,84 @@ def _is_zero(x) -> bool:
     return x == 0
 
 
-class LPStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
+def simplex_solve(A, b, c):
+    """min c.y subject to A y = b and y >= 0, exactly: (value, y), or None
+    when no y is feasible.
 
-
-@dataclass
-class LinearProgram:
-    """max/min c.x subject to rows a_i.x (<=|=|>=) b_i, x >= 0.
-
-    Variables listed in `free` are unrestricted in sign (they are split
-    internally).  All coefficients must live in one exact field.
+    A (one list per row), b and c hold Fractions or FieldElements of one
+    field, and every c_j >= 0, so a feasible problem has a minimum.  Two
+    phases with one artificial variable per row (a row with b_i < 0 is
+    negated first) and Bland's rule, so the method terminates and is
+    deterministic.
     """
-
-    objective: list
-    constraints: list[tuple[list, str, object]]  # (coeffs, relation, rhs)
-    maximize: bool = True
-    free: frozenset[int] = frozenset()
-
-
-@dataclass
-class LPResult:
-    status: LPStatus
-    value: Optional[object] = None
-    solution: Optional[list] = None
-    basis: Optional[tuple[int, ...]] = None
-
-
-def simplex_solve(lp: LinearProgram) -> LPResult:
-    """Exact two-phase simplex with Bland's rule."""
-    _check_field(lp)
-    n_orig = len(lp.objective)
-    zero, one = _zero_one(lp)
-
-    # split free variables x = x+ - x-
-    split = sorted(lp.free)
-    n = n_orig + len(split)
-
-    def expand(row: Sequence) -> list:
-        return list(row) + [-row[j] for j in split]
-
-    obj = expand(lp.objective)
-    if not lp.maximize:
-        obj = [-c for c in obj]
-
-    rows = []
-    for coeffs, rel, rhs in lp.constraints:
-        if len(coeffs) != n_orig:
+    m, n = len(A), len(c)
+    zero = b[0] * 0
+    one = zero + 1
+    T = []
+    for i, (row, rhs) in enumerate(zip(A, b)):
+        if len(row) != n:
             raise ValueError("constraint width mismatch")
-        r = expand(coeffs)
         if _sgn(rhs) < 0:
-            r = [-c for c in r]
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        rows.append((r, rel, rhs))
+            row, rhs = [-a for a in row], -rhs
+        T.append(list(row) + [one if k == i else zero for k in range(m)]
+                 + [rhs])
+    basis = list(range(n, n + m))
 
-    # build the phase-1 tableau with slack/surplus/artificial variables
-    m = len(rows)
-    slack_count = sum(1 for _, rel, _ in rows if rel in ("<=", ">="))
-    total = n + slack_count + m  # artificials for every row (simple, uniform)
-    T = [[zero] * (total + 1) for _ in range(m)]
-    basis: list[int] = []
-    si = 0
-    for i, (r, rel, rhs) in enumerate(rows):
-        for j, c in enumerate(r):
-            T[i][j] = c
-        if rel == "<=":
-            T[i][n + si] = one
-            si += 1
-        elif rel == ">=":
-            T[i][n + si] = -one
-            si += 1
-        art = n + slack_count + i
-        T[i][art] = one
-        T[i][total] = rhs
-        basis.append(art)
+    # phase 1: minimize the sum of the artificials, which never re-enter
+    cost = [zero] * (n + m + 1)
+    for row in T:
+        cost = [a - r for a, r in zip(cost, row)]
+    _pivot_loop(T, cost, basis, n)
+    if _sgn(cost[-1]) < 0:
+        return None
+    _drive_out_artificials(T, basis, n)
 
-    # phase 1: minimize the sum of artificials (never re-entering them)
-    art_from = n + slack_count
-    cost1 = [zero] * (total + 1)
-    for i in range(m):
-        for j in range(total + 1):
-            cost1[j] = cost1[j] - T[i][j]
-    if _pivot_loop(T, cost1, basis, total, forbid_from=art_from) is None:
-        raise RuntimeError("phase 1 cannot be unbounded")
-    if _sgn(-cost1[total]) > 0:
-        return LPResult(LPStatus.INFEASIBLE)
-    _drive_out_artificials(T, basis, art_from, total)
+    # phase 2 on c, reduced by the basis
+    cost = list(c) + [zero] * (m + 1)
+    for i, j in enumerate(basis):
+        if not _is_zero(cost[j]):
+            f = cost[j]
+            cost = [a - f * r for a, r in zip(cost, T[i])]
+    _pivot_loop(T, cost, basis, n)
 
-    # phase 2 on the real objective
-    cost2 = [zero] * (total + 1)
-    for j in range(n):
-        cost2[j] = -obj[j]
-    for i, b in enumerate(basis):
-        if not _is_zero(cost2[b]):
-            f = cost2[b]
-            for j in range(total + 1):
-                cost2[j] = cost2[j] - f * T[i][j]
-    status = _pivot_loop(T, cost2, basis, total, forbid_from=art_from)
-    if status is None:
-        return LPResult(LPStatus.UNBOUNDED)
-
-    x = [zero] * total
-    for i, b in enumerate(basis):
-        x[b] = T[i][total]
-    sol = list(x[:n_orig])
-    for k, j in enumerate(split):
-        sol[j] = sol[j] - x[n_orig + k]
-    value = cost2[total]
-    if not lp.maximize:
-        value = -value
-    return LPResult(LPStatus.OPTIMAL, value, sol, tuple(basis))
+    y = [zero] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            y[j] = T[i][-1]
+    return -cost[-1], y
 
 
-def _check_field(lp: LinearProgram) -> None:
-    ctxs = set()
-    for c in lp.objective:
-        if isinstance(c, FieldElement):
-            ctxs.add(id(c.context))
-    for coeffs, _, rhs in lp.constraints:
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                ctxs.add(id(c.context))
-        if isinstance(rhs, FieldElement):
-            ctxs.add(id(rhs.context))
-    if len(ctxs) > 1:
-        raise ContextMismatchError("LP mixes several field contexts")
-
-
-def _zero_one(lp: LinearProgram):
-    for c in list(lp.objective) + [c for cs, _, _ in lp.constraints for c in cs]:
-        if isinstance(c, FieldElement):
-            return c.context.zero(), c.context.one()
-    return Fraction(0), Fraction(1)
-
-
-def _pivot_loop(T, cost, basis, total, forbid_from=None):
-    """Bland-rule pivoting; returns True on optimal, None on unbounded."""
-    m = len(T)
+def _pivot_loop(T, cost, basis, n):
+    """Bland-rule pivoting on the first n columns until no reduced cost
+    is negative.  The objectives of both phases are bounded below, so a
+    column with no positive entry is an error."""
     guard = 0
     while True:
         # entering: first column with negative reduced cost
-        enter = None
-        for j in range(total):
-            if forbid_from is not None and j >= forbid_from:
-                continue
-            if _sgn(cost[j]) < 0:
-                enter = j
-                break
+        enter = next((j for j in range(n) if _sgn(cost[j]) < 0), None)
         if enter is None:
-            return True
+            return
         # ratio test with Bland tie-break on basis variable index
         leave = None
-        best = None
-        for i in range(m):
-            a = T[i][enter]
+        for i, row in enumerate(T):
+            a = row[enter]
             if _sgn(a) > 0:
-                ratio_num = T[i][total]
-                cand = (ratio_num, a, i)
                 if leave is None:
-                    leave, best = i, cand
-                else:
-                    # compare ratio_num/a < best_num/best_a exactly
-                    diff = cand[0] * best[1] - best[0] * cand[1]
-                    s = _sgn(diff)
-                    if s < 0 or (s == 0 and basis[i] < basis[leave]):
-                        leave, best = i, cand
+                    leave = i
+                    continue
+                # compare row[-1]/a < T[leave][-1]/T[leave][enter] exactly
+                s = _sgn(row[-1] * T[leave][enter] - T[leave][-1] * a)
+                if s < 0 or (s == 0 and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
-            return None
-        _pivot(T, cost, basis, leave, enter, total)
+            raise RuntimeError("simplex met an unbounded ray")
+        _pivot(T, basis, leave, enter, cost)
         guard += 1
         if guard > 100000:
             raise RuntimeError("simplex did not terminate (Bland violated?)")
 
 
-def _pivot(T, cost, basis, leave, enter, total):
+def _pivot(T, basis, leave, enter, cost=None):
     piv = T[leave][enter]
     if isinstance(piv, FieldElement):
         inv = piv.inverse()
@@ -246,21 +148,18 @@ def _pivot(T, cost, basis, leave, enter, total):
         if i != leave and not _is_zero(T[i][enter]):
             f = T[i][enter]
             T[i] = [v - f * w for v, w in zip(T[i], T[leave])]
-    if not _is_zero(cost[enter]):
+    if cost is not None and not _is_zero(cost[enter]):
         f = cost[enter]
-        for j in range(total + 1):
-            cost[j] = cost[j] - f * T[leave][j]
+        cost[:] = [v - f * w for v, w in zip(cost, T[leave])]
     basis[leave] = enter
 
 
-def _drive_out_artificials(T, basis, art_from, total):
+def _drive_out_artificials(T, basis, n):
     for i in range(len(T)):
-        if basis[i] >= art_from:
-            enter = next((j for j in range(art_from)
-                          if not _is_zero(T[i][j])), None)
+        if basis[i] >= n:
+            enter = next((j for j in range(n) if not _is_zero(T[i][j])), None)
             if enter is not None:
-                dummy = [T[0][0] * 0] * (total + 1)
-                _pivot(T, dummy, basis, i, enter, total)
+                _pivot(T, basis, i, enter)
             # else: redundant row; the artificial stays basic at zero
 
 
@@ -342,16 +241,47 @@ class NormResult:
     combination: Optional[list] = None
 
 
-def minkowski_norm(poly: VertexPolytope, x) -> NormResult:
-    """The Minkowski norm of x w.r.t. a kind-P or kind-R polytope, exactly."""
-    if poly.kind is HullKind.P:
-        return _norm_cone(poly, x)
-    if poly.kind is HullKind.R:
-        return _norm_sym(poly, x)
+def membership_lp(kind: HullKind, vertices, x) -> tuple[list, list]:
+    """The Minkowski norm of x as min c.y subject to A y = x, y >= 0:
+    (A, c), with the vertices as the columns of V.
+
+    Kind R: y = (mu+, mu-), A = [V, -V] and c = 1, so x = V (mu+ - mu-)
+    at weight sum(mu+ + mu-).  Kind P: y = (mu, w), A = [V, -I] and
+    c = (1, ..., 1, 0, ..., 0), so V mu = x + w >= x at weight sum(mu).
+    The entries are of x's type: exact, or floats for the prefilter.
+    """
+    zero = x[0] * 0
+    one = zero + 1
+    rows = [[v[r] for v in vertices] for r in range(len(x))]
+    if kind is HullKind.R:
+        return ([row + [-a for a in row] for row in rows],
+                [one] * (2 * len(vertices)))
+    if kind is HullKind.P:
+        return ([row + [-one if k == r else zero for k in range(len(x))]
+                 for r, row in enumerate(rows)],
+                [one] * len(vertices) + [zero] * len(x))
     raise ValueError("kind-C membership is decided by norm_ellipse")
 
 
-def _classify_value(value, face, combination) -> NormResult:
+def minkowski_norm(poly: VertexPolytope, x) -> NormResult:
+    """The Minkowski norm of x w.r.t. a kind-P or kind-R polytope, exactly,
+    with the combination of the vertices that attains it (kind P: one
+    that dominates x)."""
+    if poly.kind is HullKind.P and any(_sgn(c) < 0 for c in x):
+        raise ValueError("cone-hull queries require nonnegative coordinates")
+    A, c = membership_lp(poly.kind, poly.vertices, x)
+    solved = simplex_solve(A, x, c)
+    if solved is None:
+        return NormResult(None, [], Classification.EXTERIOR)
+    value, y = solved
+    N = len(poly.vertices)
+    if poly.kind is HullKind.R:
+        combination = [p - m for p, m in zip(y, y[N:])]
+    else:
+        combination = y[:N]
+    # a basis never holds both columns v_i and -v_i, so in kind R a
+    # vertex is on the face exactly when its coefficient is nonzero
+    face = [i for i, a in enumerate(combination) if not _is_zero(a)]
     s = _sgn(value - 1)
     if s < 0:
         cls = Classification.INTERIOR
@@ -360,72 +290,6 @@ def _classify_value(value, face, combination) -> NormResult:
     else:
         cls = Classification.EXTERIOR
     return NormResult(value, face, cls, combination=combination)
-
-
-def _norm_sym(poly: VertexPolytope, x) -> NormResult:
-    """min sum(mu+ + mu-) s.t. sum (mu+_i - mu-_i) v_i = x."""
-    if all(_is_zero(c) for c in x):
-        return NormResult(_zero_like(x), [], Classification.INTERIOR,
-                          combination=[_zero_like(x)] * len(poly.vertices))
-    V = poly.vertices
-    N = len(V)
-    n = poly.dim
-    cons = []
-    for row in range(n):
-        coeffs = [V[i][row] for i in range(N)] + [-V[i][row] for i in range(N)]
-        cons.append((coeffs, "=", x[row]))
-    lp = LinearProgram(objective=[_one_like(x)] * (2 * N),
-                       constraints=cons, maximize=False)
-    res = simplex_solve(lp)
-    if res.status is LPStatus.INFEASIBLE:
-        return NormResult(None, [], Classification.EXTERIOR)
-    mu = res.solution
-    face = [i for i in range(N)
-            if not _is_zero(mu[i]) or not _is_zero(mu[N + i])]
-    return _classify_value(res.value, face,
-                           [mu[i] - mu[N + i] for i in range(N)])
-
-
-def _norm_cone(poly: VertexPolytope, x) -> NormResult:
-    """norm = 1/s* with s* = max s : sum l_i v_i >= s x, sum l_i = 1, l >= 0."""
-    if any(_sgn(c) < 0 for c in x):
-        raise ValueError("cone-hull queries require nonnegative coordinates")
-    if all(_is_zero(c) for c in x):
-        return NormResult(_zero_like(x), [], Classification.INTERIOR,
-                          combination=[_zero_like(x)] * len(poly.vertices))
-    V = poly.vertices
-    N = len(V)
-    n = poly.dim
-    cons = []
-    for row in range(n):
-        coeffs = [V[i][row] for i in range(N)] + [-x[row]]
-        cons.append((coeffs, ">=", _zero_like(x)))
-    cons.append(([_one_like(x)] * N + [_zero_like(x)], "=", _one_like(x)))
-    lp = LinearProgram(objective=[_zero_like(x)] * N + [_one_like(x)],
-                       constraints=cons, maximize=True)
-    res = simplex_solve(lp)
-    if res.status is not LPStatus.OPTIMAL:
-        return NormResult(None, [], Classification.EXTERIOR)
-    s = res.value
-    if _sgn(s) <= 0:
-        return NormResult(None, [], Classification.EXTERIOR)
-    lam = res.solution[:N]
-    face = [i for i in range(N) if not _is_zero(lam[i])]
-    inv = s.inverse() if isinstance(s, FieldElement) else 1 / s
-    # scaled combination: x <= sum (l_i / s) v_i with sum l_i/s = 1/s = norm
-    return _classify_value(inv, face, [l * inv for l in lam])
-
-
-def _zero_like(x):
-    c = x[0] if isinstance(x, (list, tuple)) else x
-    return c * 0
-
-
-def _one_like(x):
-    c = x[0] if isinstance(x, (list, tuple)) else x
-    if isinstance(c, FieldElement):
-        return c.context.one()
-    return Fraction(1)
 
 
 # -- kind C: elliptic hulls in dimension 2 ---------------------------------
@@ -731,26 +595,7 @@ def classify_with_fallback(poly: VertexPolytope, x) -> NormResult:
 
 
 def _numeric_norm(poly: VertexPolytope, x) -> float | None:
-    V = poly.floats()
     xf = [float(c) for c in x]
-    N, n = len(V), poly.dim
-    if all(abs(c) < 1e-300 for c in xf):
-        return 0.0
-    if poly.kind is HullKind.R:
-        A_eq = np.hstack([np.array(V, float).T, -np.array(V, float).T])
-        r = linprog(np.ones(2 * N), A_eq=A_eq, b_eq=np.array(xf),
-                    bounds=[(0, None)] * (2 * N), method="highs")
-        return float(r.fun) if r.status == 0 else None
-    if poly.kind is HullKind.P:
-        # max s: sum l_i v_i - s x >= 0, sum l_i = 1
-        A_ub = np.hstack([-np.array(V, float).T,
-                          np.array(xf, float).reshape(-1, 1)])
-        A_eq = np.concatenate([np.ones(N), [0.0]]).reshape(1, -1)
-        c = np.zeros(N + 1)
-        c[-1] = -1.0
-        r = linprog(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=[1.0],
-                    bounds=[(0, None)] * (N + 1), method="highs")
-        if r.status != 0 or -r.fun <= 0:
-            return None
-        return 1.0 / (-r.fun)
-    return None
+    A, c = membership_lp(poly.kind, poly.floats(), xf)
+    r = linprog(c, A_eq=A, b_eq=xf, method="highs")
+    return float(r.fun) if r.status == 0 else None

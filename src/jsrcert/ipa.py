@@ -164,14 +164,10 @@ def balance(eigs: list, family: MatrixFamily,
             others = [_scale_vec(eigs[j], scales[j]) for j in range(n) if j != i]
             poly = VertexPolytope(hull, others, family.dim)
             me = _scale_vec(eigs[i], scales[i])
-            try:
-                res = minkowski_norm(poly, me)
-            except ValueError:
-                continue
+            res = minkowski_norm(poly, me)
             if res.value is None:
                 continue  # infinitely far outside: fine
-            s = _sgn_vs_one(res.value)
-            if s < 0:
+            if (res.value - 1).sign() < 0:
                 # strictly inside: scale up by a rational above 1/norm
                 lo = _positive_lower_bound(res.value)
                 scales[i] = scales[i] / lo
@@ -185,24 +181,16 @@ def _scale_vec(v, s: Fraction):
     return [c * s for c in v]
 
 
-def _sgn_vs_one(value) -> int:
-    if isinstance(value, FieldElement):
-        return (value - 1).sign()
-    return (value > 1) - (value < 1)
-
-
-def _positive_lower_bound(value) -> Fraction:
-    if isinstance(value, FieldElement):
-        guard = 0
-        while True:
-            lo, hi = value.interval()
-            if lo > 0:
-                return lo
-            value.context.refine_root()
-            guard += 1
-            if guard > 128:
-                raise AlgebraicError("norm lower bound refinement stalled")
-    return Fraction(value)
+def _positive_lower_bound(value: FieldElement) -> Fraction:
+    guard = 0
+    while True:
+        lo, hi = value.interval()
+        if lo > 0:
+            return lo
+        value.context.refine_root()
+        guard += 1
+        if guard > 128:
+            raise AlgebraicError("norm lower bound refinement stalled")
 
 
 # ---------------------------------------------------------------------------

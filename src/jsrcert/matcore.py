@@ -77,25 +77,8 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(sum(map(mul, row, col)) for col in cols)
                                for row in self.rows))
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(tuple(tuple(a + b for a, b in zip(ra, rb))
-                               for ra, rb in zip(self.rows, other.rows)))
-
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(tuple(tuple(-a for a in r) for r in self.rows))
-
-    def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(k * a for a in r) for r in self.rows))
-
-    def power(self, k: int) -> "IntMatrix":
-        out = IntMatrix.identity(self.dim)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base
-            k >>= 1
-        return out
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.rows)))
@@ -241,10 +224,8 @@ def _spectral_radius_of(cp: IntPolynomial) -> tuple:
         roots = isolate_real_roots(fac)
         for r in roots:
             real_mods.append((r if r.sign() >= 0 else -r, mult))
-        n_complex_pairs = (fac.degree - len(roots)) // 2
-        if n_complex_pairs:
-            for m2 in _complex_pair_modulus_squares(fac):
-                complex_mods.append((m2, mult))
+        for m2 in _complex_pair_modulus_squares(fac, roots):
+            complex_mods.append((m2, mult))
     # the radius: maximum of |real eigenvalue| and sqrt(|pair|^2)
     best: RealAlgebraic | None = None
     best_sq: RealAlgebraic | None = None
@@ -277,8 +258,11 @@ def _spectral_radius_of(cp: IntPolynomial) -> tuple:
             attain + pair_attain == 1, pair_attain > 0)
 
 
-def _complex_pair_modulus_squares(fac: IntPolynomial) -> list[RealAlgebraic]:
-    """|z|^2 for each complex-conjugate root pair of an irreducible factor.
+def _complex_pair_modulus_squares(fac: IntPolynomial,
+                                  roots: list[RealAlgebraic]
+                                  ) -> list[RealAlgebraic]:
+    """|z|^2 for each complex-conjugate root pair of an irreducible factor
+    whose real roots are `roots`.
 
     deg 2: modulus^2 = constant/leading (product of the pair).
     deg 3: one real root r and one pair; |pair|^2 = |det term| / r,
@@ -286,7 +270,6 @@ def _complex_pair_modulus_squares(fac: IntPolynomial) -> list[RealAlgebraic]:
     Higher degrees are not needed for dimensions <= 3.
     """
     d = fac.degree
-    roots = isolate_real_roots(fac)
     n_pairs = (d - len(roots)) // 2
     if n_pairs == 0:
         return []

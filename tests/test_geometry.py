@@ -13,10 +13,9 @@ from jsrcert.algebraic import (
 from jsrcert.geometry import (
     Classification,
     HullKind,
-    LinearProgram,
-    LPStatus,
     VertexPolytope,
     _separated,
+    _sgn,
     classify_with_fallback,
     dominating_vertex,
     minkowski_norm,
@@ -25,91 +24,127 @@ from jsrcert.geometry import (
     simplex_solve,
     two_vertex_combination,
 )
+from jsrcert.linalg import inverse
 
 from oracles import cone_norm_facets, ellipse_hull_margin, sym_norm_facets
 
 F = Fraction
 
 
-class TestSimplex:
-    def test_trivial_max(self):
-        lp = LinearProgram(objective=[F(1)], constraints=[([F(1)], "<=", F(1))])
-        res = simplex_solve(lp)
-        assert res.status is LPStatus.OPTIMAL and res.value == 1
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), start=u[0] * 0)
 
+
+def _brute_force_min(A, b, c):
+    """min c.y over the basic solutions of A y = b with y >= 0, from every
+    basis of len(A) columns, or None when no basis is feasible (A must
+    have full row rank)."""
+    best = None
+    for cols in itertools.combinations(range(len(c)), len(A)):
+        inv = inverse([[row[j] for j in cols] for row in A])
+        if inv is None:
+            continue
+        y = [_dot(row, b) for row in inv]
+        if any(_sgn(v) < 0 for v in y):
+            continue
+        value = _dot([c[j] for j in cols], y)
+        if best is None or _sgn(value - best) < 0:
+            best = value
+    return best
+
+
+class TestSimplex:
     def test_textbook_vertex(self):
-        lp = LinearProgram(
-            objective=[F(1), F(1)],
-            constraints=[([F(1), F(2)], "<=", F(2)),
-                         ([F(2), F(1)], "<=", F(2))])
-        res = simplex_solve(lp)
-        assert res.value == F(4, 3)
-        assert res.solution[:2] == [F(2, 3), F(2, 3)]
+        # min y1 + y2 s.t. y1 + 2 y2 >= 2 and 2 y1 + y2 >= 2, with surpluses
+        A = [[F(1), F(2), F(-1), F(0)], [F(2), F(1), F(0), F(-1)]]
+        value, y = simplex_solve(A, [F(2), F(2)], [F(1), F(1), F(0), F(0)])
+        assert value == F(4, 3)
+        assert y == [F(2, 3), F(2, 3), F(0), F(0)]
 
     def test_infeasible(self):
-        lp = LinearProgram(
-            objective=[F(1)],
-            constraints=[([F(1)], ">=", F(1)), ([F(1)], "<=", F(0))])
-        assert simplex_solve(lp).status is LPStatus.INFEASIBLE
+        # y1 >= 1 and y1 <= 0
+        A = [[F(1), F(-1), F(0)], [F(1), F(0), F(1)]]
+        assert simplex_solve(A, [F(1), F(0)], [F(1), F(0), F(0)]) is None
 
-    def test_unbounded(self):
-        lp = LinearProgram(objective=[F(1)], constraints=[([F(1)], ">=", F(0))])
-        assert simplex_solve(lp).status is LPStatus.UNBOUNDED
-
-    def test_equality_and_free_vars(self):
-        # min |t|-style: x = t+ - t- ; min t+ + t- s.t. t = 5 - 2y, y <= 2
-        lp = LinearProgram(
-            objective=[F(0), F(1)],
-            constraints=[([F(2), F(1)], "=", F(5)), ([F(1), F(0)], "<=", F(2))],
-            maximize=False, free=frozenset([1]))
-        res = simplex_solve(lp)
-        assert res.status is LPStatus.OPTIMAL
-        assert res.value == 1 and res.solution[0] == 2 and res.solution[1] == 1
+    def test_ray_of_a_negative_cost_raises(self):
+        # only a negative cost can make min c.y unbounded
+        with pytest.raises(RuntimeError):
+            simplex_solve([[F(1), F(-1)]], [F(0)], [F(-1), F(0)])
 
     def test_row_permutation_invariance(self):
         rng = random.Random(3)
         for _ in range(10):
-            cons = [([F(rng.randint(-3, 3)), F(rng.randint(-3, 3))], "<=",
-                     F(rng.randint(1, 5))) for _ in range(4)]
-            lp1 = LinearProgram([F(1), F(1)], cons)
-            shuffled = cons[:]
+            rows = [([F(rng.randint(-3, 3)) for _ in range(5)],
+                     F(rng.randint(-3, 5))) for _ in range(3)]
+            c = [F(rng.randint(0, 3)) for _ in range(5)]
+            shuffled = rows[:]
             rng.shuffle(shuffled)
-            lp2 = LinearProgram([F(1), F(1)], shuffled)
-            r1, r2 = simplex_solve(lp1), simplex_solve(lp2)
-            assert r1.status == r2.status
-            if r1.status is LPStatus.OPTIMAL:
-                assert r1.value == r2.value
+            r1, r2 = (simplex_solve([a for a, _ in rs], [b for _, b in rs], c)
+                      for rs in (rows, shuffled))
+            assert (r1 is None) == (r2 is None)
+            if r1 is not None:
+                assert r1[0] == r2[0]
 
     def test_solution_satisfies_constraints(self):
         rng = random.Random(5)
+        solved = 0
         for _ in range(25):
-            n = rng.randint(2, 4)
-            cons = []
-            for _ in range(rng.randint(2, 5)):
-                coeffs = [F(rng.randint(-4, 4)) for _ in range(n)]
-                rel = rng.choice(["<=", ">=", "="])
-                cons.append((coeffs, rel, F(rng.randint(-3, 6))))
-            lp = LinearProgram([F(rng.randint(-3, 3)) for _ in range(n)], cons)
-            res = simplex_solve(lp)
-            if res.status is LPStatus.OPTIMAL:
-                for coeffs, rel, rhs in cons:
-                    lhs = sum(c * s for c, s in zip(coeffs, res.solution))
-                    if rel == "<=":
-                        assert lhs <= rhs
-                    elif rel == ">=":
-                        assert lhs >= rhs
-                    else:
-                        assert lhs == rhs
+            m, n = rng.randint(1, 4), rng.randint(2, 6)
+            A = [[F(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
+            b = [F(rng.randint(-3, 6)) for _ in range(m)]
+            c = [F(rng.randint(0, 3)) for _ in range(n)]
+            res = simplex_solve(A, b, c)
+            if res is not None:
+                value, y = res
+                assert [_dot(row, y) for row in A] == b
+                assert all(v >= 0 for v in y) and _dot(c, y) == value
+                solved += 1
+        assert solved
 
     def test_field_coefficients(self):
         sqrt2 = isolate_real_roots(IntPolynomial.make([-2, 0, 1]))[1]
         ctx = NumberFieldContext.from_real_algebraic(sqrt2)
-        g = ctx.generator()
-        # max x s.t. x <= sqrt2  ->  sqrt2
-        lp = LinearProgram(objective=[ctx.one()],
-                           constraints=[([ctx.one()], "<=", g)])
-        res = simplex_solve(lp)
-        assert res.status is LPStatus.OPTIMAL and res.value == g
+        g, one = ctx.generator(), ctx.one()
+        # min y1 + y2 s.t. y1 - y2 = -sqrt2  ->  y = (0, sqrt2)
+        value, y = simplex_solve([[one, -one]], [-g], [one, one])
+        assert value == g and y == [ctx.zero(), g]
+
+    @pytest.mark.parametrize("field", ["rational", "sqrt2"])
+    def test_matches_brute_force_over_bases(self, field):
+        rng = random.Random(29)
+        if field == "rational":
+            num = F
+            nonneg = lambda: F(rng.randint(0, 3))
+        else:
+            sqrt2 = isolate_real_roots(IntPolynomial.make([-2, 0, 1]))[1]
+            ctx = NumberFieldContext.from_real_algebraic(sqrt2)
+            g = ctx.generator()
+            num = lambda k: k + rng.randint(-1, 1) * g
+            nonneg = lambda: rng.randint(0, 2) + rng.randint(0, 1) * g
+        outcomes = set()
+        for _ in range(60):
+            m = rng.randint(1, 3)
+            n = rng.randint(m, 5)
+            A = [[num(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
+            b = [num(rng.randint(-3, 3)) for _ in range(m)]
+            c = [nonneg() for _ in range(n)]
+            if all(inverse([[row[j] for j in cols] for row in A]) is None
+                   for cols in itertools.combinations(range(n), m)):
+                continue  # rank-deficient: the oracle needs a basis
+            oracle = _brute_force_min(A, b, c)
+            # a redundant row, the sum of the rows, changes nothing
+            redundant = [[sum(col[1:], col[0]) for col in zip(*A)]]
+            for rows, rhs in ((A, b), (A + redundant, b + [sum(b[1:], b[0])])):
+                res = simplex_solve(rows, rhs, c)
+                if oracle is None:
+                    assert res is None
+                    continue
+                value, y = res
+                assert value == oracle
+                assert [_dot(row, y) for row in rows] == rhs
+                assert all(_sgn(v) >= 0 for v in y) and _dot(c, y) == value
+            outcomes.add(oracle is None)
+        assert outcomes == {True, False}
 
 
 class TestMinkowskiNormSym:

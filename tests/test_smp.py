@@ -41,6 +41,10 @@ T1 = M([[0, 1], [0, 1]])
 T2 = M([[1, 0], [1, -1]])
 
 
+def _times(k, A):
+    return M([[k * v for v in r] for r in A.rows])
+
+
 class TestCanonicalWord:
     def test_rotation(self):
         assert canonical_word((2, 1, 2)) == (1, 2, 2)
@@ -295,8 +299,8 @@ class TestScalarMultiple:
     def test_agrees_with_a_fraction_oracle(self):
         rng = random.Random(7)
         zero = IntMatrix.zero(3)
-        cases = [(zero, zero), (B1, zero), (zero, B1), (B1.scale(-2), B1),
-                 (B1, B1.scale(-2)), (B2.scale(3), B2.scale(2)),
+        cases = [(zero, zero), (B1, zero), (zero, B1), (_times(-2, B1), B1),
+                 (B1, _times(-2, B1)), (_times(3, B2), _times(2, B2)),
                  (M([[0, 0, 0], [2, 4, 6], [0, 0, 0]]),
                   M([[0, 0, 0], [3, 6, 9], [0, 0, 0]])),
                  (M([[0, 0, 0], [2, 4, 6], [0, 0, 1]]),
@@ -306,13 +310,13 @@ class TestScalarMultiple:
             B = M([[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(dim)]
                    for _ in range(dim)])
             p, q = rng.randint(-4, 4), rng.randint(1, 3)
-            A = M([[p * v for v in r] for r in B.rows])
+            A = _times(p, B)
             if rng.random() < 0.5:  # a non-multiple, or a multiple by p/q
                 i, j = rng.randrange(dim), rng.randrange(dim)
                 rows = [list(r) for r in A.rows]
                 rows[i][j] += rng.choice((-1, 1))
                 A = M(rows)
-            cases.append((A, B.scale(q)))
+            cases.append((A, _times(q, B)))
         for A, B in cases:
             assert _scalar_multiple(A, B) == self._oracle(A, B), (A, B)
         found = [_scalar_multiple(A, B) for A, B in cases]
