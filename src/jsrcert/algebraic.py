@@ -3,13 +3,16 @@
 Rationals, integer polynomials, real root isolation, real algebraic
 numbers, and arithmetic in a fixed real number field Q(alpha).
 
-Every number here is exact.  A real algebraic number is represented by
-its (irreducible, primitive) integer minimal polynomial together with a
-rational interval isolating exactly one real root.  Comparisons are
-decided by interval refinement plus minimal-polynomial identity, never
-by a floating tolerance.  Number field elements are integer numerators
-of the coordinates over one positive denominator, in lowest terms, over
-a shared immutable context; mixing contexts is a hard error.
+Every number here is exact.  A real algebraic number has one
+representation: its minimal polynomial, irreducible and primitive with a
+positive leading coefficient, together with a rational interval
+isolating exactly one real root.  Two values with the same minimal
+polynomial are conjugates, equal iff their intervals share a root, and
+values with different minimal polynomials differ, so a comparison needs
+a Sturm count for conjugates and interval refinement otherwise, never a
+floating tolerance.  Number field elements are integer numerators of
+the coordinates over one positive denominator, in lowest terms, over a
+shared immutable context; mixing contexts is a hard error.
 
 The kernels below the public API work in integers: a polynomial's sign
 at n/d is the sign of its homogenized value at (n, d), Sturm chains and
@@ -29,7 +32,6 @@ import sympy
 
 from .linalg import matmul
 
-Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 # maximum interval-halving rounds before a sign query is declared a bug
@@ -65,10 +67,6 @@ def _sgn(q) -> int:
 
 def _format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _parse_rational(text: str) -> Fraction:
-    return Fraction(text)
 
 
 # ---------------------------------------------------------------------------
@@ -347,26 +345,26 @@ def root_bound(p: IntPolynomial) -> Fraction:
 
 
 class RealAlgebraic:
-    """An exact real number: irreducible minimal polynomial + isolating interval.
+    """An exact real number: minimal polynomial + isolating interval.
+
+    The polynomial is the number's minimal polynomial over Q: irreducible,
+    primitive, with a positive leading coefficient.  Every constructor
+    keeps this invariant, so equal polynomials mean the same conjugate
+    class and different ones mean different numbers.  A rational q has
+    the interval [q, q].
 
     Instances are immutable; refinement returns nothing but tightens the
     cached interval in place (the represented value never changes, so
     this is safe to share between threads holding the GIL).
-
-    `irreducible` is True for canonically constructed values.  Fast-path
-    constructors may set it False with a merely squarefree polynomial;
-    comparisons then fall back to a gcd-based exact equality test.
     """
 
-    __slots__ = ("minpoly", "_lo", "_hi", "_chain", "irreducible")
+    __slots__ = ("minpoly", "_lo", "_hi", "_chain")
 
-    def __init__(self, minpoly: IntPolynomial, lo: Fraction, hi: Fraction,
-                 irreducible: bool = True):
+    def __init__(self, minpoly: IntPolynomial, lo: Fraction, hi: Fraction):
         self.minpoly = minpoly
         self._lo = lo
         self._hi = hi
         self._chain = None
-        self.irreducible = irreducible
 
     # -- constructors --------------------------------------------------------
 
@@ -438,7 +436,7 @@ class RealAlgebraic:
         poly = IntPolynomial.make(
             (-c if i % 2 else c) for i, c in enumerate(self.minpoly.coeffs)
         ).primitive()
-        return RealAlgebraic(poly, -self._hi, -self._lo, self.irreducible)
+        return RealAlgebraic(poly, -self._hi, -self._lo)
 
     def scale(self, q: RationalLike) -> "RealAlgebraic":
         """Return q * self for rational q."""
@@ -453,13 +451,7 @@ class RealAlgebraic:
         lo, hi = self._lo * q, self._hi * q
         if q < 0:
             lo, hi = hi, lo
-        return RealAlgebraic(poly, lo, hi, self.irreducible)
-
-    def canonical(self) -> "RealAlgebraic":
-        """The same value with a verified-irreducible minimal polynomial."""
-        if self.irreducible:
-            return self
-        return real_algebraic_root(self.minpoly, self._lo, self._hi)
+        return RealAlgebraic(poly, lo, hi)
 
     def pow(self, k: int) -> "RealAlgebraic":
         if k == 0:
@@ -468,8 +460,6 @@ class RealAlgebraic:
             raise ValueError("negative powers not supported")
         if self.is_rational:
             return RealAlgebraic.from_rational(self.as_rational() ** k)
-        if not self.irreducible:
-            return self.canonical().pow(k)
         ctx = NumberFieldContext(self.minpoly, self._lo, self._hi)
         return (ctx.generator() ** k).to_real_algebraic()
 
@@ -485,18 +475,17 @@ class RealAlgebraic:
     def serialize(self) -> str:
         """Text that depends on the number alone, not on refinement history.
 
-        The polynomial is the irreducible minimal polynomial and the
-        interval is the widest dyadic cell [k/2^j, (k+1)/2^j], j >= 0,
-        that isolates the root; a rational q is written [q,q].
+        The polynomial is the minimal polynomial and the interval is the
+        widest dyadic cell [k/2^j, (k+1)/2^j], j >= 0, that isolates the
+        root; a rational q is written [q,q].
         """
-        x = self.canonical()
-        cs = ",".join(str(c) for c in x.minpoly.coeffs)
-        lo, hi = x.isolating_cell()
+        cs = ",".join(str(c) for c in self.minpoly.coeffs)
+        lo, hi = self.isolating_cell()
         return f"minpoly=[{cs}];interval=[{_format_rational(lo)},{_format_rational(hi)}]"
 
     def isolating_cell(self) -> tuple[Fraction, Fraction]:
         """[q, q] for a rational q, else `_dyadic_cell`; either depends on
-        the number alone.  The polynomial must be irreducible."""
+        the number alone."""
         return (self._lo, self._hi) if self.is_rational else self._dyadic_cell()
 
     def _dyadic_cell(self) -> tuple[Fraction, Fraction]:
@@ -544,21 +533,15 @@ class RealAlgebraic:
             lo_hi = iv_part.removeprefix("interval=[").removesuffix("]")
             coeffs = [int(c) for c in cs.split(",")]
             lo_s, hi_s = lo_hi.split(",")
-        except ValueError as exc:
+            lo, hi = Fraction(lo_s), Fraction(hi_s)
+        except (ValueError, ZeroDivisionError) as exc:
             raise AlgebraicError(f"malformed real-algebraic text: {text!r}") from exc
         poly = IntPolynomial.make(coeffs)
-        lo, hi = _parse_rational(lo_s), _parse_rational(hi_s)
-        # deserialized data is untrusted: force squarefree, check isolation,
-        # and route equality through the gcd fallback
-        if lo == hi:
-            if poly.sign_at(lo) != 0:
-                raise AlgebraicError("interval point is not a root")
-            return RealAlgebraic.from_rational(lo)
-        sf = poly.squarefree_part()
-        if sf.sign_at(lo) == 0 or sf.sign_at(hi) == 0 or \
-                count_roots_in(sf, lo, hi) != 1:
-            raise AlgebraicError("interval does not isolate one root")
-        return RealAlgebraic(sf, lo, hi, irreducible=False)
+        # deserialized data is untrusted: the endpoints of a proper interval
+        # must not be roots, and `real_algebraic_root` checks the rest
+        if lo != hi and (poly.sign_at(lo) == 0 or poly.sign_at(hi) == 0):
+            raise AlgebraicError("interval endpoint is a root")
+        return real_algebraic_root(poly, lo, hi)
 
     def _sturm(self) -> list[IntPolynomial]:
         if self._chain is None:
@@ -696,14 +679,13 @@ def compare(a, b) -> Ordering:
     if a.is_rational and b.is_rational:
         return Ordering(_sgn(a.as_rational() - b.as_rational()))
     if a.minpoly == b.minpoly:
+        # conjugates: equal iff the overlap holds the root both isolate
         lo = max(a.interval()[0], b.interval()[0])
         hi = min(a.interval()[1], b.interval()[1])
         if lo <= hi and count_roots_in(a.minpoly, lo, hi, a._sturm()) >= 1:
             return Ordering.EQUAL
-    # distinct representations: refine until the intervals separate, with
-    # an exact gcd-based equality test once overlap persists
+    # distinct values: refine until the intervals separate
     guard = 0
-    gcd_done = a.irreducible and b.irreducible
     while True:
         alo, ahi = a.interval()
         blo, bhi = b.interval()
@@ -711,20 +693,6 @@ def compare(a, b) -> Ordering:
             return Ordering.LESS
         if bhi < alo:
             return Ordering.GREATER
-        if a.minpoly == b.minpoly:
-            lo, hi = max(alo, blo), min(ahi, bhi)
-            if lo <= hi and count_roots_in(a.minpoly, lo, hi, a._sturm()) >= 1:
-                return Ordering.EQUAL
-        elif not gcd_done and guard >= 8:
-            # both polynomials are squarefree and each interval isolates one
-            # root, so a common root in the overlap means exact equality
-            g = gcd_int_poly(a.minpoly, b.minpoly)
-            if g.degree >= 1:
-                lo, hi = max(alo, blo), min(ahi, bhi)
-                if lo <= hi and (g.sign_at(lo) == 0 or g.sign_at(hi) == 0 or
-                                 count_roots_in(g, lo, hi) >= 1):
-                    return Ordering.EQUAL
-            gcd_done = True
         a.refine()
         b.refine()
         guard += 1
@@ -801,57 +769,6 @@ def _powered_interval(b: RealAlgebraic, n: int,
     if memo is not None:
         memo.ends[n] = (lo, hi, lo_n, hi_n)
     return lo_n, hi_n
-
-
-def largest_real_root_fast(p: IntPolynomial) -> RealAlgebraic:
-    """Largest real root, without factoring the polynomial.
-
-    The result carries the squarefree part of p as its polynomial and is
-    flagged non-canonical (irreducible=False); compare() handles such
-    values through its gcd fallback.  Intended for hot paths like norm
-    pruning where canonical minimal polynomials are not needed.
-    """
-    if p.is_zero:
-        raise ZeroPolynomialError("zero polynomial")
-    sf = p.squarefree_part()
-    if sf.degree == 1:
-        return RealAlgebraic.from_rational(Fraction(-sf.coeffs[0], sf.coeffs[1]))
-    chain = sturm_chain(sf)
-    bound = root_bound(sf)
-    lo, hi = -bound, bound
-    total = count_roots_in(sf, lo, hi, chain)
-    if total == 0:
-        raise AlgebraicError("polynomial has no real roots")
-    guard = 0
-    while count_roots_in(sf, lo, hi, chain) != 1:
-        mid = (lo + hi) / 2
-        if sf.sign_at(mid) == 0:
-            if count_roots_in(sf, mid, hi, chain) == 0:
-                return RealAlgebraic.from_rational(mid)
-            lo = mid
-        elif count_roots_in(sf, mid, hi, chain) >= 1:
-            lo = mid
-        else:
-            hi = mid
-        guard += 1
-        if guard > _MAX_REFINE:
-            raise AlgebraicError("largest-root isolation did not converge")
-    if sf.sign_at(hi) == 0:
-        return RealAlgebraic.from_rational(hi)
-    if lo < 0 <= hi and sf.coeffs[0] == 0:
-        return RealAlgebraic.from_rational(0)
-    guard = 0
-    while sf.sign_at(lo) == 0:
-        # endpoints must not be roots: move lo toward the isolated root
-        mid = (lo + hi) / 2
-        if count_roots_in(sf, mid, hi, chain) == 1:
-            lo = mid
-        else:
-            hi = mid
-        guard += 1
-        if guard > _MAX_REFINE:
-            raise AlgebraicError("endpoint separation did not converge")
-    return RealAlgebraic(sf, lo, hi, irreducible=False)
 
 
 def nth_root(a: RealAlgebraic, n: int) -> RealAlgebraic:

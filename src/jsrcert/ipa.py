@@ -346,18 +346,16 @@ def _build_field(family: MatrixFamily, candidates: CandidateSet):
             imag_sq.append(det - Fraction(tau * tau, 4))
             continue
         rho_elem = lam_elem ** cand.length
-        sign = 1
         if not is_eigenvalue(cand.value, rho_elem):
-            if is_eigenvalue(cand.value, -rho_elem):
-                sign = -1
-            else:
+            rho_elem = -rho_elem
+            if not is_eigenvalue(cand.value, rho_elem):
                 return IpaResult(
                     IpaStatus.MULTIPLE_LEADING_EIGENVECTOR, lam, None,
                     candidates.candidates,
                     diagnostics={"error": "neither +rho nor -rho is an "
                                           "eigenvalue in the field"})
         try:
-            v = leading_eigenvector(cand.value, rho_elem, sign=sign)
+            v = leading_eigenvector(cand.value, rho_elem)
         except AlgebraicError as exc:
             return IpaResult(
                 IpaStatus.MULTIPLE_LEADING_EIGENVECTOR, lam, None,

@@ -37,7 +37,6 @@ from .algebraic import (
     compare_powers,
     factor_int_poly,
     isolate_real_roots,
-    largest_real_root_fast,
     nth_root,
 )
 from .linalg import kernel
@@ -207,15 +206,13 @@ def spectral_radius(A: IntMatrix) -> SpectralRadius:
     """
     if A.is_zero():
         return SpectralRadius(RealAlgebraic.from_rational(0), True, False)
-    minpoly, lo, hi, irreducible, simple, leading_complex = \
-        _spectral_radius_of(char_poly(A))
-    return SpectralRadius(RealAlgebraic(minpoly, lo, hi, irreducible),
-                          simple, leading_complex)
+    minpoly, lo, hi, simple, leading_complex = _spectral_radius_of(char_poly(A))
+    return SpectralRadius(RealAlgebraic(minpoly, lo, hi), simple, leading_complex)
 
 
 @lru_cache(maxsize=SPECTRAL_CACHE_SIZE)
 def _spectral_radius_of(cp: IntPolynomial) -> tuple:
-    """(minpoly, lo, hi, irreducible, simple, complex) of the radius of a
+    """(minpoly, lo, hi, simple, complex) of the radius of a
     nonzero matrix with characteristic polynomial cp."""
     factors = factor_int_poly(cp)
     real_mods: list[tuple[RealAlgebraic, int]] = []  # (|eigenvalue|, multiplicity)
@@ -254,8 +251,7 @@ def _spectral_radius_of(cp: IntPolynomial) -> tuple:
         if compare(m2, rho_sq) == Ordering.EQUAL:
             pair_attain += mult
     lo, hi = rho.interval()
-    return (rho.minpoly, lo, hi, rho.irreducible,
-            attain + pair_attain == 1, pair_attain > 0)
+    return rho.minpoly, lo, hi, attain + pair_attain == 1, pair_attain > 0
 
 
 def _complex_pair_modulus_squares(fac: IntPolynomial,
@@ -298,26 +294,14 @@ def is_eigenvalue(A: IntMatrix, lam: FieldElement) -> bool:
     return acc.is_zero()
 
 
-def leading_eigenvector(A: IntMatrix, rho: RealAlgebraic | FieldElement,
-                        sign: int = 1) -> list[FieldElement]:
-    """A kernel vector of (A - sign*rho*I) over Q(rho).
+def leading_eigenvector(A: IntMatrix, lam: FieldElement) -> list[FieldElement]:
+    """A kernel vector of (A - lam*I) over lam's field.
 
-    Normalized so the first nonzero coordinate is 1.  Raises if
-    sign*rho is not an eigenvalue or the kernel is not 1-dimensional
-    (the latter feeds non-termination diagnostics).
+    Normalized so the first nonzero coordinate is 1.  Raises if the
+    kernel is not 1-dimensional: a lam that is not an eigenvalue gives
+    dimension 0, and a larger one feeds non-termination diagnostics.
     """
-    if isinstance(rho, FieldElement):
-        ctx = rho.context
-        lam = rho * sign
-    else:
-        ctx = (NumberFieldContext.rational_context() if rho.is_rational
-               else NumberFieldContext.from_real_algebraic(rho))
-        if rho.is_rational:
-            lam = ctx.from_rational(rho.as_rational() * sign)
-        else:
-            lam = ctx.generator() * sign
-    if not is_eigenvalue(A, lam):
-        raise AlgebraicError("claimed eigenvalue does not satisfy char poly")
+    ctx = lam.context
     n = A.dim
     M = [[ctx.from_rational(A.rows[i][j]) - (lam if i == j else ctx.zero())
           for j in range(n)] for i in range(n)]
@@ -335,11 +319,9 @@ def leading_eigenvector(A: IntMatrix, rho: RealAlgebraic | FieldElement,
 def two_norm_sq(A: IntMatrix) -> RealAlgebraic:
     """Largest eigenvalue of A^T A; the squared matrix 2-norm.
 
-    The value carries the squarefree part of the characteristic
-    polynomial, not a factored minimal polynomial (see
-    `largest_real_root_fast`).
+    A^T A is positive semidefinite, so this is its spectral radius.
     """
-    return largest_real_root_fast(char_poly(A.transpose() @ A))
+    return spectral_radius(A.transpose() @ A).value
 
 
 def frobenius_norm_sq(A: IntMatrix) -> int:

@@ -19,7 +19,6 @@ from jsrcert.algebraic import (
     factor_int_poly,
     gcd_int_poly,
     isolate_real_roots,
-    largest_real_root_fast,
     nth_root,
     real_algebraic_root,
     sturm_chain,
@@ -181,8 +180,10 @@ class TestComparePowers:
                     assert got == (Ordering.GREATER if diff > 0 else Ordering.LESS)
 
     def test_squarefree_left_hand_side(self):
-        # a fast (merely squarefree) value, as the norm prune passes it
-        a = largest_real_root_fast(P([-2, 0, 1]) * P([-1, 1]))
+        # the largest root of a squarefree product carries the minimal
+        # polynomial of its own factor
+        a = isolate_real_roots(P([-2, 0, 1]) * P([-1, 1]))[-1]
+        assert a.minpoly == P([-2, 0, 1])
         sqrt2 = isolate_real_roots(P([-2, 0, 1]))[1]
         assert compare_powers(a, 4, sqrt2, 4) == Ordering.EQUAL
         assert compare_powers(a, 3, sqrt2, 4) == Ordering.LESS
@@ -475,6 +476,27 @@ class TestSerialization:
         assert back.minpoly == sqrt2.minpoly
         assert compare(back, sqrt2) == Ordering.EQUAL
 
+    def test_text_with_a_reducible_polynomial_reads_as_the_minimal_one(self):
+        # x^4 - 3x^2 + 2 = (x^2 - 1)(x^2 - 2) and sqrt2 lies in [5/4, 3/2]
+        x = RealAlgebraic.deserialize("minpoly=[2,0,-3,0,1];interval=[5/4,3/2]")
+        assert x.minpoly == P([-2, 0, 1])
+        assert x.serialize() == "minpoly=[-2,0,1];interval=[1,2]"
+
+    @pytest.mark.parametrize("text", [
+        "minpoly=[-2,1];interval=[1,2]",  # the root 2 is an endpoint
+        "minpoly=[-1,0,1];interval=[-2,2]",  # two roots, -1 and 1
+        "minpoly=[-2,0,1];interval=[3/2,3/2]",  # 3/2 is not a root
+        "minpoly=[0];interval=[3,3]",  # the zero polynomial
+        "minpoly=[-2,0,1]",
+        "minpoly=[-2,x,1];interval=[1,2]",
+        "minpoly=[-2,0,1];interval=[1,2,3]",
+        "minpoly=[-2,0,1];interval=[1,two]",
+        "minpoly=[-2,0,1];interval=[1,2/0]",
+    ])
+    def test_untrusted_text_is_rejected(self, text):
+        with pytest.raises(AlgebraicError):
+            RealAlgebraic.deserialize(text)
+
     def test_round_trip_rational(self):
         q = RealAlgebraic.from_rational(Fraction(-341, 305))
         back = RealAlgebraic.deserialize(q.serialize())
@@ -497,7 +519,7 @@ class TestSerialization:
             first = isolate_real_roots(poly)[-1]
             second = isolate_real_roots(poly)[-1]
             second.refine_below(Fraction(1, 10**15))
-            third = largest_real_root_fast(poly * P([5, 1]))  # root -5
+            third = isolate_real_roots(poly * P([5, 1]))[-1]  # root -5
             assert first.interval() != second.interval()
             text = first.serialize()
             assert second.serialize() == text

@@ -223,12 +223,10 @@ class TestMinkowskiNormCone:
             poly = VertexPolytope(HullKind.P, verts, dim)
             r = minkowski_norm(poly, x)
             if r.value is None:
-                # infinite norm: the oracle's dual is unbounded in some
-                # direction; detect via a strictly positive component of x
-                # outside the span -- just require oracle saw no finite cover
-                assert all(v[j] == 0 for v in verts
-                           for j in range(dim) if x[j] > 0 and
-                           all(w[j] == 0 for w in verts)) or True
+                # infinite norm: the nonnegative vertices reach x iff every
+                # positive coordinate of x is positive in some vertex
+                assert any(x[j] > 0 and all(v[j] == 0 for v in verts)
+                           for j in range(dim))
                 continue
             assert r.value == oracle
             done += 1

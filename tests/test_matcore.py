@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from jsrcert.algebraic import (
+    AlgebraicError,
     IntPolynomial,
     NumberFieldContext,
     Ordering,
@@ -223,31 +224,41 @@ class TestSquareRootOnlyForAWinningPair:
         assert not cycle.leading_simple and cycle.leading_complex
 
 
+def _generator(x):
+    """x as the generator of its own field Q(x)."""
+    return NumberFieldContext.from_real_algebraic(x).generator()
+
+
 class TestLeadingEigenvector:
     def test_direct_solve(self):
-        v = leading_eigenvector(M([[1, 1], [0, 2]]), RealAlgebraic.from_rational(2))
+        two = _generator(RealAlgebraic.from_rational(2))
+        v = leading_eigenvector(M([[1, 1], [0, 2]]), two)
         assert [e.as_rational() for e in v] == [1, 1]
 
+    def test_a_value_that_is_no_eigenvalue_raises(self):
+        # A - 3I is invertible: its kernel has dimension 0
+        with pytest.raises(AlgebraicError, match="kernel dimension 0"):
+            leading_eigenvector(M([[1, 1], [0, 2]]),
+                                _generator(RealAlgebraic.from_rational(3)))
+
     def test_showcase_eigenvector(self):
-        sqrt2 = isolate_real_roots(P([-2, 0, 1]))[1]
-        v = leading_eigenvector(B2, sqrt2)
-        ctx = v[0].context
+        lam = _generator(isolate_real_roots(P([-2, 0, 1]))[1])
+        v = leading_eigenvector(B2, lam)
+        assert v[0].context is lam.context
         # verify B2 v = sqrt2 v exactly in the field
-        lam = ctx.generator()
         img = B2.apply(v)
         for a, b in zip(img, v):
             assert a == b * lam
 
     def test_fibonacci_eigenvector(self):
-        phi = isolate_real_roots(P([-1, -1, 1]))[1]
+        phi = _generator(isolate_real_roots(P([-1, -1, 1]))[1])
         v = leading_eigenvector(M([[1, 1], [1, 0]]), phi)
-        ctx = v[0].context
         assert v[0].as_rational() == 1
         # second coordinate is (sqrt5-1)/2 = phi - 1
-        assert v[1] == ctx.generator() - ctx.one()
+        assert v[1] == phi - 1
         img = M([[1, 1], [1, 0]]).apply(v)
         for a, b in zip(img, v):
-            assert a == b * ctx.generator()
+            assert a == b * phi
 
     def test_eigen_residual_random(self):
         rng = random.Random(12)
@@ -257,10 +268,8 @@ class TestLeadingEigenvector:
             sr = spectral_radius(A)
             if not sr.leading_simple or sr.leading_complex or sr.value.sign() == 0:
                 continue
-            v = leading_eigenvector(A, sr.value)
-            ctx = v[0].context
-            lam = (ctx.generator() if not sr.value.is_rational
-                   else ctx.from_rational(sr.value.as_rational()))
+            lam = _generator(sr.value)
+            v = leading_eigenvector(A, lam)
             for a, b in zip(A.apply(v), v):
                 assert a == b * lam
             done += 1
@@ -269,8 +278,7 @@ class TestLeadingEigenvector:
 class TestNorms:
     def test_showcase_two_norms(self):
         # ||B1||_2 = 1, so the 1/sqrt2-scaled matrix has norm sqrt2/2
-        # the value keeps the squarefree part x(x - 1) of det(xI - B1^T B1)
-        assert compare(two_norm_sq(B1), 1) == Ordering.EQUAL
+        assert two_norm_sq(B1).as_rational() == 1
         # ||B1 B2||_2^2 = (3+sqrt5)/2; scaled by 1/2 gives (sqrt5+3)/8
         v = two_norm_sq(B1 @ B2)
         sqrt5 = isolate_real_roots(P([-5, 0, 1]))[1]
@@ -280,6 +288,13 @@ class TestNorms:
 
     def test_identity(self):
         assert two_norm_sq(IntMatrix.identity(3)).as_rational() == 1
+
+    def test_value_carries_the_minimal_polynomial(self):
+        # det(xI - A^T A) = x (x^2 - 3x + 1); the norm is the larger root
+        # of the irreducible factor, not of the whole polynomial
+        v = two_norm_sq(M([[1, 1, 0], [0, 1, 0], [0, 0, 0]]))
+        assert v.minpoly == P([1, -3, 1])
+        assert compare(v, isolate_real_roots(P([1, -3, 1]))[1]) == Ordering.EQUAL
 
     def test_frobenius(self):
         f = frobenius_norm_sq(M([[1, 0], [1, -1]]))
