@@ -26,11 +26,10 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 import sympy
-
-from .linalg import matmul
 
 RationalLike = Union[int, Fraction]
 
@@ -296,6 +295,14 @@ def _factor_low_degree(p: IntPolynomial
     if rest.degree >= 1:
         mult[rest] = mult.get(rest, 0) + 1
     return list(mult.items())
+
+
+def integer_roots(p: IntPolynomial) -> list[int]:
+    """The distinct integer roots of a nonzero p, ascending: those of
+    its monic linear factors.  For a monic p, such as a characteristic
+    polynomial, these are all of its rational roots."""
+    return sorted(-f.coeffs[0] for f, _ in factor_int_poly(p)
+                  if f.coeffs[1:] == (1,))
 
 
 def _divisors(n: int) -> list[int]:
@@ -1145,7 +1152,7 @@ class FieldElement:
         # squarefree part is the minimal polynomial since the context
         # minpoly is irreducible (the characteristic polynomial is a power
         # of one irreducible)
-        cp = _char_poly_int(N)
+        cp, _ = faddeev_leverrier(N)
         return IntPolynomial.make(c * den**i for i, c in enumerate(cp)).squarefree_part()
 
     def to_real_algebraic(self) -> RealAlgebraic:
@@ -1171,17 +1178,30 @@ class FieldElement:
         return f"FieldElement({self.serialize()})"
 
 
-def _char_poly_int(M: list[list[int]]) -> list[int]:
-    """det(xI - M) of an integer matrix by Faddeev-LeVerrier, lowest
-    degree first; each trace divides exactly by its step number."""
+def faddeev_leverrier(M: Sequence[Sequence[int]]
+                      ) -> tuple[list[int], list[list[int]]]:
+    """det(xI - M) of an integer matrix, lowest degree first, and the
+    adjugate adj(M), by Faddeev-LeVerrier in integers.
+
+    With N_0 = I, each step takes c_(d-k) = -tr(M N_(k-1)) / k, which
+    divides exactly, and N_k = M N_(k-1) + c_(d-k) I.  Cayley-Hamilton
+    gives N_d = 0, so M N_(d-1) = -c_0 I = (-1)^(d+1) det(M) I and
+    adj(M) = (-1)^(d+1) N_(d-1), for a singular M too; det(M) is
+    (-1)^d times the constant coefficient.
+    """
     d = len(M)
     coeffs = [0] * (d + 1)
     coeffs[d] = 1
-    Mk = [[int(i == j) for j in range(d)] for i in range(d)]
+    Nk = [[int(i == j) for j in range(d)] for i in range(d)]
+    adj = Nk
     for k in range(1, d + 1):
-        Mk = matmul(M, Mk)
-        c = -sum(Mk[i][i] for i in range(d)) // k
+        adj = Nk
+        cols = list(zip(*Nk))
+        Nk = [[sum(map(mul, row, col)) for col in cols] for row in M]
+        c = -sum(Nk[i][i] for i in range(d)) // k
         coeffs[d - k] = c
         for i in range(d):
-            Mk[i][i] += c
-    return coeffs
+            Nk[i][i] += c
+    if d % 2 == 0:
+        adj = [[-v for v in row] for row in adj]
+    return coeffs, adj

@@ -8,6 +8,7 @@ diffs stored results against expected-results tables.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 import time
@@ -35,6 +36,8 @@ STORE_SCHEMA = "jsr-campaign/1"
 DEPTH_LADDER = (10, 14, 18, 22)
 # block families whose record each process remembers
 BLOCK_CACHE_SIZE = 4096
+# codes per task when a process pool canonicalizes a campaign
+CANON_CHUNK = 256
 
 
 def resolve_family(family: MatrixFamily) -> dict:
@@ -70,10 +73,9 @@ def _resolve_blocks(family: MatrixFamily, dec) -> dict:
                     "detail": rec}
         jsr = RealAlgebraic.deserialize(rec["jsr"]).scale(Fraction(1, scale))
         parts.append((jsr, rec))
-    # full-pair JSR is the larger block value; the same index word attains it
-    best = max(range(2), key=lambda i: float(parts[i][0]))
-    if compare(parts[best][0], parts[1 - best][0]) == Ordering.LESS:
-        best = 1 - best
+    # full-pair JSR is the larger block value (block 0 on a tie); the
+    # same index word attains it
+    best = int(compare(parts[0][0], parts[1][0]) == Ordering.LESS)
     jsr, rec = parts[best]
     word = tuple(rec["smp_words"][0])
     # re-verify on the full pair: rho(word)^(1/len) == jsr exactly
@@ -247,18 +249,58 @@ def run_campaign(alphabet: str, dim: int, store_path: str | Path,
     Non-canonical codes record a duplicate link to their orbit
     representative, whose own record is computed even when it falls
     outside the requested slice.  Resumable: existing records are kept.
-    """
-    store = Store(store_path, alphabet, dim)
-    requested = _requested_codes(alphabet, dim, only_a1, codes)
+    With workers > 1 one process pool canonicalizes the new codes, in
+    chunks, and then resolves the representatives.
 
+    The heap the process holds on entry is frozen for the run
+    (`gc.freeze`), so a full collection here or in a forked worker walks
+    only the objects the campaign makes.  A caller that has frozen
+    objects of its own keeps its freeze as it is.
+    """
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
+    try:
+        store = Store(store_path, alphabet, dim)
+        todo = [code for code in _requested_codes(alphabet, dim, only_a1, codes)
+                if str(code) not in store]
+        if workers > 1 and len(todo) > 1:
+            import concurrent.futures as cf
+
+            with cf.ProcessPoolExecutor(max_workers=workers) as pool:
+                canons = pool.map(_canonical, todo, chunksize=CANON_CHUNK)
+                _solve_codes(store, todo, canons, pool, progress)
+        else:
+            _solve_codes(store, todo, map(_canonical, todo), None, progress)
+
+        if recheck:
+            for rec in store.records.values():
+                if rec.get("status") == "proved":
+                    chk = verify_certificate(rec["certificate"])
+                    if not chk:
+                        raise RuntimeError(
+                            f"stored certificate for {rec['code']} rejected: "
+                            f"{chk.reason}")
+        return summarize(store)
+    finally:
+        if freeze:
+            gc.unfreeze()
+
+
+def _canonical(code: PairCode) -> PairCode:
+    return canonical_key(decode(code), code.alphabet)
+
+
+def _solve_codes(store: Store, todo: list[PairCode],
+                 canons: Iterable[PairCode], pool, progress) -> None:
+    """Resolve the orbit representatives of `todo` (whose canonical keys
+    `canons` lists in the same order) in `pool`, or in process when it is
+    None, and append their records and the duplicate links to `store`."""
     pending: list[tuple[str, Optional[str]]] = []  # (code, canonical or None)
     canon_to_solve: list[PairCode] = []
     seen_canon: set[str] = set()
-    for code in requested:
+    for code, canon in zip(todo, canons):
         text = str(code)
-        if text in store:
-            continue
-        canon = canonical_key(decode(code), alphabet)
         if (canon.a1, canon.a2) == (code.a1, code.a2):
             pending.append((text, None))
             if text not in seen_canon:
@@ -271,17 +313,15 @@ def run_campaign(alphabet: str, dim: int, store_path: str | Path,
                 canon_to_solve.append(canon)
 
     solved: dict[str, dict] = {}
-    if workers > 1 and len(canon_to_solve) > 1:
+    if pool is not None:
         import concurrent.futures as cf
 
-        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(resolve_code, c): str(c)
-                    for c in canon_to_solve}
-            for fut in cf.as_completed(futs):
-                rec = fut.result()
-                solved[rec["code"]] = rec
-                if progress:
-                    progress(rec)
+        futs = {pool.submit(resolve_code, c): str(c) for c in canon_to_solve}
+        for fut in cf.as_completed(futs):
+            rec = fut.result()
+            solved[rec["code"]] = rec
+            if progress:
+                progress(rec)
     else:
         for c in canon_to_solve:
             rec = resolve_code(c)
@@ -296,17 +336,6 @@ def run_campaign(alphabet: str, dim: int, store_path: str | Path,
         if canon is not None and text not in store:
             store.append({"code": text, "status": "duplicate",
                           "canonical": canon})
-
-    if recheck:
-        for rec in store.records.values():
-            if rec.get("status") == "proved":
-                chk = verify_certificate(rec["certificate"])
-                if not chk:
-                    raise RuntimeError(
-                        f"stored certificate for {rec['code']} rejected: "
-                        f"{chk.reason}")
-
-    return summarize(store)
 
 
 def _requested_codes(alphabet, dim, only_a1, codes) -> Iterable[PairCode]:

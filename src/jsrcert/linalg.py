@@ -2,16 +2,17 @@
 
 Matrices are lists of rows.  Entries may be `Fraction` or `FieldElement`
 (any exact field type with `== 0` and `+ - * /` works); integers alone
-are not enough for `kernel` and `inverse`, since division must stay
-exact, but they are for the fraction-free `add_to_basis`.  Elimination is
+are not enough for `kernel`, since division must stay exact, but they
+are for the fraction-free `add_to_basis`.  Elimination is
 Gauss-Jordan with the first nonzero entry of each column as its pivot,
 and each pivot is inverted once.  The reduced row echelon form is unique,
-so kernels and inverses do not depend on that pivot order.
+so kernels do not depend on that pivot order.  There is no inverse or
+product here: the one change of basis the pipeline makes, in
+`reduce._split_blocks`, is an integer adjugate
+(`algebraic.faddeev_leverrier`) with `IntMatrix` products.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 
 def _eliminate(rows: list[list], ncols: int) -> list[int]:
@@ -50,23 +51,6 @@ def kernel(M: list[list]) -> list[list]:
             v[c] = -rows[r][fc]
         basis.append(v)
     return basis
-
-
-def inverse(A: list[list]) -> Optional[list[list]]:
-    """The inverse of square A, or None when A is singular."""
-    n = len(A)
-    zero = A[0][0] * 0
-    rows = [list(row) + [zero + int(i == j) for j in range(n)]
-            for i, row in enumerate(A)]
-    if len(_eliminate(rows, n)) < n:
-        return None
-    return [rows[i][n:] for i in range(n)]
-
-
-def matmul(A: list[list], B: list[list]) -> list[list]:
-    zero = A[0][0] * 0
-    return [[sum((A[i][t] * B[t][j] for t in range(len(B))), start=zero)
-             for j in range(len(B[0]))] for i in range(len(A))]
 
 
 def add_to_basis(basis: list[list], vec: list) -> bool:

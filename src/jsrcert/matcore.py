@@ -36,6 +36,7 @@ from .algebraic import (
     compare,
     compare_powers,
     factor_int_poly,
+    faddeev_leverrier,
     isolate_real_roots,
     nth_root,
 )
@@ -176,9 +177,7 @@ def char_poly(A: IntMatrix) -> IntPolynomial:
         m2 = (e * i - f * h) + (a * i - c * g) + (a * e - b * d)
         return IntPolynomial.make([-det, m2, -tr, 1])
     # general fallback: Faddeev-LeVerrier over the integers
-    from .algebraic import _char_poly_int
-
-    return IntPolynomial.make(_char_poly_int([list(r) for r in A.rows]))
+    return IntPolynomial.make(faddeev_leverrier(A.rows)[0])
 
 
 @dataclass

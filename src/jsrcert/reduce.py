@@ -25,15 +25,21 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Optional
 
-from .algebraic import Ordering, RealAlgebraic, compare
-from .linalg import add_to_basis, inverse, kernel, matmul
+from .algebraic import (
+    Ordering,
+    RealAlgebraic,
+    compare,
+    faddeev_leverrier,
+    integer_roots,
+)
+from .linalg import add_to_basis, kernel
 from .matcore import (
     IntMatrix,
     MatrixFamily,
-    Product,
-    evaluate,
+    char_poly,
     spectral_radius,
 )
 
@@ -276,22 +282,34 @@ def _norm_bounded_by_one(pair) -> Optional[tuple[int, tuple[int, ...]]]:
     product, or None when the bound fails or no attaining witness exists.
     """
     fam = MatrixFamily.make(list(pair))
-    for word in itertools.product((1, 2), repeat=NORM_CHECK_DEPTH):
-        if not _norm_at_most_one(evaluate(word, fam).value):
-            return None
+    if not all(_norm_at_most_one(P)
+               for _, P in _products(fam, NORM_CHECK_DEPTH)):
+        return None
     # JSR <= 1; find a product of spectral radius exactly 1 if one exists
     for n in range(1, NORM_CHECK_DEPTH + 1):
-        for word in itertools.product((1, 2), repeat=n):
-            rho = spectral_radius(evaluate(word, fam).value).value
+        for word, P in _products(fam, n):
+            rho = spectral_radius(P).value
             if rho.is_rational and rho.as_rational() == 1:
                 return (1, word)
     # JSR 0 exactly when the semigroup is nilpotent, that is (Levitzki)
     # when every product of length dim is zero
-    dim = fam.dim
-    if all(evaluate(word, fam).value.is_zero()
-           for word in itertools.product((1, 2), repeat=dim)):
+    if all(P.is_zero() for _, P in _products(fam, fam.dim)):
         return (0, (1,))
     return None
+
+
+def _products(fam: MatrixFamily, n: int, word: tuple[int, ...] = (),
+              value: Optional[IntMatrix] = None):
+    """Every word of length n that extends `word` (of value `value`),
+    with its value, in `itertools.product` order.  The walk is depth
+    first and multiplies each prefix's value once by each letter, so a
+    word costs one product on average instead of n - 1."""
+    if len(word) == n:
+        yield word, value
+        return
+    for j, A in enumerate(fam.matrices, 1):
+        yield from _products(fam, n, word + (j,),
+                             A if value is None else A @ value)
 
 
 def _norm_at_most_one(A: IntMatrix) -> bool:
@@ -329,10 +347,13 @@ def irreducible(pair: tuple[IntMatrix, IntMatrix]
     and the whole space (over C), decided by `_is_irreducible`.
 
     For reducible pairs a common invariant subspace with rational basis
-    is searched among eigenspace seeds closed under both matrices; the
-    returned blocks are integer matrices on a saturated lattice basis.
-    None is returned for the decomposition when the algebra is small
-    but no rational invariant subspace exists (complex-only reduction).
+    is searched among seeds closed under both matrices: the eigenvectors
+    for integer roots of the characteristic polynomials, then the unit
+    vectors (`_find_invariant_subspace`).  The blocks come from an
+    integer adjugate of the basis matrix and are cleared to integer
+    matrices with a scale each (`_split_blocks`).  None is returned for
+    the decomposition when the pair is reducible but no rational
+    invariant subspace exists (complex-only reduction).
     """
     if _is_irreducible(pair):
         return True, None
@@ -403,28 +424,19 @@ def _algebra_dimension(pair) -> int:
 
 
 def _find_invariant_subspace(pair) -> Optional[BlockDecomposition]:
-    A1, A2 = pair
-    dim = A1.dim
-    from .matcore import char_poly
-    from .algebraic import isolate_real_roots
+    """The first seed whose closure under the pair is a proper subspace,
+    split into blocks by `_split_blocks`.
 
-    seeds: list[list[Fraction]] = []
-    for M in (A1, A2):
-        cp = char_poly(M)
-        for r in isolate_real_roots(cp):
-            if not r.is_rational:
-                continue
-            lam = r.as_rational()
-            rows = [[Fraction(M.rows[i][j]) - (lam if i == j else 0)
-                     for j in range(dim)] for i in range(dim)]
-            seeds.extend(kernel(rows))
-    # also try coordinate vectors (catches triangular forms)
-    for i in range(dim):
-        seeds.append([Fraction(int(j == i)) for j in range(dim)])
-
-    for seed in seeds:
-        space = [seed]
-        _close_under(space, (A1, A2))
+    The seeds are the eigenvectors of A1 and then of A2 for their
+    rational eigenvalues, ascending, then the unit vectors (which catch
+    triangular forms).  A rational eigenvalue of an integer matrix is an
+    integer root of its monic characteristic polynomial, so
+    `integer_roots` finds them all without isolating the irrational
+    ones.
+    """
+    dim = pair[0].dim
+    for seed in _seeds(pair):
+        space = _close_under(seed, pair)
         if 0 < len(space) < dim:
             dec = _split_blocks(pair, space)
             if dec is not None:
@@ -432,34 +444,50 @@ def _find_invariant_subspace(pair) -> Optional[BlockDecomposition]:
     return None
 
 
-def _close_under(space: list[list[Fraction]], mats) -> None:
-    basis: list = []
-    for v in space:
-        add_to_basis(basis, v)
-    frontier = list(space)
+def _seeds(pair) -> Iterator[list[Fraction]]:
+    """The seeds in order, each computed only when the one before it
+    did not split the pair."""
+    dim = pair[0].dim
+    for M in pair:
+        for lam in integer_roots(char_poly(M)):
+            yield from kernel([[Fraction(M.rows[i][j] - (lam if i == j else 0))
+                                for j in range(dim)] for i in range(dim)])
+    for i in range(dim):
+        yield [Fraction(int(j == i)) for j in range(dim)]
+
+
+def _close_under(seed: list[Fraction], mats) -> list[list[Fraction]]:
+    """An echelon basis of the smallest subspace that holds the seed and
+    is invariant under mats."""
+    basis: list[list[Fraction]] = []
+    add_to_basis(basis, seed)
+    frontier = [seed]
     while frontier:
         new = []
         for v in frontier:
             for M in mats:
                 img = M.apply(v)
-                if add_to_basis(basis, [Fraction(c) for c in img]):
-                    new.append([Fraction(c) for c in img])
+                if add_to_basis(basis, img):
+                    new.append(img)
         frontier = new
-    space.clear()
-    space.extend(basis)
+    return basis
 
 
-def _split_blocks(pair, space: list[list[Fraction]]) -> Optional[BlockDecomposition]:
+def _split_blocks(pair, space: list[list[Fraction]]
+                  ) -> Optional[BlockDecomposition]:
     """Blocks of the pair in a basis extending the invariant subspace.
 
-    The completion uses unit vectors, so the change of basis is merely
-    rational; both blocks are cleared to integer matrices with their
-    scale factor recorded (the block JSR divides by it).
+    The basis matrix U holds the subspace's vectors and then unit
+    vectors as columns.  With d the lcm of its denominators and the
+    integer V = d U, the change of basis U^-1 M U equals
+    adj(V) M V / det(V), so it takes integer products and one
+    Faddeev-LeVerrier adjugate.  Both blocks are cleared to integer
+    matrices with their scale factor recorded (the block JSR divides by
+    it).
     """
-    A1, A2 = pair
-    dim = A1.dim
+    dim = pair[0].dim
     k = len(space)
-    basis_vecs = [list(v) for v in space]
+    basis_vecs = list(space)
     echelon = list(space)  # add_to_basis only appends
     for i in range(dim):
         unit = [Fraction(int(j == i)) for j in range(dim)]
@@ -469,50 +497,43 @@ def _split_blocks(pair, space: list[list[Fraction]]) -> Optional[BlockDecomposit
             break
     if len(basis_vecs) != dim:
         return None
-    U = [[basis_vecs[c][r] for c in range(dim)] for r in range(dim)]  # columns
-    Uinv = inverse(U)
-    if Uinv is None:
+    d = lcm(*(c.denominator for v in basis_vecs for c in v))
+    V = IntMatrix.make(zip(*([int(c * d) for c in v] for v in basis_vecs)))
+    coeffs, adj = faddeev_leverrier(V.rows)
+    det = -coeffs[0] if dim % 2 else coeffs[0]
+    if det == 0:
         return None
-    raw_subs, raw_quots = [], []
-    for M in (A1, A2):
-        Mq = [[Fraction(v) for v in row] for row in M.rows]
-        C = matmul(matmul(Uinv, Mq), U)
-        for i in range(k, dim):
-            for j in range(k):
-                if C[i][j] != 0:
-                    return None
-        raw_subs.append([[C[i][j] for j in range(k)] for i in range(k)])
-        raw_quots.append([[C[i][j] for j in range(k, dim)]
-                          for i in range(k, dim)])
-    sub_blocks, sub_scale = _clear_pair(raw_subs)
-    quot_blocks, quot_scale = _clear_pair(raw_quots)
+    adj = IntMatrix.make(adj)
+    changed = [adj @ M @ V for M in pair]
+    if any(C.rows[i][j] for C in changed for i in range(k, dim)
+           for j in range(k)):
+        return None
+    sub_blocks, sub_scale = _clear_pair(
+        [[row[:k] for row in C.rows[:k]] for C in changed], det)
+    quot_blocks, quot_scale = _clear_pair(
+        [[row[k:] for row in C.rows[k:]] for C in changed], det)
     return BlockDecomposition(
         basis=[_primitive_int(v) for v in space],
         sub_blocks=sub_blocks, sub_scale=sub_scale,
         quot_blocks=quot_blocks, quot_scale=quot_scale)
 
 
-def _clear_pair(blocks: list[list[list[Fraction]]]) -> tuple[tuple[IntMatrix, IntMatrix], int]:
-    from math import lcm
-
-    m = 1
-    for b in blocks:
-        for row in b:
-            for c in row:
-                m = lcm(m, c.denominator)
-    ints = tuple(IntMatrix.make([[int(c * m) for c in row] for row in b])
+def _clear_pair(blocks: list[list[list[int]]], det: int
+                ) -> tuple[tuple[IntMatrix, IntMatrix], int]:
+    """The blocks B / det as integer matrices over one positive scale:
+    with g the gcd of det and every entry, the least common denominator
+    of the entries b / det is |det| / g, and the cleared entries are
+    sign(det) b / g."""
+    g = gcd(det, *(c for b in blocks for row in b for c in row))
+    sign = 1 if det > 0 else -1
+    ints = tuple(IntMatrix.make([[sign * c // g for c in row] for row in b])
                  for b in blocks)
-    return ints, m
+    return ints, abs(det) // g
 
 
 def _primitive_int(v: list[Fraction]) -> list[int]:
-    from math import gcd, lcm
-
-    m = 1
-    for c in v:
-        m = lcm(m, c.denominator)
+    """The primitive integer vector on the ray of a nonzero rational v."""
+    m = lcm(*(c.denominator for c in v))
     ints = [int(c * m) for c in v]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    return [c // (g or 1) for c in ints]
+    g = gcd(*ints)
+    return [c // g for c in ints]

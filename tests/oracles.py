@@ -208,6 +208,35 @@ def _solve(A, b):
     return [M[i][n] for i in range(n)]
 
 
+def matmul(A, B):
+    """The product of two matrices (lists of rows) over any exact type."""
+    zero = A[0][0] * 0
+    return [[sum((A[i][t] * B[t][j] for t in range(len(B))), start=zero)
+             for j in range(len(B[0]))] for i in range(len(A))]
+
+
+def inverse(A):
+    """The inverse of square A over any exact field type (Fraction or a
+    number-field element), or None when A is singular, by Gauss-Jordan
+    elimination of [A | I]."""
+    n = len(A)
+    zero = A[0][0] * 0
+    M = [list(row) + [zero + int(i == j) for j in range(n)]
+         for i, row in enumerate(A)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if piv is None:
+            return None
+        M[col], M[piv] = M[piv], M[col]
+        pv = M[col][col]
+        M[col] = [v / pv for v in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [v - f * w for v, w in zip(M[r], M[col])]
+    return [row[n:] for row in M]
+
+
 def rank(vectors):
     """Rank of a list of rational vectors by forward elimination, column
     by column."""
@@ -274,3 +303,117 @@ def algebra_dimension(A, B):
         frontier = [P for X in frontier for P in (mul(A, X), mul(B, X))
                     if independent(P)]
     return len(basis)
+
+
+def _echelon_add(basis, v):
+    """Fraction-free reduction of v against an echelon basis, v <- b_p v
+    - v_p b for each basis vector b with first nonzero entry at p; the
+    remainder is appended when nonzero.  Returns whether it was."""
+    for b in basis:
+        p = next(i for i, c in enumerate(b) if c != 0)
+        if v[p] != 0:
+            v = [b[p] * x - v[p] * y for x, y in zip(v, b)]
+    if any(c != 0 for c in v):
+        basis.append(v)
+        return True
+    return False
+
+
+def _free_column_kernel(M):
+    """Right kernel of a Fraction matrix from its reduced row echelon
+    form: one vector per free column, 1 there and 0 at the other free
+    columns."""
+    n = len(M[0])
+    rows = [list(r) for r in M]
+    pivots, r = [], 0
+    for c in range(n):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    out = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -rows[i][fc]
+        out.append(v)
+    return out
+
+
+def split_reference(A, B):
+    """The common invariant subspace and blocks of the pair (lists of
+    integer rows) that the reducibility split must return, computed in
+    Fractions with a Gauss-Jordan inverse.
+
+    Seeds are the free-column kernel vectors of M - r I for each integer
+    root r of det(xI - M), found by trying every integer up to the
+    Cauchy bound, for M = A and then B, ascending, and then the unit
+    vectors.  A seed is closed under both matrices by `_echelon_add`;
+    the first proper closure is completed by unit vectors to the columns
+    of U, and the blocks of U^-1 M U are cleared by the lcm of their
+    denominators.  Returns (basis as primitive integer vectors,
+    sub-block rows, sub scale, quotient-block rows, quotient scale), or
+    None when no seed closes to a proper subspace."""
+    n = len(A)
+    seeds = []
+    for M in (A, B):
+        cp = char_poly_cofactor(M)
+        bound = 1 + int(max(abs(c) for c in cp[:-1]))
+        for r in range(-bound, bound + 1):
+            if eval_poly(cp, r) == 0:
+                seeds += _free_column_kernel(
+                    [[Fraction(M[i][j] - (r if i == j else 0))
+                      for j in range(n)] for i in range(n)])
+    seeds += [[Fraction(int(j == i)) for j in range(n)] for i in range(n)]
+    for seed in seeds:
+        space = []
+        _echelon_add(space, seed)
+        frontier = list(space)
+        while frontier:
+            frontier = [img for v in frontier for M in (A, B)
+                        for img in ([_dot(row, v) for row in M],)
+                        if _echelon_add(space, img)]
+        if 0 < len(space) < n:
+            return _reference_blocks(A, B, space)
+    return None
+
+
+def _reference_blocks(A, B, space):
+    n, k = len(A), len(space)
+    cols = [list(v) for v in space]
+    echelon = list(space)
+    for i in range(n):
+        if len(cols) == n:
+            break
+        unit = [Fraction(int(j == i)) for j in range(n)]
+        if _echelon_add(echelon, unit):
+            cols.append(unit)
+    U = [[cols[c][r] for c in range(n)] for r in range(n)]
+    Uinv = inverse(U)
+    changed = [matmul(matmul(Uinv, [[Fraction(x) for x in row] for row in M]),
+                      U) for M in (A, B)]
+    assert all(C[i][j] == 0 for C in changed for i in range(k, n)
+               for j in range(k))
+
+    def clear(blocks):
+        m = math.lcm(*(c.denominator for b in blocks for row in b
+                       for c in row))
+        return tuple(tuple(tuple(int(c * m) for c in row) for row in b)
+                     for b in blocks), m
+
+    subs, sub_scale = clear([[row[:k] for row in C[:k]] for C in changed])
+    quots, quot_scale = clear([[row[k:] for row in C[k:]] for C in changed])
+    basis = []
+    for v in space:
+        ints = [int(c * math.lcm(*(x.denominator for x in v))) for c in v]
+        g = math.gcd(*ints)
+        basis.append([c // g for c in ints])
+    return basis, subs, sub_scale, quots, quot_scale

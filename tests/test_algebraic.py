@@ -16,8 +16,10 @@ from jsrcert.algebraic import (
     compare,
     compare_powers,
     count_roots_in,
+    faddeev_leverrier,
     factor_int_poly,
     gcd_int_poly,
+    integer_roots,
     isolate_real_roots,
     nth_root,
     real_algebraic_root,
@@ -25,8 +27,8 @@ from jsrcert.algebraic import (
 )
 from jsrcert.matcore import IntMatrix, MatrixFamily, evaluate, spectral_radius
 
-from oracles import (bisect_roots, char_poly_cofactor, eval_poly, mp_poly_roots,
-                     mp_real_root_count, mp_value)
+from oracles import (bisect_roots, char_poly_cofactor, eval_poly, inverse,
+                     mp_poly_roots, mp_real_root_count, mp_value)
 
 
 P = IntPolynomial.make
@@ -92,6 +94,67 @@ class TestIsolateRealRoots:
         monkeypatch.setattr(algebraic, "count_roots_in", lambda *args: 2)
         with pytest.raises(AlgebraicError, match="did not converge"):
             isolate_real_roots(P([-2, 0, 1]))
+
+
+class TestIntegerRoots:
+    def test_matches_rational_roots_of_isolation(self):
+        # monic products of linear factors (repeats and 0 among them) and
+        # random monic factors, degree <= 4
+        rng = random.Random(1984)
+        seen_zero = seen_repeat = 0
+        for _ in range(400):
+            p = P([1])
+            for _ in range(rng.randint(0, 4)):
+                p = p * P([-rng.choice((-3, -2, -1, 0, 0, 1, 2, 3)), 1])
+            while p.degree < 4 and rng.random() < 0.6:
+                q = P([rng.randint(-6, 6) for _ in range(rng.randint(1, 2))]
+                      + [1])
+                if p.degree + q.degree <= 4:
+                    p = p * q
+            want = [r.as_rational() for r in isolate_real_roots(p)
+                    if r.is_rational]
+            assert integer_roots(p) == want, p
+            seen_zero += 0 in want
+            seen_repeat += p.squarefree_part().degree < p.degree
+        assert seen_zero > 50 and seen_repeat > 50
+
+    def test_constant_has_no_roots(self):
+        assert integer_roots(P([5])) == []
+        assert integer_roots(P([0, 0, 1])) == [0]
+
+    def test_large_coefficients(self):
+        big = 10**12 + 39  # prime
+        cases = [P([-big, 1]) * P([3, 1]) * P([7, 0, 1]),
+                 P([0, 1]) * P([-(2**20), 1]) * P([-(2**20), 1]),
+                 P([-big, 2]) * P([-5, 1]),
+                 P([big, 0, 1]) * P([0, 0, 1])]
+        want = [[-3, big], [0, 2**20], [5], [0]]
+        for p, roots in zip(cases, want):
+            assert integer_roots(p) == roots
+            assert roots == [r.as_rational() for r in isolate_real_roots(p)
+                             if r.is_rational and r.as_rational().denominator == 1]
+
+
+class TestFaddeevLeverrier:
+    def test_char_poly_and_adjugate(self):
+        rng = random.Random(7)
+        for n in (1, 2, 3, 4):
+            for _ in range(30):
+                A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+                if rng.random() < 0.3 and n > 1:
+                    A[-1] = [2 * x for x in A[0]]  # singular
+                coeffs, adj = faddeev_leverrier(A)
+                assert coeffs == [int(c) for c in char_poly_cofactor(A)]
+                det = (-1) ** n * coeffs[0]
+                # A adj(A) = adj(A) A = det(A) I
+                for X, Y in ((A, adj), (adj, A)):
+                    assert all(sum(X[i][t] * Y[t][j] for t in range(n))
+                               == det * (i == j)
+                               for i in range(n) for j in range(n))
+                inv = inverse([[Fraction(x) for x in row] for row in A])
+                assert (inv is None) == (det == 0)
+                if inv is not None:
+                    assert adj == [[det * x for x in row] for row in inv]
 
 
 class TestCompare:

@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -105,6 +106,25 @@ class TestStoreRecovery:
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(json.JSONDecodeError):
             Store(path)
+
+
+class TestHeapFreeze:
+    def test_the_run_freezes_the_heap_and_thaws_it(self, tmp_path):
+        assert gc.get_freeze_count() == 0
+        during = []
+        run_campaign("binary", 2, tmp_path / "s.jsonl", codes=["1/2"],
+                     progress=lambda rec: during.append(gc.get_freeze_count()))
+        assert during and all(n > 0 for n in during)
+        assert gc.get_freeze_count() == 0
+
+    def test_a_callers_freeze_is_left_as_it_was(self, tmp_path):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            run_campaign("binary", 2, tmp_path / "s.jsonl", codes=["1/2"])
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
 
 
 def _lines_without_seconds(path):

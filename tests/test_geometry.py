@@ -24,9 +24,12 @@ from jsrcert.geometry import (
     simplex_solve,
     two_vertex_combination,
 )
-from jsrcert.linalg import inverse
-
-from oracles import cone_norm_facets, ellipse_hull_margin, sym_norm_facets
+from oracles import (
+    cone_norm_facets,
+    ellipse_hull_margin,
+    inverse,
+    sym_norm_facets,
+)
 
 F = Fraction
 

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from jsrcert.algebraic import IntPolynomial, NumberFieldContext, isolate_real_roots
-from jsrcert.linalg import add_to_basis, inverse, kernel, matmul
+from jsrcert.linalg import add_to_basis, kernel
 
-from oracles import rank
+from oracles import inverse, matmul, rank
 
 SQRT2 = NumberFieldContext.from_real_algebraic(
     isolate_real_roots(IntPolynomial.make([-2, 0, 1]))[1])

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -15,14 +16,19 @@ from jsrcert.reduce import (
     decode,
     encode,
     enumerate_campaign,
+    NORM_CHECK_DEPTH,
     _has_common_eigenvector,
     _is_irreducible,
+    _norm_at_most_one,
+    _norm_bounded_by_one,
+    _products,
     irreducible,
+    pair_transforms,
     quick_decide,
 )
 from jsrcert.smp import gripenberg_search
 
-from oracles import algebra_dimension, rank
+from oracles import algebra_dimension, rank, split_reference
 
 M = IntMatrix.make
 
@@ -105,8 +111,6 @@ class TestCanonicalKey:
 
     def test_canonical_is_orbit_minimum(self):
         rng = random.Random(11)
-        from jsrcert.reduce import pair_transforms
-
         for _ in range(10):
             A = M([[rng.randint(0, 1) for _ in range(2)] for _ in range(2)])
             B = M([[rng.randint(0, 1) for _ in range(2)] for _ in range(2)])
@@ -172,6 +176,104 @@ class TestQuickDecide:
         B = M([[1, 0], [1, 1]])
         v = quick_decide((A, B), "binary")
         assert v.outcome is Outcome.NEEDS_IPA
+
+
+@lru_cache(maxsize=None)
+def _representatives(alphabet, dim):
+    """The orbit minima of a campaign, found by marking each new code's
+    whole orbit as seen."""
+    transforms = pair_transforms(dim, alphabet)
+    seen, reps = set(), []
+    for code in enumerate_campaign(alphabet, dim):
+        if (code.a1, code.a2) in seen:
+            continue
+        reps.append(code)
+        pair = decode(code)
+        for t in transforms:
+            image = encode(t(pair), alphabet)
+            seen.add((image.a1, image.a2))
+    return reps
+
+
+def _f3_sample():
+    rng = random.Random(1729)
+    return [PairCode(a1, a2, 3, "binary")
+            for a1, a2 in ((rng.randrange(512), rng.randrange(512))
+                           for _ in range(400))]
+
+
+def _norm_bounded_reference(pair):
+    """`_norm_bounded_by_one` with every word evaluated in full."""
+    fam = MatrixFamily.make(list(pair))
+    for word in itertools.product((1, 2), repeat=NORM_CHECK_DEPTH):
+        if not _norm_at_most_one(evaluate(word, fam).value):
+            return None
+    for n in range(1, NORM_CHECK_DEPTH + 1):
+        for word in itertools.product((1, 2), repeat=n):
+            rho = spectral_radius(evaluate(word, fam).value).value
+            if rho.is_rational and rho.as_rational() == 1:
+                return (1, word)
+    if all(evaluate(word, fam).value.is_zero()
+           for word in itertools.product((1, 2), repeat=fam.dim)):
+        return (0, (1,))
+    return None
+
+
+class TestNormLemma:
+    @pytest.mark.parametrize("alphabet", ["binary", "sign"])
+    def test_prefix_products_match_full_evaluation(self, alphabet):
+        codes = (list(enumerate_campaign("binary", 2)) if alphabet == "binary"
+                 else _representatives("sign", 2))
+        assert len(codes) == {"binary": 256, "sign": 297}[alphabet]
+        verdicts = [_norm_bounded_by_one(decode(c)) for c in codes]
+        assert verdicts == [_norm_bounded_reference(decode(c)) for c in codes]
+        assert {v[0] for v in verdicts if v is not None} == {0, 1}
+
+    def test_products_are_the_evaluated_words(self):
+        fam = MatrixFamily.make([M([[1, 1, 0], [0, 1, 2], [1, 0, 0]]),
+                                 M([[0, 1, 0], [-1, 0, 1], [0, 0, 1]]),
+                                 M([[2, 0, 0], [0, 1, 1], [0, 1, 0]])])
+        for n in range(1, 5):
+            want = [(w, evaluate(w, fam).value)
+                    for w in itertools.product((1, 2, 3), repeat=n)]
+            assert list(_products(fam, n)) == want
+
+
+class TestSplit:
+    """The integer split against the Fraction reference of the oracles."""
+
+    @staticmethod
+    def _check(codes):
+        split = 0
+        for code in codes:
+            A, B = decode(code)
+            if _is_irreducible((A, B)):
+                continue
+            irr, dec = irreducible((A, B))
+            assert not irr
+            want = split_reference(A.rows, B.rows)
+            got = dec and (dec.basis, tuple(m.rows for m in dec.sub_blocks),
+                           dec.sub_scale,
+                           tuple(m.rows for m in dec.quot_blocks),
+                           dec.quot_scale)
+            assert got == want, code
+            if dec is None:
+                continue
+            split += 1
+            # every basis vector's image stays in the span
+            for v in dec.basis:
+                for X in (A, B):
+                    assert rank(dec.basis + [X.apply(v)]) == len(dec.basis)
+        return split
+
+    def test_f2_representatives(self):
+        assert self._check(_representatives("binary", 2)) == 34
+
+    def test_f2s_representatives(self):
+        assert self._check(_representatives("sign", 2)) == 94
+
+    def test_f3_sample(self):
+        assert self._check(_f3_sample()) == 150
 
 
 class TestIrreducible:
@@ -283,8 +385,6 @@ class TestShemesh:
 
 class TestGroupActionJsrInvariance:
     def test_lambda_equal_across_orbit(self):
-        from jsrcert.reduce import pair_transforms
-
         rng = random.Random(17)
         checked = 0
         while checked < 10:
