@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -40,6 +41,8 @@ _POWER_REFINE_ROUNDS = 3
 # a cubic is factored by trial of its rational root candidates when its
 # constant and leading coefficients are at most this in absolute value
 _RATIONAL_ROOT_LIMIT = 1 << 14
+# factorizations memoized per process by `factor_int_poly`
+FACTOR_CACHE_SIZE = 4096
 
 
 class Ordering(IntEnum):
@@ -233,10 +236,22 @@ def factor_int_poly(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
     The constant content is dropped; only non-constant factors with
     their multiplicities are returned, sorted by degree and coefficients.
     Degree 3 or less is factored by rational roots (`_factor_low_degree`),
-    higher degrees by sympy.
+    higher degrees by sympy.  Factorizations are memoized per process by
+    coefficient tuple (`FACTOR_CACHE_SIZE` entries), since one minimal
+    polynomial is factored again by each check that meets it; each call
+    returns a list of its own.
     """
     if p.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
+    return list(_factor_coeffs(p.coeffs))
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _factor_coeffs(coeffs: tuple[int, ...]
+                   ) -> tuple[tuple[IntPolynomial, int], ...]:
+    """`factor_int_poly` of the nonzero polynomial with these coefficients,
+    as a tuple: the memo holds nothing a caller can change."""
+    p = IntPolynomial(coeffs)
     out = _factor_low_degree(p) if p.degree <= 3 else None
     if out is None:
         x = sympy.Symbol("x")
@@ -249,7 +264,7 @@ def factor_int_poly(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
             if q.degree >= 1:
                 out.append((q, int(mult)))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return out
+    return tuple(out)
 
 
 def _factor_low_degree(p: IntPolynomial
@@ -365,13 +380,14 @@ class RealAlgebraic:
     this is safe to share between threads holding the GIL).
     """
 
-    __slots__ = ("minpoly", "_lo", "_hi", "_chain")
+    __slots__ = ("minpoly", "_lo", "_hi", "_chain", "_sign_hi")
 
     def __init__(self, minpoly: IntPolynomial, lo: Fraction, hi: Fraction):
         self.minpoly = minpoly
         self._lo = lo
         self._hi = hi
         self._chain = None
+        self._sign_hi = None  # the sign of minpoly at _hi, once `refine` needs it
 
     # -- constructors --------------------------------------------------------
 
@@ -400,16 +416,23 @@ class RealAlgebraic:
         return self._lo, self._hi
 
     def refine(self) -> None:
-        """Halve the isolating interval."""
+        """Halve the isolating interval.
+
+        One sign evaluation per halving: the sign of the minimal
+        polynomial at the upper endpoint is kept.  It never changes, as
+        the upper endpoint moves only to a midpoint of that same sign.
+        """
         if self._lo == self._hi:
             return
+        if self._sign_hi is None:
+            self._sign_hi = self.minpoly.sign_at(self._hi)
         mid = (self._lo + self._hi) / 2
         s = self.minpoly.sign_at(mid)
         if s == 0:
             # rational root hit exactly; can only happen for degree-1 minpoly
             self._lo = self._hi = mid
             return
-        if s == self.minpoly.sign_at(self._hi):
+        if s == self._sign_hi:
             self._hi = mid
         else:
             self._lo = mid

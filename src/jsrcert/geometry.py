@@ -373,8 +373,13 @@ def dominating_vertex(poly: VertexPolytope, x) -> Optional[int]:
     Such an x lies in the hull with the combination 1 * v.  Floats order
     the vertices (largest least margin first) and, within one, the
     coordinates (smallest margin first), so a failing check usually stops
-    at its first exact comparison; every vertex is checked exactly.
+    at its first exact comparison; every vertex is checked exactly.  A
+    single vertex is compared exactly in index order, without floats,
+    which would cost more than the comparisons they order.
     """
+    if len(poly.vertices) == 1:
+        (v,) = poly.vertices
+        return 0 if all(_sgn(a - b) >= 0 for a, b in zip(v, x)) else None
     xf = [float(c) for c in x]
     margins = [[a - b for a, b in zip(v, xf)] for v in poly.floats()]
     for i in sorted(range(len(margins)), key=lambda i: -min(margins[i])):

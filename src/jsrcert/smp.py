@@ -27,6 +27,14 @@ it ties the best, and then the word it ties with, a word of the same
 necklace, is already a candidate, and `_assemble_candidates` would drop
 it as a duplicate.  Skipping it changes neither the tree nor the
 candidates.
+
+A child whose necklace is that of a current candidate, a word tying the
+best averaged radius, skips the norm tests (Frobenius, Rayleigh and the
+exact 2-norm): ||P||_F >= ||P||_2 >= rho(P), and rho(P)^(1/L) equals the
+best, so no norm of P averages strictly below the best and none of the
+tests can prune it.  The tied necklaces are forgotten whenever the best
+grows.  Such children are frequent: the powers of a symmetric s.m.p. A
+have ||A^k||_2 = rho(A)^k, and each would cost an exact 2-norm.
 """
 
 from __future__ import annotations
@@ -77,6 +85,13 @@ def canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:
 
 # the key under which `gripenberg_search` computes one spectral radius
 _necklace = canonical_word
+
+
+def _ties_best(word: tuple[int, ...], tied: set[tuple[int, ...]]) -> bool:
+    """True when word is a rotation or power of a current candidate, whose
+    necklaces (`canonical_word`) are `tied`: then its averaged radius is
+    the best, and no norm test can prune it (module docstring)."""
+    return canonical_word(word) in tied
 
 
 class _Best:
@@ -135,6 +150,7 @@ def gripenberg_search(family: MatrixFamily, max_depth: int = 10) -> CandidateSet
     stats = {"nodes": 0, "fro": 0, "two": 0, "checks": 0, "radii": 0}
     depth_reached = 0
     registered: set[tuple[int, ...]] = set()  # necklaces (module docstring)
+    tied: set[tuple[int, ...]] = set()  # necklaces of the current candidates
 
     def register(word: tuple[int, ...], value: IntMatrix) -> None:
         necklace = _necklace(word)
@@ -147,9 +163,10 @@ def gripenberg_search(family: MatrixFamily, max_depth: int = 10) -> CandidateSet
         if cmp == Ordering.GREATER:
             best.update(sr, len(word))
             raw_candidates.clear()
+            tied.clear()
+        if cmp != Ordering.LESS:
             raw_candidates.append(Product(word, value))
-        elif cmp == Ordering.EQUAL:
-            raw_candidates.append(Product(word, value))
+            tied.add(canonical_word(word))
 
     def closed_by_repetition(word: tuple[int, ...], value: IntMatrix,
                              prefixes: tuple[IntMatrix, ...]) -> bool:
@@ -196,17 +213,18 @@ def gripenberg_search(family: MatrixFamily, max_depth: int = 10) -> CandidateSet
                 cw = word + (j,)
                 if child.is_zero():
                     continue
-                # cheap exact Frobenius pre-prune (||.||_F >= ||.||_2)
-                fro = frobenius_norm_sq(child)
-                if _prunes(fro, len(cw), best):
-                    stats["fro"] += 1
-                    continue
-                # the exact 2-norm only where its Rayleigh lower bound prunes
-                if _prunes(_rayleigh_lower(child), len(cw), best):
-                    stats["checks"] += 1
-                    if _prunes(two_norm_sq(child), len(cw), best):
-                        stats["two"] += 1
+                if not _ties_best(cw, tied):
+                    # cheap exact Frobenius pre-prune (||.||_F >= ||.||_2)
+                    if _prunes(frobenius_norm_sq(child), len(cw), best):
+                        stats["fro"] += 1
                         continue
+                    # the exact 2-norm only where its Rayleigh lower bound
+                    # prunes
+                    if _prunes(_rayleigh_lower(child), len(cw), best):
+                        stats["checks"] += 1
+                        if _prunes(two_norm_sq(child), len(cw), best):
+                            stats["two"] += 1
+                            continue
                 stats["nodes"] += 1
                 depth_reached = max(depth_reached, len(cw))
                 register(cw, child)

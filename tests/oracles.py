@@ -56,6 +56,25 @@ def bisect_roots(coeffs, lo=-1024, hi=1024, depth=60):
     return roots
 
 
+def two_sign_halvings(coeffs, lo, hi, steps):
+    """The intervals of `steps` halvings of [lo, hi] around the one root
+    of coeffs inside, each deciding its side by the signs of p at the
+    midpoint and at the upper endpoint, both evaluated afresh."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    out = []
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        fm, fh = eval_poly(coeffs, mid), eval_poly(coeffs, hi)
+        if fm == 0:
+            lo = hi = mid
+        elif (fm > 0) == (fh > 0):
+            hi = mid
+        else:
+            lo = mid
+        out.append((lo, hi))
+    return out
+
+
 def mp_poly_roots(coeffs, dps=60):
     """All complex roots via mpmath.polyroots at high precision."""
     with mpmath.workdps(dps):

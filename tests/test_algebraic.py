@@ -28,7 +28,8 @@ from jsrcert.algebraic import (
 from jsrcert.matcore import IntMatrix, MatrixFamily, evaluate, spectral_radius
 
 from oracles import (bisect_roots, char_poly_cofactor, eval_poly, inverse,
-                     mp_poly_roots, mp_real_root_count, mp_value)
+                     mp_poly_roots, mp_real_root_count, mp_value,
+                     two_sign_halvings)
 
 
 P = IntPolynomial.make
@@ -655,6 +656,7 @@ class TestLowDegreeFactoring:
     def test_matches_sympy_without_calling_it(self, monkeypatch):
         import sympy
 
+        algebraic._factor_coeffs.cache_clear()
         rng = random.Random(53)
         cases = [(p, _sympy_factors(p)) for p in self._inputs(rng)]
 
@@ -679,8 +681,53 @@ class TestLowDegreeFactoring:
             return factor_list(self, *args, **kwargs)
 
         monkeypatch.setattr(sympy.Poly, "factor_list", spy)
+        algebraic._factor_coeffs.cache_clear()
         # constant and leading coefficients beyond trial division
         p = P([-20011, 1]) * P([1, 0, 1])
         assert factor_int_poly(p) == [(P([-20011, 1]), 1), (P([1, 0, 1]), 1)]
         assert factor_int_poly(P([1, 0, 0, 30000])) == [(P([1, 0, 0, 30000]), 1)]
         assert len(calls) == 2
+
+
+class TestFactorMemo:
+    def test_equals_an_uncached_factorization(self):
+        uncached = algebraic._factor_coeffs.__wrapped__
+        rng = random.Random(61)
+        inputs = [_random_poly(rng, rng.randint(1, 6), bound=rng.choice([3, 40]))
+                  for _ in range(150)]
+        inputs += [_random_poly(rng, 2) * _random_poly(rng, rng.randint(2, 3))
+                   for _ in range(30)]
+        algebraic._factor_coeffs.cache_clear()
+        for p in inputs + inputs:  # the second round is answered by the memo
+            assert factor_int_poly(p) == list(uncached(p.coeffs)), p.coeffs
+        assert algebraic._factor_coeffs.cache_info().hits >= len(inputs)
+        assert sum(len(factor_int_poly(p)) > 1 for p in inputs if p.degree >= 4) >= 20
+
+    def test_a_caller_changing_its_list_does_not_change_the_next(self):
+        p = P([-2, 0, 1]) * P([-3, 0, 1]) * P([1, 1])
+        first = factor_int_poly(p)
+        expected = list(first)
+        first.append((P([0, 1]), 5))
+        first.reverse()
+        first.pop()
+        assert factor_int_poly(p) == expected
+        assert factor_int_poly(p) is not factor_int_poly(p)
+
+
+class TestRefine:
+    def test_same_intervals_as_a_two_sign_halving(self):
+        rng = random.Random(67)
+        checked = 0
+        while checked < 60:
+            p = _random_poly(rng, rng.randint(2, 6), bound=rng.choice([3, 40]))
+            if len(factor_int_poly(p)) != 1 or factor_int_poly(p)[0][1] != 1:
+                continue  # an irreducible p, up to its content
+            for r in isolate_real_roots(p):
+                lo, hi = r.interval()
+                expected = two_sign_halvings(list(r.minpoly.coeffs), lo, hi, 40)
+                got = []
+                for _ in range(40):
+                    r.refine()
+                    got.append(r.interval())
+                assert got == expected, p.coeffs
+                checked += 1

@@ -514,6 +514,47 @@ class TestExactPreTests:
         assert min(v for k, v in seen.items()
                    if cone or "dominated" not in k) >= 50, seen
 
+    @pytest.mark.parametrize("field", ["Q", "Q(sqrt2)"])
+    def test_one_vertex_agrees_with_the_float_ordered_path(self, field):
+        # the float-ordered path runs on [v, w], where w has w_0 < x_0 and
+        # cannot dominate x, so its verdict is v's
+        rng = random.Random(37)
+        if field == "Q":
+            def coord(a, b):
+                return a + b
+        else:
+            sqrt2 = isolate_real_roots(IntPolynomial.make([-2, 0, 1]))[1]
+            ctx = NumberFieldContext.from_real_algebraic(sqrt2)
+
+            def coord(a, b):
+                return ctx.from_rational(a) + b * ctx.generator()
+        tiny = F(1, 10**30)  # below float resolution
+        verdicts = set()
+        for _ in range(150):
+            dim = rng.choice([2, 3])
+            v = [coord(F(rng.randint(0, 4), rng.randint(1, 3)),
+                       F(rng.randint(0, 2), rng.randint(1, 2)))
+                 for _ in range(dim)]
+            if all(_sign(c) == 0 for c in v):
+                continue
+            xs = [[coord(F(rng.randint(0, 4), rng.randint(1, 3)), F(0))
+                   for _ in range(dim)]]
+            for step in (0, -tiny, tiny):
+                x = list(v)
+                j = rng.randrange(dim)
+                x[j] = x[j] + step
+                xs.append(x)
+            for x in xs:
+                if _sign(x[0]) <= 0 or any(_sign(c) < 0 for c in x):
+                    continue
+                w = [x[0] / 2] + [x[0] * 0] * (dim - 1)
+                one = dominating_vertex(VertexPolytope(HullKind.P, [v], dim), x)
+                two = dominating_vertex(VertexPolytope(HullKind.P, [v, w], dim), x)
+                assert one == two, (v, x)
+                assert (one == 0) == all(_sign(a - b) >= 0 for a, b in zip(v, x))
+                verdicts.add(one)
+        assert verdicts == {0, None}
+
     def test_field_coordinates(self):
         sqrt2 = isolate_real_roots(IntPolynomial.make([-2, 0, 1]))[1]
         ctx = NumberFieldContext.from_real_algebraic(sqrt2)

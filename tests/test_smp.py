@@ -197,6 +197,28 @@ def _signed_permutations(n):
                      for i in range(n)])
 
 
+def _tree(cs):
+    """A search result apart from its count of exact 2-norms."""
+    return ([(c.word, c.value) for c in cs.candidates], cs.lambda_.serialize(),
+            cs.nodes_visited, cs.frobenius_prunes, cs.two_norm_prunes,
+            cs.radius_checks, cs.depth_reached, cs.exhausted)
+
+
+def _searched_families():
+    """The pairs a campaign searches: those no quick lemma settles;
+    3/108, 3/169 and 16/43 each prune a node by its exact 2-norm."""
+    rng = random.Random(1996)
+    codes = list(enumerate_campaign("binary", 2))
+    codes += [PairCode(3, a2, 3, "binary")
+              for a2 in [108, 169] + rng.sample(range(512), 40)]
+    codes += [PairCode(a1, a2, 2, "sign") for a1, a2 in
+              [(16, 43), (16, 49)] + [(rng.randrange(81), rng.randrange(81))
+                                      for _ in range(50)]]
+    pairs = [(decode(c), c.alphabet) for c in codes]
+    return [MatrixFamily.make(list(p), a) for p, a in pairs
+            if quick_decide(p, a).outcome is Outcome.NEEDS_IPA]
+
+
 class TestRayleighGate:
     def test_lower_bound_never_exceeds_the_two_norm(self):
         rng = random.Random(5)
@@ -212,34 +234,42 @@ class TestRayleighGate:
         for Q in mats:
             assert compare(_rayleigh_lower(Q), two_norm_sq(Q)) == Ordering.EQUAL
 
-    @staticmethod
-    def _summary(cs):
-        return ([(c.word, c.value) for c in cs.candidates], cs.lambda_.serialize(),
-                cs.nodes_visited, cs.frobenius_prunes, cs.two_norm_prunes,
-                cs.depth_reached, cs.exhausted)
-
     def test_search_is_the_same_without_the_gate(self, monkeypatch):
-        # the pairs a campaign searches: those no quick lemma settles;
-        # 3/108, 3/169 and 16/43 each prune a node by its exact 2-norm
-        rng = random.Random(1996)
-        codes = list(enumerate_campaign("binary", 2))
-        codes += [PairCode(3, a2, 3, "binary")
-                  for a2 in [108, 169] + rng.sample(range(512), 40)]
-        codes += [PairCode(a1, a2, 2, "sign") for a1, a2 in
-                  [(16, 43), (16, 49)] + [(rng.randrange(81), rng.randrange(81))
-                                          for _ in range(50)]]
-        pairs = [(decode(c), c.alphabet) for c in codes]
-        families = [MatrixFamily.make(list(p), a) for p, a in pairs
-                    if quick_decide(p, a).outcome is Outcome.NEEDS_IPA]
+        families = _searched_families()
         assert len(families) > 50
         gated = [gripenberg_search(f) for f in families]
         monkeypatch.setattr(smp, "_rayleigh_lower", lambda A: Fraction(0))
         plain = [gripenberg_search(f) for f in families]
-        assert [self._summary(cs) for cs in gated] == \
-            [self._summary(cs) for cs in plain]
+        assert [_tree(cs) for cs in gated] == [_tree(cs) for cs in plain]
         assert sum(cs.two_norm_prunes for cs in gated) >= 3
         assert sum(cs.two_norm_checks for cs in gated) < \
             sum(cs.two_norm_checks for cs in plain)
+
+
+class TestTiedProducts:
+    def test_search_is_the_same_without_the_skip(self, monkeypatch):
+        # a child tying the best can fail no norm test, so skipping the
+        # tests changes nothing but the count of exact 2-norms
+        families = _searched_families()
+        skipping = [gripenberg_search(f) for f in families]
+        monkeypatch.setattr(smp, "_ties_best", lambda word, tied: False)
+        testing = [gripenberg_search(f) for f in families]
+        assert [_tree(cs) for cs in skipping] == [_tree(cs) for cs in testing]
+        assert sum(cs.two_norm_checks for cs in skipping) < \
+            sum(cs.two_norm_checks for cs in testing)
+
+    def test_powers_of_a_symmetric_smp_need_no_two_norm(self, monkeypatch):
+        # F3 3/426: the s.m.p. is the symmetric A2, and ||A2^k||_2 =
+        # rho(A2)^k, so none of A2^2, ..., A2^10 can be pruned
+        fam = MatrixFamily.make(list(decode(PairCode(3, 426, 3, "binary"))),
+                                "binary")
+        cs = gripenberg_search(fam)
+        assert [c.value for c in cs.candidates] == [fam[1]]
+        assert fam[1] == fam[1].transpose()
+        assert (cs.nodes_visited, cs.two_norm_checks) == (11, 0)
+        monkeypatch.setattr(smp, "_ties_best", lambda word, tied: False)
+        cs = gripenberg_search(fam)
+        assert (cs.nodes_visited, cs.two_norm_checks) == (11, 9)
 
 
 class TestNecklaceMemo:
