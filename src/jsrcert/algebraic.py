@@ -17,7 +17,18 @@ shared immutable context; mixing contexts is a hard error.
 The kernels below the public API work in integers: a polynomial's sign
 at n/d is the sign of its homogenized value at (n, d), Sturm chains and
 gcds come from pseudo-remainders with the content divided out, and
-field products reduce modulo the integer minimal polynomial.
+field products reduce modulo the integer minimal polynomial.  Sturm
+chains, squarefree parts and factorizations are memoized per process by
+coefficient tuple (`FACTOR_CACHE_SIZE` entries each) and hold nothing a
+caller can change.
+
+Field arithmetic normalizes each result once: an int operand scales
+the numerators directly, and products over a monic minimal polynomial
+of degree 2 or 3 are unrolled.  Three fused kernels serve the polytope
+algorithm: `integer_combinations` (an integer matrix times a vector
+brought to one denominator), `sub_scaled` (the elimination row update
+v - f w) and `linear_combination` (a certificate's combination sums,
+zero coefficients skipped).
 """
 
 from __future__ import annotations
@@ -167,11 +178,9 @@ class IntPolynomial:
         return IntPolynomial(tuple(c // g for c in self.coeffs))
 
     def squarefree_part(self) -> "IntPolynomial":
-        g = gcd_int_poly(self, self.derivative())
-        if g.degree <= 0:
-            return self.primitive()
-        q, _ = _pseudo_divmod(self, g)
-        return q.primitive()
+        """The primitive squarefree part, memoized per process by
+        coefficient tuple (`FACTOR_CACHE_SIZE` entries)."""
+        return _squarefree_coeffs(self.coeffs)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -330,7 +339,17 @@ def _divisors(n: int) -> list[int]:
 # -- Sturm sequences ---------------------------------------------------------
 
 
-def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
+def sturm_chain(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
+    """The Sturm chain of p with the contents divided out, memoized per
+    process by coefficient tuple (`FACTOR_CACHE_SIZE` entries): one
+    minimal polynomial meets the context check, `deserialize`,
+    `to_real_algebraic` and `compare` again and again."""
+    return _sturm_coeffs(p.coeffs)
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _sturm_coeffs(coeffs: tuple[int, ...]) -> tuple[IntPolynomial, ...]:
+    p = IntPolynomial(coeffs)
     chain = [p, p.derivative()]
     while not chain[-1].is_zero and chain[-1].degree >= 1:
         _, r = _pseudo_divmod(chain[-2], chain[-1])
@@ -338,19 +357,27 @@ def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
             break
         # only positive scaling preserves Sturm sign sequences
         chain.append(_content_free(-r))
-    return [q for q in chain if not q.is_zero]
+    return tuple(q for q in chain if not q.is_zero)
 
 
-def _sign_changes(chain: list[IntPolynomial], x: Fraction) -> int:
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _squarefree_coeffs(coeffs: tuple[int, ...]) -> IntPolynomial:
+    p = IntPolynomial(coeffs)
+    g = gcd_int_poly(p, p.derivative())
+    if g.degree <= 0:
+        return p.primitive()
+    q, _ = _pseudo_divmod(p, g)
+    return q.primitive()
+
+
+def _sign_changes(chain: Sequence[IntPolynomial], x: Fraction) -> int:
     signs = [s for s in (q.sign_at(x) for q in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots_in(p: IntPolynomial, lo: Fraction, hi: Fraction,
-                   chain: list[IntPolynomial] | None = None) -> int:
+def count_roots_in(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of squarefree p in (lo, hi]."""
-    if chain is None:
-        chain = sturm_chain(p)
+    chain = sturm_chain(p)
     return _sign_changes(chain, lo) - _sign_changes(chain, hi)
 
 
@@ -380,13 +407,12 @@ class RealAlgebraic:
     this is safe to share between threads holding the GIL).
     """
 
-    __slots__ = ("minpoly", "_lo", "_hi", "_chain", "_sign_hi")
+    __slots__ = ("minpoly", "_lo", "_hi", "_sign_hi")
 
     def __init__(self, minpoly: IntPolynomial, lo: Fraction, hi: Fraction):
         self.minpoly = minpoly
         self._lo = lo
         self._hi = hi
-        self._chain = None
         self._sign_hi = None  # the sign of minpoly at _hi, once `refine` needs it
 
     # -- constructors --------------------------------------------------------
@@ -526,7 +552,7 @@ class RealAlgebraic:
         root of an irreducible polynomial of degree >= 2, so every cell
         endpoint is a non-root.
         """
-        p, chain = self.minpoly, self._sturm()
+        p = self.minpoly
         lo, hi = self._lo, self._hi
         s_lo = p.sign_at(lo)
 
@@ -544,7 +570,7 @@ class RealAlgebraic:
             k += 1
         a, b = Fraction(k), Fraction(k + 1)
         guard = 0
-        while count_roots_in(p, a, b, chain) != 1:
+        while count_roots_in(p, a, b) != 1:
             mid = (a + b) / 2
             if left_of(mid):
                 b = mid
@@ -572,11 +598,6 @@ class RealAlgebraic:
         if lo != hi and (poly.sign_at(lo) == 0 or poly.sign_at(hi) == 0):
             raise AlgebraicError("interval endpoint is a root")
         return real_algebraic_root(poly, lo, hi)
-
-    def _sturm(self) -> list[IntPolynomial]:
-        if self._chain is None:
-            self._chain = sturm_chain(self.minpoly)
-        return self._chain
 
 
 def _canonical_root(factors: list[tuple[IntPolynomial, int]],
@@ -646,9 +667,8 @@ def isolate_real_roots(p: IntPolynomial) -> list[RealAlgebraic]:
         for f in irrational[1:]:
             g = g * f
         # g has no rational roots, so rational bisection points are safe
-        chain = sturm_chain(g)
         bound = root_bound(g)
-        stack = [(-bound, bound, count_roots_in(g, -bound, bound, chain), 0)]
+        stack = [(-bound, bound, count_roots_in(g, -bound, bound), 0)]
         intervals = []
         while stack:
             lo, hi, n, depth = stack.pop()
@@ -660,7 +680,7 @@ def isolate_real_roots(p: IntPolynomial) -> list[RealAlgebraic]:
             if depth == _MAX_REFINE:
                 raise AlgebraicError("root isolation did not converge")
             mid = (lo + hi) / 2
-            nl = count_roots_in(g, lo, mid, chain)
+            nl = count_roots_in(g, lo, mid)
             stack.append((lo, mid, nl, depth + 1))
             stack.append((mid, hi, n - nl, depth + 1))
         # shrink intervals until disjoint from the rational roots
@@ -712,7 +732,7 @@ def compare(a, b) -> Ordering:
         # conjugates: equal iff the overlap holds the root both isolate
         lo = max(a.interval()[0], b.interval()[0])
         hi = min(a.interval()[1], b.interval()[1])
-        if lo <= hi and count_roots_in(a.minpoly, lo, hi, a._sturm()) >= 1:
+        if lo <= hi and count_roots_in(a.minpoly, lo, hi) >= 1:
             return Ordering.EQUAL
     # distinct values: refine until the intervals separate
     guard = 0
@@ -913,7 +933,8 @@ class NumberFieldContext:
         return self._element([c.numerator * (den // c.denominator) for c in cs], den)
 
     def from_rational(self, q: RationalLike) -> "FieldElement":
-        q = Fraction(q)
+        if type(q) is not int:
+            q = Fraction(q)
         return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1),
                             q.denominator)
 
@@ -931,7 +952,17 @@ class NumberFieldContext:
         return self._element([0, 1], 1)
 
     def _element(self, nums: list[int], den: int) -> "FieldElement":
-        """The element nums(alpha) / den for den != 0, in lowest terms."""
+        """The element nums(alpha) / den for den != 0, in lowest terms;
+        nums may be of any length."""
+        d = self.degree
+        if len(nums) > d:
+            nums, den = self._reduce(nums, den)
+        elif len(nums) < d:
+            nums = nums + [0] * (d - len(nums))
+        return self._lowest(nums, den)
+
+    def _reduce(self, nums: list[int], den: int) -> tuple[list[int], int]:
+        """(r, e) with r(alpha) / e = nums(alpha) / den and len(r) == degree."""
         d = self.degree
         m = self.minpoly.coeffs
         lead = m[-1]
@@ -945,7 +976,11 @@ class NumberFieldContext:
                     den *= lead
                 for j in range(d):
                     nums[i - d + j] -= c * m[j]
-        nums += [0] * (d - len(nums))
+        return nums, den
+
+    def _lowest(self, nums: list[int], den: int) -> "FieldElement":
+        """The element nums(alpha) / den, len(nums) == degree, in lowest
+        terms: the one normalization of every operation."""
         g = gcd(den, *nums)
         if den < 0:
             g = -g
@@ -953,6 +988,39 @@ class NumberFieldContext:
             nums = [x // g for x in nums]
             den //= g
         return FieldElement(self, tuple(nums), den)
+
+    def _mul_nums(self, a: Sequence[int], b: Sequence[int]
+                  ) -> tuple[list[int], int]:
+        """(r, s) with a(alpha) b(alpha) = r(alpha) / s and len(r) ==
+        degree; s == 1 for a monic minimal polynomial, whose products of
+        degree 2 and 3 are unrolled (the minimal polynomial of an
+        eigenvalue of an integer matrix is monic)."""
+        d = self.degree
+        m = self.minpoly.coeffs
+        if m[-1] == 1 and d <= 3:
+            if d == 3:
+                a0, a1, a2 = a
+                b0, b1, b2 = b
+                c0, c1, c2 = m[0], m[1], m[2]
+                # x^3 = -(c0 + c1 x + c2 x^2) folds the x^4, then the x^3 term
+                p4 = a2 * b2
+                p3 = a1 * b2 + a2 * b1 - p4 * c2
+                return [a0 * b0 - p3 * c0,
+                        a0 * b1 + a1 * b0 - p4 * c0 - p3 * c1,
+                        a0 * b2 + a1 * b1 + a2 * b0 - p4 * c1 - p3 * c2], 1
+            if d == 2:
+                a0, a1 = a
+                b0, b1 = b
+                p2 = a1 * b1
+                return [a0 * b0 - p2 * m[0], a0 * b1 + a1 * b0 - p2 * m[1]], 1
+            return [a[0] * b[0]], 1
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        return self._reduce(prod, 1)
 
     def __repr__(self) -> str:
         lo, hi = self.root_interval()
@@ -986,7 +1054,7 @@ class FieldElement:
             raise ContextMismatchError("elements belong to different field contexts")
 
     def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
+        if type(other) is FieldElement:
             self._check(other)
             return other
         if isinstance(other, (int, Fraction)):
@@ -996,15 +1064,29 @@ class FieldElement:
     def _combine(self, o: "FieldElement", sign: int) -> "FieldElement":
         a, b = self.den, o.den
         if a == b:
-            nums = [x + sign * y for x, y in zip(self.nums, o.nums)]
+            if sign > 0:
+                nums = [x + y for x, y in zip(self.nums, o.nums)]
+            else:
+                nums = [x - y for x, y in zip(self.nums, o.nums)]
         else:
             g = gcd(a, b)
             ma, mb = b // g, a // g
-            nums = [x * ma + sign * y * mb for x, y in zip(self.nums, o.nums)]
+            if sign < 0:
+                mb = -mb
+            nums = [x * ma + y * mb for x, y in zip(self.nums, o.nums)]
             a *= ma
-        return self.context._element(nums, a)
+        return self.context._lowest(nums, a)
+
+    def _shift(self, k: int) -> "FieldElement":
+        """self + k for an integer k: adding k * den to the constant
+        numerator keeps gcd(den, *nums) == 1, so nothing is normalized."""
+        return FieldElement(self.context,
+                            (self.nums[0] + k * self.den,) + self.nums[1:],
+                            self.den)
 
     def __add__(self, other):
+        if type(other) is int:
+            return self._shift(other)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -1013,6 +1095,8 @@ class FieldElement:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if type(other) is int:
+            return self._shift(-other)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -1025,23 +1109,22 @@ class FieldElement:
         return FieldElement(self.context, tuple(-a for a in self.nums), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        den = self.den * o.den
-        if self.is_rational():
-            q = self.nums[0]
-            return self.context._element([q * b for b in o.nums], den)
-        if o.is_rational():
-            q = o.nums[0]
-            return self.context._element([q * a for a in self.nums], den)
-        prod = [0] * (2 * self.context.degree - 1)
-        for i, a in enumerate(self.nums):
-            if a:
-                for j, b in enumerate(o.nums):
-                    if b:
-                        prod[i + j] += a * b
-        return self.context._element(prod, den)
+        t = type(other)
+        if t is FieldElement:
+            self._check(other)
+            ctx = self.context
+            nums, s = ctx._mul_nums(self.nums, other.nums)
+            return ctx._lowest(nums, self.den * other.den * s)
+        if t is int:
+            # gcd(den, k * nums) == gcd(den, k), as gcd(den, *nums) == 1
+            g = gcd(self.den, other)
+            k = other // g
+            return FieldElement(self.context, tuple(k * a for a in self.nums),
+                                self.den // g)
+        if isinstance(other, (int, Fraction)):
+            n, d = other.numerator, other.denominator
+            return self.context._lowest([n * a for a in self.nums], self.den * d)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -1103,13 +1186,13 @@ class FieldElement:
         return Fraction(self.nums[0], self.den)
 
     def __eq__(self, other) -> bool:
+        if type(other) is FieldElement:
+            self._check(other)
+            return self.nums == other.nums and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and \
                 self.nums[0] * other.denominator == other.numerator * self.den
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self._check(other)
-        return self.nums == other.nums and self.den == other.den
+        return NotImplemented
 
     def __hash__(self):
         return hash((id(self.context), self.nums, self.den))
@@ -1182,12 +1265,11 @@ class FieldElement:
         mp = self.minimal_polynomial()
         if mp.degree == 1:
             return RealAlgebraic.from_rational(Fraction(-mp.coeffs[0], mp.coeffs[1]))
-        chain = sturm_chain(mp)
         guard = 0
         while True:
             lo, hi = self.interval()
             if mp.sign_at(lo) != 0 and mp.sign_at(hi) != 0 and \
-                    count_roots_in(mp, lo, hi, chain) == 1:
+                    count_roots_in(mp, lo, hi) == 1:
                 return RealAlgebraic(mp, lo, hi)
             self.context.refine_root()
             guard += 1
@@ -1199,6 +1281,88 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"FieldElement({self.serialize()})"
+
+
+# -- fused kernels ----------------------------------------------------------
+
+
+def integer_combinations(rows: Sequence[Sequence[int]], vec: Sequence) -> list:
+    """[sum_j row[j] * vec[j] for row in rows] for integer rows.
+
+    The vector holds ints, Fractions, or FieldElements of one context
+    (with ints or Fractions among them).  It is brought to one
+    denominator once, so each entry of the result is an integer
+    combination of numerators, normalized once; ints stay ints.
+    """
+    fields = [x for x in vec if type(x) is FieldElement]
+    if fields:
+        ctx = fields[0].context
+        vec = [x if type(x) is FieldElement else ctx.from_rational(x)
+               for x in vec]
+        if any(x.context is not ctx for x in vec):
+            raise ContextMismatchError("elements belong to different field contexts")
+        den = lcm(*(x.den for x in vec))
+        # cols[k]: the k-th numerators of the vector over den
+        cols = list(zip(*(x.nums if x.den == den else
+                          [a * (den // x.den) for a in x.nums] for x in vec)))
+        return [ctx._lowest([sum(map(mul, row, col)) for col in cols], den)
+                for row in rows]
+    if all(type(x) is int for x in vec):
+        return [sum(map(mul, row, vec)) for row in rows]
+    den = lcm(*(x.denominator for x in vec))
+    nums = [x.numerator * (den // x.denominator) for x in vec]
+    return [Fraction(sum(map(mul, row, nums)), den) for row in rows]
+
+
+def sub_scaled(v: Sequence, f, w: Sequence) -> list:
+    """[a - f * b for a, b in zip(v, w)], the row update of an
+    elimination step.  Over FieldElements of one context each entry is
+    normalized once, and an entry with b == 0 is a itself; other entry
+    types use their own arithmetic."""
+    if type(f) is not FieldElement:
+        return [a - f * b for a, b in zip(v, w)]
+    ctx, fn, fd = f.context, f.nums, f.den
+    out = []
+    for a, b in zip(v, w):
+        if type(a) is not FieldElement or type(b) is not FieldElement:
+            out.append(a - f * b)
+            continue
+        if a.context is not ctx or b.context is not ctx:
+            raise ContextMismatchError("elements belong to different field contexts")
+        if not any(b.nums):
+            out.append(a)
+            continue
+        p, s = ctx._mul_nums(fn, b.nums)
+        ad, pd = a.den, fd * b.den * s
+        g = gcd(ad, pd)
+        ma, mp = pd // g, ad // g
+        out.append(ctx._lowest([x * ma - y * mp for x, y in zip(a.nums, p)],
+                               ad * ma))
+    return out
+
+
+def linear_combination(ctx: NumberFieldContext, coeffs: Sequence[FieldElement],
+                       vectors: Sequence[Sequence[FieldElement]]
+                       ) -> list[FieldElement]:
+    """sum_i coeffs[i] * vectors[i] over ctx, entrywise, for equally long
+    nonempty vectors.  Zero coefficients (a certificate's padding) are
+    skipped; the products of each entry are summed over one common
+    denominator and normalized once."""
+    terms = [(c, v) for c, v in zip(coeffs, vectors) if any(c.nums)]
+    for c, v in terms:
+        if c.context is not ctx or any(x.context is not ctx for x in v):
+            raise ContextMismatchError("elements belong to different field contexts")
+    out = []
+    for r in range(len(vectors[0])):
+        prods = [ctx._mul_nums(c.nums, v[r].nums) for c, v in terms]
+        dens = [c.den * v[r].den * s for (c, v), (_, s) in zip(terms, prods)]
+        den = lcm(*dens)
+        acc = [0] * ctx.degree
+        for (p, _), d in zip(prods, dens):
+            k = den // d
+            acc = [x + k * y for x, y in zip(acc, p)]
+        out.append(ctx._lowest(acc, den))
+    return out
 
 
 def faddeev_leverrier(M: Sequence[Sequence[int]]

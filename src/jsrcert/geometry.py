@@ -10,8 +10,10 @@ vertex's quadratic form dominates the query's (`norm_ellipse`), kinds P
 and R by the Minkowski norm.  That norm is one LP in one standard form,
 min c.y subject to A y = x and y >= 0 (`membership_lp`), solved exactly
 by `simplex_solve`, a two-phase simplex with Bland's rule over any exact
-ordered field (Fractions or FieldElements), or in floats by scipy's
-`linprog` for the prefilter.
+ordered field (Fractions or FieldElements) whose row updates are the
+fused `algebraic.sub_scaled`, or in floats by scipy's `linprog` for the
+prefilter.  The kind-C forms u^T Q u are integer combinations of Q, taken
+by `algebraic.integer_combinations`.
 
 `VertexPolytope.find` answers the cheapest query first: the index of a
 vertex exactly equal to the query (kind R: or to its negative), from a
@@ -35,13 +37,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Optional
 
 # imported here, not at first use: a worker that reaches the prefilter
 # would otherwise pay the import (about 0.8 s) inside its first case
 from scipy.optimize import linprog
 
-from .algebraic import FieldElement
+from .algebraic import FieldElement, integer_combinations, sub_scaled
 
 # a numeric norm estimate this far from 1 decides membership without the
 # exact LP; certificates record the value
@@ -96,8 +99,7 @@ def simplex_solve(A, b, c):
     cost = list(c) + [zero] * (m + 1)
     for i, j in enumerate(basis):
         if not _is_zero(cost[j]):
-            f = cost[j]
-            cost = [a - f * r for a, r in zip(cost, T[i])]
+            cost = sub_scaled(cost, cost[j], T[i])
     _pivot_loop(T, cost, basis, n)
 
     y = [zero] * n
@@ -146,11 +148,9 @@ def _pivot(T, basis, leave, enter, cost=None):
         T[leave] = [v / piv for v in T[leave]]
     for i in range(len(T)):
         if i != leave and not _is_zero(T[i][enter]):
-            f = T[i][enter]
-            T[i] = [v - f * w for v, w in zip(T[i], T[leave])]
+            T[i] = sub_scaled(T[i], T[i][enter], T[leave])
     if cost is not None and not _is_zero(cost[enter]):
-        f = cost[enter]
-        cost[:] = [v - f * w for v, w in zip(cost, T[leave])]
+        cost[:] = sub_scaled(cost, cost[enter], T[leave])
     basis[leave] = enter
 
 
@@ -299,10 +299,11 @@ ARC_SPLIT_DEPTH = 12
 _HALF_TURN = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0))
 
 
-def _form(q, u, w):
-    """The bilinear form u^T Q w for integer directions u, w."""
-    return (q[0] * (u[0] * w[0]) + q[1] * (u[0] * w[1] + u[1] * w[0])
-            + q[2] * (u[1] * w[1]))
+def _forms(*pairs) -> list[tuple[int, int, int]]:
+    """For each pair of integer directions (u, w), the integer
+    coefficients of the bilinear form u^T Q w in (q11, q12, q22)."""
+    return [(u[0] * w[0], u[0] * w[1] + u[1] * w[0], u[1] * w[1])
+            for u, w in pairs]
 
 
 def arc_nonnegative(q, d0, d1) -> bool:
@@ -310,18 +311,19 @@ def arc_nonnegative(q, d0, d1) -> bool:
 
     On the arc the form is A(1-t)^2 + 2Bt(1-t) + Ct^2 in Bernstein
     coefficients, which is nonnegative on [0, 1] if and only if A >= 0,
-    C >= 0 and either B >= 0 or B^2 <= AC.
+    C >= 0 and either B >= 0 or B^2 <= AC.  The three coefficients are
+    integer combinations of Q, taken in one kernel call.
     """
-    a, c = _form(q, d0, d0), _form(q, d1, d1)
+    a, c, b = integer_combinations(_forms((d0, d0), (d1, d1), (d0, d1)), q)
     if _sgn(a) < 0 or _sgn(c) < 0:
         return False
-    b = _form(q, d0, d1)
     return _sgn(b) >= 0 or _sgn(b * b - a * c) <= 0
 
 
 def _float_min(q, d0, d1) -> float:
     """The least value of u^T Q u over the arc, in floats (Q as floats)."""
-    a, b, c = _form(q, d0, d0), _form(q, d0, d1), _form(q, d1, d1)
+    a, b, c = (sum(map(mul, r, q))
+               for r in _forms((d0, d0), (d0, d1), (d1, d1)))
     curve = a - 2 * b + c
     if curve > 0 and 0 < a - b < curve:
         return a - (a - b) ** 2 / curve
@@ -357,7 +359,8 @@ def norm_ellipse(poly: VertexPolytope, qv) -> Optional[list]:
             cover.append((d0, d1, k))
             continue
         if depth == ARC_SPLIT_DEPTH or any(
-                all(_sgn(_form(q, d, d)) < 0 for q in forms) for d in (d0, d1)):
+                all(_sgn(integer_combinations(_forms((d, d)), q)[0]) < 0
+                    for q in forms) for d in (d0, d1)):
             return None
         mid = (d0[0] + d1[0], d0[1] + d1[1])
         stack += [(mid, d1, depth + 1), (d0, mid, depth + 1)]

@@ -64,6 +64,8 @@ from .algebraic import (
     RealAlgebraic,
     compare,
     compare_powers,
+    integer_combinations,
+    linear_combination,
     real_algebraic_root,
 )
 from .geometry import (
@@ -385,23 +387,29 @@ def _apply(A, coords: list, hull: HullKind, scale=None) -> list:
     """A v in kinds P and R, A Q A^T in kind C, times scale when given.
 
     A is a family matrix or a limit matrix given by its rows over the
-    field (limit matrices are already normalized: no scale).
+    field (limit matrices are already normalized: no scale).  In kind C
+    the congruence is linear in (q11, q12, q22), with the matrix
+    `_congruence(A)`, so a family matrix maps every kind through the
+    one integer-combination kernel (`algebraic.integer_combinations`),
+    and a limit matrix through `algebraic.linear_combination`.
     """
-    if hull is HullKind.C:
-        # the columns of A Q, then A (A Q)^T = A Q A^T, as Q is symmetric
-        c1, c2 = _matvec(A, coords[:2]), _matvec(A, coords[1:])
-        f1, f2 = _matvec(A, [c1[0], c2[0]]), _matvec(A, [c1[1], c2[1]])
-        coords = [f1[0], f1[1], f2[1]]
+    if isinstance(A, IntMatrix):
+        rows = _congruence(A.rows) if hull is HullKind.C else A.rows
+        coords = integer_combinations(rows, coords)
     else:
-        coords = _matvec(A, coords)
+        # the combination of L's columns with the coordinates as weights
+        rows = _congruence(A) if hull is HullKind.C else A
+        coords = linear_combination(coords[0].context, coords, list(zip(*rows)))
     return coords if scale is None else [c * scale for c in coords]
 
 
-def _matvec(A, vec: list) -> list:
-    if isinstance(A, IntMatrix):
-        return A.apply(vec)
-    return [sum((a * x for a, x in zip(row, vec)), start=vec[0] * 0)
-            for row in A]
+def _congruence(rows) -> tuple:
+    """The matrix of Q -> A Q A^T on Gram forms (q11, q12, q22), for
+    A = [[a, b], [c, d]]."""
+    (a, b), (c, d) = rows
+    return ((a * a, 2 * a * b, b * b),
+            (a * c, a * d + b * c, b * d),
+            (c * c, 2 * c * d, d * d))
 
 
 def _neg(v):
@@ -419,7 +427,9 @@ def _membership(poly: VertexPolytope, x: list, counts: dict) -> Optional[dict]:
     the two-vertex test, whose float weights put x far outside
     ("numeric_exterior") or whose exact pairs decide it ("two_vertex");
     in other dimensions the float LP, whose far-exterior verdict stands
-    ("numeric_exterior"), or else the exact LP ("exact_lp").
+    ("numeric_exterior"), or else the exact LP ("exact_lp").  A kind-P
+    polytope of one vertex that does not dominate x counts as "bound"
+    without `outside_bound`: some x_j exceeds that vertex's v_j.
     Combination coefficients cover the vertices as they are now; the
     certificate pads them with zeros.
     """
@@ -442,6 +452,11 @@ def _membership(poly: VertexPolytope, x: list, counts: dict) -> Optional[dict]:
             coeffs = [zero] * len(poly.vertices)
             coeffs[i] = zero + 1
             return {"type": "combination", "coeffs": coeffs, "face": [i]}
+        if len(poly.vertices) == 1:
+            # some x_j exceeds the one vertex's v_j: the coordinate bound
+            # `outside_bound` would find, without its floats
+            counts["bound"] += 1
+            return None
     if outside_bound(poly, x):
         counts["bound"] += 1
         return None
@@ -558,6 +573,16 @@ def verify_certificate(cert: dict) -> VerifyResult:
     and for every vertex and family matrix the recorded evidence places
     the scaled image inside the closed hull.  The lower and upper bound
     then coincide, so JSR = lambda.
+
+    Each (vertex, family matrix) image is computed once, and both
+    reachability and the evidence check read it.  Vertices are checked
+    in index order, so an earlier vertex with the same seed and the word
+    w already equals the seed's image under w, and a vertex with the
+    word w + (j,) is compared with that vertex's image under j, which is
+    the seed's image under w + (j,) (induction on the word length).
+    With no such earlier vertex, or a last letter that is not a family
+    letter, the word is walked from the seed, so every rejection keeps
+    the reason a walk gives.
     """
     try:
         return _verify(cert)
@@ -644,6 +669,19 @@ def _verify(cert: dict) -> VerifyResult:
             return VerifyResult(False, f"limit matrix for candidate {idx} "
                                        "cannot be constructed")
         limit_maps[-(int(idx) + 1)] = L
+    images: dict[tuple[int, int], list] = {}
+
+    def image(vi: int, j: int) -> list:
+        """The scaled image of vertex vi under family matrix j, computed
+        once for reachability and evidence alike."""
+        img = images.get((vi, j))
+        if img is None:
+            img = images[vi, j] = _apply(family[j - 1], coords[vi], hull, scale)
+        return img
+
+    # vertices checked so far, by (seed, word): each equals its seed's
+    # image under its word, so a child's image is one step from it
+    reached: dict[tuple[int, tuple], int] = {}
     for vi, v in enumerate(verts):
         word = tuple(int(j) for j in v["word"])
         if not word:
@@ -651,21 +689,27 @@ def _verify(cert: dict) -> VerifyResult:
         si = int(v["seed"])
         if not (0 <= si < len(seed_map)):
             return VerifyResult(False, f"vertex {vi} references missing seed")
-        cur = coords[seed_map[si]]
-        for j in word:
-            if j < 0:
-                L = limit_maps.get(j)
-                if L is None:
+        *prefix, j = word
+        parent = seed_map[si] if not prefix else reached.get((si, tuple(prefix)))
+        if parent is not None and 1 <= j <= len(family):
+            cur = image(parent, j)
+        else:
+            cur = coords[seed_map[si]]
+            for j in word:
+                if j < 0:
+                    L = limit_maps.get(j)
+                    if L is None:
+                        return VerifyResult(
+                            False, f"vertex {vi} uses undeclared limit matrix")
+                    cur = _apply(L, cur, hull)
+                    continue
+                if not 1 <= j <= len(family):
                     return VerifyResult(
-                        False, f"vertex {vi} uses undeclared limit matrix")
-                cur = _apply(L, cur, hull)
-                continue
-            if not 1 <= j <= len(family):
-                return VerifyResult(
-                    False, f"vertex {vi} word has letter {j} outside the family")
-            cur = _apply(family[j - 1], cur, hull, scale)
+                        False, f"vertex {vi} word has letter {j} outside the family")
+                cur = _apply(family[j - 1], cur, hull, scale)
         if cur != coords[vi]:
             return VerifyResult(False, f"vertex {vi} not reachable by its word")
+        reached.setdefault((si, word), vi)
 
     # (iii) the hull is a body, so its gauge is a norm
     if not _has_interior(coords, hull, dim):
@@ -679,8 +723,7 @@ def _verify(cert: dict) -> VerifyResult:
             if e is None:
                 return VerifyResult(
                     False, f"no evidence for vertex {vi} matrix {j}")
-            img = _apply(family[j - 1], coords[vi], hull, scale)
-            ok, why = _check_evidence(e, img, coords, hull, ctx)
+            ok, why = _check_evidence(e, image(vi, j), coords, hull, ctx)
             if not ok:
                 return VerifyResult(
                     False, f"evidence for vertex {vi} matrix {j}: {why}")
@@ -689,7 +732,7 @@ def _verify(cert: dict) -> VerifyResult:
 
 
 def _parse_elem(serialized: list, ctx) -> FieldElement:
-    return ctx.element([Fraction(c) for c in serialized])
+    return ctx.element(serialized)
 
 
 def _limit_matrix(M: IntMatrix, rho_elem: FieldElement, ctx):
@@ -754,8 +797,7 @@ def _check_evidence(e: dict, img: list, coords: list, hull: HullKind,
         mu = [_parse_elem_or_scalar(c, ctx) for c in e["coeffs"]]
         if len(mu) != len(coords):
             return False, "combination width mismatch"
-        comb = [sum((mu[i] * coords[i][r] for i in range(len(mu))),
-                    start=ctx.zero()) for r in range(len(img))]
+        comb = linear_combination(ctx, mu, coords)
         if hull is HullKind.R:
             if comb != img:
                 return False, "combination does not reproduce the image"

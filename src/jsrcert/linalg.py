@@ -5,7 +5,8 @@ Matrices are lists of rows.  Entries may be `Fraction` or `FieldElement`
 are not enough for `kernel`, since division must stay exact, but they
 are for the fraction-free `add_to_basis`.  Elimination is
 Gauss-Jordan with the first nonzero entry of each column as its pivot,
-and each pivot is inverted once.  The reduced row echelon form is unique,
+each pivot is inverted once, and rows are updated by the fused
+`algebraic.sub_scaled`.  The reduced row echelon form is unique,
 so kernels do not depend on that pivot order.  There is no inverse or
 product here: the one change of basis the pipeline makes, in
 `reduce._split_blocks`, is an integer adjugate
@@ -13,6 +14,8 @@ product here: the one change of basis the pipeline makes, in
 """
 
 from __future__ import annotations
+
+from .algebraic import sub_scaled
 
 
 def _eliminate(rows: list[list], ncols: int) -> list[int]:
@@ -29,8 +32,7 @@ def _eliminate(rows: list[list], ncols: int) -> list[int]:
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = sub_scaled(rows[i], rows[i][c], rows[r])
         pivots.append(c)
         r += 1
     return pivots

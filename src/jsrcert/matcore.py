@@ -10,12 +10,17 @@ A spectral radius is the largest of the moduli |r| of the real roots
 and sqrt(|z|^2) of the complex pairs.  The pairs are compared through
 their squared moduli against the square of the best real modulus, so a
 square root is taken only when a complex pair attains the radius; for a
-nonnegative matrix (Perron-Frobenius) it never does.
+nonnegative matrix (Perron-Frobenius) it never does.  The squared
+modulus of a cubic's pair is the real root of a reversed cubic, so no
+number field is built for it.
 
 A product is computed row by column in Python integers: the columns of
 the right factor are taken once, and each entry is the sum of the
 elementwise products of a row and a column (`sum(map(mul, row, col))`),
 so the same loop serves every dimension without an index per term.
+`IntMatrix.apply` multiplies a vector of ints, Fractions or field
+elements the same way, through `algebraic.integer_combinations`, after
+bringing the vector to one denominator.
 """
 
 from __future__ import annotations
@@ -30,13 +35,13 @@ from .algebraic import (
     AlgebraicError,
     FieldElement,
     IntPolynomial,
-    NumberFieldContext,
     Ordering,
     RealAlgebraic,
     compare,
     compare_powers,
     factor_int_poly,
     faddeev_leverrier,
+    integer_combinations,
     isolate_real_roots,
     nth_root,
 )
@@ -94,10 +99,10 @@ class IntMatrix:
                    for a, b in zip(ra, rb))
 
     def apply(self, vec: Sequence) -> list:
-        """Matrix-vector product over any commutative coefficient type."""
-        return [sum((vec[j] * self.rows[i][j] for j in range(self.dim)
-                     if self.rows[i][j]), start=vec[0] * 0)
-                for i in range(self.dim)]
+        """The product with a vector of ints, Fractions or FieldElements,
+        by the one integer-combination kernel
+        (`algebraic.integer_combinations`)."""
+        return integer_combinations(self.rows, vec)
 
     def flat(self) -> list[int]:
         return [v for r in self.rows for v in r]
@@ -260,8 +265,12 @@ def _complex_pair_modulus_squares(fac: IntPolynomial,
     whose real roots are `roots`.
 
     deg 2: modulus^2 = constant/leading (product of the pair).
-    deg 3: one real root r and one pair; |pair|^2 = |det term| / r,
-    realized exactly inside Q(r).
+    deg 3: one real root r and one pair; the product of the roots is
+    k = -c0/c3, so |pair|^2 = k / r.  With r = k / y the cubic
+    c3 r^3 + c2 r^2 + c1 r + c0 becomes, times y^3, the reversed cubic
+    c3 k^3 + c2 k^2 y + c1 k y^2 + c0 y^3, irreducible as the factor is
+    (y = k / r generates Q(r)), and its one real root k / r is isolated
+    by the image of r's interval once that excludes 0.
     Higher degrees are not needed for dimensions <= 3.
     """
     d = fac.degree
@@ -272,13 +281,17 @@ def _complex_pair_modulus_squares(fac: IntPolynomial,
         return [RealAlgebraic.from_rational(Fraction(fac.coeffs[0], fac.coeffs[2]))]
     if d == 3 and len(roots) == 1:
         r = roots[0]
-        # product of all roots = -c0/c3; |pair|^2 = product / r
-        prod = Fraction(-fac.coeffs[0], fac.coeffs[3])
+        c0, c1, c2, c3 = fac.coeffs
+        k = Fraction(-c0, c3)
         if r.is_rational:
-            return [RealAlgebraic.from_rational(prod / r.as_rational())]
-        ctx = NumberFieldContext.from_real_algebraic(r)
-        elem = ctx.from_rational(prod) / ctx.generator()
-        return [elem.to_real_algebraic()]
+            return [RealAlgebraic.from_rational(k / r.as_rational())]
+        # k = n / m: the reversed cubic times m^3, lowest degree first
+        n, m = k.numerator, k.denominator
+        poly = IntPolynomial.make([c3 * n**3, c2 * n * n * m, c1 * n * m * m,
+                                   c0 * m**3]).primitive()
+        r.exclude_zero()
+        lo, hi = sorted((k / b for b in r.interval()))
+        return [RealAlgebraic(poly, lo, hi)]
     raise AlgebraicError(
         f"complex pair modulus for degree {d} factors is not supported")
 
@@ -309,10 +322,9 @@ def leading_eigenvector(A: IntMatrix, lam: FieldElement) -> list[FieldElement]:
         raise AlgebraicError(
             f"kernel dimension {len(kern)} != 1 for eigenvalue (multiplicity issue)")
     v = kern[0]
-    # normalize first nonzero coordinate to 1
-    pivot = next(e for e in v if not e.is_zero())
-    v = [e / pivot for e in v]
-    return v
+    # normalize first nonzero coordinate to 1, inverting it once
+    inv = next(e for e in v if not e.is_zero()).inverse()
+    return [e * inv for e in v]
 
 
 def two_norm_sq(A: IntMatrix) -> RealAlgebraic:

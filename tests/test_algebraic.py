@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -19,11 +20,14 @@ from jsrcert.algebraic import (
     faddeev_leverrier,
     factor_int_poly,
     gcd_int_poly,
+    integer_combinations,
     integer_roots,
     isolate_real_roots,
+    linear_combination,
     nth_root,
     real_algebraic_root,
     sturm_chain,
+    sub_scaled,
 )
 from jsrcert.matcore import IntMatrix, MatrixFamily, evaluate, spectral_radius
 
@@ -712,6 +716,216 @@ class TestFactorMemo:
         first.pop()
         assert factor_int_poly(p) == expected
         assert factor_int_poly(p) is not factor_int_poly(p)
+
+
+class TestPolynomialMemos:
+    def _inputs(self, seed):
+        rng = random.Random(seed)
+        inputs = [_random_poly(rng, rng.randint(1, 6), sparse=rng.random() < 0.3)
+                  for _ in range(120)]
+        # repeated factors, so the squarefree part is a proper divisor
+        inputs += [(q := _random_poly(rng, rng.randint(1, 3))) * q
+                   * _random_poly(rng, rng.randint(1, 2)) for _ in range(20)]
+        return inputs
+
+    def test_sturm_chains_equal_fresh_ones_and_cannot_be_mutated(self):
+        fresh = algebraic._sturm_coeffs.__wrapped__
+        assert algebraic._sturm_coeffs.cache_info().maxsize == \
+            algebraic.FACTOR_CACHE_SIZE
+        inputs = self._inputs(73)
+        algebraic._sturm_coeffs.cache_clear()
+        for p in inputs + inputs:  # the second round is answered by the memo
+            chain = sturm_chain(p)
+            assert type(chain) is tuple and chain == fresh(p.coeffs), p.coeffs
+            assert chain[0] == p
+        assert algebraic._sturm_coeffs.cache_info().hits >= len(inputs)
+        chain = sturm_chain(inputs[0])
+        with pytest.raises(AttributeError):
+            chain.append(P([1]))
+        with pytest.raises(TypeError):
+            chain[0] = P([1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            chain[0].coeffs = (1,)
+        assert sturm_chain(inputs[0]) == fresh(inputs[0].coeffs)
+
+    def test_squarefree_parts_equal_fresh_ones(self):
+        fresh = algebraic._squarefree_coeffs.__wrapped__
+        assert algebraic._squarefree_coeffs.cache_info().maxsize == \
+            algebraic.FACTOR_CACHE_SIZE
+        inputs = self._inputs(79)
+        algebraic._squarefree_coeffs.cache_clear()
+        for p in inputs + inputs:
+            assert p.squarefree_part() == fresh(p.coeffs), p.coeffs
+        assert algebraic._squarefree_coeffs.cache_info().hits >= len(inputs)
+        assert sum(p.squarefree_part().degree < p.degree for p in inputs) >= 20
+
+
+def _random_context(rng, degree, monic):
+    """Q(alpha) for the largest real root alpha of a random irreducible
+    polynomial of this degree, monic or with a leading coefficient > 1."""
+    while True:
+        lead = 1 if monic else rng.randint(2, 5)
+        p = P([rng.randint(-9, 9) for _ in range(degree)] + [lead]).primitive()
+        if p.degree != degree or factor_int_poly(p) != [(p, 1)]:
+            continue
+        roots = isolate_real_roots(p)
+        if roots:
+            return NumberFieldContext.from_real_algebraic(roots[-1])
+
+
+def _random_coords(rng, degree):
+    """Rational coordinates with assorted denominators, often zero."""
+    return [Fraction(0) if rng.random() < 0.3 else
+            Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 4, 6, 9, 35]))
+            for _ in range(degree)]
+
+
+def _coords(ctx, x):
+    """The coordinates of an int, a Fraction or an element, as Fractions."""
+    if isinstance(x, (int, Fraction)):
+        return [Fraction(x)] + [Fraction(0)] * (ctx.degree - 1)
+    return list(x.coords)
+
+
+def _ref_mul(ctx, a, b):
+    """The coordinates of a * b by a schoolbook product in Fractions and
+    division by the minimal polynomial: no integer kernel involved."""
+    d, m = ctx.degree, ctx.minpoly.coeffs
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(_coords(ctx, a)):
+        for j, y in enumerate(_coords(ctx, b)):
+            prod[i + j] += x * y
+    for i in range(len(prod) - 1, d - 1, -1):
+        c = prod[i] / m[-1]
+        for j in range(d + 1):
+            prod[i - d + j] -= c * m[j]
+    return prod[:d]
+
+
+def _ref_sum(ctx, coord_lists):
+    return [sum(cs, Fraction(0)) for cs in zip(*coord_lists)]
+
+
+class TestFieldKernels:
+    """The lean operators and the fused kernels equal a per-element
+    Fraction reference, exactly, on random contexts of degree 1 to 3,
+    monic and not."""
+
+    CASES = [(d, monic, seed) for d in (1, 2, 3) for monic in (True, False)
+             for seed in range(3)]
+
+    def _setup(self, d, monic, seed):
+        rng = random.Random(1000 * d + 10 * monic + seed)
+        return rng, _random_context(rng, d, monic)
+
+    def _entry(self, rng, ctx, kinds=("int", "fraction", "field")):
+        kind = rng.choice(kinds)
+        if kind == "int":
+            return rng.choice([0, rng.randint(-9, 9)])
+        if kind == "fraction":
+            return rng.choice([Fraction(0), Fraction(rng.randint(-9, 9),
+                                                     rng.randint(1, 12))])
+        return ctx.element(_random_coords(rng, ctx.degree))
+
+    @pytest.mark.parametrize("d,monic,seed", CASES)
+    def test_operators_match_the_reference(self, d, monic, seed):
+        rng, ctx = self._setup(d, monic, seed)
+        for _ in range(60):
+            a = ctx.element(_random_coords(rng, d))
+            b = ctx.element(_random_coords(rng, d))
+            k = rng.randint(-12, 12)
+            q = Fraction(rng.randint(-12, 12), rng.randint(1, 15))
+            assert a * b == ctx.element(_ref_mul(ctx, a, b))
+            for s in (k, q):
+                assert a * s == s * a == ctx.element(_ref_mul(ctx, a, s))
+                assert a + s == s + a == ctx.element(
+                    _ref_sum(ctx, [_coords(ctx, a), _coords(ctx, s)]))
+                minus = [-c for c in _coords(ctx, s)]
+                assert a - s == ctx.element(_ref_sum(ctx, [_coords(ctx, a), minus]))
+                assert s - a == -(a - s)
+            assert a + b == ctx.element(_ref_sum(ctx, [_coords(ctx, a),
+                                                       _coords(ctx, b)]))
+            assert a - b == ctx.element(
+                _ref_sum(ctx, [_coords(ctx, a), [-c for c in b.coords]]))
+            for x in (a * b, a * k, a * q, a + k, a - k, a + b, a - b):
+                # lowest terms over a positive denominator
+                assert x.den > 0 and algebraic.gcd(x.den, *x.nums) == 1
+
+    @pytest.mark.parametrize("d,monic,seed", CASES)
+    def test_integer_combinations_match_the_reference(self, d, monic, seed):
+        rng, ctx = self._setup(d, monic, seed)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            rows = [[rng.choice([0, 0, rng.randint(-6, 6)]) for _ in range(n)]
+                    for _ in range(rng.randint(1, 4))]
+            vec = [self._entry(rng, ctx) for _ in range(n)]
+            vec[rng.randrange(n)] = self._entry(rng, ctx, ("field",))
+            want = [ctx.element(_ref_sum(ctx, [_ref_mul(ctx, c, x)
+                                               for c, x in zip(row, vec)]))
+                    for row in rows]
+            assert integer_combinations(rows, vec) == want
+            # Fractions and ints alone: the same values, of their own types
+            plain = [x.coords[0] if not isinstance(x, (int, Fraction)) else x
+                     for x in vec]
+            got = integer_combinations(rows, plain)
+            assert got == [sum((c * x for c, x in zip(row, plain)), Fraction(0))
+                           for row in rows]
+            ints = [rng.randint(-9, 9) for _ in range(n)]
+            got = integer_combinations(rows, ints)
+            assert all(type(x) is int for x in got)
+            assert got == [sum(c * x for c, x in zip(row, ints)) for row in rows]
+
+    @pytest.mark.parametrize("d,monic,seed", CASES)
+    def test_sub_scaled_matches_the_reference(self, d, monic, seed):
+        rng, ctx = self._setup(d, monic, seed)
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            v = [self._entry(rng, ctx, ("field",)) for _ in range(n)]
+            w = [self._entry(rng, ctx, ("field",)) for _ in range(n)]
+            w[rng.randrange(n)] = ctx.zero()
+            f = self._entry(rng, ctx, ("field",))
+            want = [ctx.element(_ref_sum(ctx, [_coords(ctx, a),
+                                               [-c for c in _ref_mul(ctx, f, b)]]))
+                    for a, b in zip(v, w)]
+            got = sub_scaled(v, f, w)
+            assert got == want
+            # an entry over a zero of w is the entry of v itself
+            assert all(g is a for g, a, b in zip(got, v, w) if b.is_zero())
+            # a rational factor takes the elements' own arithmetic
+            q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            assert sub_scaled(v, q, w) == [a - q * b for a, b in zip(v, w)]
+
+    @pytest.mark.parametrize("d,monic,seed", CASES)
+    def test_linear_combination_matches_the_reference(self, d, monic, seed):
+        rng, ctx = self._setup(d, monic, seed)
+        for _ in range(20):
+            n, width = rng.randint(1, 6), rng.randint(1, 3)
+            vectors = [[self._entry(rng, ctx, ("field",)) for _ in range(width)]
+                       for _ in range(n)]
+            # zero coefficients stand for a certificate's padding
+            coeffs = [ctx.zero() if rng.random() < 0.4 else
+                      self._entry(rng, ctx, ("field",)) for _ in range(n)]
+            want = [ctx.element(_ref_sum(ctx, [_ref_mul(ctx, c, v[r])
+                                               for c, v in zip(coeffs, vectors)]))
+                    for r in range(width)]
+            assert linear_combination(ctx, coeffs, vectors) == want
+        zeros = [ctx.zero()] * 2
+        assert linear_combination(ctx, zeros, [[ctx.one()] * 3] * 2) == \
+            [ctx.zero()] * 3
+
+    def test_kernels_refuse_mixed_contexts(self):
+        sqrt2 = isolate_real_roots(P([-2, 0, 1]))[1]
+        c1 = NumberFieldContext.from_real_algebraic(sqrt2)
+        c2 = NumberFieldContext.from_real_algebraic(sqrt2)
+        a, b = c1.generator(), c2.generator()
+        with pytest.raises(ContextMismatchError):
+            integer_combinations([[1, 1]], [a, b])
+        with pytest.raises(ContextMismatchError):
+            sub_scaled([a], a, [b])
+        with pytest.raises(ContextMismatchError):
+            linear_combination(c1, [a], [[b]])
+        with pytest.raises(ContextMismatchError):
+            a * b
 
 
 class TestRefine:

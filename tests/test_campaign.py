@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from jsrcert.campaign import (
     run_campaign,
 )
 from jsrcert.matcore import MatrixFamily, evaluate
-from jsrcert.reduce import PairCode, decode
+from jsrcert.reduce import PairCode, canonical_key, decode, enumerate_campaign
 from jsrcert.smp import gripenberg_search
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -150,6 +151,45 @@ class TestDeterministicRecords:
         assert matcore._spectral_radius_of.cache_info().hits > 0
         assert campaign._block_record.cache_info().hits > 0
         assert _lines_without_seconds(first) == _lines_without_seconds(second)
+
+
+class TestGoldenRecords:
+    """The stored records of two whole dimension-2 sets, pinned by the
+    sha256 of their lines with `seconds` dropped (the header included,
+    each line `json.dumps(..., sort_keys=True)`, joined by newlines).
+    Neither set reaches the float LP prefilter, so the pins do not depend
+    on the scipy build.  A change that is meant to alter records must
+    update the pin here and say which records changed and why."""
+
+    F2 = "5fc7b8ee7094544b91a053fc391b8860cb91526ab9d0acd37ae917e9931cb663"
+    # the F2s orbit representatives with first code 1, 4 or 5: every
+    # kind-R and kind-C hull of the benchmark's f2s-hulls workload
+    F2S_HULLS = "8436da07d33b0557263451c86ecbab30f4655e225267ecfcdb769ac13306a858"
+
+    def _digest(self, path) -> str:
+        text = "\n".join(_lines_without_seconds(path))
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def _check(self, path, pin: str, what: str) -> None:
+        got = self._digest(path)
+        assert got == pin, (
+            f"the {what} records changed (sha256 {got}); if the change is "
+            f"intended, set the pin to it and name the changed records in "
+            f"CHANGES.md")
+
+    def test_full_f2(self, tmp_path):
+        store_path = tmp_path / "f2.jsonl"
+        run_campaign("binary", 2, store_path)
+        self._check(store_path, self.F2, "full-F2")
+
+    def test_f2s_hull_representatives(self, tmp_path):
+        reps = [str(c) for c in enumerate_campaign("sign", 2)
+                if c.a1 in (1, 4, 5)
+                and str(canonical_key(decode(c), "sign")) == str(c)]
+        assert len(reps) == 95
+        store_path = tmp_path / "f2s.jsonl"
+        run_campaign("sign", 2, store_path, codes=reps)
+        self._check(store_path, self.F2S_HULLS, "f2s-hulls")
 
 
 class TestBlockMemo:

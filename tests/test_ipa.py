@@ -304,6 +304,76 @@ CONE_FAMILY = MatrixFamily.make([[[0, 1], [0, 0]], [[1, 0], [1, 1]]],
                                 alphabet="binary")
 
 
+class TestVerifierReusesImages:
+    """Reachability takes a vertex's image from its parent, the vertex
+    with the same seed and the word one letter shorter, and the evidence
+    check reuses it; every tampering is still caught, with the reason a
+    letter-by-letter walk from the seed gives."""
+
+    def _cert(self, family):
+        res, _ = _run(family)
+        assert res.status is IpaStatus.PROVED
+        return res.certificate
+
+    def _reason(self, cert) -> str:
+        res = verify_certificate(cert)
+        assert not res
+        return res.reason
+
+    def test_each_image_is_computed_once(self, monkeypatch):
+        real = ipa._apply
+        for family in (T_FAMILY, B_FAMILY, C_FAMILY):
+            cert = self._cert(family)
+            steps = []
+
+            def counting(A, coords, hull, scale=None):
+                if scale is not None:  # a family letter, scaled by lambda
+                    steps.append(1)
+                return real(A, coords, hull, scale)
+
+            monkeypatch.setattr(ipa, "_apply", counting)
+            assert verify_certificate(cert)
+            monkeypatch.setattr(ipa, "_apply", real)
+            assert len(steps) == len(cert["vertices"]) * len(family)
+
+    def test_altered_child_of_an_existing_parent_rejects(self):
+        # B_FAMILY vertex 4 has the word (1, 2, 2); vertex 3 has (1, 2)
+        cert = self._cert(B_FAMILY)
+        assert [cert["vertices"][k]["word"] for k in (3, 4)] == [[1, 2], [1, 2, 2]]
+        mut = copy.deepcopy(cert)
+        mut["vertices"][4]["coords"][0] = str(Fraction(
+            mut["vertices"][4]["coords"][0][0]) + 1)
+        assert self._reason(mut) == "vertex 4 not reachable by its word"
+
+    def test_altered_parent_is_named_before_its_child(self):
+        cert = self._cert(B_FAMILY)
+        mut = copy.deepcopy(cert)
+        coords = mut["vertices"][3]["coords"]
+        coords[1] = [str(Fraction(c) * 3) for c in coords[1]]
+        assert self._reason(mut) == "vertex 3 not reachable by its word"
+
+    def test_word_whose_prefix_names_no_vertex_rejects(self):
+        cert = self._cert(B_FAMILY)
+        mut = copy.deepcopy(cert)
+        mut["vertices"][4]["word"] = [2, 2, 2]  # no vertex has (2, 2)
+        assert self._reason(mut) == "vertex 4 not reachable by its word"
+
+    def test_letter_outside_the_family_rejects(self):
+        cert = self._cert(B_FAMILY)
+        for word, letter in (([1, 2, 3], 3), ([1, 3, 2], 3), ([1, 2, 0], 0)):
+            mut = copy.deepcopy(cert)
+            mut["vertices"][4]["word"] = word
+            assert self._reason(mut) == \
+                f"vertex 4 word has letter {letter} outside the family"
+
+    def test_undeclared_limit_letter_rejects(self):
+        cert = self._cert(B_FAMILY)
+        for word in ([1, 2, -1], [1, -1, 2], [-1]):
+            mut = copy.deepcopy(cert)
+            mut["vertices"][4]["word"] = word
+            assert self._reason(mut) == "vertex 4 uses undeclared limit matrix"
+
+
 class TestEvidenceRecordedWhenDecided:
     @pytest.mark.parametrize("family, hull, way", [
         (CONE_FAMILY, HullKind.P, "domination"),

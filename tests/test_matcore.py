@@ -224,6 +224,45 @@ class TestSquareRootOnlyForAWinningPair:
         assert not cycle.leading_simple and cycle.leading_complex
 
 
+class TestComplexPairModulus:
+    """|z|^2 of a cubic's complex pair from the reversed cubic equals the
+    value built inside Q(r) through an inverse and a minimal polynomial."""
+
+    # every cubic factor with one irrational real root that the F3 A1=3
+    # slice meets, lowest degree first
+    F3_CUBICS = [(-1, -2, -1, 1), (-1, -1, -1, 1), (-1, -1, 0, 1),
+                 (-1, 0, -2, 1), (-1, 0, -1, 1), (-1, 1, -2, 1),
+                 (-1, 2, -3, 1)]
+
+    def _cubics(self):
+        rng = random.Random(83)
+        out = [P(c) for c in self.F3_CUBICS]
+        while len(out) < 80:
+            lead = rng.choice([1, 1, 2, 3, 5])
+            p = P([rng.randint(-20, 20) for _ in range(3)] + [lead]).primitive()
+            if p.degree == 3 and factor_int_poly(p) == [(p, 1)]:
+                out.append(p)
+        return out
+
+    def test_reversed_cubic_matches_the_field_path(self):
+        checked = 0
+        for fac in self._cubics():
+            roots = isolate_real_roots(fac)
+            if len(roots) != 1:
+                continue
+            r = roots[0]
+            k = Fraction(-fac.coeffs[0], fac.coeffs[3])
+            ctx = NumberFieldContext.from_real_algebraic(r)
+            want = (ctx.from_rational(k) / ctx.generator()).to_real_algebraic()
+            (got,) = matcore._complex_pair_modulus_squares(fac, roots)
+            assert got.minpoly == want.minpoly, fac.coeffs
+            assert got.minpoly.leading > 0 and got.minpoly.content() == 1
+            assert compare(got, want) == Ordering.EQUAL, fac.coeffs
+            assert got.sign() > 0
+            checked += 1
+        assert checked >= 40
+
+
 def _generator(x):
     """x as the generator of its own field Q(x)."""
     return NumberFieldContext.from_real_algebraic(x).generator()
