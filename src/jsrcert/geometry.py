@@ -1,4 +1,5 @@
-"""Membership queries on vertex polytopes, and the one LP they pose.
+"""Membership queries on vertex polytopes, and the one LP they pose in
+dimension 3 and above.
 
 Three hull kinds are supported: cone hulls of nonnegative vertices (P),
 symmetric convex hulls (R), and, in dimension 2, symmetric hulls of
@@ -7,13 +8,14 @@ ellipse {a cos t + b sin t}, Q = a a^T + b b^T, whose support function
 is sqrt(u^T Q u); a segment [-a, a] has Q = a a^T.  All three answer
 membership exactly: kind C by an arc cover of the half turn on which one
 vertex's quadratic form dominates the query's (`norm_ellipse`), kinds P
-and R by the Minkowski norm.  That norm is one LP in one standard form,
-min c.y subject to A y = x and y >= 0 (`membership_lp`), solved exactly
-by `simplex_solve`, a two-phase simplex with Bland's rule over any exact
-ordered field (Fractions or FieldElements) whose row updates are the
-fused `algebraic.sub_scaled`, or in floats by scipy's `linprog` for the
-prefilter.  The kind-C forms u^T Q u are integer combinations of Q, taken
-by `algebraic.integer_combinations`.
+and R by the Minkowski norm.  Outside the plane that norm is one LP in
+one standard form, min c.y subject to A y = x and y >= 0
+(`membership_lp`), solved exactly by `simplex_solve`, a two-phase
+simplex with Bland's rule over any exact ordered field (Fractions or
+FieldElements) whose row updates are the fused `algebraic.sub_scaled`,
+or in floats by scipy's `linprog` for the prefilter.  The kind-C forms
+u^T Q u are integer combinations of Q, taken by
+`algebraic.integer_combinations`.
 
 `VertexPolytope.find` answers the cheapest query first: the index of a
 vertex exactly equal to the query (kind R: or to its negative), from a
@@ -24,7 +26,11 @@ finds a coordinate, or in kind P the coordinate sum, that no vertex
 reaches (outside).  In dimension 2 the rest need no LP either: the
 membership LP has two rows, so a basic solution combines at most two
 vertices, and `two_vertex_combination` solves each pair by Cramer's
-rule.  In other dimensions the queries both pre-tests leave open go to
+rule.  The same weights give the exact norm of a query strictly inside
+(`interior_norm`), which balances the polytope algorithm's seeds, so the
+plane builds no simplex tableau: there `minkowski_norm` is only the
+reference the tests compare the planar answers with.  In other
+dimensions the queries both pre-tests leave open go to
 `classify_with_fallback`, whose float LP only rules out a query far
 outside and leaves every other to the exact LP.  Floats decide only the
 far exterior (by the float LP or the float two-vertex weights); a
@@ -37,6 +43,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 from operator import mul
 from typing import Optional
 
@@ -518,33 +525,98 @@ def _combination_of(poly: VertexPolytope, x, i: int, j: int):
     |c| <= 1; None when there is no such combination."""
     u, v = poly.vertices[i], poly.vertices[j]
     if i == j:
-        if not _is_zero(x[0] * u[1] - x[1] * u[0]):
+        along = _along(u, x)
+        if along is None or along[1] > 0:
             return None
-        r = 0 if not _is_zero(u[0]) else 1
-        su, sx = _sgn(u[r]), _sgn(x[r])
-        if _sgn(su * u[r] - sx * x[r]) < 0:  # |x_r| > |u_r|
-            return None
+        r = along[0]
         return [(i, x[r] / u[r])]
-    d = u[0] * v[1] - u[1] * v[0]
-    sd = _sgn(d)
-    if sd == 0:
-        return None
-    # Cramer: a = p / d and b = q / d
-    p, q = x[0] * v[1] - x[1] * v[0], u[0] * x[1] - u[1] * x[0]
-    sa, sb = _sgn(p) * sd, _sgn(q) * sd
-    if poly.kind is HullKind.P and (sa < 0 or sb < 0):
-        return None
-    # |a| + |b| <= 1  <=>  sd (d - sa p - sb q) >= 0, as sa p = |p| sd
-    t = d
-    for s, y in ((sa, p), (sb, q)):
-        if s > 0:
-            t = t - y
-        elif s < 0:
-            t = t + y
-    if _sgn(t) * sd < 0:
+    d, p, q = _cramer(u, v, x)
+    excess = _pair_excess(poly.kind is HullKind.P, d, p, q)
+    if excess is None or excess[0] > 0:
         return None
     inv = d.inverse() if isinstance(d, FieldElement) else 1 / d
     return [(i, p * inv), (j, q * inv)]
+
+
+def _cramer(u, v, x):
+    """(d, p, q) with d = det(u, v), so that x = (p u + q v) / d when
+    d != 0 (Cramer's rule)."""
+    return (u[0] * v[1] - u[1] * v[0], x[0] * v[1] - x[1] * v[0],
+            u[0] * x[1] - u[1] * x[0])
+
+
+def _pair_excess(cone: bool, d, p, q):
+    """For x = a u + b v with a = p / d and b = q / d from `_cramer`:
+    (s, t) where t = d (|a| + |b| - 1) and s is the sign of |a| + |b| - 1,
+    so the weight is |a| + |b| = 1 + t / d.  None when d == 0, or in a
+    cone (kind P) when a or b is negative."""
+    sd = _sgn(d)
+    if sd == 0:
+        return None
+    sa, sb = _sgn(p) * sd, _sgn(q) * sd
+    if cone and (sa < 0 or sb < 0):
+        return None
+    # sa p = |p| sd, so t = sa p + sb q - d = sd (|p| + |q| - |d|)
+    t = -d
+    for s, y in ((sa, p), (sb, q)):
+        if s > 0:
+            t = t + y
+        elif s < 0:
+            t = t - y
+    return _sgn(t) * sd, t
+
+
+def _along(u, x):
+    """(r, s) when x = c u for some c, with r the index of u's first
+    nonzero coordinate (so c = x_r / u_r) and s the sign of |c| - 1;
+    None when x is off the line through u."""
+    if not _is_zero(x[0] * u[1] - x[1] * u[0]):
+        return None
+    r = 0 if not _is_zero(u[0]) else 1
+    return r, _sgn(_sgn(x[r]) * x[r] - _sgn(u[r]) * u[r])
+
+
+# orders Fractions, or FieldElements of one field, exactly
+_EXACT = cmp_to_key(lambda a, b: _sgn(a - b))
+
+
+def interior_norm(poly: VertexPolytope, x):
+    """The Minkowski norm of x in a kind-P or kind-R polygon when it is
+    below 1, exactly and without an LP; None when x is not strictly
+    inside (norm 1, above 1 or infinite).
+
+    The norm is the least weight of a basic solution of the two-row
+    membership LP: x = a u + b v for non-parallel vertices, weight
+    |a| + |b| (kind P: a, b >= 0); in kind R x = c u, weight |c| (the
+    only basic solutions when every vertex is parallel); in kind P a
+    vertex u and a slack, weight max_r x_r / u_r over u_r > 0.  Only the
+    candidates below 1 are divided out, so a query that is not strictly
+    inside costs signs alone.
+    """
+    if poly.dim != 2 or poly.kind is HullKind.C:
+        raise ValueError("the planar norm is for kind-P and kind-R polygons")
+    cone = poly.kind is HullKind.P
+    if cone and any(_sgn(c) < 0 for c in x):
+        raise ValueError("cone-hull queries require nonnegative coordinates")
+    weights = []
+    for i, u in enumerate(poly.vertices):
+        if cone:
+            if all(_sgn(a - b) > 0 or _is_zero(a) and _is_zero(b)
+                   for a, b in zip(u, x)):
+                weights.append(max((b / a for a, b in zip(u, x)
+                                    if not _is_zero(a)),
+                                   key=_EXACT))
+        else:
+            along = _along(u, x)
+            if along is not None and along[1] < 0:
+                c = x[along[0]] / u[along[0]]
+                weights.append(c if _sgn(c) >= 0 else -c)
+        for v in poly.vertices[i + 1:]:
+            d, p, q = _cramer(u, v, x)
+            excess = _pair_excess(cone, d, p, q)
+            if excess is not None and excess[0] < 0:
+                weights.append(excess[1] / d + 1)
+    return min(weights, key=_EXACT, default=None)
 
 
 def _separated(poly: VertexPolytope, x, i: int, j: int) -> bool:
@@ -558,9 +630,8 @@ def _separated(poly: VertexPolytope, x, i: int, j: int) -> bool:
     u, v = poly.vertices[i], poly.vertices[j]
     cone = poly.kind is HullKind.P
     if not cone:
-        d = u[0] * v[1] - u[1] * v[0]
+        d, p, q = _cramer(u, v, x)
         sd = _sgn(d)
-        p, q = x[0] * v[1] - x[1] * v[0], u[0] * x[1] - u[1] * x[0]
         if _sgn(p) * sd < 0:
             u = [-c for c in u]
         if _sgn(q) * sd < 0:

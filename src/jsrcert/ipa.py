@@ -76,6 +76,7 @@ from .geometry import (
     arc_nonnegative,
     classify_with_fallback,
     dominating_vertex,
+    interior_norm,
     minkowski_norm,
     norm_ellipse,
     outside_bound,
@@ -151,10 +152,16 @@ def balance(eigs: list, family: MatrixFamily,
             hull: HullKind = HullKind.R) -> list[Fraction]:
     """Rational scales making every seed non-interior to the others' hull.
 
-    A seed strictly inside the hull of the remaining scaled seeds is
-    scaled up just past its norm; the loop runs until stable or for
-    BALANCE_ROUNDS rounds, in which case the current scales are returned
-    (the caller proceeds unbalanced and surfaces any non-termination).
+    A seed strictly inside the hull of the remaining scaled seeds, at
+    norm < 1, is scaled by 1/lo for a positive rational lo <= norm (the
+    lower end of the norm's interval), which puts it on the boundary
+    when the norm is rational (3/2 on the sign pair 16/47) and outside
+    otherwise.  The loop runs until stable or for BALANCE_ROUNDS rounds,
+    in which case the current scales are returned (the caller proceeds
+    unbalanced and surfaces any non-termination).  In dimension 2 the
+    norm of a seed strictly inside comes from two-vertex weights
+    (`interior_norm`); other dimensions solve the exact LP
+    (`minkowski_norm`).
     """
     n = len(eigs)
     if n <= 1:
@@ -166,13 +173,14 @@ def balance(eigs: list, family: MatrixFamily,
             others = [_scale_vec(eigs[j], scales[j]) for j in range(n) if j != i]
             poly = VertexPolytope(hull, others, family.dim)
             me = _scale_vec(eigs[i], scales[i])
-            res = minkowski_norm(poly, me)
-            if res.value is None:
-                continue  # infinitely far outside: fine
-            if (res.value - 1).sign() < 0:
-                # strictly inside: scale up by a rational above 1/norm
-                lo = _positive_lower_bound(res.value)
-                scales[i] = scales[i] / lo
+            if family.dim == 2:
+                norm = interior_norm(poly, me)
+            else:
+                norm = minkowski_norm(poly, me).value
+                if norm is not None and (norm - 1).sign() >= 0:
+                    norm = None  # on the boundary or outside: fine
+            if norm is not None:
+                scales[i] = scales[i] / _positive_lower_bound(norm)
                 changed = True
         if not changed:
             return scales

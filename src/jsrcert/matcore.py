@@ -6,13 +6,15 @@ through characteristic polynomials, eigenvectors are solved over the
 number field generated by the eigenvalue, and matrix 2-norms come from
 the largest eigenvalue of A^T A.
 
-A spectral radius is the largest of the moduli |r| of the real roots
-and sqrt(|z|^2) of the complex pairs.  The pairs are compared through
-their squared moduli against the square of the best real modulus, so a
-square root is taken only when a complex pair attains the radius; for a
-nonnegative matrix (Perron-Frobenius) it never does.  The squared
-modulus of a cubic's pair is the real root of a reversed cubic, so no
-number field is built for it.
+A 2x2 spectral radius has a closed form in the trace and determinant,
+with no factoring or root isolation.  In other dimensions it is the
+largest of the moduli |r| of the real roots of the factored
+characteristic polynomial and sqrt(|z|^2) of its complex pairs.  The
+pairs are compared through their squared moduli against the square of
+the best real modulus, so a square root is taken only when a complex
+pair attains the radius; for a nonnegative matrix (Perron-Frobenius) it
+never does.  The squared modulus of a cubic's pair is the real root of a
+reversed cubic, so no number field is built for it.
 
 A product is computed row by column in Python integers: the columns of
 the right factor are taken once, and each entry is the sum of the
@@ -28,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -203,15 +206,58 @@ def spectral_radius(A: IntMatrix) -> SpectralRadius:
     eigenvalue is non-real.  The zero matrix returns 0 with
     leading_simple True by convention.
 
-    The result depends on the characteristic polynomial alone and is
-    memoized by it (per process, bounded).  Every call returns a fresh
-    value built from the interval of the first computation, so refining
+    A 2x2 matrix takes the closed form of `_spectral_radius_2x2`, from
+    its trace and determinant.  Other dimensions factor the
+    characteristic polynomial and isolate its roots; that result depends
+    on the characteristic polynomial alone and is memoized by it (per
+    process, bounded).  Every call returns a fresh value, built in other
+    dimensions from the interval of the first computation, so refining
     one result never narrows another.
     """
     if A.is_zero():
         return SpectralRadius(RealAlgebraic.from_rational(0), True, False)
+    if A.dim == 2:
+        return _spectral_radius_2x2(A)
     minpoly, lo, hi, simple, leading_complex = _spectral_radius_of(char_poly(A))
     return SpectralRadius(RealAlgebraic(minpoly, lo, hi), simple, leading_complex)
+
+
+def _spectral_radius_2x2(A: IntMatrix) -> SpectralRadius:
+    """The radius of a nonzero 2x2 matrix from its trace t, determinant
+    det and discriminant D = t^2 - 4 det, with no factoring.
+
+    D >= 0: the eigenvalues (t +- sqrt D) / 2 are real and the radius is
+    (|t| + sqrt D) / 2, a root of x^2 - |t| x + det (irreducible unless D
+    is a square, when the radius is an integer).  With s = isqrt(D) it
+    lies in [(|t| + s) / 2, (|t| + s + 1) / 2], which isolates it: the
+    other root is sqrt D > 1 below.  D < 0: a conjugate pair of modulus
+    sqrt det, in [r, r + 1] with r = isqrt(det).  Two eigenvalues attain
+    the radius exactly when D = 0 (a double eigenvalue) or t = 0 < D
+    (the pair +-sqrt(D) / 2).
+    """
+    (a, b), (c, d) = A.rows
+    t, det = abs(a + d), a * d - b * c
+    disc = t * t - 4 * det
+    if disc < 0:
+        r = isqrt(det)
+        value = (_integer_radius(r) if r * r == det else
+                 RealAlgebraic(IntPolynomial((-det, 0, 1)), Fraction(r),
+                               Fraction(r + 1)))
+        return SpectralRadius(value, True, True)
+    s = isqrt(disc)
+    if s * s == disc:
+        value = _integer_radius((t + s) // 2)
+    else:
+        value = RealAlgebraic(IntPolynomial((det, -t, 1)),
+                              Fraction(t + s, 2), Fraction(t + s + 1, 2))
+    return SpectralRadius(value, disc != 0 and t != 0, False)
+
+
+def _integer_radius(r: int) -> RealAlgebraic:
+    """`RealAlgebraic.from_rational(r)` for an integer r >= 0, whose
+    minimal polynomial x - r is already primitive."""
+    q = Fraction(r)
+    return RealAlgebraic(IntPolynomial((-r, 1)), q, q)
 
 
 @lru_cache(maxsize=SPECTRAL_CACHE_SIZE)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from jsrcert import campaign, matcore
+from jsrcert import campaign, geometry, matcore
 from jsrcert.algebraic import RealAlgebraic
 from jsrcert.campaign import (
     Store,
@@ -190,6 +190,36 @@ class TestGoldenRecords:
         store_path = tmp_path / "f2s.jsonl"
         run_campaign("sign", 2, store_path, codes=reps)
         self._check(store_path, self.F2S_HULLS, "f2s-hulls")
+
+
+class TestNoTableauInThePlane:
+    """Dimension-2 pairs build no simplex tableau: their seeds are
+    balanced by two-vertex weights and their images decided without an
+    LP.  With `geometry.simplex_solve` refusing, these records keep the
+    sha256 (of `json.dumps(..., sort_keys=True)`, `seconds` dropped) they
+    had when balancing solved an exact LP: five kind-C seeds (1/16),
+    three kind-R seeds (4/53), and a kind-C certificate whose fifth seed
+    is scaled by 3/2 (16/47)."""
+
+    PINS = {
+        "1/16": ("C", 5, "1954a4b29674786559cd79f793a9d91dbba925387b8fd069c34cc79a27125dd8"),
+        "4/53": ("R", 3, "e9bed54d215b78e5dd2ecef96a2bdb55ef7a79a68dd5abf4dc8c2d04d5add28f"),
+        "16/47": ("C", 8, "38701bc1d47c4e7799f465a1f8524338f8eb5f889dd81232e94f6a11d339e931"),
+    }
+
+    def test_records_without_the_simplex(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a simplex tableau in dimension 2")
+
+        monkeypatch.setattr(geometry, "simplex_solve", refuse)
+        for code, (hull, seeds, pin) in self.PINS.items():
+            rec = resolve_code(PairCode.parse(code, 2, "sign"))
+            rec.pop("seconds")
+            balance = rec["certificate"]["balance"]
+            assert (rec["hull"], len(balance)) == (hull, seeds), code
+            got = hashlib.sha256(json.dumps(rec, sort_keys=True).encode())
+            assert got.hexdigest() == pin, code
+        assert balance == ["1", "1", "1", "1", "3/2", "1", "1", "1"]
 
 
 class TestBlockMemo:

@@ -18,6 +18,7 @@ from jsrcert.geometry import (
     _sgn,
     classify_with_fallback,
     dominating_vertex,
+    interior_norm,
     minkowski_norm,
     norm_ellipse,
     outside_bound,
@@ -576,10 +577,14 @@ def _sign(v) -> int:
 
 
 class TestTwoVertexCombination:
-    """The planar test against the exact LP (`minkowski_norm`), on random
-    polygons over Q and Q(sqrt2).  In kind P its verdict is checked only
-    on queries that no vertex dominates, as in the polytope algorithm;
-    every combination it returns is checked."""
+    """The planar tests against the exact LP (`minkowski_norm`), on random
+    polygons over Q and Q(sqrt2).  In kind P the verdict of
+    `two_vertex_combination` is checked only on queries that no vertex
+    dominates, as in the polytope algorithm; every combination it returns
+    is checked.  `interior_norm` must give the LP's norm exactly when it
+    is below 1, and None otherwise: on the boundary (norm 1, among them
+    vertices), outside, and at infinite norm (kind R: off the line of a
+    hull whose vertices are all parallel)."""
 
     def _polygons(self, rng, kind, coord):
         lo = 0 if kind is HullKind.P else -4
@@ -620,6 +625,16 @@ class TestTwoVertexCombination:
     def _check(self, poly, x, seen):
         norm = minkowski_norm(poly, x).value
         inside = norm is not None and _sign(norm - 1) <= 0
+        planar = interior_norm(poly, x)
+        if inside and _sign(norm - 1) < 0:
+            assert planar == norm, (poly.vertices, x, norm, planar)
+            seen["below_one"] += 1
+        else:
+            assert planar is None, (poly.vertices, x, norm, planar)
+        if norm is None:
+            seen["infinite"] += 1
+        elif poly.find(x) is not None:
+            seen["vertex"] += 1
         verdict = two_vertex_combination(poly, x)
         if poly.kind is HullKind.P and dominating_vertex(poly, x) is not None:
             # outside the test's contract, but a combination it returns
@@ -654,12 +669,14 @@ class TestTwoVertexCombination:
         def coord(rng, lo):
             return F(rng.randint(lo, 4), rng.randint(1, 3))
 
-        seen = {"dominated": 0, "inside": 0, "boundary": 0, "outside": 0}
+        seen = dict.fromkeys(("dominated", "inside", "boundary", "outside",
+                              "below_one", "vertex", "infinite"), 0)
         for poly in self._polygons(rng, kind, coord):
             for x in self._queries(rng, poly, coord):
                 self._check(poly, x, seen)
-        assert min(v for k, v in seen.items()
-                   if k != "dominated" or kind is HullKind.P) >= 10, seen
+        assert min(v for k, v in seen.items() if k != "infinite" and
+                   (k != "dominated" or kind is HullKind.P)) >= 10, seen
+        assert seen["infinite"] >= 3, seen
 
     @pytest.mark.parametrize("kind", [HullKind.P, HullKind.R])
     def test_agrees_with_exact_lp_over_q_sqrt2(self, kind):
@@ -672,12 +689,14 @@ class TestTwoVertexCombination:
             return ctx.from_rational(F(rng.randint(lo, 3), rng.randint(1, 2))) \
                 + r * F(rng.randint(0 if lo == 0 else -2, 2), 2)
 
-        seen = {"dominated": 0, "inside": 0, "boundary": 0, "outside": 0}
+        seen = dict.fromkeys(("dominated", "inside", "boundary", "outside",
+                              "below_one", "vertex", "infinite"), 0)
         for poly in self._polygons(rng, kind, coord):
             for x in self._queries(rng, poly, coord):
                 self._check(poly, x, seen)
-        assert min(v for k, v in seen.items()
-                   if k != "dominated" or kind is HullKind.P) >= 10, seen
+        assert min(v for k, v in seen.items() if k != "infinite" and
+                   (k != "dominated" or kind is HullKind.P)) >= 10, seen
+        assert seen["infinite"] >= 3, seen
 
     @pytest.mark.parametrize("kind", [HullKind.P, HullKind.R])
     def test_separating_lines_only_for_outside_points(self, kind):
@@ -700,6 +719,31 @@ class TestTwoVertexCombination:
                 assert outside or not seps, (poly.vertices, x, seps)
                 accepted += bool(seps)
         assert accepted >= 20
+
+    def test_interior_norm_on_small_hulls(self):
+        line = VertexPolytope(HullKind.R, [[F(2), F(4)], [F(1), F(2)]], 2)
+        assert interior_norm(line, [F(-1), F(-2)]) == F(1, 2)
+        assert interior_norm(line, [F(-2), F(-4)]) is None  # a vertex
+        assert interior_norm(line, [F(1), F(3)]) is None  # infinite norm
+        sym = VertexPolytope(HullKind.R, [[F(1), F(0)], [F(0), F(1)]], 2)
+        assert interior_norm(sym, [F(1, 3), F(-1, 3)]) == F(2, 3)
+        assert interior_norm(sym, [F(1, 3), F(-2, 3)]) is None  # norm 1
+        cone = VertexPolytope(HullKind.P, [[F(2), F(0)], [F(0), F(2)]], 2)
+        assert interior_norm(cone, [F(1, 2), F(1, 2)]) == F(1, 2)
+        assert interior_norm(cone, [F(1), F(1)]) is None
+        # one vertex and a slack: the weight is max_r x_r / v_r, and a
+        # zero coordinate of both adds no constraint
+        one = VertexPolytope(HullKind.P, [[F(2), F(1)]], 2)
+        assert interior_norm(one, [F(1), F(1, 4)]) == F(1, 2)
+        assert interior_norm(one, [F(1), F(1)]) is None
+        axis = VertexPolytope(HullKind.P, [[F(2), F(0)]], 2)
+        assert interior_norm(axis, [F(1), F(0)]) == F(1, 2)
+        assert interior_norm(axis, [F(0), F(1)]) is None
+        with pytest.raises(ValueError):
+            interior_norm(cone, [F(-1), F(0)])
+        with pytest.raises(ValueError):
+            interior_norm(VertexPolytope(HullKind.R, [[F(1)] * 3], 3),
+                          [F(0)] * 3)
 
     def test_edge_point_single_vertex_and_parallel_hull(self):
         sym = VertexPolytope(HullKind.R, [[F(1), F(0)], [F(0), F(1)]], 2)

@@ -11,6 +11,7 @@ from jsrcert.algebraic import (
     Ordering,
     RealAlgebraic,
     compare,
+    count_roots_in,
     factor_int_poly,
     isolate_real_roots,
     nth_root,
@@ -158,6 +159,43 @@ class TestSpectralRadiusCache:
         zero = spectral_radius(IntMatrix.zero(3))
         assert zero.value.as_rational() == 0 and zero.leading_simple
         assert not spectral_radius(nilpotent).leading_simple
+
+
+class TestTwoByTwoClosedForm:
+    """A 2x2 radius comes from the trace and determinant alone; it equals
+    the factoring path (`_spectral_radius_of` of the characteristic
+    polynomial) on every nonzero matrix with entries in [-4, 4]."""
+
+    def test_equals_the_factoring_path_on_every_small_matrix(self, monkeypatch):
+        expected = {}
+        for entries in itertools.product(range(-4, 5), repeat=4):
+            if any(entries):
+                A = M([entries[:2], entries[2:]])
+                expected[A] = matcore._spectral_radius_of(char_poly(A))
+
+        def refuse(*args):
+            raise AssertionError("a 2x2 radius factored or isolated roots")
+
+        monkeypatch.setattr(matcore, "factor_int_poly", refuse)
+        monkeypatch.setattr(matcore, "isolate_real_roots", refuse)
+        kinds = set()
+        for A, (minpoly, lo, hi, simple, cplx) in expected.items():
+            sr = spectral_radius(A)
+            assert sr.value.minpoly == minpoly, A
+            assert compare(sr.value, RealAlgebraic(minpoly, lo, hi)) == \
+                Ordering.EQUAL, A
+            assert (sr.leading_simple, sr.leading_complex) == (simple, cplx), A
+            glo, ghi = sr.value.interval()
+            if sr.value.is_rational:
+                assert glo == ghi == sr.value.as_rational()
+            else:
+                assert count_roots_in(minpoly, glo, ghi) == 1, A
+            kinds.add((sr.value.degree, simple, cplx))
+        assert len(expected) == 6560
+        # rational and quadratic radii; real simple, real double or +-,
+        # and complex pairs
+        assert kinds == {(1, True, False), (1, False, False), (1, True, True),
+                         (2, True, False), (2, False, False), (2, True, True)}
 
 
 def _radius_taking_every_root(A):
