@@ -19,7 +19,8 @@ at n/d is the sign of its homogenized value at (n, d), Sturm chains and
 gcds come from pseudo-remainders with the content divided out, and
 field products reduce modulo the integer minimal polynomial.  Sturm
 chains, squarefree parts and factorizations are memoized per process by
-coefficient tuple (`FACTOR_CACHE_SIZE` entries each) and hold nothing a
+coefficient tuple, and a number's text by its minimal polynomial and
+interval (`FACTOR_CACHE_SIZE` entries each); none holds anything a
 caller can change.
 
 Field arithmetic normalizes each result once: an int operand scales
@@ -533,53 +534,18 @@ class RealAlgebraic:
 
         The polynomial is the minimal polynomial and the interval is the
         widest dyadic cell [k/2^j, (k+1)/2^j], j >= 0, that isolates the
-        root; a rational q is written [q,q].
+        root; a rational q is written [q,q].  The text is memoized per
+        process by minimal polynomial and current interval
+        (`FACTOR_CACHE_SIZE` entries): as it depends on the number alone,
+        a hit is the text a fresh computation would give.
         """
-        cs = ",".join(str(c) for c in self.minpoly.coeffs)
-        lo, hi = self.isolating_cell()
-        return f"minpoly=[{cs}];interval=[{_format_rational(lo)},{_format_rational(hi)}]"
+        return _render(self.minpoly, self._lo, self._hi)
 
     def isolating_cell(self) -> tuple[Fraction, Fraction]:
         """[q, q] for a rational q, else `_dyadic_cell`; either depends on
         the number alone."""
-        return (self._lo, self._hi) if self.is_rational else self._dyadic_cell()
-
-    def _dyadic_cell(self) -> tuple[Fraction, Fraction]:
-        """The widest dyadic cell of width <= 1 isolating this irrational root.
-
-        The cell is found by bisection from the unit cell that contains
-        the root, so only the number decides it.  No rational point is a
-        root of an irreducible polynomial of degree >= 2, so every cell
-        endpoint is a non-root.
-        """
-        p = self.minpoly
-        lo, hi = self._lo, self._hi
-        s_lo = p.sign_at(lo)
-
-        def left_of(c: Fraction) -> bool:
-            # (lo, hi) isolates the root, so inside it the sign of p
-            # tells the side
-            if c <= lo:
-                return False
-            if c >= hi:
-                return True
-            return p.sign_at(c) != s_lo
-
-        k = lo.numerator // lo.denominator
-        while not left_of(Fraction(k + 1)):
-            k += 1
-        a, b = Fraction(k), Fraction(k + 1)
-        guard = 0
-        while count_roots_in(p, a, b) != 1:
-            mid = (a + b) / 2
-            if left_of(mid):
-                b = mid
-            else:
-                a = mid
-            guard += 1
-            if guard > _MAX_REFINE:
-                raise AlgebraicError("dyadic isolation did not converge")
-        return a, b
+        return (self._lo, self._hi) if self.is_rational else \
+            _dyadic_cell(self.minpoly, self._lo, self._hi)
 
     @staticmethod
     def deserialize(text: str) -> "RealAlgebraic":
@@ -598,6 +564,53 @@ class RealAlgebraic:
         if lo != hi and (poly.sign_at(lo) == 0 or poly.sign_at(hi) == 0):
             raise AlgebraicError("interval endpoint is a root")
         return real_algebraic_root(poly, lo, hi)
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _render(p: IntPolynomial, lo: Fraction, hi: Fraction) -> str:
+    """`RealAlgebraic.serialize` of the root of p isolated by [lo, hi]."""
+    cs = ",".join(map(str, p.coeffs))
+    if p.degree != 1:
+        lo, hi = _dyadic_cell(p, lo, hi)
+    return f"minpoly=[{cs}];interval=[{_format_rational(lo)},{_format_rational(hi)}]"
+
+
+def _dyadic_cell(p: IntPolynomial, lo: Fraction, hi: Fraction
+                 ) -> tuple[Fraction, Fraction]:
+    """The widest dyadic cell of width <= 1 isolating the irrational root
+    of p that [lo, hi] isolates.
+
+    The cell is found by bisection from the unit cell that contains
+    the root, so only the number decides it.  No rational point is a
+    root of an irreducible polynomial of degree >= 2, so every cell
+    endpoint is a non-root.
+    """
+    s_lo = p.sign_at(lo)
+
+    def left_of(c: Fraction) -> bool:
+        # (lo, hi) isolates the root, so inside it the sign of p
+        # tells the side
+        if c <= lo:
+            return False
+        if c >= hi:
+            return True
+        return p.sign_at(c) != s_lo
+
+    k = lo.numerator // lo.denominator
+    while not left_of(Fraction(k + 1)):
+        k += 1
+    a, b = Fraction(k), Fraction(k + 1)
+    guard = 0
+    while count_roots_in(p, a, b) != 1:
+        mid = (a + b) / 2
+        if left_of(mid):
+            b = mid
+        else:
+            a = mid
+        guard += 1
+        if guard > _MAX_REFINE:
+            raise AlgebraicError("dyadic isolation did not converge")
+    return a, b
 
 
 def _canonical_root(factors: list[tuple[IntPolynomial, int]],
@@ -768,17 +781,21 @@ def compare_powers(a: Union[int, Fraction, RealAlgebraic], m: int,
                    b_powers: PowerMemo | None = None) -> Ordering:
     """Exact order of a^m against b^n for nonnegative a and b.
 
-    The powered isolating intervals decide on strict separation, after
-    at most `_POWER_REFINE_ROUNDS` halvings of each interval; only on
-    overlap are the powers built exactly, through `RealAlgebraic.pow`.
-    `b_powers`, when given, memoizes the powers of b and is filled in
-    place.
+    When each of a and b is rational or a root of a binomial minimal
+    polynomial c x^k - d (every complex-pair 2x2 radius sqrt(det) is
+    one), one integer comparison decides (`_radical_order`), without
+    intervals or Fractions.  Otherwise the powered isolating intervals
+    decide on strict separation, after at most `_POWER_REFINE_ROUNDS`
+    halvings of each interval; only on overlap are the powers built
+    exactly, through `RealAlgebraic.pow`.  `b_powers`, when given,
+    memoizes the powers of b and is filled in place.
     """
+    order = _radical_order(a, m, b, n)
+    if order is not None:
+        return order
     if isinstance(a, RealAlgebraic) and a.is_rational:
         a = a.as_rational()
     exact = not isinstance(a, RealAlgebraic)
-    if exact and b.is_rational:
-        return Ordering(_sgn(a**m - b.as_rational()**n))
     zero = Fraction(0)
     if exact:
         alo_m = ahi_m = a**m
@@ -802,6 +819,41 @@ def compare_powers(a: Union[int, Fraction, RealAlgebraic], m: int,
         if b_powers is not None:
             b_powers.exact[n] = bn
     return compare(alo_m if exact else a if m == 1 else a.pow(m), bn)
+
+
+def _radical_order(a, m: int, b: RealAlgebraic, n: int) -> Ordering | None:
+    """The order of a^m against b^n by integers alone, or None.
+
+    It applies when a and b are each rational, x = d / c with c > 0
+    (k = 1), or positive roots of a binomial minimal polynomial
+    c x^k - d.  Raising both sides to the power ka kb turns a^m against
+    b^n into (da / ca)^(m kb) against (db / cb)^(n ka), and clearing
+    the positive denominators gives da^(m kb) cb^(n ka) against
+    db^(n ka) ca^(m kb).  The raising keeps the order when both sides
+    are nonnegative; two rationals (ka = kb = 1) need no raising and may
+    have any sign.
+    """
+    ra, rb = _radical(a), _radical(b)
+    if ra is None or rb is None:
+        return None
+    (da, ca, ka), (db, cb, kb) = ra, rb
+    if ka * kb > 1 and (da < 0 or db < 0):
+        return None
+    ea, eb = m * kb, n * ka
+    return Ordering(_sgn(da**ea * cb**eb - db**eb * ca**ea))
+
+
+def _radical(x) -> tuple[int, int, int] | None:
+    """(d, c, k) with x^k = d / c and c > 0 when x is rational (k = 1) or
+    a positive root of a binomial minimal polynomial c x^k - d, else
+    None."""
+    if not isinstance(x, RealAlgebraic):
+        return x.numerator, x.denominator, 1
+    cs = x.minpoly.coeffs
+    k = len(cs) - 1
+    if k == 1 or (x._lo >= 0 and not any(cs[1:k])):
+        return -cs[0], cs[k], k
+    return None
 
 
 def _powered_interval(b: RealAlgebraic, n: int,

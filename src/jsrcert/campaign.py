@@ -157,8 +157,8 @@ def _search_stats(cs) -> dict:
 
 
 def resolve_code(code: PairCode) -> dict:
-    pair = decode(code)
-    family = MatrixFamily.make(list(pair), code.alphabet)
+    # decoded members are square and of one dimension: no checks to make
+    family = MatrixFamily(decode(code), code.alphabet)
     t0 = time.monotonic()
     rec = resolve_family(family)
     rec["code"] = str(code)
@@ -172,13 +172,20 @@ def resolve_code(code: PairCode) -> dict:
 
 
 class Store:
-    """Append-only JSON-lines store with a schema header line."""
+    """Append-only JSON-lines store with a schema header line.
+
+    `append` writes through one handle, opened by the first append and
+    kept until `close` (`run_campaign` closes its store when it ends),
+    and flushes each line as it is written, so a killed run leaves at
+    most one torn last line, which `_load` drops.
+    """
 
     def __init__(self, path: str | Path, alphabet: str = "", dim: int = 0):
         self.path = Path(path)
         self.alphabet = alphabet
         self.dim = dim
         self.records: dict[str, dict] = {}
+        self._fh = None  # the append handle, open from the first append
         if self.path.exists() and self.path.stat().st_size:
             self._load()
         elif alphabet:
@@ -223,8 +230,16 @@ class Store:
 
     def append(self, rec: dict) -> None:
         self.records[rec["code"]] = rec
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        if self._fh is None:
+            self._fh = self.path.open("a")
+        self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        self._fh.flush()
+
+    def close(self) -> None:
+        """Close the append handle; a later append opens it again."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     def __contains__(self, code: str) -> bool:
         return code in self.records
@@ -260,6 +275,7 @@ def run_campaign(alphabet: str, dim: int, store_path: str | Path,
     freeze = gc.get_freeze_count() == 0
     if freeze:
         gc.freeze()
+    store = None
     try:
         store = Store(store_path, alphabet, dim)
         todo = [code for code in _requested_codes(alphabet, dim, only_a1, codes)
@@ -283,6 +299,8 @@ def run_campaign(alphabet: str, dim: int, store_path: str | Path,
                             f"{chk.reason}")
         return summarize(store)
     finally:
+        if store is not None:
+            store.close()
         if freeze:
             gc.unfreeze()
 

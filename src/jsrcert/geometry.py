@@ -377,7 +377,8 @@ def norm_ellipse(poly: VertexPolytope, qv) -> Optional[list]:
 # -- exact tests that settle most queries without an LP ----------------------
 
 
-def dominating_vertex(poly: VertexPolytope, x) -> Optional[int]:
+def dominating_vertex(poly: VertexPolytope, x,
+                      xf: list | None = None) -> Optional[int]:
     """Kind P: the index of a vertex v with x <= v entrywise, or None.
 
     Such an x lies in the hull with the combination 1 * v.  Floats order
@@ -385,12 +386,14 @@ def dominating_vertex(poly: VertexPolytope, x) -> Optional[int]:
     coordinates (smallest margin first), so a failing check usually stops
     at its first exact comparison; every vertex is checked exactly.  A
     single vertex is compared exactly in index order, without floats,
-    which would cost more than the comparisons they order.
+    which would cost more than the comparisons they order.  `xf` is x in
+    floats, when the caller has it.
     """
     if len(poly.vertices) == 1:
         (v,) = poly.vertices
         return 0 if all(_sgn(a - b) >= 0 for a, b in zip(v, x)) else None
-    xf = [float(c) for c in x]
+    if xf is None:
+        xf = [float(c) for c in x]
     margins = [[a - b for a, b in zip(v, xf)] for v in poly.floats()]
     for i in sorted(range(len(margins)), key=lambda i: -min(margins[i])):
         v = poly.vertices[i]
@@ -400,7 +403,7 @@ def dominating_vertex(poly: VertexPolytope, x) -> Optional[int]:
     return None
 
 
-def outside_bound(poly: VertexPolytope, x) -> bool:
+def outside_bound(poly: VertexPolytope, x, xf: list | None = None) -> bool:
     """True when x violates a bound that every hull point satisfies.
 
     Kind P: a coordinate is negative, or some x_j exceeds every vertex's
@@ -408,7 +411,8 @@ def outside_bound(poly: VertexPolytope, x) -> bool:
     with mu >= 0 and sum mu_i <= 1 keeps both).  Kind R: some |x_j|
     exceeds every |v_j|.  False means only that no bound fails.  Floats
     order the bounds (largest float excess first) and the vertices within
-    one (largest first); every comparison that decides is exact.
+    one (largest first); every comparison that decides is exact.  `xf`
+    is x in floats, when the caller has it.
     """
     if poly.kind is HullKind.C:
         raise ValueError("kind-C membership is decided by norm_ellipse")
@@ -421,7 +425,8 @@ def outside_bound(poly: VertexPolytope, x) -> bool:
         return v[j] if j < n else sum(v[1:], v[0])
 
     bounds = range(n + cone)
-    xf = [float(c) for c in x]
+    if xf is None:
+        xf = [float(c) for c in x]
     fx = [abs(value(xf, j)) for j in bounds]
     fv = [[abs(value(v, j)) for j in bounds] for v in poly.floats()]
     order = range(len(fv))
@@ -450,7 +455,8 @@ class PlanarVerdict:
     numeric: bool = False
 
 
-def two_vertex_combination(poly: VertexPolytope, x) -> PlanarVerdict:
+def two_vertex_combination(poly: VertexPolytope, x,
+                           xf: list | None = None) -> PlanarVerdict:
     """Membership in a kind-P or kind-R polygon without an LP.
 
     The membership LP has two constraint rows, so an optimal basic
@@ -470,12 +476,13 @@ def two_vertex_combination(poly: VertexPolytope, x) -> PlanarVerdict:
     first has failed, each pair is also tried as a separating line
     (`_separated`); near the boundary on the outside one of the first
     pairs in float order usually is one, and that decides x outside
-    without checking the rest.
+    without checking the rest.  `xf` is x in floats, when the caller has
+    it.
     """
     if poly.dim != 2 or poly.kind is HullKind.C:
         raise ValueError("the two-vertex test is for kind-P and kind-R polygons")
     cone = poly.kind is HullKind.P
-    x0, x1 = float(x[0]), float(x[1])
+    x0, x1 = (float(x[0]), float(x[1])) if xf is None else xf
     inf = float("inf")
     ranked = []  # (float weight, i, j); j == i stands for vertex i alone
     fv = poly.floats()
@@ -657,7 +664,8 @@ def _separated(poly: VertexPolytope, x, i: int, j: int) -> bool:
 # -- the float LP, which may only rule a query out --------------------------
 
 
-def classify_with_fallback(poly: VertexPolytope, x) -> NormResult:
+def classify_with_fallback(poly: VertexPolytope, x,
+                           xf: list | None = None) -> NormResult:
     """The exact `minkowski_norm` of x, unless a float LP puts x far outside.
 
     A float norm estimate above 1 + NUMERIC_TOLERANCE is returned as an
@@ -665,16 +673,18 @@ def classify_with_fallback(poly: VertexPolytope, x) -> NormResult:
     other query, and any float failure, gets the exact result.  Kinds P
     and R only.  The polytope algorithm calls it only outside dimension
     2, for the queries that `find`, `dominating_vertex` and
-    `outside_bound` leave open.
+    `outside_bound` leave open.  `xf` is x in floats, when the caller has
+    it.
     """
-    est = _numeric_norm(poly, x)
+    if xf is None:
+        xf = [float(c) for c in x]
+    est = _numeric_norm(poly, xf)
     if est is not None and est > 1 + NUMERIC_TOLERANCE:
         return NormResult(None, [], Classification.EXTERIOR, numeric=True)
     return minkowski_norm(poly, x)
 
 
-def _numeric_norm(poly: VertexPolytope, x) -> float | None:
-    xf = [float(c) for c in x]
+def _numeric_norm(poly: VertexPolytope, xf: list[float]) -> float | None:
     A, c = membership_lp(poly.kind, poly.floats(), xf)
     r = linprog(c, A_eq=A, b_eq=xf, method="highs")
     return float(r.fun) if r.status == 0 else None

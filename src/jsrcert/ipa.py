@@ -452,24 +452,29 @@ def _membership(poly: VertexPolytope, x: list, counts: dict) -> Optional[dict]:
             return None
         return {"type": "arcs",
                 "arcs": [[list(d0), list(d1), k] for d0, d1, k in cover]}
-    if poly.kind is HullKind.P:
-        i = dominating_vertex(poly, x)
+    # x in floats, once for every float test below; each conversion of a
+    # Q(lambda) coordinate evaluates it at the root refined to 1e-17.  A
+    # one-vertex kind-P polytope is decided exactly, without them.
+    cone = poly.kind is HullKind.P
+    xf = None if cone and len(poly.vertices) == 1 else [float(c) for c in x]
+    if cone:
+        i = dominating_vertex(poly, x, xf)
         if i is not None:
             counts["domination"] += 1
             zero = x[0] * 0
             coeffs = [zero] * len(poly.vertices)
             coeffs[i] = zero + 1
             return {"type": "combination", "coeffs": coeffs, "face": [i]}
-        if len(poly.vertices) == 1:
+        if xf is None:
             # some x_j exceeds the one vertex's v_j: the coordinate bound
             # `outside_bound` would find, without its floats
             counts["bound"] += 1
             return None
-    if outside_bound(poly, x):
+    if outside_bound(poly, x, xf):
         counts["bound"] += 1
         return None
     if poly.dim == 2:
-        planar = two_vertex_combination(poly, x)
+        planar = two_vertex_combination(poly, x, xf)
         if planar.numeric:
             counts["numeric_exterior"] += 1
             return None
@@ -478,7 +483,7 @@ def _membership(poly: VertexPolytope, x: list, counts: dict) -> Optional[dict]:
             return None
         return {"type": "combination", "coeffs": planar.coeffs,
                 "face": planar.face}
-    res = classify_with_fallback(poly, x)
+    res = classify_with_fallback(poly, x, xf)
     if res.numeric:
         counts["numeric_exterior"] += 1
         return None

@@ -30,8 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import isqrt
-from operator import mul
+from operator import le, mul
 from typing import Iterable, Sequence
 
 from .algebraic import (
@@ -68,7 +69,9 @@ class IntMatrix:
         return IntMatrix(rs)
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def identity(dim: int) -> "IntMatrix":
+        """The dim x dim identity, built once per dimension and shared."""
         return IntMatrix(tuple(tuple(int(i == j) for j in range(dim))
                                for i in range(dim)))
 
@@ -92,14 +95,14 @@ class IntMatrix:
         return IntMatrix(tuple(zip(*self.rows)))
 
     def is_zero(self) -> bool:
-        return all(v == 0 for r in self.rows for v in r)
+        return not any(map(any, self.rows))
 
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for r in self.rows for v in r)
 
     def entrywise_leq(self, other: "IntMatrix") -> bool:
-        return all(a <= b for ra, rb in zip(self.rows, other.rows)
-                   for a, b in zip(ra, rb))
+        return all(map(le, chain.from_iterable(self.rows),
+                       chain.from_iterable(other.rows)))
 
     def apply(self, vec: Sequence) -> list:
         """The product with a vector of ints, Fractions or FieldElements,
@@ -171,19 +174,20 @@ def evaluate(word: Sequence[int], family: MatrixFamily) -> Product:
 
 def char_poly(A: IntMatrix) -> IntPolynomial:
     """Monic characteristic polynomial det(xI - A)."""
+    # the leading coefficient is 1, so the closed forms need no trimming
     n = A.dim
     if n == 1:
-        return IntPolynomial.make([-A.rows[0][0], 1])
+        return IntPolynomial((-A.rows[0][0], 1))
     if n == 2:
         (a, b), (c, d) = A.rows
-        return IntPolynomial.make([a * d - b * c, -(a + d), 1])
+        return IntPolynomial((a * d - b * c, -(a + d), 1))
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = A.rows
         det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         tr = a + e + i
         # sum of principal 2x2 minors
         m2 = (e * i - f * h) + (a * i - c * g) + (a * e - b * d)
-        return IntPolynomial.make([-det, m2, -tr, 1])
+        return IntPolynomial((-det, m2, -tr, 1))
     # general fallback: Faddeev-LeVerrier over the integers
     return IntPolynomial.make(faddeev_leverrier(A.rows)[0])
 

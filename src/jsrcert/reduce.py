@@ -25,7 +25,9 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Iterator, Optional
 
 from .algebraic import (
@@ -102,9 +104,16 @@ class ReductionVerdict:
 
 
 def decode(code: PairCode) -> tuple[IntMatrix, IntMatrix]:
-    digits = ALPHABETS[code.alphabet]
-    return (_decode_one(code.a1, code.dim, digits),
-            _decode_one(code.a2, code.dim, digits))
+    """The pair's two member matrices.
+
+    Each member is decoded once per process and read afterwards from a
+    table keyed by (code, dim, alphabet) (`_member`), filled as codes
+    come and bounded by the code space: |alphabet|^(dim^2) matrices per
+    dimension and alphabet, 512 for binary 3x3.  `IntMatrix` is frozen,
+    so every caller may share them.
+    """
+    return (_member(code.a1, code.dim, code.alphabet),
+            _member(code.a2, code.dim, code.alphabet))
 
 
 def encode(pair: tuple[IntMatrix, IntMatrix], alphabet: str) -> PairCode:
@@ -113,9 +122,11 @@ def encode(pair: tuple[IntMatrix, IntMatrix], alphabet: str) -> PairCode:
                     A.dim, alphabet)
 
 
-def _decode_one(num: int, dim: int, digits) -> IntMatrix:
+@lru_cache(maxsize=None)
+def _member(num: int, dim: int, alphabet: str) -> IntMatrix:
     # digits run column-major: the least significant digit is entry
     # (dim, dim), the most significant entry (1, 1)
+    digits = ALPHABETS[alphabet]
     base = len(digits)
     cells = []
     for _ in range(dim * dim):
@@ -234,14 +245,14 @@ def quick_decide(pair: tuple[IntMatrix, IntMatrix],
                     jsr=spectral_radius(X).value, smp_word=base_word,
                     witness={"sub_identity": 2 if idx == 0 else 1})
             # (b) X Y <= X^2
-            if (X @ Y).entrywise_leq(X @ X):
+            if _product_leq(X, Y, X, X):
                 return ReductionVerdict(
                     Outcome.SETTLED, Reason.DOMINATED,
                     jsr=spectral_radius(X).value, smp_word=base_word,
                     witness={"product_order": [base_word[0], base_word[0]]})
         # (d) A2 A1 <= A1 A2 (either ordering)
         for idx, (X, Y) in enumerate(((A1, A2), (A2, A1))):
-            if (Y @ X).entrywise_leq(X @ Y):
+            if _product_leq(Y, X, X, Y):
                 r1, r2 = spectral_radius(A1).value, spectral_radius(A2).value
                 word = (1,) if compare(r1, r2) != Ordering.LESS else (2,)
                 jsr = r1 if word == (1,) else r2
@@ -269,6 +280,18 @@ def quick_decide(pair: tuple[IntMatrix, IntMatrix],
             witness={"norm_depth": NORM_CHECK_DEPTH, "jsr": str(jsr_val)})
 
     return ReductionVerdict(Outcome.NEEDS_IPA)
+
+
+def _product_leq(P: IntMatrix, Q: IntMatrix, R: IntMatrix, S: IntMatrix
+                 ) -> bool:
+    """P Q <= R S entrywise, compared entry by entry without building
+    either product, up to the first entry that fails."""
+    q_cols, s_cols = tuple(zip(*Q.rows)), tuple(zip(*S.rows))
+    for p, r in zip(P.rows, R.rows):
+        for q, s in zip(q_cols, s_cols):
+            if sum(map(mul, p, q)) > sum(map(mul, r, s)):
+                return False
+    return True
 
 
 def _is_normal(A: IntMatrix) -> bool:

@@ -287,28 +287,79 @@ class TestComparePowers:
             Fraction(9, 4)), 1) == Ordering.EQUAL
 
     def test_memo_is_filled_and_read(self):
-        sqrt2 = isolate_real_roots(P([-2, 0, 1]))[1]
+        # the golden ratio phi, not a binomial root, takes the interval
+        # path; phi^2 = phi + 1 = (3 + sqrt5) / 2 is only decided exactly
+        phi = isolate_real_roots(P([-1, -1, 1]))[1]
+        phi_plus_one = isolate_real_roots(P([1, -3, 1]))[1]
         memo = PowerMemo()
-        assert compare_powers(Fraction(2), 1, sqrt2, 2, memo) == Ordering.EQUAL
-        assert compare(memo.exact[2], 2) == Ordering.EQUAL
+        assert compare_powers(phi_plus_one, 1, phi, 2, memo) == Ordering.EQUAL
+        assert compare(memo.exact[2], phi_plus_one) == Ordering.EQUAL
         # a planted memo entry is what the exact fallback reads
         memo.exact[2] = RealAlgebraic.from_rational(3)
-        assert compare_powers(Fraction(2), 1, sqrt2, 2, memo) == Ordering.LESS
+        assert compare_powers(phi_plus_one, 1, phi, 2, memo) == Ordering.LESS
 
     def test_powered_endpoints_are_read_for_the_interval_they_were_made_from(self):
-        sqrt2 = isolate_real_roots(P([-2, 0, 1]))[1]
+        phi = isolate_real_roots(P([-1, -1, 1]))[1]
         memo = PowerMemo()
-        assert compare_powers(Fraction(3, 2), 2, sqrt2, 2, memo) == Ordering.GREATER
-        lo, hi = sqrt2.interval()
+        assert compare_powers(Fraction(3, 2), 2, phi, 2, memo) == Ordering.LESS
+        lo, hi = phi.interval()
         assert memo.ends[2] == (lo, hi, max(lo, 0)**2, max(hi, 0)**2)
         # a planted entry for the current interval decides at once
-        memo.ends[2] = (lo, hi, Fraction(5), Fraction(6))
-        assert compare_powers(Fraction(2), 1, sqrt2, 2, memo) == Ordering.LESS
+        memo.ends[2] = (lo, hi, Fraction(0), Fraction(1))
+        assert compare_powers(Fraction(3, 2), 2, phi, 2, memo) == Ordering.GREATER
         # once the interval moves, the entry is made again from it
-        sqrt2.refine()
-        assert compare_powers(Fraction(3, 2), 2, sqrt2, 2, memo) == Ordering.GREATER
-        assert memo.ends[2][:2] == sqrt2.interval()
-        assert memo.ends[2][2] < 2 < memo.ends[2][3]
+        phi.refine()
+        assert compare_powers(Fraction(3, 2), 2, phi, 2, memo) == Ordering.LESS
+        lo, hi = phi.interval()
+        assert memo.ends[2] == (lo, hi, max(lo, 0)**2, max(hi, 0)**2)
+
+
+    def test_integer_shortcut_agrees_with_the_interval_path(self, monkeypatch):
+        # a an int, a Fraction, a rational, sqrt(q) or cbrt(q); b a
+        # rational, sqrt(q) or cbrt(q).  Ties a^m = b^n: a = r^(1/ka) and
+        # b = r^(1/kb) for one base r, with m = t ka and n = t kb.
+        rng = random.Random(23)
+        roots = {"int": 1, "fraction": 1, "rational": 1, "sqrt": 2, "cbrt": 3}
+
+        def value(kind, q):
+            if kind == "int":
+                return int(q)
+            if kind == "fraction":
+                return q
+            return nth_root(RealAlgebraic.from_rational(q), roots[kind])
+
+        cases = []
+        for i in range(160):
+            ka = rng.choice(list(roots))
+            kb = rng.choice(("rational", "sqrt", "cbrt"))
+            r = Fraction(rng.randint(2, 12), 1 if ka == "int" else rng.randint(1, 5))
+            if i % 2:
+                t = rng.randint(1, 4)
+                cases.append((value(ka, r), t * roots[ka], value(kb, r),
+                               t * roots[kb], True))
+            else:
+                s = Fraction(rng.randint(1, 12), rng.randint(1, 5))
+                cases.append((value(ka, r), rng.randint(1, 9), value(kb, s),
+                              rng.randint(1, 9), False))
+        for a, m, b, n, _ in cases:
+            assert algebraic._radical_order(a, m, b, n) is not None
+        shortcut = [compare_powers(a, m, b, n) for a, m, b, n, _ in cases]
+        monkeypatch.setattr(algebraic, "_radical_order", lambda *args: None)
+        for (a, m, b, n, tie), got in zip(cases, shortcut):
+            assert got == compare_powers(a, m, b, n), (a, m, b, n)
+            if tie:
+                assert got == Ordering.EQUAL
+
+    def test_complex_pair_radius_is_decided_by_integers(self):
+        # rho([[1, -1], [1, 1]]) = sqrt(2), minimal polynomial x^2 - 2
+        rho = spectral_radius(IntMatrix.make([[1, -1], [1, 1]])).value
+        assert rho.minpoly == P([-2, 0, 1])
+        interval = rho.interval()
+        assert compare_powers(2, 1, rho, 2) == Ordering.EQUAL
+        assert compare_powers(Fraction(7, 5), 2, rho, 2) == Ordering.LESS
+        assert compare_powers(rho, 4, RealAlgebraic.from_rational(4), 1) \
+            == Ordering.EQUAL
+        assert rho.interval() == interval  # no halving was needed
 
 
 class TestNthRoot:
@@ -595,6 +646,25 @@ class TestSerialization:
             back = RealAlgebraic.deserialize(text)
             assert compare(back, first) == Ordering.EQUAL
             assert back.serialize() == text
+
+    def test_memoized_text_is_the_text_of_the_number(self):
+        # the text is memoized by polynomial and current interval: a
+        # refined instance, rendered before a fresh one, gives the text
+        # the fresh one computes, and so does one rendered after it
+        for poly in (P([-2, 0, 1]), P([-1, -1, 0, 1]), P([-1, -1, 1]),
+                     P([-3, 7])):
+            algebraic._render.cache_clear()
+            refined = isolate_real_roots(poly)[-1]
+            before = refined.serialize()
+            refined.refine()
+            refined.refine()
+            after = refined.serialize()
+            fresh = isolate_real_roots(poly)[-1]
+            algebraic._render.cache_clear()
+            text = fresh.serialize()
+            assert before == after == text
+            assert fresh.serialize() is text  # a hit returns the same text
+            assert RealAlgebraic.deserialize(text).serialize() == text
 
     def test_interval_is_the_widest_isolating_dyadic_cell(self):
         for poly in (P([-2, 0, 1]), P([1, -3, 1]), P([-1, -1, 0, 1]),

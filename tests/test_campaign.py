@@ -109,6 +109,23 @@ class TestStoreRecovery:
             Store(path)
 
 
+    def test_each_appended_line_is_on_disk_before_close(self, tmp_path):
+        # one handle for the run, flushed per line: a kill loses at most
+        # the line being written
+        path = tmp_path / "s.jsonl"
+        store = Store(path, "binary", 2)
+        try:
+            for code in ("1/2", "3/5"):
+                store.append({"code": code, "status": "settled"})
+                assert path.read_text().splitlines()[-1] == json.dumps(
+                    {"code": code, "status": "settled"})
+        finally:
+            store.close()
+        store.append({"code": "6/9", "status": "settled"})  # opens again
+        store.close()
+        assert list(Store(path).records) == ["1/2", "3/5", "6/9"]
+
+
 class TestHeapFreeze:
     def test_the_run_freezes_the_heap_and_thaws_it(self, tmp_path):
         assert gc.get_freeze_count() == 0

@@ -69,6 +69,33 @@ class TestCoding:
         assert PairCode.parse("3/477", 3, "binary") == c
 
 
+class TestDecodeTable:
+    @staticmethod
+    def _reference(num, dim, digits):
+        # the k-th most significant base-|digits| digit is entry
+        # (k mod dim, k div dim): column-major from (1, 1)
+        base, n = len(digits), dim * dim
+        cells = [digits[num // base ** (n - 1 - k) % base] for k in range(n)]
+        return M([[cells[j * dim + i] for j in range(dim)] for i in range(dim)])
+
+    @pytest.mark.parametrize("alphabet,dim", [("binary", 2), ("binary", 3),
+                                              ("sign", 2)])
+    def test_every_code_decodes_as_the_reference(self, alphabet, dim):
+        digits = (0, 1) if alphabet == "binary" else (0, 1, -1)
+        top = len(digits) ** (dim * dim)
+        for num in range(top):
+            other = top - 1 - num
+            A, B = decode(PairCode(num, other, dim, alphabet))
+            assert A == self._reference(num, dim, digits)
+            assert B == self._reference(other, dim, digits)
+
+    def test_members_are_shared_per_code_dim_and_alphabet(self):
+        A, B = decode(PairCode(5, 5, 2, "binary"))
+        assert A is B
+        assert decode(PairCode(5, 9, 2, "binary"))[0] is A
+        assert decode(PairCode(5, 9, 2, "sign"))[0] != A  # digit 2 is -1
+
+
 class TestEnumeration:
     def test_totals(self):
         assert sum(1 for _ in enumerate_campaign("binary", 2)) == 256
