@@ -12,7 +12,6 @@ from .algebraic import (
     nth_root,
 )
 from .geometry import (
-    Classification,
     HullKind,
     VertexPolytope,
     classify_with_fallback,

@@ -17,11 +17,14 @@ shared immutable context; mixing contexts is a hard error.
 The kernels below the public API work in integers: a polynomial's sign
 at n/d is the sign of its homogenized value at (n, d), Sturm chains and
 gcds come from pseudo-remainders with the content divided out, and
-field products reduce modulo the integer minimal polynomial.  Sturm
-chains, squarefree parts and factorizations are memoized per process by
-coefficient tuple, and a number's text by its minimal polynomial and
-interval (`FACTOR_CACHE_SIZE` entries each); none holds anything a
-caller can change.
+field products reduce modulo the integer minimal polynomial.  One memo
+policy holds for the whole package: a pure function of immutable
+arguments is memoized per process by `lru_cache` on those arguments,
+with `MEMO_SIZE` entries unless its keys are few and fixed (a coded
+member matrix, an identity), and returns values no caller can change.
+Here that is Sturm chains, squarefree parts and factorizations, keyed
+by the polynomial, and a number's text, keyed by its minimal polynomial
+and interval.
 
 Field arithmetic normalizes each result once: an int operand scales
 the numerators directly, and products over a monic minimal polynomial
@@ -53,8 +56,8 @@ _POWER_REFINE_ROUNDS = 3
 # a cubic is factored by trial of its rational root candidates when its
 # constant and leading coefficients are at most this in absolute value
 _RATIONAL_ROOT_LIMIT = 1 << 14
-# factorizations memoized per process by `factor_int_poly`
-FACTOR_CACHE_SIZE = 4096
+# entries of each per-process memo in the package
+MEMO_SIZE = 4096
 
 
 class Ordering(IntEnum):
@@ -178,10 +181,14 @@ class IntPolynomial:
             g = -g
         return IntPolynomial(tuple(c // g for c in self.coeffs))
 
+    @lru_cache(maxsize=MEMO_SIZE)
     def squarefree_part(self) -> "IntPolynomial":
-        """The primitive squarefree part, memoized per process by
-        coefficient tuple (`FACTOR_CACHE_SIZE` entries)."""
-        return _squarefree_coeffs(self.coeffs)
+        """The primitive squarefree part (memoized)."""
+        g = gcd_int_poly(self, self.derivative())
+        if g.degree <= 0:
+            return self.primitive()
+        q, _ = _pseudo_divmod(self, g)
+        return q.primitive()
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -240,28 +247,19 @@ def gcd_int_poly(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return a.primitive()
 
 
-def factor_int_poly(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
+@lru_cache(maxsize=MEMO_SIZE)
+def factor_int_poly(p: IntPolynomial
+                    ) -> tuple[tuple[IntPolynomial, int], ...]:
     """Irreducible factorization over Q (primitive integer factors).
 
     The constant content is dropped; only non-constant factors with
     their multiplicities are returned, sorted by degree and coefficients.
     Degree 3 or less is factored by rational roots (`_factor_low_degree`),
-    higher degrees by sympy.  Factorizations are memoized per process by
-    coefficient tuple (`FACTOR_CACHE_SIZE` entries), since one minimal
-    polynomial is factored again by each check that meets it; each call
-    returns a list of its own.
+    higher degrees by sympy.  Memoized, since one minimal polynomial is
+    factored again by each check that meets it; the tuple is the memo's.
     """
     if p.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
-    return list(_factor_coeffs(p.coeffs))
-
-
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _factor_coeffs(coeffs: tuple[int, ...]
-                   ) -> tuple[tuple[IntPolynomial, int], ...]:
-    """`factor_int_poly` of the nonzero polynomial with these coefficients,
-    as a tuple: the memo holds nothing a caller can change."""
-    p = IntPolynomial(coeffs)
     out = _factor_low_degree(p) if p.degree <= 3 else None
     if out is None:
         x = sympy.Symbol("x")
@@ -340,17 +338,11 @@ def _divisors(n: int) -> list[int]:
 # -- Sturm sequences ---------------------------------------------------------
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def sturm_chain(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
-    """The Sturm chain of p with the contents divided out, memoized per
-    process by coefficient tuple (`FACTOR_CACHE_SIZE` entries): one
+    """The Sturm chain of p with the contents divided out, memoized: one
     minimal polynomial meets the context check, `deserialize`,
     `to_real_algebraic` and `compare` again and again."""
-    return _sturm_coeffs(p.coeffs)
-
-
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _sturm_coeffs(coeffs: tuple[int, ...]) -> tuple[IntPolynomial, ...]:
-    p = IntPolynomial(coeffs)
     chain = [p, p.derivative()]
     while not chain[-1].is_zero and chain[-1].degree >= 1:
         _, r = _pseudo_divmod(chain[-2], chain[-1])
@@ -359,16 +351,6 @@ def _sturm_coeffs(coeffs: tuple[int, ...]) -> tuple[IntPolynomial, ...]:
         # only positive scaling preserves Sturm sign sequences
         chain.append(_content_free(-r))
     return tuple(q for q in chain if not q.is_zero)
-
-
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _squarefree_coeffs(coeffs: tuple[int, ...]) -> IntPolynomial:
-    p = IntPolynomial(coeffs)
-    g = gcd_int_poly(p, p.derivative())
-    if g.degree <= 0:
-        return p.primitive()
-    q, _ = _pseudo_divmod(p, g)
-    return q.primitive()
 
 
 def _sign_changes(chain: Sequence[IntPolynomial], x: Fraction) -> int:
@@ -534,10 +516,9 @@ class RealAlgebraic:
 
         The polynomial is the minimal polynomial and the interval is the
         widest dyadic cell [k/2^j, (k+1)/2^j], j >= 0, that isolates the
-        root; a rational q is written [q,q].  The text is memoized per
-        process by minimal polynomial and current interval
-        (`FACTOR_CACHE_SIZE` entries): as it depends on the number alone,
-        a hit is the text a fresh computation would give.
+        root; a rational q is written [q,q].  The text is memoized by
+        minimal polynomial and current interval: as it depends on the
+        number alone, a hit is the text a fresh computation would give.
         """
         return _render(self.minpoly, self._lo, self._hi)
 
@@ -566,7 +547,7 @@ class RealAlgebraic:
         return real_algebraic_root(poly, lo, hi)
 
 
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def _render(p: IntPolynomial, lo: Fraction, hi: Fraction) -> str:
     """`RealAlgebraic.serialize` of the root of p isolated by [lo, hi]."""
     cs = ",".join(map(str, p.coeffs))
@@ -1368,17 +1349,14 @@ def integer_combinations(rows: Sequence[Sequence[int]], vec: Sequence) -> list:
 
 def sub_scaled(v: Sequence, f, w: Sequence) -> list:
     """[a - f * b for a, b in zip(v, w)], the row update of an
-    elimination step.  Over FieldElements of one context each entry is
-    normalized once, and an entry with b == 0 is a itself; other entry
-    types use their own arithmetic."""
+    elimination step.  With a FieldElement f, v and w hold FieldElements
+    of f's context: each entry is normalized once, and an entry with
+    b == 0 is a itself.  Other types of f use their own arithmetic."""
     if type(f) is not FieldElement:
         return [a - f * b for a, b in zip(v, w)]
     ctx, fn, fd = f.context, f.nums, f.den
     out = []
     for a, b in zip(v, w):
-        if type(a) is not FieldElement or type(b) is not FieldElement:
-            out.append(a - f * b)
-            continue
         if a.context is not ctx or b.context is not ctx:
             raise ContextMismatchError("elements belong to different field contexts")
         if not any(b.nums):

@@ -8,6 +8,7 @@ diffs stored results against expected-results tables.
 
 from __future__ import annotations
 
+import concurrent.futures as cf
 import gc
 import json
 import re
@@ -18,7 +19,13 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .algebraic import Ordering, RealAlgebraic, compare, compare_powers
+from .algebraic import (
+    MEMO_SIZE,
+    Ordering,
+    RealAlgebraic,
+    compare,
+    compare_powers,
+)
 from .ipa import IpaStatus, run_ipa, verify_certificate
 from .matcore import MatrixFamily, evaluate, spectral_radius
 from .reduce import (
@@ -34,8 +41,6 @@ from .smp import gripenberg_search
 
 STORE_SCHEMA = "jsr-campaign/1"
 DEPTH_LADDER = (10, 14, 18, 22)
-# block families whose record each process remembers
-BLOCK_CACHE_SIZE = 4096
 # codes per task when a process pool canonicalizes a campaign
 CANON_CHUNK = 256
 
@@ -48,7 +53,7 @@ def resolve_family(family: MatrixFamily) -> dict:
     """
     pair = tuple(family.matrices)
     if len(pair) == 2:
-        verdict = quick_decide(pair, family.alphabet)
+        verdict = quick_decide(pair)
         if verdict.outcome is Outcome.SETTLED:
             return {
                 "status": "settled",
@@ -92,7 +97,7 @@ def _resolve_blocks(family: MatrixFamily, dec) -> dict:
     }
 
 
-@lru_cache(maxsize=BLOCK_CACHE_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def _block_record(rows: tuple) -> str:
     """The record of the block family with these matrix rows, as JSON
     text, so that every caller decodes a dict of its own."""
@@ -281,13 +286,11 @@ def run_campaign(alphabet: str, dim: int, store_path: str | Path,
         todo = [code for code in _requested_codes(alphabet, dim, only_a1, codes)
                 if str(code) not in store]
         if workers > 1 and len(todo) > 1:
-            import concurrent.futures as cf
-
             with cf.ProcessPoolExecutor(max_workers=workers) as pool:
                 canons = pool.map(_canonical, todo, chunksize=CANON_CHUNK)
-                _solve_codes(store, todo, canons, pool, progress)
+                _solve_codes(store, todo, canons, pool.map, progress)
         else:
-            _solve_codes(store, todo, map(_canonical, todo), None, progress)
+            _solve_codes(store, todo, map(_canonical, todo), map, progress)
 
         if recheck:
             for rec in store.records.values():
@@ -310,10 +313,11 @@ def _canonical(code: PairCode) -> PairCode:
 
 
 def _solve_codes(store: Store, todo: list[PairCode],
-                 canons: Iterable[PairCode], pool, progress) -> None:
+                 canons: Iterable[PairCode], mapper, progress) -> None:
     """Resolve the orbit representatives of `todo` (whose canonical keys
-    `canons` lists in the same order) in `pool`, or in process when it is
-    None, and append their records and the duplicate links to `store`."""
+    `canons` lists in the same order) by `mapper(resolve_code, codes)`, a
+    process pool's `map` or the builtin one, and append their records and
+    the duplicate links to `store`, in code order either way."""
     pending: list[tuple[str, Optional[str]]] = []  # (code, canonical or None)
     canon_to_solve: list[PairCode] = []
     seen_canon: set[str] = set()
@@ -331,21 +335,10 @@ def _solve_codes(store: Store, todo: list[PairCode],
                 canon_to_solve.append(canon)
 
     solved: dict[str, dict] = {}
-    if pool is not None:
-        import concurrent.futures as cf
-
-        futs = {pool.submit(resolve_code, c): str(c) for c in canon_to_solve}
-        for fut in cf.as_completed(futs):
-            rec = fut.result()
-            solved[rec["code"]] = rec
-            if progress:
-                progress(rec)
-    else:
-        for c in canon_to_solve:
-            rec = resolve_code(c)
-            solved[rec["code"]] = rec
-            if progress:
-                progress(rec)
+    for rec in mapper(resolve_code, canon_to_solve):
+        solved[rec["code"]] = rec
+        if progress:
+            progress(rec)
 
     # canonical records first (in code order), then duplicate links
     for c in sorted(solved, key=_code_sort_key):

@@ -6,7 +6,8 @@
     jsr solve   --matrices family.json
 
 Exit codes: 0 all resolved / verified, 1 unresolved cases or rejected
-certificate, 2 invalid input.
+certificate, 2 invalid input or input beyond the exact kernels (such
+as a complex eigenvalue pair of a degree-4 factor).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import sys
 from pathlib import Path
 
+from .algebraic import AlgebraicError
 from .campaign import (
     Store,
     diff_expected,
@@ -68,7 +70,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, AlgebraicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,9 +12,9 @@ and R by the Minkowski norm.  Outside the plane that norm is one LP in
 one standard form, min c.y subject to A y = x and y >= 0
 (`membership_lp`), solved exactly by `simplex_solve`, a two-phase
 simplex with Bland's rule over any exact ordered field (Fractions or
-FieldElements) whose row updates are the fused `algebraic.sub_scaled`,
-or in floats by scipy's `linprog` for the prefilter.  The kind-C forms
-u^T Q u are integer combinations of Q, taken by
+FieldElements) whose Gauss-Jordan step is `linalg.pivot`, the one the
+kernels use, or in floats by scipy's `linprog` for the prefilter.  The
+kind-C forms u^T Q u are integer combinations of Q, taken by
 `algebraic.integer_combinations`.
 
 `VertexPolytope.find` answers the cheapest query first: the index of a
@@ -33,10 +33,12 @@ reference the tests compare the planar answers with.  In other
 dimensions the queries both pre-tests leave open go to
 `classify_with_fallback`, whose float LP only rules out a query far
 outside and leaves every other to the exact LP.  Floats decide only the
-far exterior (by the float LP or the float two-vertex weights); a
-verdict that places a query inside is always exact and carries its
+far exterior (by the float LP or the float two-vertex weights); an
+answer that places a query inside is always exact and carries its
 combination, and otherwise floats only order the candidates of an exact
-test.  There are no modes: this is the one path.
+test.  `minkowski_norm`, `classify_with_fallback` and
+`two_vertex_combination` give one answer type, `NormResult`.  There are
+no modes: this is the one path.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from typing import Optional
 from scipy.optimize import linprog
 
 from .algebraic import FieldElement, integer_combinations, sub_scaled
+from .linalg import pivot
 
 # a numeric norm estimate this far from 1 decides membership without the
 # exact LP; certificates record the value
@@ -147,15 +150,7 @@ def _pivot_loop(T, cost, basis, n):
 
 
 def _pivot(T, basis, leave, enter, cost=None):
-    piv = T[leave][enter]
-    if isinstance(piv, FieldElement):
-        inv = piv.inverse()
-        T[leave] = [v * inv for v in T[leave]]
-    else:
-        T[leave] = [v / piv for v in T[leave]]
-    for i in range(len(T)):
-        if i != leave and not _is_zero(T[i][enter]):
-            T[i] = sub_scaled(T[i], T[i][enter], T[leave])
+    pivot(T, leave, enter)
     if cost is not None and not _is_zero(cost[enter]):
         cost[:] = sub_scaled(cost, cost[enter], T[leave])
     basis[leave] = enter
@@ -179,12 +174,6 @@ class HullKind(enum.Enum):
     P = "P"  # cone hull in the first orthant
     R = "R"  # symmetric convex hull
     C = "C"  # elliptic hull of complex vertices
-
-
-class Classification(enum.Enum):
-    INTERIOR = "interior"
-    BOUNDARY = "boundary"
-    EXTERIOR = "exterior"
 
 
 @dataclass
@@ -240,12 +229,16 @@ class VertexPolytope:
 
 @dataclass
 class NormResult:
-    value: Optional[object]  # field element / Fraction; None means +infinity
+    """A membership answer.  `combination` (one coefficient per vertex,
+    nonzero only on `face`) places x in the closed hull; None means x is
+    outside, by a float estimate alone when `numeric`.  `value` is the
+    exact Minkowski norm (a Fraction or FieldElement) when an LP computed
+    it, and None otherwise or when the norm is infinite."""
+
+    combination: Optional[list]
     face: list[int]
-    classification: Classification
     numeric: bool = False
-    # the exact path's feasible combination, one coefficient per vertex
-    combination: Optional[list] = None
+    value: Optional[object] = None
 
 
 def membership_lp(kind: HullKind, vertices, x) -> tuple[list, list]:
@@ -272,15 +265,17 @@ def membership_lp(kind: HullKind, vertices, x) -> tuple[list, list]:
 
 def minkowski_norm(poly: VertexPolytope, x) -> NormResult:
     """The Minkowski norm of x w.r.t. a kind-P or kind-R polytope, exactly,
-    with the combination of the vertices that attains it (kind P: one
-    that dominates x)."""
+    and for a norm of at most 1 the combination of the vertices that
+    attains it (kind P: one that dominates x)."""
     if poly.kind is HullKind.P and any(_sgn(c) < 0 for c in x):
         raise ValueError("cone-hull queries require nonnegative coordinates")
     A, c = membership_lp(poly.kind, poly.vertices, x)
     solved = simplex_solve(A, x, c)
     if solved is None:
-        return NormResult(None, [], Classification.EXTERIOR)
+        return NormResult(None, [])
     value, y = solved
+    if _sgn(value - 1) > 0:
+        return NormResult(None, [], value=value)
     N = len(poly.vertices)
     if poly.kind is HullKind.R:
         combination = [p - m for p, m in zip(y, y[N:])]
@@ -289,14 +284,7 @@ def minkowski_norm(poly: VertexPolytope, x) -> NormResult:
     # a basis never holds both columns v_i and -v_i, so in kind R a
     # vertex is on the face exactly when its coefficient is nonzero
     face = [i for i, a in enumerate(combination) if not _is_zero(a)]
-    s = _sgn(value - 1)
-    if s < 0:
-        cls = Classification.INTERIOR
-    elif s == 0:
-        cls = Classification.BOUNDARY
-    else:
-        cls = Classification.EXTERIOR
-    return NormResult(value, face, cls, combination=combination)
+    return NormResult(combination, face, value=value)
 
 
 # -- kind C: elliptic hulls in dimension 2 ---------------------------------
@@ -444,19 +432,8 @@ def outside_bound(poly: VertexPolytope, x, xf: list | None = None) -> bool:
 # -- dimension 2: combinations of at most two vertices -----------------------
 
 
-@dataclass
-class PlanarVerdict:
-    """The answer of `two_vertex_combination`.  `coeffs` (one per vertex,
-    nonzero only on `face`) place x in the closed hull; None means x is
-    outside, by the float estimate alone when `numeric`."""
-
-    coeffs: Optional[list]
-    face: list[int]
-    numeric: bool = False
-
-
 def two_vertex_combination(poly: VertexPolytope, x,
-                           xf: list | None = None) -> PlanarVerdict:
+                           xf: list | None = None) -> NormResult:
     """Membership in a kind-P or kind-R polygon without an LP.
 
     The membership LP has two constraint rows, so an optimal basic
@@ -506,24 +483,24 @@ def two_vertex_combination(poly: VertexPolytope, x,
             # a weight that is not a number (an overflow) ranks last
             ranked.append((w if w < inf else inf, i, j))
     if not ranked:
-        return PlanarVerdict(None, [], True)
+        return NormResult(None, [], True)
     best = min(ranked)
     if best[0] > 1 + NUMERIC_TOLERANCE:
-        return PlanarVerdict(None, [], True)
+        return NormResult(None, [], True)
     found = _combination_of(poly, x, *best[1:])
     if found is None:
         for _, i, j in sorted(ranked):
             if i != j and _separated(poly, x, i, j):
-                return PlanarVerdict(None, [])
+                return NormResult(None, [])
             found = _combination_of(poly, x, i, j)
             if found is not None:
                 break
     if found is None:
-        return PlanarVerdict(None, [])
+        return NormResult(None, [])
     coeffs = [x[0] * 0] * len(poly.vertices)
     for k, c in found:
         coeffs[k] = c
-    return PlanarVerdict(coeffs, [k for k, _ in found])
+    return NormResult(coeffs, [k for k, _ in found])
 
 
 def _combination_of(poly: VertexPolytope, x, i: int, j: int):
@@ -541,7 +518,7 @@ def _combination_of(poly: VertexPolytope, x, i: int, j: int):
     excess = _pair_excess(poly.kind is HullKind.P, d, p, q)
     if excess is None or excess[0] > 0:
         return None
-    inv = d.inverse() if isinstance(d, FieldElement) else 1 / d
+    inv = 1 / d
     return [(i, p * inv), (j, q * inv)]
 
 
@@ -669,7 +646,7 @@ def classify_with_fallback(poly: VertexPolytope, x,
     """The exact `minkowski_norm` of x, unless a float LP puts x far outside.
 
     A float norm estimate above 1 + NUMERIC_TOLERANCE is returned as an
-    EXTERIOR verdict tagged numeric, with no value or combination; every
+    outside answer tagged numeric, with no value or combination; every
     other query, and any float failure, gets the exact result.  Kinds P
     and R only.  The polytope algorithm calls it only outside dimension
     2, for the queries that `find`, `dominating_vertex` and
@@ -680,7 +657,7 @@ def classify_with_fallback(poly: VertexPolytope, x,
         xf = [float(c) for c in x]
     est = _numeric_norm(poly, xf)
     if est is not None and est > 1 + NUMERIC_TOLERANCE:
-        return NormResult(None, [], Classification.EXTERIOR, numeric=True)
+        return NormResult(None, [], True)
     return minkowski_norm(poly, x)
 
 

@@ -70,7 +70,6 @@ from .algebraic import (
 )
 from .geometry import (
     NUMERIC_TOLERANCE,
-    Classification,
     HullKind,
     VertexPolytope,
     arc_nonnegative,
@@ -180,7 +179,8 @@ def balance(eigs: list, family: MatrixFamily,
                 if norm is not None and (norm - 1).sign() >= 0:
                     norm = None  # on the boundary or outside: fine
             if norm is not None:
-                scales[i] = scales[i] / _positive_lower_bound(norm)
+                norm.sign()  # refines the root until 0 < lo
+                scales[i] = scales[i] / norm.interval()[0]
                 changed = True
         if not changed:
             return scales
@@ -189,18 +189,6 @@ def balance(eigs: list, family: MatrixFamily,
 
 def _scale_vec(v, s: Fraction):
     return [c * s for c in v]
-
-
-def _positive_lower_bound(value: FieldElement) -> Fraction:
-    guard = 0
-    while True:
-        lo, hi = value.interval()
-        if lo > 0:
-            return lo
-        value.context.refine_root()
-        guard += 1
-        if guard > 128:
-            raise AlgebraicError("norm lower bound refinement stalled")
 
 
 # ---------------------------------------------------------------------------
@@ -474,21 +462,14 @@ def _membership(poly: VertexPolytope, x: list, counts: dict) -> Optional[dict]:
         counts["bound"] += 1
         return None
     if poly.dim == 2:
-        planar = two_vertex_combination(poly, x, xf)
-        if planar.numeric:
-            counts["numeric_exterior"] += 1
-            return None
-        counts["two_vertex"] += 1
-        if planar.coeffs is None:
-            return None
-        return {"type": "combination", "coeffs": planar.coeffs,
-                "face": planar.face}
-    res = classify_with_fallback(poly, x, xf)
+        res, way = two_vertex_combination(poly, x, xf), "two_vertex"
+    else:
+        res, way = classify_with_fallback(poly, x, xf), "exact_lp"
     if res.numeric:
         counts["numeric_exterior"] += 1
         return None
-    counts["exact_lp"] += 1
-    if res.classification is Classification.EXTERIOR:
+    counts[way] += 1
+    if res.combination is None:
         return None
     return {"type": "combination", "coeffs": res.combination,
             "face": res.face}
@@ -620,7 +601,7 @@ def _verify(cert: dict) -> VerifyResult:
     if real_algebraic_root(minpoly, root_lo, root_hi).minpoly != minpoly:
         return VerifyResult(False, "context polynomial is not irreducible")
     ctx = NumberFieldContext(minpoly, root_lo, root_hi)
-    lam_elem = _parse_elem(cert["lambda_element"], ctx)
+    lam_elem = ctx.element(cert["lambda_element"])
     lam = RealAlgebraic.deserialize(cert["lambda"])
     # lambda element must match the serialized lambda value
     if compare(lam_elem.to_real_algebraic(), lam) != Ordering.EQUAL:
@@ -744,10 +725,6 @@ def _verify(cert: dict) -> VerifyResult:
                               "closed invariance verified")
 
 
-def _parse_elem(serialized: list, ctx) -> FieldElement:
-    return ctx.element(serialized)
-
-
 def _limit_matrix(M: IntMatrix, rho_elem: FieldElement, ctx):
     """The spectral projector of M at +rho, or None when undefined."""
     sr = spectral_radius(M)
@@ -769,7 +746,7 @@ def _limit_matrix(M: IntMatrix, rho_elem: FieldElement, ctx):
 
 def _parse_elem_or_scalar(c, ctx) -> FieldElement:
     if isinstance(c, list):
-        return _parse_elem(c, ctx)
+        return ctx.element(c)
     return ctx.from_rational(Fraction(c))
 
 

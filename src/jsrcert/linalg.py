@@ -4,13 +4,13 @@ Matrices are lists of rows.  Entries may be `Fraction` or `FieldElement`
 (any exact field type with `== 0` and `+ - * /` works); integers alone
 are not enough for `kernel`, since division must stay exact, but they
 are for the fraction-free `add_to_basis`.  Elimination is
-Gauss-Jordan with the first nonzero entry of each column as its pivot,
-each pivot is inverted once, and rows are updated by the fused
-`algebraic.sub_scaled`.  The reduced row echelon form is unique,
-so kernels do not depend on that pivot order.  There is no inverse or
-product here: the one change of basis the pipeline makes, in
-`reduce._split_blocks`, is an integer adjugate
-(`algebraic.faddeev_leverrier`) with `IntMatrix` products.
+Gauss-Jordan with the first nonzero entry of each column as its pivot.
+Its step, `pivot`, inverts the pivot once and updates rows by the fused
+`algebraic.sub_scaled`; the exact simplex in `geometry` shares it.  The
+reduced row echelon form is unique, so kernels do not depend on that
+pivot order.  There is no inverse or product here: the one change of
+basis the pipeline makes, in `reduce._split_blocks`, is an integer
+adjugate (`algebraic.faddeev_leverrier`) with `IntMatrix` products.
 """
 
 from __future__ import annotations
@@ -28,14 +28,20 @@ def _eliminate(rows: list[list], ncols: int) -> list[int]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                rows[i] = sub_scaled(rows[i], rows[i][c], rows[r])
+        pivot(rows, r, c)
         pivots.append(c)
         r += 1
     return pivots
+
+
+def pivot(rows: list[list], r: int, c: int) -> None:
+    """One Gauss-Jordan step in place: scale row r by 1 / rows[r][c]
+    and clear column c from every other row."""
+    inv = 1 / rows[r][c]
+    rows[r] = [x * inv for x in rows[r]]
+    for i in range(len(rows)):
+        if i != r and rows[i][c] != 0:
+            rows[i] = sub_scaled(rows[i], rows[i][c], rows[r])
 
 
 def kernel(M: list[list]) -> list[list]:

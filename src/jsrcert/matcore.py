@@ -36,6 +36,7 @@ from operator import le, mul
 from typing import Iterable, Sequence
 
 from .algebraic import (
+    MEMO_SIZE,
     AlgebraicError,
     FieldElement,
     IntPolynomial,
@@ -50,9 +51,6 @@ from .algebraic import (
     nth_root,
 )
 from .linalg import kernel
-
-# characteristic polynomials whose spectral radius each process remembers
-SPECTRAL_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -213,10 +211,10 @@ def spectral_radius(A: IntMatrix) -> SpectralRadius:
     A 2x2 matrix takes the closed form of `_spectral_radius_2x2`, from
     its trace and determinant.  Other dimensions factor the
     characteristic polynomial and isolate its roots; that result depends
-    on the characteristic polynomial alone and is memoized by it (per
-    process, bounded).  Every call returns a fresh value, built in other
-    dimensions from the interval of the first computation, so refining
-    one result never narrows another.
+    on the characteristic polynomial alone and is memoized by it
+    (`MEMO_SIZE` entries).  Every call returns a fresh value, built in
+    other dimensions from the interval of the first computation, so
+    refining one result never narrows another.
     """
     if A.is_zero():
         return SpectralRadius(RealAlgebraic.from_rational(0), True, False)
@@ -264,7 +262,7 @@ def _integer_radius(r: int) -> RealAlgebraic:
     return RealAlgebraic(IntPolynomial((-r, 1)), q, q)
 
 
-@lru_cache(maxsize=SPECTRAL_CACHE_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def _spectral_radius_of(cp: IntPolynomial) -> tuple:
     """(minpoly, lo, hi, simple, complex) of the radius of a
     nonzero matrix with characteristic polynomial cp."""

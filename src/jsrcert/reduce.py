@@ -212,8 +212,7 @@ def enumerate_campaign(alphabet: str, dim: int) -> Iterator[PairCode]:
 # ---------------------------------------------------------------------------
 
 
-def quick_decide(pair: tuple[IntMatrix, IntMatrix],
-                 alphabet: str = "general") -> ReductionVerdict:
+def quick_decide(pair: tuple[IntMatrix, IntMatrix]) -> ReductionVerdict:
     """Settle a pair by reduction lemmas, or report that it needs the
     polytope algorithm.  Checks run in both orderings of the pair."""
     A1, A2 = pair

@@ -730,7 +730,7 @@ class TestLowDegreeFactoring:
     def test_matches_sympy_without_calling_it(self, monkeypatch):
         import sympy
 
-        algebraic._factor_coeffs.cache_clear()
+        factor_int_poly.cache_clear()
         rng = random.Random(53)
         cases = [(p, _sympy_factors(p)) for p in self._inputs(rng)]
 
@@ -740,7 +740,7 @@ class TestLowDegreeFactoring:
         monkeypatch.setattr(sympy.Poly, "factor_list", refuse)
         split = 0
         for p, expected in cases:
-            assert factor_int_poly(p) == expected, p.coeffs
+            assert factor_int_poly(p) == tuple(expected), p.coeffs
             split += len(expected) > 1 or any(m > 1 for _, m in expected)
         assert split >= 200
 
@@ -755,37 +755,43 @@ class TestLowDegreeFactoring:
             return factor_list(self, *args, **kwargs)
 
         monkeypatch.setattr(sympy.Poly, "factor_list", spy)
-        algebraic._factor_coeffs.cache_clear()
+        factor_int_poly.cache_clear()
         # constant and leading coefficients beyond trial division
         p = P([-20011, 1]) * P([1, 0, 1])
-        assert factor_int_poly(p) == [(P([-20011, 1]), 1), (P([1, 0, 1]), 1)]
-        assert factor_int_poly(P([1, 0, 0, 30000])) == [(P([1, 0, 0, 30000]), 1)]
+        assert factor_int_poly(p) == ((P([-20011, 1]), 1), (P([1, 0, 1]), 1))
+        assert factor_int_poly(P([1, 0, 0, 30000])) == ((P([1, 0, 0, 30000]), 1),)
         assert len(calls) == 2
 
 
 class TestFactorMemo:
     def test_equals_an_uncached_factorization(self):
-        uncached = algebraic._factor_coeffs.__wrapped__
+        uncached = factor_int_poly.__wrapped__
+        assert factor_int_poly.cache_info().maxsize == algebraic.MEMO_SIZE
         rng = random.Random(61)
         inputs = [_random_poly(rng, rng.randint(1, 6), bound=rng.choice([3, 40]))
                   for _ in range(150)]
         inputs += [_random_poly(rng, 2) * _random_poly(rng, rng.randint(2, 3))
                    for _ in range(30)]
-        algebraic._factor_coeffs.cache_clear()
+        factor_int_poly.cache_clear()
         for p in inputs + inputs:  # the second round is answered by the memo
-            assert factor_int_poly(p) == list(uncached(p.coeffs)), p.coeffs
-        assert algebraic._factor_coeffs.cache_info().hits >= len(inputs)
+            assert factor_int_poly(p) == uncached(p), p.coeffs
+        assert factor_int_poly.cache_info().hits >= len(inputs)
         assert sum(len(factor_int_poly(p)) > 1 for p in inputs if p.degree >= 4) >= 20
 
-    def test_a_caller_changing_its_list_does_not_change_the_next(self):
+    def test_a_caller_cannot_change_the_memo(self):
         p = P([-2, 0, 1]) * P([-3, 0, 1]) * P([1, 1])
         first = factor_int_poly(p)
-        expected = list(first)
-        first.append((P([0, 1]), 5))
-        first.reverse()
-        first.pop()
-        assert factor_int_poly(p) == expected
-        assert factor_int_poly(p) is not factor_int_poly(p)
+        expected = factor_int_poly.__wrapped__(p)
+        assert type(first) is tuple and first == expected
+        with pytest.raises(AttributeError):
+            first.append((P([0, 1]), 5))
+        with pytest.raises(TypeError):
+            first[0] = (P([0, 1]), 5)
+        with pytest.raises(TypeError):
+            first[0][1] = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first[0][0].coeffs = (1,)
+        assert factor_int_poly(p) is first
 
 
 class TestPolynomialMemos:
@@ -799,16 +805,15 @@ class TestPolynomialMemos:
         return inputs
 
     def test_sturm_chains_equal_fresh_ones_and_cannot_be_mutated(self):
-        fresh = algebraic._sturm_coeffs.__wrapped__
-        assert algebraic._sturm_coeffs.cache_info().maxsize == \
-            algebraic.FACTOR_CACHE_SIZE
+        fresh = sturm_chain.__wrapped__
+        assert sturm_chain.cache_info().maxsize == algebraic.MEMO_SIZE
         inputs = self._inputs(73)
-        algebraic._sturm_coeffs.cache_clear()
+        sturm_chain.cache_clear()
         for p in inputs + inputs:  # the second round is answered by the memo
             chain = sturm_chain(p)
-            assert type(chain) is tuple and chain == fresh(p.coeffs), p.coeffs
+            assert type(chain) is tuple and chain == fresh(p), p.coeffs
             assert chain[0] == p
-        assert algebraic._sturm_coeffs.cache_info().hits >= len(inputs)
+        assert sturm_chain.cache_info().hits >= len(inputs)
         chain = sturm_chain(inputs[0])
         with pytest.raises(AttributeError):
             chain.append(P([1]))
@@ -816,17 +821,17 @@ class TestPolynomialMemos:
             chain[0] = P([1])
         with pytest.raises(dataclasses.FrozenInstanceError):
             chain[0].coeffs = (1,)
-        assert sturm_chain(inputs[0]) == fresh(inputs[0].coeffs)
+        assert sturm_chain(inputs[0]) == fresh(inputs[0])
 
     def test_squarefree_parts_equal_fresh_ones(self):
-        fresh = algebraic._squarefree_coeffs.__wrapped__
-        assert algebraic._squarefree_coeffs.cache_info().maxsize == \
-            algebraic.FACTOR_CACHE_SIZE
+        memo = IntPolynomial.squarefree_part
+        fresh = memo.__wrapped__
+        assert memo.cache_info().maxsize == algebraic.MEMO_SIZE
         inputs = self._inputs(79)
-        algebraic._squarefree_coeffs.cache_clear()
+        memo.cache_clear()
         for p in inputs + inputs:
-            assert p.squarefree_part() == fresh(p.coeffs), p.coeffs
-        assert algebraic._squarefree_coeffs.cache_info().hits >= len(inputs)
+            assert p.squarefree_part() == fresh(p), p.coeffs
+        assert memo.cache_info().hits >= len(inputs)
         assert sum(p.squarefree_part().degree < p.degree for p in inputs) >= 20
 
 
@@ -836,7 +841,7 @@ def _random_context(rng, degree, monic):
     while True:
         lead = 1 if monic else rng.randint(2, 5)
         p = P([rng.randint(-9, 9) for _ in range(degree)] + [lead]).primitive()
-        if p.degree != degree or factor_int_poly(p) != [(p, 1)]:
+        if p.degree != degree or factor_int_poly(p) != ((p, 1),):
             continue
         roots = isolate_real_roots(p)
         if roots:

@@ -171,17 +171,24 @@ class TestDeterministicRecords:
 
 
 class TestGoldenRecords:
-    """The stored records of two whole dimension-2 sets, pinned by the
-    sha256 of their lines with `seconds` dropped (the header included,
-    each line `json.dumps(..., sort_keys=True)`, joined by newlines).
-    Neither set reaches the float LP prefilter, so the pins do not depend
-    on the scipy build.  A change that is meant to alter records must
-    update the pin here and say which records changed and why."""
+    """The stored records of two whole dimension-2 sets and of the F3
+    records that take the exact dimension-3 LP, pinned by the sha256 of
+    their lines with `seconds` dropped (the header included, each line
+    `json.dumps(..., sort_keys=True)`, joined by newlines).  The
+    dimension-2 sets do not reach the float LP prefilter, so their pins
+    do not depend on the scipy build; the F3 records do, and their
+    membership counts show its verdicts.  A change that is meant to alter
+    records must update the pin here and say which records changed and
+    why."""
 
     F2 = "5fc7b8ee7094544b91a053fc391b8860cb91526ab9d0acd37ae917e9931cb663"
     # the F2s orbit representatives with first code 1, 4 or 5: every
     # kind-R and kind-C hull of the benchmark's f2s-hulls workload
     F2S_HULLS = "8436da07d33b0557263451c86ecbab30f4655e225267ecfcdb769ac13306a858"
+    # the F3 A1=3 records proved with one exact LP each: kind-P polytopes
+    # in dimension 3, so the simplex's pivots are among what they pin
+    F3_LP_CODES = ("3/116", "3/117", "3/372", "3/373", "3/380", "3/381")
+    F3_LP = "b85e9eaed48cd6ead14c4eb4191c010ce4d78745dc6435fceb585c96f9de1df3"
 
     def _digest(self, path) -> str:
         text = "\n".join(_lines_without_seconds(path))
@@ -207,6 +214,14 @@ class TestGoldenRecords:
         store_path = tmp_path / "f2s.jsonl"
         run_campaign("sign", 2, store_path, codes=reps)
         self._check(store_path, self.F2S_HULLS, "f2s-hulls")
+
+    def test_f3_exact_lp_records(self, tmp_path):
+        store_path = tmp_path / "f3.jsonl"
+        run_campaign("binary", 3, store_path, codes=list(self.F3_LP_CODES))
+        store = Store(store_path)
+        for code in self.F3_LP_CODES:
+            assert store.get(code)["membership"]["exact_lp"] >= 1
+        self._check(store_path, self.F3_LP, "F3 exact-LP")
 
 
 class TestNoTableauInThePlane:

@@ -36,3 +36,16 @@ def test_solve_writes_a_certificate_that_verifies(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--certificate", str(cert)]) == 0
     assert capsys.readouterr().out.startswith("ACCEPT")
+
+
+def test_solve_reports_an_unsupported_pair_as_an_error(tmp_path, capsys):
+    # a 4x4 binary pair whose spectral radius meets the complex pair of a
+    # degree-4 factor, which the exact kernels do not handle
+    family = tmp_path / "q.json"
+    family.write_text(json.dumps(
+        [[[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 1, 0], [0, 1, 0, 1]],
+         [[1, 0, 1, 0], [1, 1, 1, 1], [1, 0, 1, 1], [0, 0, 1, 0]]]))
+    assert main(["solve", "--matrices", str(family)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "degree 4" in err
+    assert not (tmp_path / "q.certificate.json").exists()

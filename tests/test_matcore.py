@@ -278,7 +278,7 @@ class TestComplexPairModulus:
         while len(out) < 80:
             lead = rng.choice([1, 1, 2, 3, 5])
             p = P([rng.randint(-20, 20) for _ in range(3)] + [lead]).primitive()
-            if p.degree == 3 and factor_int_poly(p) == [(p, 1)]:
+            if p.degree == 3 and factor_int_poly(p) == ((p, 1),):
                 out.append(p)
         return out
 

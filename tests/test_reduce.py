@@ -150,13 +150,13 @@ class TestCanonicalKey:
 class TestQuickDecide:
     def test_zero_member(self):
         A = M([[1, 1], [0, 1]])
-        v = quick_decide((A, IntMatrix.zero(2)), "binary")
+        v = quick_decide((A, IntMatrix.zero(2)))
         assert v.outcome is Outcome.SETTLED and v.reason is Reason.ZERO
         assert v.jsr.as_rational() == 1
 
     def test_identity_pair_normal(self):
         I = IntMatrix.identity(2)
-        v = quick_decide((I, I), "binary")
+        v = quick_decide((I, I))
         assert v.outcome is Outcome.SETTLED
         assert v.reason in (Reason.DOMINATED, Reason.NORMAL, Reason.SUB_IDENTITY)
         assert v.jsr.as_rational() == 1
@@ -164,7 +164,7 @@ class TestQuickDecide:
     def test_dominated(self):
         A = M([[1, 1], [1, 1]])
         B = M([[1, 0], [0, 1]])
-        v = quick_decide((A, B), "binary")
+        v = quick_decide((A, B))
         assert v.outcome is Outcome.SETTLED
         assert v.jsr.as_rational() == 2
 
@@ -173,7 +173,7 @@ class TestQuickDecide:
         # entries in {0,1} and a product reaches spectral radius 1
         A = M([[0, 1], [0, 0]])
         B = M([[0, 0], [1, 0]])
-        v = quick_decide((A, B), "binary")
+        v = quick_decide((A, B))
         assert v.outcome is Outcome.SETTLED and v.reason is Reason.INTEGER_LEQ_ONE
         assert v.jsr.as_rational() == 1
         # the witness word attains radius 1 exactly
@@ -188,7 +188,7 @@ class TestQuickDecide:
         for _ in range(60):
             A = M([[rng.randint(0, 1) for _ in range(2)] for _ in range(2)])
             B = M([[rng.randint(0, 1) for _ in range(2)] for _ in range(2)])
-            v = quick_decide((A, B), "binary")
+            v = quick_decide((A, B))
             if v.outcome is not Outcome.SETTLED:
                 continue
             settled += 1
@@ -201,7 +201,7 @@ class TestQuickDecide:
     def test_fibonacci_like_needs_ipa(self):
         A = M([[1, 1], [0, 1]])
         B = M([[1, 0], [1, 1]])
-        v = quick_decide((A, B), "binary")
+        v = quick_decide((A, B))
         assert v.outcome is Outcome.NEEDS_IPA
 
 

@@ -216,7 +216,7 @@ def _searched_families():
                                       for _ in range(50)]]
     pairs = [(decode(c), c.alphabet) for c in codes]
     return [MatrixFamily.make(list(p), a) for p, a in pairs
-            if quick_decide(p, a).outcome is Outcome.NEEDS_IPA]
+            if quick_decide(p).outcome is Outcome.NEEDS_IPA]
 
 
 class TestRayleighGate:
@@ -290,7 +290,7 @@ class TestNecklaceMemo:
             rep = canonical_key(decode(c), c.alphabet)
             pair = decode(rep)
             if rep not in families and \
-                    quick_decide(pair, c.alphabet).outcome is Outcome.NEEDS_IPA:
+                    quick_decide(pair).outcome is Outcome.NEEDS_IPA:
                 families[rep] = MatrixFamily.make(list(pair), c.alphabet)
         assert len(families) > 300
         runs = [(f, depth) for f in families.values() for depth in (10, 14)]
