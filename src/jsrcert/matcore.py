@@ -6,15 +6,23 @@ through characteristic polynomials, eigenvectors are solved over the
 number field generated by the eigenvalue, and matrix 2-norms come from
 the largest eigenvalue of A^T A.
 
-A 2x2 spectral radius has a closed form in the trace and determinant,
-with no factoring or root isolation.  In other dimensions it is the
-largest of the moduli |r| of the real roots of the factored
-characteristic polynomial and sqrt(|z|^2) of its complex pairs.  The
-pairs are compared through their squared moduli against the square of
-the best real modulus, so a square root is taken only when a complex
-pair attains the radius; for a nonnegative matrix (Perron-Frobenius) it
-never does.  The squared modulus of a cubic's pair is the real root of a
-reversed cubic, so no number field is built for it.
+Spectral radii in dimensions 2 and 3 have closed forms, with no
+factoring, Sturm chains or root isolation by bisection.  A 2x2 radius
+comes from the trace and determinant.  A 3x3 radius comes from the
+characteristic cubic: an integer root, found from the discriminant or
+at the end of a root's cell, splits off a quadratic; otherwise the sign
+of the discriminant separates one real root and a complex pair from
+three real roots, whose dyadic cells float seeds find and exact signs
+certify.  Only dimension 4 and up factors the characteristic
+polynomial, and a cubic whose roots the float seeds cannot place (two
+in one cell, or one too large for a float).  The radius is then the
+largest of the moduli |r| of the real roots and sqrt(|z|^2) of the
+complex pairs.  A pair is compared through its squared modulus against
+the square of the best real modulus, so a square root is taken only
+when a complex pair attains the radius; for a nonnegative matrix
+(Perron-Frobenius) it never does.  The squared modulus of a cubic's pair
+is the real root of a reversed cubic, so no number field is built for
+it.
 
 A product is computed row by column in Python integers: the columns of
 the right factor are taken once, and each entry is the sum of the
@@ -31,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import isqrt
+from math import acos, cbrt, copysign, cos, floor, isqrt, pi, sqrt
 from operator import le, mul
 from typing import Iterable, Sequence
 
@@ -51,6 +59,10 @@ from .algebraic import (
     nth_root,
 )
 from .linalg import kernel
+
+# a 3x3 radius's irrational roots are isolated in dyadic cells of this
+# many bits, [k, k + 1] / 2^_CUBIC_CELL_BITS
+_CUBIC_CELL_BITS = 24
 
 
 @dataclass(frozen=True)
@@ -208,13 +220,15 @@ def spectral_radius(A: IntMatrix) -> SpectralRadius:
     eigenvalue is non-real.  The zero matrix returns 0 with
     leading_simple True by convention.
 
-    A 2x2 matrix takes the closed form of `_spectral_radius_2x2`, from
-    its trace and determinant.  Other dimensions factor the
-    characteristic polynomial and isolate its roots; that result depends
-    on the characteristic polynomial alone and is memoized by it
-    (`MEMO_SIZE` entries).  Every call returns a fresh value, built in
-    other dimensions from the interval of the first computation, so
-    refining one result never narrows another.
+    Dimensions 2 and 3 take closed forms: a 2x2 matrix its trace and
+    determinant (`_spectral_radius_2x2`), a 3x3 matrix the roots of its
+    characteristic cubic (`_cubic_radius`).  Only dimension 4 and up
+    factors the characteristic polynomial and isolates its roots, and a
+    cubic whose roots float seeds cannot place.  From dimension 3 on the
+    result depends on the characteristic polynomial alone and is
+    memoized by it (`MEMO_SIZE` entries).  Every call returns a fresh
+    value, built from the interval of the first computation, so refining
+    one result never narrows another.
     """
     if A.is_zero():
         return SpectralRadius(RealAlgebraic.from_rational(0), True, False)
@@ -225,34 +239,42 @@ def spectral_radius(A: IntMatrix) -> SpectralRadius:
 
 
 def _spectral_radius_2x2(A: IntMatrix) -> SpectralRadius:
-    """The radius of a nonzero 2x2 matrix from its trace t, determinant
-    det and discriminant D = t^2 - 4 det, with no factoring.
+    """The radius of a nonzero 2x2 matrix from its trace and determinant,
+    with no factoring (`_quadratic_radius`)."""
+    (a, b), (c, d) = A.rows
+    value, attaining, leading_complex = _quadratic_radius(a + d, a * d - b * c)
+    return SpectralRadius(value, attaining == 1, leading_complex)
 
-    D >= 0: the eigenvalues (t +- sqrt D) / 2 are real and the radius is
+
+def _quadratic_radius(t: int, det: int) -> tuple[RealAlgebraic, int, bool]:
+    """(radius, attaining eigenvalues, complex) of the roots of
+    x^2 - t x + det, from the discriminant D = t^2 - 4 det.
+
+    D >= 0: the roots (t +- sqrt D) / 2 are real and the radius is
     (|t| + sqrt D) / 2, a root of x^2 - |t| x + det (irreducible unless D
     is a square, when the radius is an integer).  With s = isqrt(D) it
     lies in [(|t| + s) / 2, (|t| + s + 1) / 2], which isolates it: the
     other root is sqrt D > 1 below.  D < 0: a conjugate pair of modulus
-    sqrt det, in [r, r + 1] with r = isqrt(det).  Two eigenvalues attain
-    the radius exactly when D = 0 (a double eigenvalue) or t = 0 < D
-    (the pair +-sqrt(D) / 2).
+    sqrt det, in [r, r + 1] with r = isqrt(det).  Either way the radius
+    is the larger root of its monic minimal polynomial.  Two roots
+    attain it exactly when D = 0 (a double root) or t = 0 < D (the pair
+    +-sqrt(D) / 2).
     """
-    (a, b), (c, d) = A.rows
-    t, det = abs(a + d), a * d - b * c
+    t = abs(t)
     disc = t * t - 4 * det
     if disc < 0:
         r = isqrt(det)
         value = (_integer_radius(r) if r * r == det else
                  RealAlgebraic(IntPolynomial((-det, 0, 1)), Fraction(r),
                                Fraction(r + 1)))
-        return SpectralRadius(value, True, True)
+        return value, 1, True
     s = isqrt(disc)
     if s * s == disc:
         value = _integer_radius((t + s) // 2)
     else:
         value = RealAlgebraic(IntPolynomial((det, -t, 1)),
                               Fraction(t + s, 2), Fraction(t + s + 1, 2))
-    return SpectralRadius(value, disc != 0 and t != 0, False)
+    return value, 1 if disc != 0 and t != 0 else 2, False
 
 
 def _integer_radius(r: int) -> RealAlgebraic:
@@ -264,8 +286,189 @@ def _integer_radius(r: int) -> RealAlgebraic:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _spectral_radius_of(cp: IntPolynomial) -> tuple:
-    """(minpoly, lo, hi, simple, complex) of the radius of a
-    nonzero matrix with characteristic polynomial cp."""
+    """(minpoly, lo, hi, simple, complex) of the radius of a nonzero
+    matrix with characteristic polynomial cp: by `_cubic_radius` for a
+    cubic, by `_radius_by_factoring` otherwise."""
+    if cp.degree == 3:
+        return _cubic_radius(cp)
+    return _radius_by_factoring(cp)
+
+
+def _entry(rho: RealAlgebraic, simple: bool, leading_complex: bool) -> tuple:
+    """A `_spectral_radius_of` entry for the radius rho."""
+    lo, hi = rho.interval()
+    return rho.minpoly, lo, hi, simple, leading_complex
+
+
+def _cubic_radius(cp: IntPolynomial) -> tuple:
+    """The `_spectral_radius_of` entry of a monic cubic
+    x^3 + a x^2 + b x + c, without factoring or Sturm chains.
+
+    A rational root of a monic integer cubic is an integer root r: 0 when
+    c = 0; the repeated root when the discriminant is 0; otherwise a
+    point where the cubic vanishes, met while its roots' cells are
+    sought.  With such an r the cubic is (x - r) times a quadratic, whose
+    radius is `_quadratic_radius`'s, and |r| is compared with it in
+    integers.  Without one the cubic is irreducible, and its discriminant
+    tells its real roots:
+
+    - Negative: one real root r and a pair with |z|^2 = |c| / |r|, so r
+      attains the radius iff |r|^3 >= |c|, decided on r's interval.
+      Equality needs r^3 = +-c, so the cubic is x^3 + c, whose three
+      roots all attain it.  A winning pair's modulus is the square root of the
+      real root of the reversed cubic (`_complex_pair_modulus_squares`).
+    - Positive: three real roots r1 < r2 < r3, and the radius is the
+      larger of -r1 and r3.  They never tie, as r1 + r3 = -a - r2 and r2
+      is irrational; r3 wins iff r2 < -a, which r2's cell tells.
+
+    The roots' cells, ascending, are the dyadic [k, k + 1] /
+    2^_CUBIC_CELL_BITS holding one root each: float seeds find them and
+    exact signs certify them (`_seeded_cells`).  When the seeds fail, as
+    for two roots in one cell or a root too large for a float to place,
+    the entry comes from the factoring path (`_radius_by_factoring`).
+    """
+    c, b, a, _ = cp.coeffs
+    # negative iff one real root and a complex pair, zero iff a root repeats
+    disc = a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
+    if c == 0:
+        root = 0
+    elif disc == 0:
+        # (x - s)^2 (x - t) has a^2 - 3b = (s - t)^2 and 9c - ab = 2s(s - t)^2;
+        # a triple root is -a/3
+        d = a * a - 3 * b
+        root = (9 * c - a * b) // (2 * d) if d else -a // 3
+    else:
+        cells = _seeded_cells(cp, disc)
+        if cells is None:
+            return _radius_by_factoring(cp)
+        root = next((int(lo) for lo, hi in cells if lo == hi), None)
+    if root is not None:
+        return _with_integer_root(a, b, root)
+    if disc < 0:
+        ((lo, hi),) = cells
+        r = RealAlgebraic(cp, lo, hi)
+        # the cell excludes 0, a grid point where p = c != 0
+        r_abs = r if lo >= 0 else -r
+        if a == b == 0:
+            return _entry(r_abs, False, True)
+        if compare_powers(abs(c), 1, r_abs, 3) == Ordering.LESS:
+            return _entry(r_abs, True, False)
+        (m2,) = _complex_pair_modulus_squares(cp, [r])
+        return _entry(nth_root(m2, 2), True, True)
+    (l1, h1), (_, h2), (l3, h3) = cells
+    # r2 < -a iff its cell ends by -a, an integer and so a grid point
+    if h2 <= -a:
+        return _entry(RealAlgebraic(cp, l3, h3), True, False)
+    return _entry(-RealAlgebraic(cp, l1, h1), True, False)
+
+
+def _with_integer_root(a: int, b: int, r: int) -> tuple:
+    """The `_spectral_radius_of` entry of x^3 + a x^2 + b x + c with the
+    integer root r: the cubic is (x - r)(x^2 + b1 x + b0) with
+    b1 = a + r and b0 = b + r b1."""
+    b1 = a + r
+    q, attaining, leading_complex = _quadratic_radius(-b1, b + r * b1)
+    m = abs(r)
+    cs = q.minpoly.coeffs
+    if len(cs) == 2:
+        order = m + cs[0]  # q = -cs[0]
+    else:
+        # q is the larger root of x^2 + cs[1] x + cs[0], so m > q iff m is
+        # right of the vertex with a positive value there
+        order = 1 if 2 * m > -cs[1] and m * m + cs[1] * m + cs[0] > 0 else -1
+    if order > 0:
+        return _entry(_integer_radius(m), True, False)
+    return _entry(q, order < 0 and attaining == 1, leading_complex)
+
+
+def _seeded_cells(cp: IntPolynomial, disc: int
+                  ) -> list[tuple[Fraction, Fraction]] | None:
+    """The real roots of a monic squarefree cubic with a nonzero constant,
+    as cells from its float roots (`_float_roots`): the cells ascending,
+    or [r, r] alone for an integer root r met on the way, or None when
+    the seeds fail.
+
+    Each root's cell is the [k, k + 1] / 2^_CUBIC_CELL_BITS that holds
+    its float value x; when cp does not change sign across it (a root too
+    large for a float to place so closely), the cell [n - 1, n + 1] for
+    the integer n nearest x, narrowed by signs.  The cells are certified
+    when they are disjoint and cp changes sign across each: as many cells
+    as roots then hold one root each.  A cell end where cp vanishes is a
+    rational root, so an integer.
+    """
+    scale = 1 << _CUBIC_CELL_BITS
+    try:
+        seeds = [(floor(x * scale), (round(x) - 1) * scale)
+                 for x in _float_roots(cp, disc)]
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return None
+    c, b, a, _ = cp.coeffs
+    a1, b2, c3 = a * scale, b * scale * scale, c * scale**3
+
+    def sign(k: int) -> int:
+        # of cp(k / scale) scale^3, by Horner in integers
+        v = ((k + a1) * k + b2) * k + c3
+        return (v > 0) - (v < 0)
+
+    lows = []
+    for cell, wide in seeds:
+        for k, width in ((cell, 1), (wide, 2 * scale)):
+            s_lo, s_hi = sign(k), sign(k + width)
+            if s_lo == 0 or s_hi == 0:
+                r = Fraction(k if s_lo == 0 else k + width, scale)
+                return [(r, r)]
+            if s_lo != s_hi:
+                break
+        else:
+            return None
+        while width > 1:
+            width //= 2
+            s_mid = sign(k + width)
+            if s_mid == 0:  # the integer n
+                r = Fraction(k + width, scale)
+                return [(r, r)]
+            if s_mid == s_lo:
+                k += width
+        lows.append(k)
+    lows.sort()
+    if any(k == j for k, j in zip(lows, lows[1:])):
+        return None
+    return [(Fraction(k, scale), Fraction(k + 1, scale)) for k in lows]
+
+
+def _float_roots(cp: IntPolynomial, disc: int) -> list[float]:
+    """Float approximations of the real roots of a monic cubic with
+    discriminant disc != 0, through x = y - a/3 and y^3 + p y + q.
+
+    One real root comes from Cardano's formula, with the cube root taken
+    on the side without cancellation.  Of three, the cosine form gives
+    the largest in modulus, R, and the other two are the roots of the
+    quotient x^2 + e x + f by x - R, where f = -c / R and e = (f - b) / R
+    come without the cancellation that costs the cosine form the roots
+    small beside R.  A Newton step polishes each.
+    """
+    c, b, a, _ = map(float, cp.coeffs)
+    s = a / 3
+    p = b - a * s
+    q = s * (2 * s * s - b) + c
+    if disc > 0:
+        m = 2 * sqrt(-p / 3)
+        t = acos(min(1.0, max(-1.0, 3 * q / (p * m)))) / 3
+        big = max((m * cos(t - k * 2 * pi / 3) - s for k in range(3)), key=abs)
+        f = -c / big
+        e = (f - b) / big
+        h = -(e + copysign(sqrt(max(e * e - 4 * f, 0.0)), e)) / 2
+        roots = [big, h, f / h]
+    else:
+        # the cube roots u, v of -q/2 +- sqrt(-disc / 108) have u v = -p/3
+        u = -copysign(cbrt(abs(q) / 2 + sqrt(-disc / 108)), q)
+        roots = [u - p / (3 * u) - s]
+    return [x - (((x + a) * x + b) * x + c) / ((3 * x + 2 * a) * x + b)
+            for x in roots]
+
+
+def _radius_by_factoring(cp: IntPolynomial) -> tuple:
+    """The `_spectral_radius_of` entry of any cp, from its factors."""
     factors = factor_int_poly(cp)
     real_mods: list[tuple[RealAlgebraic, int]] = []  # (|eigenvalue|, multiplicity)
     complex_mods: list[tuple[RealAlgebraic, int]] = []  # (|pair|^2, multiplicity)
@@ -302,8 +505,7 @@ def _spectral_radius_of(cp: IntPolynomial) -> tuple:
     for m2, mult in complex_mods:
         if compare(m2, rho_sq) == Ordering.EQUAL:
             pair_attain += mult
-    lo, hi = rho.interval()
-    return rho.minpoly, lo, hi, attain + pair_attain == 1, pair_attain > 0
+    return _entry(rho, attain + pair_attain == 1, pair_attain > 0)
 
 
 def _complex_pair_modulus_squares(fac: IntPolynomial,

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -171,15 +172,15 @@ class TestDeterministicRecords:
 
 
 class TestGoldenRecords:
-    """The stored records of two whole dimension-2 sets and of the F3
-    records that take the exact dimension-3 LP, pinned by the sha256 of
-    their lines with `seconds` dropped (the header included, each line
-    `json.dumps(..., sort_keys=True)`, joined by newlines).  The
-    dimension-2 sets do not reach the float LP prefilter, so their pins
-    do not depend on the scipy build; the F3 records do, and their
-    membership counts show its verdicts.  A change that is meant to alter
-    records must update the pin here and say which records changed and
-    why."""
+    """The stored records of two whole dimension-2 sets, of half the F3
+    A1=3 slice and of the F3 records that take the exact dimension-3 LP,
+    pinned by the sha256 of their lines with `seconds` dropped (the
+    header included, each line `json.dumps(..., sort_keys=True)`, joined
+    by newlines).  The dimension-2 sets do not reach the float LP
+    prefilter, so their pins do not depend on the scipy build; the F3
+    records do, and their membership counts show its verdicts.  A change
+    that is meant to alter records must update the pin here and say which
+    records changed and why."""
 
     F2 = "5fc7b8ee7094544b91a053fc391b8860cb91526ab9d0acd37ae917e9931cb663"
     # the F2s orbit representatives with first code 1, 4 or 5: every
@@ -189,6 +190,11 @@ class TestGoldenRecords:
     # in dimension 3, so the simplex's pivots are among what they pin
     F3_LP_CODES = ("3/116", "3/117", "3/372", "3/373", "3/380", "3/381")
     F3_LP = "b85e9eaed48cd6ead14c4eb4191c010ce4d78745dc6435fceb585c96f9de1df3"
+
+    # half of the F3 A1=3 slice, drawn once with seed 0: the benchmark's
+    # f3-search sample, whose 3x3 radii take the characteristic cubic's
+    # closed form
+    F3_SEARCH = "29ebf8615c7c27b8132349d6b437ab1ded3c002a2c6e5d868883d27ee1341254"
 
     def _digest(self, path) -> str:
         text = "\n".join(_lines_without_seconds(path))
@@ -214,6 +220,15 @@ class TestGoldenRecords:
         store_path = tmp_path / "f2s.jsonl"
         run_campaign("sign", 2, store_path, codes=reps)
         self._check(store_path, self.F2S_HULLS, "f2s-hulls")
+
+    def test_f3_search_sample(self, tmp_path):
+        a2s = sorted(random.Random(0).sample(range(512), 256))
+        store_path = tmp_path / "f3s.jsonl"
+        summary = run_campaign("binary", 3, store_path,
+                               codes=[f"3/{a2}" for a2 in a2s])
+        assert summary["counts"] == {"settled": 207, "proved": 46,
+                                     "duplicate": 7, "unresolved": 1}
+        self._check(store_path, self.F3_SEARCH, "f3-search sample")
 
     def test_f3_exact_lp_records(self, tmp_path):
         store_path = tmp_path / "f3.jsonl"

@@ -198,6 +198,121 @@ class TestTwoByTwoClosedForm:
                          (2, True, False), (2, False, False), (2, True, True)}
 
 
+class TestThreeByThreeClosedForm:
+    """A 3x3 radius comes from the roots of the characteristic cubic
+    (`_cubic_radius`); it equals the factoring path
+    (`_radius_by_factoring`) on every characteristic polynomial of a 3x3
+    matrix with entries in {-1, 0, 1}, and of a seeded sample of binary
+    member products up to length 4 and their Gram matrices A^T A."""
+
+    # x^3 - 2^25 x -+ 1: the middle root, about -+1/2^25, has a cell that
+    # ends at -a = 0, on the side that makes r3, or -r1, the radius
+    NEAR_TIES = [P([-1, -2**25, 0, 1]), P([1, -2**25, 0, 1])]
+
+    @staticmethod
+    def _sign_polys():
+        polys = set()
+        for e in itertools.product((-1, 0, 1), repeat=9):
+            A = M([e[:3], e[3:6], e[6:]])
+            if not A.is_zero():
+                polys.add(char_poly(A))
+        return polys
+
+    @staticmethod
+    def _product_polys():
+        rng = random.Random(31)
+        polys = set()
+        for _ in range(20):
+            pair = decode(PairCode(rng.randrange(512), rng.randrange(512), 3,
+                                   "binary"))
+            fam = MatrixFamily.make(list(pair))
+            for n in (1, 2, 3, 4):
+                for w in itertools.product((1, 2), repeat=n):
+                    P_ = evaluate(w, fam).value
+                    polys.update(char_poly(X) for X in (P_, P_.transpose() @ P_)
+                                 if not X.is_zero())
+        return polys
+
+    def _polys(self):
+        return sorted(self._sign_polys() | self._product_polys()
+                      | set(self.NEAR_TIES), key=lambda p: p.coeffs)
+
+    def test_equals_the_factoring_path(self, monkeypatch):
+        assert len(self._sign_polys()) == 209
+        polys = self._polys()
+        expected = [matcore._radius_by_factoring(cp) for cp in polys]
+
+        def refuse(*args):
+            raise AssertionError("a 3x3 radius factored or isolated roots")
+
+        monkeypatch.setattr(matcore, "factor_int_poly", refuse)
+        monkeypatch.setattr(matcore, "isolate_real_roots", refuse)
+        kinds = set()
+        for cp, (minpoly, lo, hi, simple, cplx) in zip(polys, expected):
+            got_poly, glo, ghi, got_simple, got_cplx = matcore._cubic_radius(cp)
+            assert got_poly == minpoly, cp.coeffs
+            assert compare(RealAlgebraic(got_poly, glo, ghi),
+                           RealAlgebraic(minpoly, lo, hi)) == Ordering.EQUAL, cp.coeffs
+            assert (got_simple, got_cplx) == (simple, cplx), cp.coeffs
+            if minpoly.degree == 1:
+                assert glo == ghi == Fraction(-minpoly.coeffs[0])
+            else:
+                assert minpoly.sign_at(glo) != 0 and minpoly.sign_at(ghi) != 0
+                assert count_roots_in(minpoly, glo, ghi) == 1, cp.coeffs
+            kinds.add((minpoly.degree, simple, cplx))
+        # rational radii, simple or not, real or a pair; quadratic radii
+        # (+-sqrt, sqrt det of a pair); cubic radii, real or the x^3 + c
+        # tie; and degree-6 moduli of a cubic's winning pair
+        assert kinds >= {(1, True, False), (1, False, False), (1, True, True),
+                         (1, False, True), (2, True, False), (2, False, False),
+                         (2, True, True), (3, True, False), (3, False, True),
+                         (6, True, True)}
+
+    def test_failing_seeds_fall_back_to_factoring(self, monkeypatch):
+        # the seeded cells are taken on every polynomial here; seeds that
+        # fail, by raising or by missing the roots, give the same radius
+        # and flags through the factoring path
+        polys = self._polys()
+        fallbacks = []
+        factoring = matcore._radius_by_factoring
+        monkeypatch.setattr(matcore, "_radius_by_factoring",
+                            lambda cp: fallbacks.append(cp) or factoring(cp))
+        seeded = [matcore._cubic_radius(cp) for cp in polys]
+        assert fallbacks == []
+        seeds = matcore._float_roots
+        for wrong in (lambda cp, disc: [float("nan")],
+                      lambda cp, disc: [x + 0.5 for x in seeds(cp, disc)]):
+            monkeypatch.setattr(matcore, "_float_roots", wrong)
+            for cp, (minpoly, lo, hi, simple, cplx) in zip(polys, seeded):
+                got_poly, glo, ghi, got_simple, got_cplx = matcore._cubic_radius(cp)
+                assert got_poly == minpoly, cp.coeffs
+                assert compare(RealAlgebraic(got_poly, glo, ghi),
+                               RealAlgebraic(minpoly, lo, hi)) == Ordering.EQUAL
+                assert (got_simple, got_cplx) == (simple, cplx), cp.coeffs
+        assert fallbacks
+
+    def test_a_root_too_large_for_a_float_cell(self, monkeypatch):
+        # x^3 - N x^2 - 1 has a root just above N: beyond 2^53 no float
+        # seed places it within 1, beyond 2^1024 none exists, and the
+        # radius comes from the factoring path
+        fallbacks = []
+        factoring = matcore._radius_by_factoring
+        monkeypatch.setattr(matcore, "_radius_by_factoring",
+                            lambda cp: fallbacks.append(cp) or factoring(cp))
+        matcore._spectral_radius_of.cache_clear()
+        for N in (2**60 + 7, 2**233 + 12345, 2**1100 + 1):
+            A = M([[N, 0, 1], [1, 0, 0], [0, 1, 0]])
+            cp = char_poly(A)
+            rho = spectral_radius(A)
+            assert fallbacks[-1] == cp
+            assert (rho.leading_simple, rho.leading_complex) == (True, False)
+            assert rho.value.minpoly == cp
+            # the one root in the value's interval lies in (N, N + 1]
+            lo, hi = rho.value.interval()
+            assert count_roots_in(cp, max(lo, N), min(hi, N + 1)) == 1
+        assert len(fallbacks) == 3
+
+
 def _radius_taking_every_root(A):
     """(rho, simple, complex) with the square root of every complex
     pair's squared modulus taken, then all moduli compared directly."""
