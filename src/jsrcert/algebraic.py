@@ -9,10 +9,20 @@ positive leading coefficient, together with a rational interval
 isolating exactly one real root.  Two values with the same minimal
 polynomial are conjugates, equal iff their intervals share a root, and
 values with different minimal polynomials differ, so a comparison needs
-a Sturm count for conjugates and interval refinement otherwise, never a
-floating tolerance.  Number field elements are integer numerators of
-the coordinates over one positive denominator, in lowest terms, over a
+a Sturm count for conjugates, one sign for a rational against an
+irrational, and interval refinement otherwise, never a floating
+tolerance.  Number field elements are integer numerators of the
+coordinates over one positive denominator, in lowest terms, over a
 shared immutable context; mixing contexts is a hard error.
+
+A root is pinned one way (`_root_in`): given a rational interval (lo,
+hi) that holds exactly one real root of an integer polynomial p, with
+no root at hi, the root is that of the one irreducible factor of p that
+changes sign across the interval, with the interval as it is.  Each
+caller brings its own interval: `real_algebraic_root` checks an
+untrusted one with a Sturm count, `isolate_real_roots` bisects from the
+Cauchy bound, and `nth_root` brackets the root by integer n-th roots of
+the ends of its argument's interval.
 
 The kernels below the public API work in integers: a polynomial's sign
 at n/d is the sign of its homogenized value at (n, d), Sturm chains and
@@ -562,8 +572,10 @@ def _dyadic_cell(p: IntPolynomial, lo: Fraction, hi: Fraction
     of p that [lo, hi] isolates.
 
     The cell is found by bisection from the unit cell that contains
-    the root, so only the number decides it.  No rational point is a
-    root of an irreducible polynomial of degree >= 2, so every cell
+    the root, so only the number decides it; that unit cell is found by
+    bisection over the integers from floor(lo) to ceil(hi), so a wide
+    interval costs its bit length, not its width.  No rational point is
+    a root of an irreducible polynomial of degree >= 2, so every cell
     endpoint is a non-root.
     """
     s_lo = p.sign_at(lo)
@@ -577,9 +589,14 @@ def _dyadic_cell(p: IntPolynomial, lo: Fraction, hi: Fraction
             return True
         return p.sign_at(c) != s_lo
 
-    k = lo.numerator // lo.denominator
-    while not left_of(Fraction(k + 1)):
-        k += 1
+    # the root lies in (k, top)
+    k, top = lo.numerator // lo.denominator, -(-hi.numerator // hi.denominator)
+    while top - k > 1:
+        mid = (k + top) // 2
+        if left_of(Fraction(mid)):
+            top = mid
+        else:
+            k = mid
     a, b = Fraction(k), Fraction(k + 1)
     guard = 0
     while count_roots_in(p, a, b) != 1:
@@ -594,35 +611,26 @@ def _dyadic_cell(p: IntPolynomial, lo: Fraction, hi: Fraction
     return a, b
 
 
-def _canonical_root(factors: list[tuple[IntPolynomial, int]],
-                    lo: Fraction, hi: Fraction) -> RealAlgebraic:
-    """Pick the unique irreducible factor with a root in [lo, hi]."""
-    hits = []
-    for fac, _ in factors:
-        if fac.degree == 1:
-            r = Fraction(-fac.coeffs[0], fac.coeffs[1])
-            if lo <= r <= hi:
-                hits.append((fac, r, r))
-        else:
-            # widen the closed interval infinitesimally via endpoint checks
-            n = count_roots_in(fac, lo, hi)
-            if fac.sign_at(lo) == 0 or fac.sign_at(hi) == 0:
-                raise AlgebraicError("isolating interval endpoint is a root")
-            if n == 1:
-                hits.append((fac, lo, hi))
-            elif n > 1:
-                raise AlgebraicError("interval does not isolate a single root")
-    if len(hits) != 1:
-        raise AlgebraicError("interval does not isolate a single root of one factor")
-    fac, rlo, rhi = hits[0]
-    return RealAlgebraic(fac, rlo, rhi)
+def _root_in(p: IntPolynomial, lo: Fraction, hi: Fraction) -> RealAlgebraic:
+    """The one real root of p in (lo, hi), whose end hi is no root of p.
+
+    The root is a simple root of exactly one irreducible factor f of p,
+    and no other factor vanishes inside the interval, so f is the one
+    factor that changes sign across it.  The end lo may be a root of
+    another factor, whose sign there is 0; f's is not.
+    """
+    f = next(f for f, _ in factor_int_poly(p) if f.sign_at(lo) * f.sign_at(hi) < 0)
+    if f.degree == 1:
+        return RealAlgebraic.from_rational(Fraction(-f.coeffs[0], f.coeffs[1]))
+    return RealAlgebraic(f, lo, hi)
 
 
 def real_algebraic_root(p: IntPolynomial, lo: Fraction, hi: Fraction) -> RealAlgebraic:
     """The unique real root of p in [lo, hi] as a canonical RealAlgebraic.
 
     The polynomial need not be irreducible or squarefree; the interval
-    must contain exactly one distinct real root.
+    must contain exactly one distinct real root, which the checks here
+    establish before `_root_in` pins it.
     """
     if p.is_zero:
         raise ZeroPolynomialError("zero polynomial")
@@ -641,65 +649,50 @@ def real_algebraic_root(p: IntPolynomial, lo: Fraction, hi: Fraction) -> RealAlg
     if sf.sign_at(hi) == 0:
         # the isolated root is the rational endpoint hi itself
         return RealAlgebraic.from_rational(hi)
-    return _canonical_root(factor_int_poly(sf), lo, hi)
+    return _root_in(sf, lo, hi)
 
 
 def isolate_real_roots(p: IntPolynomial) -> list[RealAlgebraic]:
-    """All distinct real roots of p, ascending, with disjoint intervals."""
+    """All distinct real roots of p, ascending, with disjoint intervals
+    that exclude 0.
+
+    The squarefree part is bisected from its Cauchy bound, its rational
+    roots included, into half-open intervals (lo, hi] holding one root
+    each: a root on a bisection point is the rational hi, any other is
+    pinned by `_root_in`.
+    """
     if p.is_zero:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
     if p.degree == 0:
         return []
-    factors = factor_int_poly(p.squarefree_part())
+    sf = p.squarefree_part()
+    bound = root_bound(sf)
     out: list[RealAlgebraic] = []
-    irrational = [f for f, _ in factors if f.degree >= 2]
-    for f, _ in factors:
-        if f.degree == 1:
-            out.append(RealAlgebraic.from_rational(Fraction(-f.coeffs[0], f.coeffs[1])))
-    if irrational:
-        g = irrational[0]
-        for f in irrational[1:]:
-            g = g * f
-        # g has no rational roots, so rational bisection points are safe
-        bound = root_bound(g)
-        stack = [(-bound, bound, count_roots_in(g, -bound, bound), 0)]
-        intervals = []
-        while stack:
-            lo, hi, n, depth = stack.pop()
-            if n == 0:
-                continue
-            if n == 1:
-                intervals.append((lo, hi))
-                continue
-            if depth == _MAX_REFINE:
-                raise AlgebraicError("root isolation did not converge")
-            mid = (lo + hi) / 2
-            nl = count_roots_in(g, lo, mid)
-            stack.append((lo, mid, nl, depth + 1))
-            stack.append((mid, hi, n - nl, depth + 1))
-        # shrink intervals until disjoint from the rational roots
-        rationals = [r.as_rational() for r in out]
-        irr_factors = [(f, 1) for f in irrational]
-        for lo, hi in intervals:
-            r = _canonical_root(irr_factors, lo, hi)
-            r.exclude_zero()
-            guard = 0
-            while any(ilo <= q <= ihi for q in rationals
-                      for ilo, ihi in (r.interval(),)):
-                r.refine()
-                guard += 1
-                if guard > _MAX_REFINE:
-                    raise AlgebraicError("separating intervals did not converge")
-            out.append(r)
-    out.sort(key=_interval_key)
+    stack = [(-bound, bound, count_roots_in(sf, -bound, bound), 0)]
+    while stack:
+        lo, hi, n, depth = stack.pop()
+        if n == 0:
+            continue
+        if n == 1:
+            if sf.sign_at(hi) == 0:
+                out.append(RealAlgebraic.from_rational(hi))
+            else:
+                r = _root_in(sf, lo, hi)
+                r.exclude_zero()
+                out.append(r)
+            continue
+        if depth == _MAX_REFINE:
+            raise AlgebraicError("root isolation did not converge")
+        mid = (lo + hi) / 2
+        nl = count_roots_in(sf, lo, mid)
+        stack.append((lo, mid, nl, depth + 1))
+        stack.append((mid, hi, n - nl, depth + 1))
+    # a rational root hi may be the lo of the next root's interval, so
+    # the order is by (lo, hi), not by lo alone
+    out.sort(key=RealAlgebraic.interval)
     for a, b in zip(out, out[1:]):
         _separate(a, b)
     return out
-
-
-def _interval_key(r: RealAlgebraic):
-    lo, hi = r.interval()
-    return (lo + hi) / 2
 
 
 def _separate(a: RealAlgebraic, b: RealAlgebraic) -> None:
@@ -715,13 +708,20 @@ def _separate(a: RealAlgebraic, b: RealAlgebraic) -> None:
 
 def compare(a, b) -> Ordering:
     """Exact total order on real algebraic numbers and rationals; a
-    RealAlgebraic and a rational may be mixed freely."""
-    if isinstance(a, (int, Fraction)):
-        a = RealAlgebraic.from_rational(a)
-    if isinstance(b, (int, Fraction)):
-        b = RealAlgebraic.from_rational(b)
-    if a.is_rational and b.is_rational:
-        return Ordering(_sgn(a.as_rational() - b.as_rational()))
+    RealAlgebraic and a rational may be mixed freely.  A rational is
+    ordered against an irrational by one sign (`_order_at`), two
+    irrationals by refining until their intervals separate."""
+    if type(a) is RealAlgebraic and a.is_rational:
+        a = a.as_rational()
+    if type(b) is RealAlgebraic and b.is_rational:
+        b = b.as_rational()
+    if type(a) is not RealAlgebraic:
+        if type(b) is not RealAlgebraic:
+            return Ordering(_sgn(a - b))
+        # never EQUAL: b is irrational
+        return Ordering.LESS if _order_at(b, a) is Ordering.GREATER else Ordering.GREATER
+    if type(b) is not RealAlgebraic:
+        return _order_at(a, b)
     if a.minpoly == b.minpoly:
         # conjugates: equal iff the overlap holds the root both isolate
         lo = max(a.interval()[0], b.interval()[0])
@@ -742,6 +742,20 @@ def compare(a, b) -> Ordering:
         guard += 1
         if guard > _MAX_REFINE:
             raise AlgebraicError("comparison did not converge")
+
+
+def _order_at(r: RealAlgebraic, q: RationalLike) -> Ordering:
+    """The order of an irrational r against a rational q, by one sign:
+    off r's interval [lo, hi] the interval tells, and inside it q is
+    above r iff the minimal polynomial has the same sign at q as at hi
+    (neither is a root)."""
+    lo, hi = r.interval()
+    if q <= lo:
+        return Ordering.GREATER
+    if q >= hi:
+        return Ordering.LESS
+    p = r.minpoly
+    return Ordering.LESS if p.sign_at(q) == p.sign_at(hi) else Ordering.GREATER
 
 
 class PowerMemo:
@@ -855,49 +869,35 @@ def _powered_interval(b: RealAlgebraic, n: int,
 
 
 def nth_root(a: RealAlgebraic, n: int) -> RealAlgebraic:
-    """The positive real n-th root of a > 0."""
+    """The positive real n-th root of a > 0.
+
+    Each end u/v of a's interval brackets its n-th root by the integer
+    k = floor((u v^(n-1))^(1/n)): (u/v)^(1/n) lies in [k, k + 1] / v.
+    The ends (alo, ahi) give [lo, hi] with lo^n <= alo and hi^n > ahi,
+    and a is refined until (lo^n, hi^n) holds no other root of a's
+    minimal polynomial p; then (lo, hi) holds one root of p(x^n), pinned
+    by `_root_in`.  A rational a that is an exact n-th power is lo^n.
+    """
     if n < 1:
         raise ValueError("root order must be >= 1")
     if a.sign() <= 0:
         raise AlgebraicError("nth_root requires a positive argument")
     if n == 1:
         return a
-    if a.is_rational:
-        # the root of den x^n - num lies in [k, k + 1] / den for
-        # k = floor((num den^(n-1))^(1/n)), at the left end when rational
-        q = a.as_rational()
-        num, den = q.numerator, q.denominator
-        m = num * den ** (n - 1)
-        k = _int_floor_root(m, n)
-        lo = Fraction(k, den)
-        if k ** n == m:
-            return RealAlgebraic.from_rational(lo)
-        hi = Fraction(k + 1, den)
-        poly = IntPolynomial.make([-num] + [0] * (n - 1) + [den])
-        # the one factor vanishing in the bracket changes sign across it
-        fac = next(f for f, _ in factor_int_poly(poly)
-                   if f.sign_at(lo) != f.sign_at(hi))
-        return RealAlgebraic(fac, lo, hi)
-    comp = a.minpoly.compose_power(n)
-    candidates = [r for r in isolate_real_roots(comp) if r.sign() > 0]
-    # the root r with r**n == a; isolate by interval power comparison
+    p = a.minpoly
     guard = 0
     while True:
-        alive = []
         alo, ahi = a.interval()
-        for r in candidates:
-            rlo, rhi = r.interval()
-            plo, phi = min(rlo**n, rhi**n), max(rlo**n, rhi**n)
-            if not (phi < alo or plo > ahi):
-                alive.append(r)
-        if len(alive) == 1:
-            return alive[0]
-        if not alive:
-            raise AlgebraicError("no compatible n-th root found")
+        m = alo.numerator * alo.denominator ** (n - 1)
+        k = _int_floor_root(m, n)
+        lo = Fraction(k, alo.denominator)
+        if a.is_rational and k ** n == m:
+            return RealAlgebraic.from_rational(lo)
+        hi = Fraction(_int_floor_root(ahi.numerator * ahi.denominator ** (n - 1), n) + 1,
+                      ahi.denominator)
+        if count_roots_in(p, lo ** n, hi ** n) == 1:
+            return _root_in(p.compose_power(n), lo, hi)
         a.refine()
-        for r in alive:
-            r.refine()
-        candidates = alive
         guard += 1
         if guard > _MAX_REFINE:
             raise AlgebraicError("n-th root isolation did not converge")

@@ -220,18 +220,21 @@ def spectral_radius(A: IntMatrix) -> SpectralRadius:
     eigenvalue is non-real.  The zero matrix returns 0 with
     leading_simple True by convention.
 
-    Dimensions 2 and 3 take closed forms: a 2x2 matrix its trace and
-    determinant (`_spectral_radius_2x2`), a 3x3 matrix the roots of its
-    characteristic cubic (`_cubic_radius`).  Only dimension 4 and up
-    factors the characteristic polynomial and isolates its roots, and a
-    cubic whose roots float seeds cannot place.  From dimension 3 on the
-    result depends on the characteristic polynomial alone and is
-    memoized by it (`MEMO_SIZE` entries).  Every call returns a fresh
-    value, built from the interval of the first computation, so refining
-    one result never narrows another.
+    Dimensions 1 to 3 take closed forms: a 1x1 matrix [a] has the simple
+    real radius |a|, a 2x2 matrix its trace and determinant
+    (`_spectral_radius_2x2`), a 3x3 matrix the roots of its
+    characteristic cubic (`_cubic_radius`).  Factoring the characteristic
+    polynomial and isolating its roots (`_radius_by_factoring`) serves
+    only dimension 4 and up and a cubic whose roots float seeds cannot
+    place.  From dimension 3 on the result depends on the characteristic
+    polynomial alone and is memoized by it (`MEMO_SIZE` entries).  Every
+    call returns a fresh value, built from the interval of the first
+    computation, so refining one result never narrows another.
     """
     if A.is_zero():
         return SpectralRadius(RealAlgebraic.from_rational(0), True, False)
+    if A.dim == 1:
+        return SpectralRadius(_integer_radius(abs(A.rows[0][0])), True, False)
     if A.dim == 2:
         return _spectral_radius_2x2(A)
     minpoly, lo, hi, simple, leading_complex = _spectral_radius_of(char_poly(A))

@@ -23,10 +23,10 @@ rotation or a power of a word has the same averaged radius as its
 necklace (rho(XY) = rho(YX) and rho(X^k) = rho(X)^k), and the best
 radius only grows.  So once a necklace has been registered, another
 word of it averages no more than the best and never raises it: at most
-it ties the best, and then the word it ties with, a word of the same
-necklace, is already a candidate, and `_assemble_candidates` would drop
-it as a duplicate.  Skipping it changes neither the tree nor the
-candidates.
+it ties the best, and then its necklace is already a candidate, as the
+candidates are kept by necklace.  Skipping it changes neither the tree
+nor the candidates.  Each child's necklace is computed once and serves
+both this memo and the skip below.
 
 A child whose necklace is that of a current candidate, a word tying the
 best averaged radius, skips the norm tests (Frobenius, Rayleigh and the
@@ -83,17 +83,6 @@ def canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:
     return min(rots)
 
 
-# the key under which `gripenberg_search` computes one spectral radius
-_necklace = canonical_word
-
-
-def _ties_best(word: tuple[int, ...], tied: set[tuple[int, ...]]) -> bool:
-    """True when word is a rotation or power of a current candidate, whose
-    necklaces (`canonical_word`) are `tied`: then its averaged radius is
-    the best, and no norm test can prune it (module docstring)."""
-    return canonical_word(word) in tied
-
-
 class _Best:
     """Monotone best-so-far averaged spectral radius, kept as (rho, length),
     with the powers of rho computed so far, by exponent."""
@@ -145,15 +134,14 @@ def gripenberg_search(family: MatrixFamily, max_depth: int = 10) -> CandidateSet
         raise ValueError("max_depth must be >= 1")
     J = len(family)
     best = _Best()
-    raw_candidates: list[Product] = []  # words tying best at registration time
     exhausted = True
     stats = {"nodes": 0, "fro": 0, "two": 0, "checks": 0, "radii": 0}
     depth_reached = 0
     registered: set[tuple[int, ...]] = set()  # necklaces (module docstring)
-    tied: set[tuple[int, ...]] = set()  # necklaces of the current candidates
+    tied: set[tuple[int, ...]] = set()  # necklaces tying the best
 
-    def register(word: tuple[int, ...], value: IntMatrix) -> None:
-        necklace = _necklace(word)
+    def register(word: tuple[int, ...], value: IntMatrix,
+                 necklace: tuple[int, ...]) -> None:
         if necklace in registered:
             return
         registered.add(necklace)
@@ -162,11 +150,9 @@ def gripenberg_search(family: MatrixFamily, max_depth: int = 10) -> CandidateSet
         cmp = best.cmp_avg(sr, len(word))
         if cmp == Ordering.GREATER:
             best.update(sr, len(word))
-            raw_candidates.clear()
             tied.clear()
         if cmp != Ordering.LESS:
-            raw_candidates.append(Product(word, value))
-            tied.add(canonical_word(word))
+            tied.add(necklace)
 
     def closed_by_repetition(word: tuple[int, ...], value: IntMatrix,
                              prefixes: tuple[IntMatrix, ...]) -> bool:
@@ -194,7 +180,7 @@ def gripenberg_search(family: MatrixFamily, max_depth: int = 10) -> CandidateSet
         word, value = (j,), family[j - 1]
         stats["nodes"] += 1
         depth_reached = 1
-        register(word, value)
+        register(word, value, word)  # a letter is its own necklace
         level.append((word, value, ident))
     while level:
         nxt = []
@@ -213,7 +199,8 @@ def gripenberg_search(family: MatrixFamily, max_depth: int = 10) -> CandidateSet
                 cw = word + (j,)
                 if child.is_zero():
                     continue
-                if not _ties_best(cw, tied):
+                necklace = canonical_word(cw)
+                if necklace not in tied:
                     # cheap exact Frobenius pre-prune (||.||_F >= ||.||_2)
                     if _prunes(frobenius_norm_sq(child), len(cw), best):
                         stats["fro"] += 1
@@ -227,11 +214,11 @@ def gripenberg_search(family: MatrixFamily, max_depth: int = 10) -> CandidateSet
                             continue
                 stats["nodes"] += 1
                 depth_reached = max(depth_reached, len(cw))
-                register(cw, child)
+                register(cw, child, necklace)
                 nxt.append((cw, child, child_prefixes))
         level = nxt
 
-    candidates = _assemble_candidates(raw_candidates, family)
+    candidates = _assemble_candidates(tied, family)
     if best.rho_is_zero:
         lam = RealAlgebraic.from_rational(0)
     else:
@@ -274,21 +261,17 @@ def _scalar_multiple(A: IntMatrix, B: IntMatrix) -> Fraction | None:
     return Fraction(p, q) if q else Fraction(0)
 
 
-def _assemble_candidates(raw: list[Product], family: MatrixFamily) -> list[Product]:
-    """Canonicalize, deduplicate, and drop matrix-redundant tying words.
+def _assemble_candidates(necklaces: set[tuple[int, ...]],
+                         family: MatrixFamily) -> list[Product]:
+    """The tying necklaces as products, by length and word, without the
+    matrix-redundant ones.
 
-    A longer tying word whose canonical form evaluates to the same
-    matrix as a shorter kept candidate adds no new spectral information
-    (it arises from identities like A^3 = A) and is dropped.
+    A longer necklace that evaluates to the same matrix as a shorter
+    kept candidate adds no new spectral information (it arises from
+    identities like A^3 = A) and is dropped.
     """
-    if not raw:
-        return []
-    seen: dict[tuple[int, ...], Product] = {}
-    for p in raw:
-        cw = canonical_word(p.word)
-        if cw not in seen:
-            seen[cw] = evaluate(cw, family)
-    ordered = sorted(seen.values(), key=lambda p: (p.length, p.word))
+    ordered = sorted((evaluate(w, family) for w in necklaces),
+                     key=lambda p: (p.length, p.word))
     kept: list[Product] = []
     for p in ordered:
         if any(k.length < p.length and k.value == p.value for k in kept):

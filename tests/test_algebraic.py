@@ -93,6 +93,55 @@ class TestIsolateRealRoots:
         roots = isolate_real_roots(p)
         assert len(roots) == 1 and roots[0].as_rational() == 1
 
+    def test_matches_mpmath_roots_on_random_polynomials(self):
+        # products of linear factors, rational roots on bisection points
+        # (integers and halves) and off them (thirds), with random
+        # quadratics and cubics
+        rng = random.Random(24)
+        for _ in range(60):
+            p = P([1])
+            for _ in range(rng.randint(1, 3)):
+                s, t = rng.randint(-12, 12), rng.choice([1, 1, 2, 3])
+                p = p * P([-s, t])
+            for _ in range(rng.randint(0, 2)):
+                p = p * P([rng.randint(-9, 9) for _ in range(rng.choice([3, 4]))] + [1])
+            roots = isolate_real_roots(p)
+            # the oracle's roots of the squarefree part, which are simple
+            want = sorted(z.real for z in
+                          mp_poly_roots(list(p.squarefree_part().coeffs))
+                          if abs(z.imag) < mpmath.mpf(10) ** -20)
+            assert len(roots) == len(want)
+            for r, x in zip(roots, want):
+                lo, hi = r.interval()
+                with mpmath.workdps(60):
+                    mlo, mhi = (mpmath.mpf(q.numerator) / q.denominator
+                                for q in (lo, hi))
+                    if r.is_rational:
+                        assert abs(mlo - x) < mpmath.mpf(10) ** -40
+                    else:
+                        assert mlo < x < mhi and not lo <= 0 <= hi
+                        assert p.sign_at(lo) * p.sign_at(hi) != 0
+                assert factor_int_poly(r.minpoly) == ((r.minpoly, 1),)
+            for a, b in zip(roots, roots[1:]):
+                assert a.interval()[1] < b.interval()[0]
+
+    def test_rational_root_at_the_end_of_its_neighbours_interval(
+            self, monkeypatch):
+        # x (x^3 + 11x^2 + 31x + 6) = x (x + 6) (x^2 + 5x + 1): bisection
+        # from the Cauchy bound 32 ends an interval at the root -6, and -6
+        # starts the interval of the next root, -4.79...
+        pinned = []
+        root_in = algebraic._root_in
+        monkeypatch.setattr(algebraic, "_root_in", lambda p, lo, hi:
+                            pinned.append((lo, hi)) or root_in(p, lo, hi))
+        p = P([0, 6, 31, 11, 1])
+        roots = isolate_real_roots(p)
+        assert (-6, -4) in pinned
+        assert [r.as_rational() for r in roots if r.is_rational] == [-6, 0]
+        assert [r.minpoly for r in roots] == [P([6, 1]), P([1, 5, 1]),
+                                              P([1, 5, 1]), P([0, 1])]
+        assert compare(roots[1], Fraction(-6)) == Ordering.GREATER
+
     def test_wrong_root_count_raises_instead_of_bisecting_forever(
             self, monkeypatch):
         # a Sturm count that always claims two roots can never split them
@@ -180,6 +229,34 @@ class TestCompare:
         val = nth_root(inner.to_real_algebraic(), 2)
         assert compare(val, Fraction(4, 5)) == Ordering.GREATER
         assert compare(val, Fraction(81, 100)) == Ordering.LESS
+
+    def test_a_rational_is_ordered_against_an_irrational_by_one_sign(self):
+        # the root of x^3 - N x^2 - 1 exceeds N by about 1/N^2, so no
+        # number of halvings of an interval 2N wide within the refinement
+        # limit separates it from N; the sign of the polynomial at N does
+        N = 2**1100 + 1
+        r = RealAlgebraic(P([-1, 0, -N, 1]), Fraction(0), Fraction(2 * N))
+        assert compare(r, N) == Ordering.GREATER
+        assert compare(Fraction(N), r) == Ordering.LESS
+        assert compare(r, N + 1) == Ordering.LESS
+        assert compare(r, 2 * N) == Ordering.LESS
+        assert compare(r, -1) == Ordering.GREATER
+        assert r.interval() == (0, 2 * N)  # decided without refinement
+
+    def test_one_sign_agrees_with_refinement(self):
+        polys = [P([-2, 0, 1]), P([-1, -1, 0, 1]), P([1, -3, 0, 1]), P([-5, 4, -5, 1])]
+        for poly in polys:
+            for r in isolate_real_roots(poly):
+                lo, hi = r.interval()
+                for k in range(-1, 18):
+                    q = lo + (hi - lo) * Fraction(k, 16)
+                    # the order the refinement of a copy reads off
+                    s = RealAlgebraic(poly, lo, hi)
+                    while s.interval()[0] <= q <= s.interval()[1]:
+                        s.refine()
+                    want = Ordering.LESS if s.interval()[1] < q else Ordering.GREATER
+                    assert compare(r, q) == want == -compare(q, r)
+                assert r.interval() == (lo, hi)
 
     def test_total_order_on_random_triples(self):
         rng = random.Random(3)
@@ -404,6 +481,32 @@ class TestNthRoot:
                                2).pow(2),
                        RealAlgebraic.from_rational(Fraction(1, 5 * 10**299))) \
             == Ordering.EQUAL
+
+    def test_irrational_arguments_of_degree_2_and_3(self):
+        # 3 + 2 sqrt2 = (1 + sqrt2)^2, so its p(x^2) splits into two
+        # quadratics; 7 + 5 sqrt2 = (1 + sqrt2)^3 likewise for n = 3
+        polys = [P([-2, 0, 1]), P([1, -6, 1]), P([-1, 14, 1]), P([-1, -1, 1]),
+                 P([-1, -1, 0, 1]), P([1, -3, 0, 1]), P([-2, 0, 0, 1]),
+                 P([-5, 4, -5, 1])]
+        for poly in polys:
+            for a in isolate_real_roots(poly):
+                if a.sign() <= 0:
+                    continue
+                for n in range(2, 9):
+                    r = nth_root(a, n)
+                    assert r.sign() > 0
+                    assert compare_powers(r, n, a, 1) == Ordering.EQUAL
+                    assert factor_int_poly(r.minpoly) == ((r.minpoly, 1),)
+        a = isolate_real_roots(P([1, -6, 1]))[1]  # 3 + 2 sqrt2
+        assert nth_root(a, 2).minpoly == P([-1, -2, 1])  # 1 + sqrt2
+
+    def test_a_wide_interval_is_refined_until_the_bracket_isolates(self):
+        # [0, 10] holds both roots of x^2 - 6x + 1 (0.17 and 5.83)
+        a = RealAlgebraic(P([1, -6, 1]), Fraction(1, 2), Fraction(10))
+        r = nth_root(a, 3)
+        assert compare_powers(r, 3, a, 1) == Ordering.EQUAL
+        lo, hi = r.interval()
+        assert count_roots_in(P([1, -6, 1]), lo**3, hi**3) == 1
 
     def test_rejects_nonpositive(self):
         with pytest.raises(AlgebraicError):
@@ -682,6 +785,17 @@ class TestSerialization:
                     assert len(bisect_roots(list(poly.coeffs), plo,
                                             plo + 2 * width)) > 1
 
+    def test_a_wide_interval_takes_its_unit_cell_by_bisection(self):
+        # the unit cell of a root just above N, from an interval about 2N
+        # wide: found among the integers by bisection, not one by one
+        for N in (2**60 + 7, 2**1100 + 1):
+            r = RealAlgebraic(P([-1, 0, -N, 1]), Fraction(0), Fraction(2 * N))
+            assert r.isolating_cell() == (N, N + 1)
+            assert r.serialize() == f"minpoly=[-1,0,{-N},1];interval=[{N},{N + 1}]"
+        # below zero too: the negated root lies in (-N - 1, -N)
+        r = -RealAlgebraic(P([-1, 0, -N, 1]), Fraction(1), Fraction(3 * N))
+        assert r.isolating_cell() == (-N - 1, -N)
+
     def test_rational_text_is_a_point(self):
         q = RealAlgebraic.from_rational(Fraction(2, 9))
         assert q.serialize() == "minpoly=[-2,9];interval=[2/9,2/9]"
@@ -697,6 +811,40 @@ class TestFactor:
         p = P([-2, 0, 1]) * P([-3, 0, 1])
         r = real_algebraic_root(p, Fraction(14, 10), Fraction(15, 10))
         assert r.minpoly == P([-2, 0, 1])
+
+
+class TestRealAlgebraicRoot:
+    def test_a_reducible_or_repeated_polynomial_yields_its_factor(self):
+        # the verifier reads a factor other than the claimed context
+        # polynomial as a reducible context
+        sqrt2 = P([-2, 0, 1])
+        for p in (sqrt2 * P([-3, 0, 1]), sqrt2 * sqrt2, sqrt2 * P([-8, 5]),
+                  sqrt2.scale(3)):
+            r = real_algebraic_root(p, Fraction(7, 5), Fraction(3, 2))
+            assert r.minpoly == sqrt2 != p
+            assert r.interval() == (Fraction(7, 5), Fraction(3, 2))
+        r = real_algebraic_root(P([-7, 5]) * sqrt2, Fraction(1), Fraction(7, 5))
+        assert r.as_rational() == Fraction(7, 5)
+
+    def test_an_interval_with_two_roots_is_rejected(self):
+        for p, lo, hi in [(P([-1, 0, 1]), -2, 2), (P([-2, 0, 1]) * P([-3, 0, 1]), 1, 2),
+                          (P([-2, 0, 1]), -2, 2), (P([-2, 0, 1]), 2, 3)]:
+            with pytest.raises(AlgebraicError, match="single root"):
+                real_algebraic_root(p, Fraction(lo), Fraction(hi))
+
+    def test_an_endpoint_root_is_the_root_only_when_alone(self):
+        p = P([-2, 1]) * P([-3, 0, 1])  # roots 2 and +-sqrt3
+        assert real_algebraic_root(p, Fraction(2), Fraction(3)).as_rational() == 2
+        assert real_algebraic_root(p, Fraction(9, 5), Fraction(2)).as_rational() == 2
+        q = P([-1, 1]) * P([-3, 0, 1])  # roots 1 and +-sqrt3
+        for poly, lo, hi in [(p, 1, 2), (p, Fraction(3, 2), 2), (p, -2, 2),
+                             (q, 1, 2), (q, -2, 1)]:
+            with pytest.raises(AlgebraicError, match="single root"):
+                real_algebraic_root(poly, Fraction(lo), Fraction(hi))
+        with pytest.raises(AlgebraicError, match="single root"):
+            real_algebraic_root(p, Fraction(2), Fraction(-2))
+        with pytest.raises(AlgebraicError, match="does not vanish"):
+            real_algebraic_root(p, Fraction(3), Fraction(3))
 
 
 def _sympy_factors(p):

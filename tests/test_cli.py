@@ -49,3 +49,24 @@ def test_solve_reports_an_unsupported_pair_as_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "degree 4" in err
     assert not (tmp_path / "q.certificate.json").exists()
+
+
+def test_solve_settles_pairs_with_entries_beyond_a_float(tmp_path, capsys):
+    # the companion matrix C of x^3 - N x^2 - 1 has a radius just above N:
+    # paired with N I, the commuting-order lemma compares it with N, and
+    # paired with the zero matrix it is rendered from an interval about
+    # 2N wide
+    from jsrcert.algebraic import RealAlgebraic
+
+    for N, other, reason in [
+            (2**1100 + 1, [[2**1100 + 1 if i == j else 0 for j in range(3)]
+                           for i in range(3)], "commuting_order"),
+            (2**60 + 7, [[0] * 3] * 3, "zero")]:
+        family = tmp_path / "big.json"
+        family.write_text(json.dumps([[[N, 0, 1], [1, 0, 0], [0, 1, 0]], other]))
+        capsys.readouterr()
+        assert main(["solve", "--matrices", str(family)]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert (rec["status"], rec["reason"]) == ("settled", reason)
+        assert rec["jsr"] == f"minpoly=[-1,0,{-N},1];interval=[{N},{N + 1}]"
+        assert RealAlgebraic.deserialize(rec["jsr"]).serialize() == rec["jsr"]

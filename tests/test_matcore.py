@@ -161,6 +161,24 @@ class TestSpectralRadiusCache:
         assert not spectral_radius(nilpotent).leading_simple
 
 
+class TestOneByOneClosedForm:
+    def test_equals_the_factoring_path(self, monkeypatch):
+        # [a] has the one simple real eigenvalue a, so its radius is |a|
+        expected = {a: matcore._radius_by_factoring(char_poly(M([[a]])))
+                    for a in range(-5, 6) if a}
+
+        def refuse(*args):
+            raise AssertionError("a 1x1 radius factored its polynomial")
+
+        monkeypatch.setattr(matcore, "factor_int_poly", refuse)
+        for a, (minpoly, lo, hi, simple, cplx) in expected.items():
+            sr = spectral_radius(M([[a]]))
+            assert sr.value.minpoly == minpoly == P([-abs(a), 1])
+            assert sr.value.interval() == (lo, hi) == (abs(a), abs(a))
+            assert (sr.leading_simple, sr.leading_complex) == (simple, cplx) \
+                == (True, False)
+
+
 class TestTwoByTwoClosedForm:
     """A 2x2 radius comes from the trace and determinant alone; it equals
     the factoring path (`_spectral_radius_of` of the characteristic

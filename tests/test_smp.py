@@ -81,11 +81,16 @@ class TestCanonicalWord:
                 assert canonical_word(w[i:] + w[:i]) == c
 
     def test_canonicalize_product(self):
-        # a tying product is kept in its canonical rotation
+        # a tying product is kept in its canonical rotation: the search
+        # registers necklaces, and the candidates are their products
         fam = MatrixFamily.make([T1, T2])
-        (c,) = _assemble_candidates([evaluate((2, 1, 2), fam)], fam)
+        (c,) = _assemble_candidates({canonical_word((2, 1, 2))}, fam)
         assert c.word == (1, 2, 2)
         assert c.value == evaluate((1, 2, 2), fam).value
+        words = [c.word for f in _searched_families()
+                 for c in gripenberg_search(f).candidates]
+        assert any(len(set(w)) > 1 for w in words)
+        assert all(canonical_word(w) == w for w in words)
 
 
 class TestGripenbergShowcase3x3:
@@ -204,6 +209,24 @@ def _tree(cs):
             cs.radius_checks, cs.depth_reached, cs.exhausted)
 
 
+def _shape(cs):
+    """A search result apart from its counts of exact 2-norms and radii."""
+    return ([(c.word, c.value) for c in cs.candidates], cs.lambda_.serialize(),
+            cs.nodes_visited, cs.frobenius_prunes, cs.two_norm_prunes,
+            cs.depth_reached, cs.exhausted)
+
+
+def _key_by_word(monkeypatch):
+    """Key the search by each word instead of its necklace: every node
+    computes its own radius, and no child skips the norm tests as a
+    rotation or power of a candidate.  The tying words are still
+    assembled by their necklaces."""
+    assemble = smp._assemble_candidates
+    monkeypatch.setattr(smp, "canonical_word", lambda word: word)
+    monkeypatch.setattr(smp, "_assemble_candidates", lambda words, family: assemble(
+        {canonical_word(w) for w in words}, family))
+
+
 def _searched_families():
     """The pairs a campaign searches: those no quick lemma settles;
     3/108, 3/169 and 16/43 each prune a node by its exact 2-norm."""
@@ -249,12 +272,13 @@ class TestRayleighGate:
 class TestTiedProducts:
     def test_search_is_the_same_without_the_skip(self, monkeypatch):
         # a child tying the best can fail no norm test, so skipping the
-        # tests changes nothing but the count of exact 2-norms
+        # tests changes nothing but the count of exact 2-norms (keyed by
+        # the word, the search also computes one radius per node)
         families = _searched_families()
         skipping = [gripenberg_search(f) for f in families]
-        monkeypatch.setattr(smp, "_ties_best", lambda word, tied: False)
+        _key_by_word(monkeypatch)
         testing = [gripenberg_search(f) for f in families]
-        assert [_tree(cs) for cs in skipping] == [_tree(cs) for cs in testing]
+        assert [_shape(cs) for cs in skipping] == [_shape(cs) for cs in testing]
         assert sum(cs.two_norm_checks for cs in skipping) < \
             sum(cs.two_norm_checks for cs in testing)
 
@@ -267,18 +291,12 @@ class TestTiedProducts:
         assert [c.value for c in cs.candidates] == [fam[1]]
         assert fam[1] == fam[1].transpose()
         assert (cs.nodes_visited, cs.two_norm_checks) == (11, 0)
-        monkeypatch.setattr(smp, "_ties_best", lambda word, tied: False)
+        _key_by_word(monkeypatch)
         cs = gripenberg_search(fam)
         assert (cs.nodes_visited, cs.two_norm_checks) == (11, 9)
 
 
 class TestNecklaceMemo:
-    @staticmethod
-    def _summary(cs):
-        return ([(c.word, c.value) for c in cs.candidates], cs.lambda_.serialize(),
-                cs.nodes_visited, cs.frobenius_prunes, cs.two_norm_prunes,
-                cs.two_norm_checks, cs.depth_reached, cs.exhausted)
-
     def test_search_is_the_same_as_with_one_radius_per_word(self, monkeypatch):
         # the orbit representatives of full F2, F2s with first codes 1, 4,
         # 5 and 16, and F3 A1=3 that no quick lemma settles
@@ -295,14 +313,24 @@ class TestNecklaceMemo:
         assert len(families) > 300
         runs = [(f, depth) for f in families.values() for depth in (10, 14)]
         memo = [gripenberg_search(f, max_depth=depth) for f, depth in runs]
-        monkeypatch.setattr(smp, "_necklace", lambda word: word)
+        _key_by_word(monkeypatch)
         plain = [gripenberg_search(f, max_depth=depth) for f, depth in runs]
-        assert [self._summary(cs) for cs in memo] == \
-            [self._summary(cs) for cs in plain]
+        assert [_shape(cs) for cs in memo] == [_shape(cs) for cs in plain]
         # keyed by the word itself, every node computes its radius
         assert all(cs.radius_checks == cs.nodes_visited for cs in plain)
         fewer = sum(m.radius_checks < p.radius_checks for m, p in zip(memo, plain))
         assert 2 * fewer > len(runs)
+
+    def test_each_child_computes_its_necklace_once(self, monkeypatch):
+        # every nonzero child: the nodes below the letters and the pruned
+        calls = []
+        monkeypatch.setattr(smp, "canonical_word",
+                            lambda word: calls.append(word) or canonical_word(word))
+        for fam in _searched_families()[:20]:
+            calls.clear()
+            cs = gripenberg_search(fam)
+            assert len(calls) == len(set(calls)) == cs.nodes_visited - len(fam) + \
+                cs.frobenius_prunes + cs.two_norm_prunes
 
     def test_a_rotation_or_power_of_a_registered_word_is_skipped(self):
         # {A, B}: level 2 holds AB and BA (one necklace) and AA, BB (powers
