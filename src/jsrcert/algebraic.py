@@ -8,9 +8,12 @@ representation: its minimal polynomial, irreducible and primitive with a
 positive leading coefficient, together with a rational interval
 isolating exactly one real root.  Two values with the same minimal
 polynomial are conjugates, equal iff their intervals share a root, and
-values with different minimal polynomials differ, so a comparison needs
-a Sturm count for conjugates, one sign for a rational against an
-irrational, and interval refinement otherwise, never a floating
+values with different minimal polynomials differ.  Equality is decided
+without ordering (`is_power`): equal minimal polynomials and a sign
+change across the intervals' overlap, or for a == b^n a divisibility
+and b^n's powered interval inside a's.  An ordering needs one sign for
+a rational against an irrational and interval refinement otherwise,
+bounded by a root-separation bound of the operands, never a floating
 tolerance.  Number field elements are integer numerators of the
 coordinates over one positive denominator, in lowest terms, over a
 shared immutable context; mixing contexts is a hard error.
@@ -33,8 +36,14 @@ arguments is memoized per process by `lru_cache` on those arguments,
 with `MEMO_SIZE` entries unless its keys are few and fixed (a coded
 member matrix, an identity), and returns values no caller can change.
 Here that is Sturm chains, squarefree parts and factorizations, keyed
-by the polynomial, and a number's text, keyed by its minimal polynomial
-and interval.
+by the polynomial, a checked root, keyed by a polynomial and an
+interval, and a number's text, keyed by its minimal polynomial and
+interval.
+
+A float conversion narrows a root once, at its first float need: a float
+Newton iterate from the isolating interval, one exact Newton step, and a
+cell of the 2^-_NARROW_BITS relative grid around it that two exact signs
+certify (`_newton_cell`); halving takes over when they do not.
 
 Field arithmetic normalizes each result once: an int operand scales
 the numerators directly, and products over a monic minimal polynomial
@@ -51,7 +60,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import frexp, gcd, isfinite, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -61,6 +70,11 @@ RationalLike = Union[int, Fraction]
 
 # maximum interval-halving rounds before a sign query is declared a bug
 _MAX_REFINE = 256
+# a narrowed root's cell is two steps of 2^(e - _NARROW_BITS) for a root
+# of binary exponent e, and its Newton iterate takes at most
+# _FLOAT_NEWTON_STEPS float steps
+_NARROW_BITS = 96
+_FLOAT_NEWTON_STEPS = 8
 # interval halvings compare_powers tries before building exact powers
 _POWER_REFINE_ROUNDS = 3
 # a cubic is factored by trial of its rational root candidates when its
@@ -400,13 +414,14 @@ class RealAlgebraic:
     this is safe to share between threads holding the GIL).
     """
 
-    __slots__ = ("minpoly", "_lo", "_hi", "_sign_hi")
+    __slots__ = ("minpoly", "_lo", "_hi", "_sign_hi", "_narrowed")
 
     def __init__(self, minpoly: IntPolynomial, lo: Fraction, hi: Fraction):
         self.minpoly = minpoly
         self._lo = lo
         self._hi = hi
         self._sign_hi = None  # the sign of minpoly at _hi, once `refine` needs it
+        self._narrowed = False  # `narrow` has run
 
     # -- constructors --------------------------------------------------------
 
@@ -456,6 +471,17 @@ class RealAlgebraic:
         else:
             self._lo = mid
 
+    def narrow(self) -> None:
+        """Narrow the isolating interval of an irrational value once, to
+        the cell `_newton_cell` certifies; later calls do nothing, and
+        without a certified cell the interval stays as it was."""
+        if self._narrowed or self._lo == self._hi:
+            return
+        self._narrowed = True
+        cell = _newton_cell(self.minpoly, self._lo, self._hi)
+        if cell is not None:
+            self._lo, self._hi, self._sign_hi = cell
+
     def refine_below(self, width: Fraction) -> None:
         guard = 0
         while self._hi - self._lo > width:
@@ -471,15 +497,24 @@ class RealAlgebraic:
         return 1 if self._lo > 0 else -1
 
     def exclude_zero(self) -> None:
-        """Refine until the interval is sign-definite (value must be != 0)."""
+        """Refine until the interval is sign-definite (value must be != 0).
+
+        The halvings are bounded by the width's bits and the value's
+        size: Cauchy's bound on 1 / value gives
+        |value| > |c_0| / (|c_0| + max |c_i|) for the minimal polynomial's
+        coefficients; more are a bug."""
         if self.is_rational:
             return
-        guard = 0
+        limit = None
         while self._lo <= 0 <= self._hi:
-            self.refine()
-            guard += 1
-            if guard > _MAX_REFINE:
+            if limit is None:
+                c0, *rest = map(abs, self.minpoly.coeffs)
+                limit = _halvings(self._hi - self._lo,
+                                  _log2_above(Fraction(c0 + max(rest), c0)))
+            elif limit == 0:
                 raise AlgebraicError("sign determination did not converge")
+            self.refine()
+            limit -= 1
 
     def __neg__(self) -> "RealAlgebraic":
         poly = IntPolynomial.make(
@@ -513,7 +548,11 @@ class RealAlgebraic:
         return (ctx.generator() ** k).to_real_algebraic()
 
     def __float__(self) -> float:
-        self.refine_below(Fraction(1, 10**17))
+        """The midpoint of an isolating interval narrower than 1e-17:
+        narrowed once (`narrow`), then halved while still wider."""
+        if self._hi - self._lo > Fraction(1, 10**17):
+            self.narrow()
+            self.refine_below(Fraction(1, 10**17))
         return float((self._lo + self._hi) / 2)
 
     def __repr__(self) -> str:
@@ -611,6 +650,69 @@ def _dyadic_cell(p: IntPolynomial, lo: Fraction, hi: Fraction
     return a, b
 
 
+def _newton_cell(p: IntPolynomial, lo: Fraction, hi: Fraction
+                 ) -> tuple[Fraction, Fraction, int] | None:
+    """A narrow cell (a, b) inside [lo, hi] around the irrational root of
+    p that [lo, hi] isolates, with the sign of p at b; or None, when the
+    floats fail or the signs do not certify the cell.
+
+    Float Newton steps from the midpoint of [lo, hi] give x = n / D.
+    One exact Newton step from x, which squares its error, gives
+    X = (n P' - P) / (D P'), for P = p(x) D^deg and P' = p'(x) D^(deg-1)
+    in integers.  The cell is [k - 1, k + 1] h for the grid step
+    h = 2^(e - _NARROW_BITS) of x's binary exponent e and the k nearest
+    X / h.  It holds the root when it lies in [lo, hi] and p changes sign
+    across it; no rational is a root of p, so neither end is.  A root or
+    coefficient beyond the float range fails the floats.
+    """
+    coeffs = p.coeffs[::-1]  # highest degree first
+    try:
+        fc = [float(c) for c in coeffs]
+        x = float((lo + hi) / 2)
+        for _ in range(_FLOAT_NEWTON_STEPS):
+            v = dv = 0.0
+            for c in fc:
+                dv = dv * x + v
+                v = v * x + c
+            step = v / dv
+            x -= step
+            if abs(step) <= abs(x) * 2.0**-52:
+                break
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if not isfinite(x) or x == 0.0:
+        return None
+    n, D = x.as_integer_ratio()
+    deg = p.degree
+    val = der = 0
+    dk = 1
+    for i, c in enumerate(coeffs):
+        val = val * n + c * dk
+        if i < deg:
+            der = der * n + (deg - i) * c * dk
+        dk *= D
+    # val = P, der = P': X = n / D - P / (D P')
+    num, den = n * der - val, D * der
+    if den == 0:
+        return None
+    if den < 0:
+        num, den = -num, -den
+    shift = _NARROW_BITS - frexp(x)[1]
+    if shift >= 0:
+        num <<= shift
+    else:
+        den <<= -shift
+    k = (2 * num + den) // (2 * den)
+    a, b = (Fraction(k - 1, 1 << shift), Fraction(k + 1, 1 << shift)) \
+        if shift >= 0 else (Fraction((k - 1) << -shift), Fraction((k + 1) << -shift))
+    if a < lo or b > hi:
+        return None
+    sb = p.sign_at(b)
+    if p.sign_at(a) != -sb:
+        return None
+    return a, b, sb
+
+
 def _root_in(p: IntPolynomial, lo: Fraction, hi: Fraction) -> RealAlgebraic:
     """The one real root of p in (lo, hi), whose end hi is no root of p.
 
@@ -630,26 +732,38 @@ def real_algebraic_root(p: IntPolynomial, lo: Fraction, hi: Fraction) -> RealAlg
 
     The polynomial need not be irreducible or squarefree; the interval
     must contain exactly one distinct real root, which the checks here
-    establish before `_root_in` pins it.
+    establish before `_root_in` pins it.  The outcome is memoized by
+    (p, lo, hi), as a certificate's context and its lambda, and a block
+    record's value in every pair that has the block, name one root
+    again and again; each call gets a value of its own.
     """
+    return RealAlgebraic(*_checked_root(p, lo, hi))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _checked_root(p: IntPolynomial, lo: Fraction, hi: Fraction
+                  ) -> tuple[IntPolynomial, Fraction, Fraction]:
+    """`real_algebraic_root` as (minimal polynomial, lo, hi)."""
     if p.is_zero:
         raise ZeroPolynomialError("zero polynomial")
     if lo == hi:
         if p.sign_at(lo) != 0:
             raise AlgebraicError("claimed rational root does not vanish")
-        return RealAlgebraic.from_rational(lo)
-    sf = p.squarefree_part()
-    if sf.sign_at(lo) == 0:
-        if count_roots_in(sf, lo, hi) == 0:
-            return RealAlgebraic.from_rational(lo)
-        raise AlgebraicError("interval does not isolate a single root")
-    n = count_roots_in(sf, lo, hi)
-    if n != 1:
-        raise AlgebraicError("interval does not isolate a single root")
-    if sf.sign_at(hi) == 0:
-        # the isolated root is the rational endpoint hi itself
-        return RealAlgebraic.from_rational(hi)
-    return _root_in(sf, lo, hi)
+        r = RealAlgebraic.from_rational(lo)
+    else:
+        sf = p.squarefree_part()
+        if sf.sign_at(lo) == 0:
+            if count_roots_in(sf, lo, hi) != 0:
+                raise AlgebraicError("interval does not isolate a single root")
+            r = RealAlgebraic.from_rational(lo)
+        elif count_roots_in(sf, lo, hi) != 1:
+            raise AlgebraicError("interval does not isolate a single root")
+        elif sf.sign_at(hi) == 0:
+            # the isolated root is the rational endpoint hi itself
+            r = RealAlgebraic.from_rational(hi)
+        else:
+            r = _root_in(sf, lo, hi)
+    return (r.minpoly, *r.interval())
 
 
 def isolate_real_roots(p: IntPolynomial) -> list[RealAlgebraic]:
@@ -659,7 +773,10 @@ def isolate_real_roots(p: IntPolynomial) -> list[RealAlgebraic]:
     The squarefree part is bisected from its Cauchy bound, its rational
     roots included, into half-open intervals (lo, hi] holding one root
     each: a root on a bisection point is the rational hi, any other is
-    pinned by `_root_in`.
+    pinned by `_root_in`.  An interval with two roots is wider than their
+    distance, so the squarefree part's root-separation bound
+    (`_separation_bits`) bounds the depth and the separation of
+    neighbours; beyond it is a bug.
     """
     if p.is_zero:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
@@ -667,6 +784,8 @@ def isolate_real_roots(p: IntPolynomial) -> list[RealAlgebraic]:
         return []
     sf = p.squarefree_part()
     bound = root_bound(sf)
+    sep_bits = _separation_bits(sf)
+    max_depth = _halvings(2 * bound, sep_bits)
     out: list[RealAlgebraic] = []
     stack = [(-bound, bound, count_roots_in(sf, -bound, bound), 0)]
     while stack:
@@ -681,7 +800,7 @@ def isolate_real_roots(p: IntPolynomial) -> list[RealAlgebraic]:
                 r.exclude_zero()
                 out.append(r)
             continue
-        if depth == _MAX_REFINE:
+        if depth == max_depth:
             raise AlgebraicError("root isolation did not converge")
         mid = (lo + hi) / 2
         nl = count_roots_in(sf, lo, mid)
@@ -691,26 +810,37 @@ def isolate_real_roots(p: IntPolynomial) -> list[RealAlgebraic]:
     # the order is by (lo, hi), not by lo alone
     out.sort(key=RealAlgebraic.interval)
     for a, b in zip(out, out[1:]):
-        _separate(a, b)
+        _separate(a, b, sep_bits)
     return out
 
 
-def _separate(a: RealAlgebraic, b: RealAlgebraic) -> None:
-    """Refine two distinct values (a < b) until their intervals are disjoint."""
-    guard = 0
+def _separate(a: RealAlgebraic, b: RealAlgebraic, sep_bits: int) -> None:
+    """Refine two values a < b, at least 2^-sep_bits apart, until their
+    intervals are disjoint."""
+    limit = None
     while a.interval()[1] >= b.interval()[0]:
+        if limit is None:
+            limit = _halvings(a._hi - a._lo + b._hi - b._lo, sep_bits)
+        elif limit == 0:
+            raise AlgebraicError("interval separation did not converge")
         a.refine()
         b.refine()
-        guard += 1
-        if guard > _MAX_REFINE:
-            raise AlgebraicError("interval separation did not converge")
+        limit -= 1
 
 
 def compare(a, b) -> Ordering:
     """Exact total order on real algebraic numbers and rationals; a
-    RealAlgebraic and a rational may be mixed freely.  A rational is
-    ordered against an irrational by one sign (`_order_at`), two
-    irrationals by refining until their intervals separate."""
+    RealAlgebraic and a rational may be mixed freely.  Use it for
+    orderings; `is_power` answers equality without one.
+
+    A rational is ordered against an irrational by one sign
+    (`_order_at`).  Two irrationals are equal iff they are conjugates
+    whose intervals share the root; otherwise both intervals are halved
+    until they separate.  Both values are distinct roots of the minimal
+    polynomial, or of the two minimal polynomials' product, so the
+    halvings are bounded by the bits of the widths and that polynomial's
+    root-separation bound (`_separation_bits`); more are a bug.
+    """
     if type(a) is RealAlgebraic and a.is_rational:
         a = a.as_rational()
     if type(b) is RealAlgebraic and b.is_rational:
@@ -722,14 +852,10 @@ def compare(a, b) -> Ordering:
         return Ordering.LESS if _order_at(b, a) is Ordering.GREATER else Ordering.GREATER
     if type(b) is not RealAlgebraic:
         return _order_at(a, b)
-    if a.minpoly == b.minpoly:
-        # conjugates: equal iff the overlap holds the root both isolate
-        lo = max(a.interval()[0], b.interval()[0])
-        hi = min(a.interval()[1], b.interval()[1])
-        if lo <= hi and count_roots_in(a.minpoly, lo, hi) >= 1:
-            return Ordering.EQUAL
+    if a.minpoly == b.minpoly and _share_root(a, b):
+        return Ordering.EQUAL
     # distinct values: refine until the intervals separate
-    guard = 0
+    limit = None
     while True:
         alo, ahi = a.interval()
         blo, bhi = b.interval()
@@ -737,11 +863,100 @@ def compare(a, b) -> Ordering:
             return Ordering.LESS
         if bhi < alo:
             return Ordering.GREATER
+        if limit is None:
+            p = a.minpoly if a.minpoly == b.minpoly else a.minpoly * b.minpoly
+            limit = _halvings(ahi - alo + bhi - blo, _separation_bits(p))
+        elif limit == 0:
+            raise AlgebraicError("comparison did not converge")
         a.refine()
         b.refine()
-        guard += 1
-        if guard > _MAX_REFINE:
-            raise AlgebraicError("comparison did not converge")
+        limit -= 1
+
+
+def _share_root(a: RealAlgebraic, b: RealAlgebraic) -> bool:
+    """For irrational conjugates a and b: their intervals' overlap holds
+    the root, so a == b.  Each interval isolates one root of the minimal
+    polynomial p, so the overlap holds at most one; p has no rational
+    root, so it holds one iff p changes sign across it."""
+    lo, hi = max(a._lo, b._lo), min(a._hi, b._hi)
+    p = a.minpoly
+    return lo < hi and p.sign_at(lo) == -p.sign_at(hi)
+
+
+def _log2_above(q: Fraction) -> int:
+    """An integer above log2 q, for q > 0."""
+    return q.numerator.bit_length() - q.denominator.bit_length() + 1
+
+
+def _halvings(width: Fraction, bits: int) -> int:
+    """Halvings enough to take an interval of this width below 2^-bits."""
+    return max(_log2_above(width) + bits, 0) + 1
+
+
+def _separation_bits(p: IntPolynomial) -> int:
+    """An s with 2^-s below the distance of any two distinct roots of the
+    squarefree integer polynomial p of degree d >= 2: Mahler's bound
+    sqrt(3 |disc|) d^(-(d + 2)/2) ||p||_2^(1 - d), where the nonzero
+    integer discriminant is at least 1 in size and
+    log2 ||p||_2 <= ceil(bits(sum c_i^2) / 2)."""
+    d = p.degree
+    norm_bits = (sum(c * c for c in p.coeffs).bit_length() + 1) // 2
+    return ((d + 2) * d.bit_length() + 1) // 2 + (d - 1) * norm_bits
+
+
+def is_power(a, b, n: int) -> bool:
+    """Exactly: a == b^n, for a and b each rational or a RealAlgebraic
+    and n >= 1, without ordering them: a is never refined, and b only to
+    place b^n among the roots of a's minimal polynomial.
+
+    - A rational b: b^n is rational, and equals a only as a rational.
+    - n = 1: equal iff the minimal polynomials are equal and the overlap
+      of the isolating intervals holds their root (`_share_root`).
+    - n > 1: b^n is a root of a's minimal polynomial p_a iff b's minimal
+      polynomial divides p_a(x^n), which one integer pseudo-division
+      decides; a rational a is then b^n, as p_a has one root.  An
+      irrational a is the root of p_a in its interval, so b is refined
+      until b^n's powered interval lies in a's (equal) or misses it (a
+      conjugate).  b^n and the ends of a's interval are distinct roots
+      of p_a times the ends' linear factors, so a root-separation bound
+      (`_separation_bits`) bounds the halvings; more are a bug.
+    """
+    if n < 1:
+        raise ValueError("power must be >= 1")
+    if type(a) is RealAlgebraic and a.is_rational:
+        a = a.as_rational()
+    if type(b) is RealAlgebraic and b.is_rational:
+        b = b.as_rational()
+    if type(b) is not RealAlgebraic:
+        return type(a) is not RealAlgebraic and a == b**n
+    if n == 1:
+        return type(a) is RealAlgebraic and a.minpoly == b.minpoly and _share_root(a, b)
+    pa = a.minpoly if type(a) is RealAlgebraic else \
+        IntPolynomial((-a.numerator, a.denominator))
+    if not _pseudo_divmod(pa.compose_power(n), b.minpoly)[1].is_zero:
+        return False
+    if type(a) is not RealAlgebraic:
+        return True
+    lo, hi = a.interval()
+    b.exclude_zero()
+    limit = None
+    while True:
+        blo, bhi = b.interval()
+        plo, phi = sorted((blo**n, bhi**n))
+        if lo <= plo and phi <= hi:
+            return True
+        if phi < lo or hi < plo:
+            return False
+        if limit is None:
+            # the powered width is at most n max(|blo|, |bhi|)^(n-1) (bhi - blo)
+            top = max(abs(blo), abs(bhi))
+            limit = _halvings((bhi - blo) * n * top ** (n - 1), max(
+                _separation_bits(pa * IntPolynomial((-e.numerator, e.denominator)))
+                for e in (lo, hi)))
+        elif limit == 0:
+            raise AlgebraicError("power test did not converge")
+        b.refine()
+        limit -= 1
 
 
 def _order_at(r: RealAlgebraic, q: RationalLike) -> Ordering:
@@ -774,7 +989,8 @@ class PowerMemo:
 def compare_powers(a: Union[int, Fraction, RealAlgebraic], m: int,
                    b: RealAlgebraic, n: int,
                    b_powers: PowerMemo | None = None) -> Ordering:
-    """Exact order of a^m against b^n for nonnegative a and b.
+    """Exact order of a^m against b^n for nonnegative a and b.  Use it
+    for orderings; `is_power` decides a == b^n without one.
 
     When each of a and b is rational or a root of a binomial minimal
     polynomial c x^k - d (every complex-pair 2x2 radius sqrt(det) is
@@ -951,6 +1167,10 @@ class NumberFieldContext:
 
     def refine_root(self) -> None:
         self._root.refine()
+
+    def narrow_root(self) -> None:
+        """Narrow the root once (`RealAlgebraic.narrow`)."""
+        self._root.narrow()
 
     def root_cell(self) -> tuple[Fraction, Fraction]:
         """The root's widest isolating dyadic cell, or [q, q] for a
@@ -1182,12 +1402,24 @@ class FieldElement:
             k >>= 1
         return out
 
+    def _is_generator(self) -> bool:
+        """The element is alpha itself, in a field of degree >= 2."""
+        return self.context.degree > 1 and self.den == 1 and \
+            self.nums[1] == 1 and not any(self.nums[0:1] + self.nums[2:])
+
     def inverse(self) -> "FieldElement":
+        """1 / self: for the generator alpha, the closed form
+        -(c_1 + c_2 alpha + ... + c_d alpha^(d-1)) / c_0 read off its
+        minimal polynomial sum c_i x^i (c_0 != 0, as it is irreducible);
+        for any other irrational element, extended Euclid."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero field element")
         ctx = self.context
         if self.is_rational():
             return ctx._element([self.den], self.nums[0])
+        if self._is_generator():
+            c0, *rest = ctx.minpoly.coeffs
+            return ctx._element([-c for c in rest], c0)
         # extended Euclid against the (irreducible) context minimal
         # polynomial m by pseudo-division, keeping r_i = s_i * a (mod m)
         # for the numerator polynomial a
@@ -1269,14 +1501,22 @@ class FieldElement:
                 raise AlgebraicError("field element sign did not converge")
 
     def __float__(self) -> float:
-        guard = 0
-        while True:
+        """The midpoint of the element's interval once it is narrower than
+        1e-17.  At the first float need the context root is narrowed once
+        (`NumberFieldContext.narrow_root`), so most conversions halve
+        nothing; halving goes on while the interval is still wider, at
+        most 81 times."""
+        lo, hi, q = self._interval_nums()
+        # width at least 1e-17
+        if (hi - lo) * 10**17 >= q:
+            self.context.narrow_root()
             lo, hi, q = self._interval_nums()
-            # width below 1e-17
-            if (hi - lo) * 10**17 < q or guard > 80:
-                return (lo + hi) / (2 * q)
-            self.context.refine_root()
-            guard += 1
+            guard = 0
+            while (hi - lo) * 10**17 >= q and guard <= 80:
+                self.context.refine_root()
+                guard += 1
+                lo, hi, q = self._interval_nums()
+        return (lo + hi) / (2 * q)
 
     def minimal_polynomial(self) -> IntPolynomial:
         """Minimal polynomial over Q via the multiplication matrix."""
@@ -1295,6 +1535,15 @@ class FieldElement:
         return IntPolynomial.make(c * den**i for i, c in enumerate(cp)).squarefree_part()
 
     def to_real_algebraic(self) -> RealAlgebraic:
+        """The element as a RealAlgebraic: the context generator is the
+        context root itself (a value of its own, at the root's interval,
+        over the primitive context polynomial); any other element takes
+        its minimal polynomial and refines the root until the element's
+        interval isolates one of its roots."""
+        ctx = self.context
+        if self._is_generator():
+            lo, hi = ctx.root_interval()
+            return RealAlgebraic(ctx.minpoly.primitive(), lo, hi)
         mp = self.minimal_polynomial()
         if mp.degree == 1:
             return RealAlgebraic.from_rational(Fraction(-mp.coeffs[0], mp.coeffs[1]))

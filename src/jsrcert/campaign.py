@@ -24,7 +24,7 @@ from .algebraic import (
     Ordering,
     RealAlgebraic,
     compare,
-    compare_powers,
+    is_power,
 )
 from .ipa import IpaStatus, run_ipa, verify_certificate
 from .matcore import MatrixFamily, evaluate, spectral_radius
@@ -85,7 +85,7 @@ def _resolve_blocks(family: MatrixFamily, dec) -> dict:
     word = tuple(rec["smp_words"][0])
     # re-verify on the full pair: rho(word)^(1/len) == jsr exactly
     rho = spectral_radius(evaluate(word, family).value).value
-    if compare_powers(rho, 1, jsr, len(word)) != Ordering.EQUAL:
+    if not is_power(rho, jsr, len(word)):
         return {"status": "unresolved", "reason": "block_witness_mismatch"}
     return {
         "status": "settled",
@@ -440,7 +440,7 @@ def diff_expected(store: Store, rows: list[ExpectedRow]) -> dict:
         word = parse_smp_word(row.smp_word)
         rho = spectral_radius(evaluate(word, family).value).value
         stored = RealAlgebraic.deserialize(rec["jsr"])
-        ok = compare_powers(rho, 1, stored, len(word)) == Ordering.EQUAL
+        ok = is_power(rho, stored, len(word))
         results.append({
             "row": f"{row.a1}/{row.a2}",
             "word": row.smp_word,

@@ -60,11 +60,9 @@ from .algebraic import (
     FieldElement,
     IntPolynomial,
     NumberFieldContext,
-    Ordering,
     RealAlgebraic,
-    compare,
-    compare_powers,
     integer_combinations,
+    is_power,
     linear_combination,
     real_algebraic_root,
 )
@@ -604,7 +602,7 @@ def _verify(cert: dict) -> VerifyResult:
     lam_elem = ctx.element(cert["lambda_element"])
     lam = RealAlgebraic.deserialize(cert["lambda"])
     # lambda element must match the serialized lambda value
-    if compare(lam_elem.to_real_algebraic(), lam) != Ordering.EQUAL:
+    if not is_power(lam_elem.to_real_algebraic(), lam, 1):
         return VerifyResult(False, "lambda element does not match lambda")
     if lam.sign() <= 0:
         return VerifyResult(False, "lambda must be positive")
@@ -618,7 +616,7 @@ def _verify(cert: dict) -> VerifyResult:
             return VerifyResult(False, f"s.m.p. word {w} has a letter "
                                        "outside the family")
         rho = spectral_radius(evaluate(w, family).value).value
-        if compare_powers(rho, 1, lam, len(w)) != Ordering.EQUAL:
+        if not is_power(rho, lam, len(w)):
             return VerifyResult(
                 False, f"s.m.p. word {w} does not attain lambda")
 

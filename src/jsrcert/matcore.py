@@ -55,6 +55,7 @@ from .algebraic import (
     factor_int_poly,
     faddeev_leverrier,
     integer_combinations,
+    is_power,
     isolate_real_roots,
     nth_root,
 )
@@ -497,17 +498,11 @@ def _radius_by_factoring(cp: IntPolynomial) -> tuple:
     if best_sq is not None and (
             best is None or compare_powers(best, 2, best_sq, 1) == Ordering.LESS):
         rho, rho_sq = nth_root(best_sq, 2), best_sq
-    # attainment count with multiplicity (a conjugate pair counts once)
-    attain = 0
-    for a, mult in real_mods:
-        if compare(a, rho) == Ordering.EQUAL:
-            attain += mult
-    pair_attain = 0
-    if complex_mods and rho_sq is None:
-        rho_sq = rho.pow(2)
-    for m2, mult in complex_mods:
-        if compare(m2, rho_sq) == Ordering.EQUAL:
-            pair_attain += mult
+    # attainment count with multiplicity (a conjugate pair counts once),
+    # by equality tests: |pair|^2 against rho^2, or rho_sq when known
+    attain = sum(mult for a, mult in real_mods if is_power(a, rho, 1))
+    base, n = (rho, 2) if rho_sq is None else (rho_sq, 1)
+    pair_attain = sum(mult for m2, mult in complex_mods if is_power(m2, base, n))
     return _entry(rho, attain + pair_attain == 1, pair_attain > 0)
 
 
@@ -565,19 +560,47 @@ def leading_eigenvector(A: IntMatrix, lam: FieldElement) -> list[FieldElement]:
     Normalized so the first nonzero coordinate is 1.  Raises if the
     kernel is not 1-dimensional: a lam that is not an eigenvalue gives
     dimension 0, and a larger one feeds non-termination diagnostics.
+    In dimensions 2 and 3 the kernel line comes from the rows without an
+    inverse (`_kernel_line`); other dimensions, and kernels that are not
+    a line, take the Gauss-Jordan kernel.  The kernel of a line has one
+    vector whose first nonzero coordinate is 1, so both give it.
     """
     ctx = lam.context
     n = A.dim
     M = [[ctx.from_rational(A.rows[i][j]) - (lam if i == j else ctx.zero())
           for j in range(n)] for i in range(n)]
-    kern = kernel(M)
-    if len(kern) != 1:
-        raise AlgebraicError(
-            f"kernel dimension {len(kern)} != 1 for eigenvalue (multiplicity issue)")
-    v = kern[0]
+    v = _kernel_line(M)
+    if v is None:
+        kern = kernel(M)
+        if len(kern) != 1:
+            raise AlgebraicError(
+                f"kernel dimension {len(kern)} != 1 for eigenvalue (multiplicity issue)")
+        v = kern[0]
     # normalize first nonzero coordinate to 1, inverting it once
     inv = next(e for e in v if not e.is_zero()).inverse()
     return [e * inv for e in v]
+
+
+def _kernel_line(B: list[list[FieldElement]]) -> list[FieldElement] | None:
+    """A vector spanning the kernel of the 2x2 or 3x3 B when that kernel
+    is a line, else None: (-b, a) for a nonzero row (a, b), or the cross
+    product of two independent rows, which is orthogonal to both.  It
+    spans the kernel when the remaining row is orthogonal to it too, as
+    B then has rank dim - 1."""
+    if len(B) == 2:
+        choices = (((-b, a), B[1 - i]) for i, (a, b) in enumerate(B))
+    elif len(B) == 3:
+        choices = (((r1 * s2 - r2 * s1, r2 * s0 - r0 * s2, r0 * s1 - r1 * s0), B[k])
+                   for (r0, r1, r2), (s0, s1, s2), k in
+                   ((B[0], B[1], 2), (B[0], B[2], 1), (B[1], B[2], 0)))
+    else:
+        return None
+    for v, rest in choices:
+        if any(not x.is_zero() for x in v):
+            if sum((x * y for x, y in zip(rest, v)), start=v[0] * 0).is_zero():
+                return list(v)
+            return None
+    return None
 
 
 def two_norm_sq(A: IntMatrix) -> RealAlgebraic:

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +24,7 @@ from jsrcert.algebraic import (
     gcd_int_poly,
     integer_combinations,
     integer_roots,
+    is_power,
     isolate_real_roots,
     linear_combination,
     nth_root,
@@ -29,6 +32,8 @@ from jsrcert.algebraic import (
     sturm_chain,
     sub_scaled,
 )
+from jsrcert.campaign import run_campaign
+from jsrcert.ipa import SCHEMA
 from jsrcert.matcore import IntMatrix, MatrixFamily, evaluate, spectral_radius
 
 from oracles import (bisect_roots, char_poly_cofactor, eval_poly, inverse,
@@ -220,6 +225,43 @@ class TestCompare:
         a = isolate_real_roots(P([-2, 0, 1]))[1]
         b = nth_root(RealAlgebraic.from_rational(2), 2)
         assert compare(a, b) == Ordering.EQUAL
+
+    def test_values_closer_than_a_fixed_guard_are_ordered(self):
+        # the real roots of x^3 - N x^2 - 1 and x^3 - N x^2 - 2, N = 2^100 + 1,
+        # lie about 1/N^2 apart, each the one real root in (0, 2N): about
+        # 300 halvings of both, within the root-separation bound of the
+        # cubics' product
+        N = 2**100 + 1
+        lo, hi = Fraction(0), Fraction(2 * N)
+
+        def roots():
+            return (RealAlgebraic(P([-1, 0, -N, 1]), lo, hi),
+                    RealAlgebraic(P([-2, 0, -N, 1]), lo, hi))
+
+        a, b = roots()
+        assert compare(a, b) == Ordering.LESS
+        assert a.interval()[1] - a.interval()[0] < Fraction(1, 2**199)
+        a, b = roots()
+        assert compare(b, a) == Ordering.GREATER
+        bits = algebraic._separation_bits(a.minpoly * b.minpoly)
+        assert 256 < bits < 1024
+
+    def test_a_bug_still_ends_the_refinement(self):
+        # two intervals that claim one root each of x^2 - 2 but hold the
+        # same one: the separation bound ends the halvings
+        p = P([-2, 0, 1])
+        a = RealAlgebraic(p, Fraction(1), Fraction(2))
+        b = RealAlgebraic(P([-4, 0, 2]), Fraction(1), Fraction(2))
+        with pytest.raises(AlgebraicError, match="did not converge"):
+            compare(a, b)
+
+    def test_roots_near_zero_are_isolated_and_signed(self):
+        # x^2 = 1 / 2^601: roots 2^-300.5 apart from 0, past 256 halvings
+        roots = isolate_real_roots(P([-1, 0, 2**601]))
+        assert [r.sign() for r in roots] == [-1, 1]
+        r = RealAlgebraic(P([-1, 0, 2**601]), Fraction(0), Fraction(1))
+        r.exclude_zero()
+        assert r.interval()[0] > 0
 
     def test_example_norm_value_bracketing(self):
         # sqrt((sqrt5+3)/8) lies strictly between 4/5 and 81/100
@@ -439,6 +481,214 @@ class TestComparePowers:
         assert rho.interval() == interval  # no halving was needed
 
 
+def _certificates(path):
+    """Every certificate in a store, those of block records included."""
+    out = []
+
+    def collect(d):
+        if d.get("schema") == SCHEMA and "family" in d:  # not the toolchain
+            out.append(d)
+        return d
+
+    for line in open(path):
+        json.loads(line, object_hook=collect)
+    return out
+
+
+@pytest.fixture(scope="module")
+def f3_search_certificates(tmp_path_factory):
+    """The certificates of the f3-search sample: half of the F3 A1=3
+    slice, drawn once with seed 0 (`TestGoldenRecords` pins its store)."""
+    a2s = sorted(random.Random(0).sample(range(512), 256))
+    path = tmp_path_factory.mktemp("f3s") / "s.jsonl"
+    run_campaign("binary", 3, path, codes=[f"3/{a2}" for a2 in a2s])
+    return _certificates(path)
+
+
+@pytest.fixture(scope="module")
+def f2s_certificates(tmp_path_factory):
+    """The certificates of the full F2s campaign (CI pins its store)."""
+    path = tmp_path_factory.mktemp("f2s") / "s.jsonl"
+    run_campaign("sign", 2, path)
+    return _certificates(path)
+
+
+class TestIsPower:
+    @pytest.mark.parametrize("store", ["f3_search_certificates",
+                                       "f2s_certificates"])
+    def test_agrees_with_compare_powers_on_proved_certificates(self, store,
+                                                              request):
+        certs = request.getfixturevalue(store)
+        assert len(certs) >= 40
+        equal = unequal = 0
+        for cert in certs:
+            family = MatrixFamily.make(
+                [[row[i * cert["dim"]:(i + 1) * cert["dim"]]
+                  for i in range(cert["dim"])] for row in cert["family"]])
+            for word in map(tuple, cert["smp_words"]):
+                # the word's length, and off by one for unequal cases; each
+                # test gets fresh values, as both refine them in place
+                for n in {len(word), len(word) + 1, max(len(word) - 1, 1)}:
+                    def args():
+                        rho = spectral_radius(evaluate(word, family).value).value
+                        return rho, RealAlgebraic.deserialize(cert["lambda"])
+                    want = compare_powers(args()[0], 1, args()[1], n) == Ordering.EQUAL
+                    assert is_power(*args(), n) == want, (cert["family"], word, n)
+                    equal += want
+                    unequal += not want
+        assert equal >= len(certs) and unequal >= len(certs)
+
+    def test_a_conjugate_power_is_not_the_value(self):
+        # b = (sqrt5 - 1)/2 has b^2 = (3 - sqrt5)/2, a root of
+        # p_a = x^2 - 3x + 1 like a = (3 + sqrt5)/2: b's minimal polynomial
+        # x^2 + x - 1 divides p_a(x^2) = (x^2 + x - 1)(x^2 - x - 1), but
+        # b^2 lies outside a's isolating interval
+        pa = P([1, -3, 1])
+        b = RealAlgebraic(P([-1, 1, 1]), Fraction(0), Fraction(1))
+        assert gcd_int_poly(pa.compose_power(2), b.minpoly) == b.minpoly
+        assert not is_power(RealAlgebraic(pa, Fraction(2), Fraction(3)), b, 2)
+        assert is_power(RealAlgebraic(pa, Fraction(0), Fraction(1)), b, 2)
+        # the golden ratio squares to a
+        phi = RealAlgebraic(P([-1, -1, 1]), Fraction(1), Fraction(2))
+        assert is_power(RealAlgebraic(pa, Fraction(2), Fraction(3)), phi, 2)
+
+    def test_conjugates_are_equal_only_at_the_same_root(self):
+        p = P([-2, 0, 1])
+        plus = RealAlgebraic(p, Fraction(1), Fraction(2))
+        assert is_power(RealAlgebraic(p, Fraction(7, 5), Fraction(3, 2)), plus, 1)
+        assert not is_power(RealAlgebraic(p, Fraction(-2), Fraction(-1)), plus, 1)
+        # touching intervals share no root
+        assert not is_power(RealAlgebraic(p, Fraction(1), Fraction(7, 5)),
+                            RealAlgebraic(p, Fraction(7, 5), Fraction(2)), 1)
+        assert not is_power(RealAlgebraic(P([-3, 0, 1]), Fraction(1), Fraction(2)),
+                            plus, 1)
+
+    def test_a_rational_value_is_decided_by_divisibility_alone(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a rational a needs no refinement")
+
+        monkeypatch.setattr(RealAlgebraic, "refine", refuse)
+        sqrt2 = RealAlgebraic(P([-2, 0, 1]), Fraction(1), Fraction(2))
+        minus = RealAlgebraic(P([-2, 0, 1]), Fraction(-2), Fraction(-1))
+        assert is_power(RealAlgebraic.from_rational(2), sqrt2, 2)
+        assert is_power(Fraction(2), minus, 2)
+        assert is_power(4, sqrt2, 4)
+        assert not is_power(2, sqrt2, 4)
+        assert not is_power(Fraction(-2), sqrt2, 2)
+        assert not is_power(3, sqrt2, 2)
+        assert not is_power(sqrt2, RealAlgebraic.from_rational(2), 1)
+        assert is_power(Fraction(9, 4), Fraction(-3, 2), 2)
+
+    def test_agrees_with_compare_powers_on_random_radii(self):
+        rng = random.Random(23)
+        radii = [r for r, _ in _random_radii(rng, 24)]
+        for a, b in [(a, b) for a in radii for b in radii][::7]:
+            for n in (1, 2, 3):
+                want = compare_powers(a, 1, b, n) == Ordering.EQUAL
+                assert is_power(a, b, n) == want
+                assert is_power(b.pow(n), b, n)
+
+
+class TestFloatConversion:
+    def test_certificate_coordinates_convert_within_one_ulp(
+            self, f3_search_certificates):
+        checked = 0
+        for cert in f3_search_certificates:
+            ctx_text = cert["context"]
+            coeffs = [int(c) for c in ctx_text["minpoly"]]
+            lo, hi = Fraction(ctx_text["root_lo"]), Fraction(ctx_text["root_hi"])
+            ctx = NumberFieldContext(P(coeffs), lo, hi)
+            # the reference root: halved by two fresh signs each step,
+            # without the package, below 2^-200
+            if lo != hi:
+                lo, hi = two_sign_halvings(coeffs, lo, hi, 240)[-1]
+                assert hi - lo < Fraction(1, 2**200)
+            root = (lo + hi) / 2
+            for v in cert["vertices"]:
+                for c in v["coords"]:
+                    x = ctx.element(c) if isinstance(c, list) else \
+                        ctx.from_rational(Fraction(c))
+                    ref = sum(Fraction(q) * root**i for i, q in
+                              enumerate(c if isinstance(c, list) else [c]))
+                    f = float(x)
+                    assert abs(Fraction(f) - ref) <= Fraction(math.ulp(f)), c
+                    checked += 1
+            lam = RealAlgebraic.deserialize(cert["lambda"])
+            ref = root if lam.minpoly == ctx.minpoly else lam.as_rational()
+            assert abs(Fraction(float(lam)) - ref) <= Fraction(math.ulp(float(lam)))
+        assert checked >= 200
+
+    def test_real_roots_of_random_polynomials_convert_within_one_ulp(self):
+        rng = random.Random(71)
+        checked = narrowed = 0
+        while checked < 80:
+            p = _random_poly(rng, rng.randint(2, 6), bound=rng.choice([3, 40, 10**6]))
+            if len(factor_int_poly(p)) != 1 or factor_int_poly(p)[0][1] != 1:
+                continue  # an irreducible p, up to its content
+            exact = sorted(z.real for z in mp_poly_roots(list(p.coeffs), dps=80)
+                           if abs(z.imag) < mpmath.mpf(10) ** -40)
+            for r, z in zip(isolate_real_roots(p), exact):
+                lo, hi = r.interval()
+                cell = algebraic._newton_cell(r.minpoly, lo, hi)
+                if cell is not None:
+                    a, b, sb = cell
+                    assert lo <= a < b <= hi
+                    assert count_roots_in(r.minpoly, a, b) == 1
+                    assert sb == r.minpoly.sign_at(b)
+                    narrowed += 1
+                f = float(r)
+                assert abs(mpmath.mpf(f) - z) <= math.ulp(f), (p.coeffs, f)
+                checked += 1
+        assert narrowed >= 60
+
+    def test_narrowing_replaces_the_halvings(self):
+        # the root of x^3 - 3x - 1 in its 2^-24 cell, as a 3x3 radius has it
+        p = P([-1, -3, 0, 1])
+        r = isolate_real_roots(p)[-1]
+        while r.interval()[1] - r.interval()[0] > Fraction(1, 2**24):
+            r.refine()
+        ctx = NumberFieldContext.from_real_algebraic(r)
+        x = ctx.element([Fraction(1, 3), 2, -1])
+        halvings = []
+        original = NumberFieldContext.refine_root
+        try:
+            NumberFieldContext.refine_root = lambda self: halvings.append(1)
+            f = float(x)
+        finally:
+            NumberFieldContext.refine_root = original
+        lo, hi = ctx.root_interval()
+        assert not halvings and hi - lo <= Fraction(2, 2**95)
+        root = mpmath.findroot(lambda t: t**3 - 3 * t - 1, 1.879)
+        assert f == pytest.approx(float(mpmath.mpf(1) / 3 + 2 * root - root**2),
+                                  rel=1e-15)
+
+    def test_a_context_beyond_the_float_range_falls_back_to_halving(self):
+        # the companion cubic x^3 - N x^2 - 1 of N = 2^1100 + 1 has its real
+        # root in (N, N + 1), past any float
+        N = 2**1100 + 1
+        p = P([-1, 0, -N, 1])
+        assert algebraic._newton_cell(p, Fraction(N), Fraction(N + 1)) is None
+        ctx = NumberFieldContext(p, Fraction(N), Fraction(N + 1))
+        # alpha - N is about 1/N^2: halved from width 1 to the first
+        # width below 1e-17
+        assert 0.0 <= float(ctx.generator() - N) < 1e-17
+        lo, hi = ctx.root_interval()
+        assert hi - lo == Fraction(1, 2**57)
+        # a value near 1 whose coefficients exceed the float range
+        r = RealAlgebraic(P([-(N + 1), 0, N]), Fraction(1), Fraction(2))
+        assert float(r) == 1.0
+
+    def test_a_failed_certification_keeps_the_interval(self, monkeypatch):
+        # no sign change across the Newton cell: the interval is kept and
+        # halving takes over
+        p = P([-2, 0, 1])
+        r = RealAlgebraic(p, Fraction(1), Fraction(2))
+        monkeypatch.setattr(algebraic, "_newton_cell", lambda *_: None)
+        assert float(r) == 2**0.5
+        lo, hi = r.interval()
+        assert hi - lo < Fraction(1, 10**17) and lo.denominator & (lo.denominator - 1) == 0
+
+
 class TestNthRoot:
     def test_square_root_of_four(self):
         assert nth_root(RealAlgebraic.from_rational(4), 2).as_rational() == 2
@@ -539,6 +789,33 @@ class TestFieldArithmetic:
         ctx = NumberFieldContext.from_real_algebraic(sqrt2)
         e = ctx.generator() + 1  # 1 + sqrt2, minpoly x^2 - 2x - 1
         assert e.minimal_polynomial() == P([-1, -2, 1])
+
+    @pytest.mark.parametrize("coeffs", [[-2, 0, 1], [-3, 0, 2], [-1, -1, 0, 3],
+                                        [5, -4, 0, 1], [-7, 1, 2, 0, 3]])
+    def test_the_generator_inverse_is_its_closed_form(self, coeffs):
+        for r in isolate_real_roots(P(coeffs)):
+            ctx = NumberFieldContext.from_real_algebraic(r)
+            g = ctx.generator()
+            inv = g.inverse()
+            assert inv * g == ctx.one()
+            # extended Euclid on 2 alpha, halved
+            assert inv == (g * 2).inverse() * 2
+
+    def test_the_generator_is_the_context_root(self, monkeypatch):
+        roots = [r for q in (P([-2, 0, 1]), P([-1, -3, 0, 1]), P([-3, 0, 0, 2]))
+                 for r in isolate_real_roots(q)]
+        # the minimal polynomial every other element computes
+        want = [NumberFieldContext.from_real_algebraic(r).generator()
+                .minimal_polynomial() for r in roots]
+        monkeypatch.setattr(algebraic.FieldElement, "minimal_polynomial",
+                            lambda self: pytest.fail("the generator needs none"))
+        for r, mp in zip(roots, want):
+            ctx = NumberFieldContext.from_real_algebraic(r)
+            got = ctx.generator().to_real_algebraic()
+            assert got.minpoly == mp == r.minpoly
+            assert got.interval() == ctx.root_interval()
+            assert got is not ctx._root
+            assert compare(got, r) == Ordering.EQUAL
 
     def test_agrees_with_100_digit_oracle(self):
         # random quadratic/cubic field samples, all four operations,
@@ -981,6 +1258,22 @@ class TestPolynomialMemos:
             assert p.squarefree_part() == fresh(p), p.coeffs
         assert memo.cache_info().hits >= len(inputs)
         assert sum(p.squarefree_part().degree < p.degree for p in inputs) >= 20
+
+    def test_checked_roots_are_fresh_values(self):
+        memo = algebraic._checked_root
+        assert memo.cache_info().maxsize == algebraic.MEMO_SIZE
+        memo.cache_clear()
+        p = P([-2, 0, 1]) * P([-1, 1])
+        first = real_algebraic_root(p, Fraction(7, 5), Fraction(3, 2))
+        first.refine()
+        second = real_algebraic_root(p, Fraction(7, 5), Fraction(3, 2))
+        assert memo.cache_info().hits == 1
+        assert second is not first and second.minpoly == P([-2, 0, 1])
+        assert second.interval() == (Fraction(7, 5), Fraction(3, 2))
+        # a rejected interval is rejected again, not remembered as a root
+        for _ in range(2):
+            with pytest.raises(AlgebraicError, match="does not isolate"):
+                real_algebraic_root(p, Fraction(0), Fraction(2))
 
 
 def _random_context(rng, degree, monic):

@@ -70,3 +70,20 @@ def test_solve_settles_pairs_with_entries_beyond_a_float(tmp_path, capsys):
         assert (rec["status"], rec["reason"]) == ("settled", reason)
         assert rec["jsr"] == f"minpoly=[-1,0,{-N},1];interval=[{N},{N + 1}]"
         assert RealAlgebraic.deserialize(rec["jsr"]).serialize() == rec["jsr"]
+
+
+def test_solve_proves_a_pair_whose_radii_are_closer_than_a_fixed_guard(
+        tmp_path, capsys):
+    # with N = 2^100 + 1, the companion matrix of x^3 - N x^2 - 1 and the
+    # transpose of that of x^3 - N x^2 - 2 have radii about 1/N^2 apart,
+    # from intervals about N wide: the search orders them only with more
+    # than 256 halvings, within their root-separation bound
+    N = 2**100 + 1
+    family = tmp_path / "close.json"
+    family.write_text(json.dumps([[[N, 0, 1], [1, 0, 0], [0, 1, 0]],
+                                  [[N, 1, 0], [0, 0, 1], [2, 0, 0]]]))
+    assert main(["solve", "--matrices", str(family)]) == 0
+    rec = json.JSONDecoder().raw_decode(capsys.readouterr().out)[0]
+    assert rec["status"] == "proved"
+    assert main(["verify", "--certificate",
+                 str(tmp_path / "close.certificate.json")]) == 0

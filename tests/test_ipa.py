@@ -548,6 +548,18 @@ class TestRejectedInputs:
         check = verify_certificate(cert)
         assert not check and "not irreducible" in check.reason
 
+    def test_generator_at_another_root_of_lambda_rejected(self):
+        # the context interval isolates -sqrt2, a root of lambda's minimal
+        # polynomial, so the generator is not lambda
+        res, _ = _run(C_FAMILY)
+        cert = copy.deepcopy(res.certificate)
+        assert cert["lambda_element"] == ["0", "1"]
+        assert cert["context"]["minpoly"] == ["-2", "0", "1"]
+        cert["context"]["root_lo"], cert["context"]["root_hi"] = "-2", "-1"
+        check = verify_certificate(cert)
+        assert not check
+        assert check.reason == "lambda element does not match lambda"
+
     def test_interval_isolating_no_root_rejected(self):
         res, _ = _run(C_FAMILY)
         cert = copy.deepcopy(res.certificate)

@@ -484,6 +484,37 @@ class TestLeadingEigenvector:
                 assert a == b * lam
             done += 1
 
+    def test_the_kernel_line_is_the_gauss_jordan_kernel(self):
+        # every eigenvalue of small 2x2 and 3x3 integer matrices, simple or
+        # not: the row-based line, normalized, is the normalized kernel
+        # vector, and a kernel that is not a line raises as before
+        from jsrcert.linalg import kernel
+
+        rng = random.Random(13)
+        lines = planes = 0
+        for _ in range(150):
+            n = rng.choice((2, 3))
+            A = M([[rng.choice((0, 0, 1, 1, 2, -1)) for _ in range(n)]
+                   for _ in range(n)])
+            for f, _ in factor_int_poly(char_poly(A)):
+                for r in isolate_real_roots(f):
+                    lam = _generator(r)
+                    ctx = lam.context
+                    B = [[ctx.from_rational(A.rows[i][j]) - (lam if i == j else 0)
+                          for j in range(n)] for i in range(n)]
+                    kern = kernel(B)
+                    if len(kern) != 1:
+                        assert matcore._kernel_line(B) is None
+                        with pytest.raises(AlgebraicError, match="kernel dimension"):
+                            leading_eigenvector(A, lam)
+                        planes += 1
+                        continue
+                    inv = next(e for e in kern[0] if not e.is_zero()).inverse()
+                    assert matcore._kernel_line(B) is not None
+                    assert leading_eigenvector(A, lam) == [e * inv for e in kern[0]]
+                    lines += 1
+        assert lines >= 150 and planes >= 3
+
 
 class TestNorms:
     def test_showcase_two_norms(self):
