@@ -13,10 +13,14 @@ without ordering (`is_power`): equal minimal polynomials and a sign
 change across the intervals' overlap, or for a == b^n a divisibility
 and b^n's powered interval inside a's.  An ordering needs one sign for
 a rational against an irrational and interval refinement otherwise,
-bounded by a root-separation bound of the operands, never a floating
-tolerance.  Number field elements are integer numerators of the
-coordinates over one positive denominator, in lowest terms, over a
-shared immutable context; mixing contexts is a hard error.
+never a floating tolerance.  Every halving loop of an exact answer is
+bounded by its operands (a root-separation bound, Cauchy's bound, the
+bits of a width), and more halvings are a bug; only `nth_root`, whose
+bracket does not shrink with its argument's width alone, keeps the
+fixed guard `_MAX_REFINE`.  Number field elements are integer
+numerators of the coordinates over one positive denominator, in lowest
+terms, over a shared immutable context; mixing contexts is a hard
+error.
 
 A root is pinned one way (`_root_in`): given a rational interval (lo,
 hi) that holds exactly one real root of an integer polynomial p, with
@@ -36,9 +40,8 @@ arguments is memoized per process by `lru_cache` on those arguments,
 with `MEMO_SIZE` entries unless its keys are few and fixed (a coded
 member matrix, an identity), and returns values no caller can change.
 Here that is Sturm chains, squarefree parts and factorizations, keyed
-by the polynomial, a checked root, keyed by a polynomial and an
-interval, and a number's text, keyed by its minimal polynomial and
-interval.
+by the polynomial, and a number's text, keyed by its minimal polynomial
+and interval.
 
 A float conversion narrows a root once, at its first float need: a float
 Newton iterate from the isolating interval, one exact Newton step, and a
@@ -68,7 +71,8 @@ import sympy
 
 RationalLike = Union[int, Fraction]
 
-# maximum interval-halving rounds before a sign query is declared a bug
+# halvings of nth_root's argument before its bracket is declared a bug;
+# every other halving loop takes its bound from its operands
 _MAX_REFINE = 256
 # a narrowed root's cell is two steps of 2^(e - _NARROW_BITS) for a root
 # of binary exponent e, and its Newton iterate takes at most
@@ -483,12 +487,11 @@ class RealAlgebraic:
             self._lo, self._hi, self._sign_hi = cell
 
     def refine_below(self, width: Fraction) -> None:
-        guard = 0
+        """Halve the interval until it is at most width > 0 wide; each
+        halving halves it (or pins a rational), so this takes at most
+        log2(current width / width) + 1 halvings."""
         while self._hi - self._lo > width:
             self.refine()
-            guard += 1
-            if guard > _MAX_REFINE:
-                raise AlgebraicError("interval refinement did not converge")
 
     def sign(self) -> int:
         if self.is_rational:
@@ -636,17 +639,18 @@ def _dyadic_cell(p: IntPolynomial, lo: Fraction, hi: Fraction
             top = mid
         else:
             k = mid
+    # a cell narrower than p's root separation holds one root
     a, b = Fraction(k), Fraction(k + 1)
-    guard = 0
+    limit = _halvings(b - a, _separation_bits(p))
     while count_roots_in(p, a, b) != 1:
+        if limit == 0:
+            raise AlgebraicError("dyadic isolation did not converge")
         mid = (a + b) / 2
         if left_of(mid):
             b = mid
         else:
             a = mid
-        guard += 1
-        if guard > _MAX_REFINE:
-            raise AlgebraicError("dyadic isolation did not converge")
+        limit -= 1
     return a, b
 
 
@@ -732,38 +736,26 @@ def real_algebraic_root(p: IntPolynomial, lo: Fraction, hi: Fraction) -> RealAlg
 
     The polynomial need not be irreducible or squarefree; the interval
     must contain exactly one distinct real root, which the checks here
-    establish before `_root_in` pins it.  The outcome is memoized by
-    (p, lo, hi), as a certificate's context and its lambda, and a block
-    record's value in every pair that has the block, name one root
-    again and again; each call gets a value of its own.
+    establish before `_root_in` pins it.
     """
-    return RealAlgebraic(*_checked_root(p, lo, hi))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _checked_root(p: IntPolynomial, lo: Fraction, hi: Fraction
-                  ) -> tuple[IntPolynomial, Fraction, Fraction]:
-    """`real_algebraic_root` as (minimal polynomial, lo, hi)."""
     if p.is_zero:
         raise ZeroPolynomialError("zero polynomial")
     if lo == hi:
         if p.sign_at(lo) != 0:
             raise AlgebraicError("claimed rational root does not vanish")
-        r = RealAlgebraic.from_rational(lo)
-    else:
-        sf = p.squarefree_part()
-        if sf.sign_at(lo) == 0:
-            if count_roots_in(sf, lo, hi) != 0:
-                raise AlgebraicError("interval does not isolate a single root")
-            r = RealAlgebraic.from_rational(lo)
-        elif count_roots_in(sf, lo, hi) != 1:
-            raise AlgebraicError("interval does not isolate a single root")
-        elif sf.sign_at(hi) == 0:
-            # the isolated root is the rational endpoint hi itself
-            r = RealAlgebraic.from_rational(hi)
-        else:
-            r = _root_in(sf, lo, hi)
-    return (r.minpoly, *r.interval())
+        return RealAlgebraic.from_rational(lo)
+    sf = p.squarefree_part()
+    if sf.sign_at(lo) == 0:
+        if count_roots_in(sf, lo, hi) == 0:
+            return RealAlgebraic.from_rational(lo)
+        raise AlgebraicError("interval does not isolate a single root")
+    n = count_roots_in(sf, lo, hi)
+    if n != 1:
+        raise AlgebraicError("interval does not isolate a single root")
+    if sf.sign_at(hi) == 0:
+        # the isolated root is the rational endpoint hi itself
+        return RealAlgebraic.from_rational(hi)
+    return _root_in(sf, lo, hi)
 
 
 def isolate_real_roots(p: IntPolynomial) -> list[RealAlgebraic]:
@@ -1093,6 +1085,10 @@ def nth_root(a: RealAlgebraic, n: int) -> RealAlgebraic:
     and a is refined until (lo^n, hi^n) holds no other root of a's
     minimal polynomial p; then (lo, hi) holds one root of p(x^n), pinned
     by `_root_in`.  A rational a that is an exact n-th power is lo^n.
+    The bracket's resolution is 1 / v for the denominators v of a's
+    interval ends, not the interval's width (an end that halving has not
+    moved keeps its denominator), so no bound on the halvings follows from
+    the operands alone; the fixed `_MAX_REFINE` guards them instead.
     """
     if n < 1:
         raise ValueError("root order must be >= 1")
@@ -1484,21 +1480,50 @@ class FieldElement:
         return Fraction(lo, q), Fraction(hi, q)
 
     def sign(self) -> int:
+        """The sign, from the element's interval once it excludes 0.
+
+        The context root is halved until then, at most
+        `_root_halvings(s)` times for a bound 2^-s <= |self|: with
+        self = g(alpha) / den, the norm of g(alpha) is a nonzero integer
+        resultant over lc^(d-1), for the minimal polynomial's leading
+        coefficient lc, and each conjugate of g(alpha) is at most
+        S R^(d-1) in size, for the numerators' absolute sum S and the
+        Cauchy bound R of the roots; so
+        |self| >= 1 / (den lc^(d-1) S^(d-1) R^((d-1)^2)).  More
+        halvings are a bug."""
         if self.is_zero():
             return 0
         if self.is_rational():
             return _sgn(self.nums[0])
-        guard = 0
+        limit = None
         while True:
             lo, hi, _ = self._interval_nums()
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            self.context.refine_root()
-            guard += 1
-            if guard > _MAX_REFINE:
+            if limit is None:
+                coeffs = self.context.minpoly.coeffs
+                lc, d = abs(coeffs[-1]), self.context.degree
+                r_bits = _log2_above(Fraction(lc + max(map(abs, coeffs[:-1])), lc))
+                limit = self._root_halvings(self.den.bit_length() + (d - 1) * (
+                    lc.bit_length() + sum(map(abs, self.nums)).bit_length()
+                    + (d - 1) * r_bits))
+            elif limit == 0:
                 raise AlgebraicError("field element sign did not converge")
+            self.context.refine_root()
+            limit -= 1
+
+    def _root_halvings(self, bits: int) -> int:
+        """Halvings of the context root that take the element's interval
+        below 2^-bits wide.  Interval Horner over a root interval of width
+        w inside [-M, M] gives a width at most d S max(1, M)^(d-1) w / den,
+        for the d numerators of absolute sum S."""
+        rlo, rhi = self.context.root_interval()
+        d = len(self.nums)
+        width = (rhi - rlo) * d * sum(map(abs, self.nums)) \
+            * max(1, abs(rlo), abs(rhi)) ** (d - 1) / self.den
+        return _halvings(width, bits)
 
     def __float__(self) -> float:
         """The midpoint of the element's interval once it is narrower than
@@ -1536,27 +1561,31 @@ class FieldElement:
 
     def to_real_algebraic(self) -> RealAlgebraic:
         """The element as a RealAlgebraic: the context generator is the
-        context root itself (a value of its own, at the root's interval,
-        over the primitive context polynomial); any other element takes
-        its minimal polynomial and refines the root until the element's
-        interval isolates one of its roots."""
+        context root itself (a value of its own, at the root's interval;
+        the context polynomial is the root's minimal polynomial); any
+        other element takes its minimal polynomial and refines the root
+        until the element's interval isolates one of its roots, which an
+        interval narrower than the polynomial's root separation does
+        (`_root_halvings`, `_separation_bits`); more halvings are a bug."""
         ctx = self.context
         if self._is_generator():
             lo, hi = ctx.root_interval()
-            return RealAlgebraic(ctx.minpoly.primitive(), lo, hi)
+            return RealAlgebraic(ctx.minpoly, lo, hi)
         mp = self.minimal_polynomial()
         if mp.degree == 1:
             return RealAlgebraic.from_rational(Fraction(-mp.coeffs[0], mp.coeffs[1]))
-        guard = 0
+        limit = None
         while True:
             lo, hi = self.interval()
             if mp.sign_at(lo) != 0 and mp.sign_at(hi) != 0 and \
                     count_roots_in(mp, lo, hi) == 1:
                 return RealAlgebraic(mp, lo, hi)
-            self.context.refine_root()
-            guard += 1
-            if guard > _MAX_REFINE:
+            if limit is None:
+                limit = self._root_halvings(_separation_bits(mp))
+            elif limit == 0:
                 raise AlgebraicError("root isolation for field element did not converge")
+            self.context.refine_root()
+            limit -= 1
 
     def serialize(self) -> list[str]:
         return [_format_rational(c) for c in self.coords]

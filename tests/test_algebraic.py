@@ -32,7 +32,6 @@ from jsrcert.algebraic import (
     sturm_chain,
     sub_scaled,
 )
-from jsrcert.campaign import run_campaign
 from jsrcert.ipa import SCHEMA
 from jsrcert.matcore import IntMatrix, MatrixFamily, evaluate, spectral_radius
 
@@ -262,6 +261,31 @@ class TestCompare:
         r = RealAlgebraic(P([-1, 0, 2**601]), Fraction(0), Fraction(1))
         r.exclude_zero()
         assert r.interval()[0] > 0
+
+    def test_field_elements_past_a_fixed_guard(self):
+        # alpha, the root of M x^3 - 2M x + 1 in [1, 2] with M = 2^300, is
+        # sqrt2 - 1/(4M) + ..., and a conjugate is -sqrt2 - 1/(4M) + ...:
+        # alpha^2 - 2 is about -2^-300.5, and alpha^2 lies about 2^-300
+        # from a conjugate, so each takes over 256 halvings of the root
+        M = 2**300
+        p = P([1, -2 * M, 0, M])
+        assert factor_int_poly(p) == ((p, 1),)
+        ctx = NumberFieldContext(p, Fraction(1), Fraction(2))
+        assert (ctx.generator() ** 2 - 2).sign() == -1
+        ctx = NumberFieldContext(p, Fraction(1), Fraction(2))
+        sq = (ctx.generator() ** 2).to_real_algebraic()
+        assert sq.minpoly == P([-1, 4 * M * M, -4 * M * M, M * M])
+        assert compare(sq, 2) == Ordering.LESS
+
+    def test_a_dyadic_cell_past_a_fixed_guard(self):
+        # (N x - 2)^2 - 2 has the roots (2 +- sqrt2) / N in the unit cell
+        # [0, 1], about 2^-298.5 apart for N = 2^300 + 1
+        N = 2**300 + 1
+        r = RealAlgebraic(P([2, -4 * N, N * N]), Fraction(2, N), Fraction(1))
+        text = r.serialize()
+        lo, hi = r.isolating_cell()
+        assert (lo, hi) == (Fraction(1, 2**299), Fraction(1, 2**298))
+        assert compare(RealAlgebraic.deserialize(text), r) == Ordering.EQUAL
 
     def test_example_norm_value_bracketing(self):
         # sqrt((sqrt5+3)/8) lies strictly between 4/5 and 81/100
@@ -496,26 +520,22 @@ def _certificates(path):
 
 
 @pytest.fixture(scope="module")
-def f3_search_certificates(tmp_path_factory):
-    """The certificates of the f3-search sample: half of the F3 A1=3
-    slice, drawn once with seed 0 (`TestGoldenRecords` pins its store)."""
-    a2s = sorted(random.Random(0).sample(range(512), 256))
-    path = tmp_path_factory.mktemp("f3s") / "s.jsonl"
-    run_campaign("binary", 3, path, codes=[f"3/{a2}" for a2 in a2s])
-    return _certificates(path)
+def f3_search_certificates(f3_search_store):
+    """The certificates of the f3-search sample (`TestGoldenRecords` pins
+    its store)."""
+    return _certificates(f3_search_store[0])
 
 
 @pytest.fixture(scope="module")
-def f2s_certificates(tmp_path_factory):
-    """The certificates of the full F2s campaign (CI pins its store)."""
-    path = tmp_path_factory.mktemp("f2s") / "s.jsonl"
-    run_campaign("sign", 2, path)
-    return _certificates(path)
+def f2s_hulls_certificates(f2s_hulls_store):
+    """The certificates of the F2s hull representatives, every kind-R and
+    kind-C hull of F2s among them (`TestGoldenRecords` pins their store)."""
+    return _certificates(f2s_hulls_store)
 
 
 class TestIsPower:
     @pytest.mark.parametrize("store", ["f3_search_certificates",
-                                       "f2s_certificates"])
+                                       "f2s_hulls_certificates"])
     def test_agrees_with_compare_powers_on_proved_certificates(self, store,
                                                               request):
         certs = request.getfixturevalue(store)
@@ -1258,22 +1278,6 @@ class TestPolynomialMemos:
             assert p.squarefree_part() == fresh(p), p.coeffs
         assert memo.cache_info().hits >= len(inputs)
         assert sum(p.squarefree_part().degree < p.degree for p in inputs) >= 20
-
-    def test_checked_roots_are_fresh_values(self):
-        memo = algebraic._checked_root
-        assert memo.cache_info().maxsize == algebraic.MEMO_SIZE
-        memo.cache_clear()
-        p = P([-2, 0, 1]) * P([-1, 1])
-        first = real_algebraic_root(p, Fraction(7, 5), Fraction(3, 2))
-        first.refine()
-        second = real_algebraic_root(p, Fraction(7, 5), Fraction(3, 2))
-        assert memo.cache_info().hits == 1
-        assert second is not first and second.minpoly == P([-2, 0, 1])
-        assert second.interval() == (Fraction(7, 5), Fraction(3, 2))
-        # a rejected interval is rejected again, not remembered as a root
-        for _ in range(2):
-            with pytest.raises(AlgebraicError, match="does not isolate"):
-                real_algebraic_root(p, Fraction(0), Fraction(2))
 
 
 def _random_context(rng, degree, monic):

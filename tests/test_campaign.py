@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import json
-import random
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,7 @@ from jsrcert.campaign import (
     run_campaign,
 )
 from jsrcert.matcore import MatrixFamily, evaluate
-from jsrcert.reduce import PairCode, canonical_key, decode, enumerate_campaign
+from jsrcert.reduce import PairCode, decode
 from jsrcert.smp import gripenberg_search
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -212,20 +211,11 @@ class TestGoldenRecords:
         run_campaign("binary", 2, store_path)
         self._check(store_path, self.F2, "full-F2")
 
-    def test_f2s_hull_representatives(self, tmp_path):
-        reps = [str(c) for c in enumerate_campaign("sign", 2)
-                if c.a1 in (1, 4, 5)
-                and str(canonical_key(decode(c), "sign")) == str(c)]
-        assert len(reps) == 95
-        store_path = tmp_path / "f2s.jsonl"
-        run_campaign("sign", 2, store_path, codes=reps)
-        self._check(store_path, self.F2S_HULLS, "f2s-hulls")
+    def test_f2s_hull_representatives(self, f2s_hulls_store):
+        self._check(f2s_hulls_store, self.F2S_HULLS, "f2s-hulls")
 
-    def test_f3_search_sample(self, tmp_path):
-        a2s = sorted(random.Random(0).sample(range(512), 256))
-        store_path = tmp_path / "f3s.jsonl"
-        summary = run_campaign("binary", 3, store_path,
-                               codes=[f"3/{a2}" for a2 in a2s])
+    def test_f3_search_sample(self, f3_search_store):
+        store_path, summary = f3_search_store
         assert summary["counts"] == {"settled": 207, "proved": 46,
                                      "duplicate": 7, "unresolved": 1}
         self._check(store_path, self.F3_SEARCH, "f3-search sample")
