@@ -34,14 +34,23 @@ the ends of its argument's interval.
 The kernels below the public API work in integers: a polynomial's sign
 at n/d is the sign of its homogenized value at (n, d), Sturm chains and
 gcds come from pseudo-remainders with the content divided out, and
-field products reduce modulo the integer minimal polynomial.  One memo
-policy holds for the whole package: a pure function of immutable
-arguments is memoized per process by `lru_cache` on those arguments,
-with `MEMO_SIZE` entries unless its keys are few and fixed (a coded
-member matrix, an identity), and returns values no caller can change.
-Here that is Sturm chains, squarefree parts and factorizations, keyed
-by the polynomial, and a number's text, keyed by its minimal polynomial
-and interval.
+field products reduce modulo the integer minimal polynomial.
+
+One memo policy holds for the whole package.  A pure function of
+immutable arguments is memoized per process by `lru_cache` on those
+arguments, with `MEMO_SIZE` entries unless its keys are few and fixed
+(a coded member matrix, an identity), and returns values no caller can
+change.  A key is made of integers, tuples of them and polynomials, not
+`Fraction`s, whose hash takes a modular inverse.  Here that is Sturm
+chains, squarefree parts and factorizations, keyed by the polynomial,
+and a number's text (`_render`), keyed by its minimal polynomial and
+the numerators and denominators of its interval.  What is a function
+of one immutable object alone, as a matrix's entries, columns and
+spectral radius (`matcore.IntMatrix`), is computed at its first read
+and stored on that object, with no lock and no bound: it lives as long
+as the object.  A memo never holds a mutable value: a radius is kept as
+its minimal polynomial and interval, and each reader builds its own
+`RealAlgebraic`.
 
 A float conversion narrows a root once, at its first float need: a float
 Newton iterate from the isolating interval, one exact Newton step, and a
@@ -569,10 +578,13 @@ class RealAlgebraic:
         The polynomial is the minimal polynomial and the interval is the
         widest dyadic cell [k/2^j, (k+1)/2^j], j >= 0, that isolates the
         root; a rational q is written [q,q].  The text is memoized by
-        minimal polynomial and current interval: as it depends on the
-        number alone, a hit is the text a fresh computation would give.
+        minimal polynomial and the four integers of the current interval:
+        as it depends on the number alone, a hit is the text a fresh
+        computation would give.
         """
-        return _render(self.minpoly, self._lo, self._hi)
+        lo, hi = self._lo, self._hi
+        return _render(self.minpoly, lo.numerator, lo.denominator,
+                       hi.numerator, hi.denominator)
 
     def isolating_cell(self) -> tuple[Fraction, Fraction]:
         """[q, q] for a rational q, else `_dyadic_cell`; either depends on
@@ -600,8 +612,13 @@ class RealAlgebraic:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _render(p: IntPolynomial, lo: Fraction, hi: Fraction) -> str:
-    """`RealAlgebraic.serialize` of the root of p isolated by [lo, hi]."""
+def _render(p: IntPolynomial, lo_num: int, lo_den: int, hi_num: int,
+            hi_den: int) -> str:
+    """`RealAlgebraic.serialize` of the root of p isolated by
+    [lo_num / lo_den, hi_num / hi_den], each in lowest terms.  The key is
+    integers, which hash without the modular inverse that a `Fraction`'s
+    hash takes."""
+    lo, hi = Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
     cs = ",".join(map(str, p.coeffs))
     if p.degree != 1:
         lo, hi = _dyadic_cell(p, lo, hi)

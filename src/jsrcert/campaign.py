@@ -186,6 +186,9 @@ class Store:
     """
 
     def __init__(self, path: str | Path, alphabet: str = "", dim: int = 0):
+        """Open the store at path.  With an alphabet a missing or empty
+        file becomes a new store of that campaign; without one the store
+        must exist, and a ValueError says it does not."""
         self.path = Path(path)
         self.alphabet = alphabet
         self.dim = dim
@@ -195,6 +198,8 @@ class Store:
             self._load()
         elif alphabet:
             self._write_header()
+        else:
+            raise ValueError(f"no campaign store at {self.path}")
 
     def _load(self) -> None:
         """Read the store.  A last line that does not decode is a write

@@ -28,7 +28,7 @@ from .campaign import (
     summarize,
 )
 from .ipa import certificate_from_json, verify_certificate
-from .matcore import IntMatrix, MatrixFamily
+from .matcore import MatrixFamily
 
 
 def main(argv=None) -> int:
@@ -117,9 +117,7 @@ def _dispatch(args) -> int:
         return 0 if res.accepted else 1
 
     if args.command == "solve":
-        data = json.loads(Path(args.matrices).read_text())
-        mats = [IntMatrix.make(m) for m in data]
-        family = MatrixFamily.make(mats)
+        family = _read_family(json.loads(Path(args.matrices).read_text()))
         rec = resolve_family(family)
         printable = {k: v for k, v in rec.items() if k != "certificate"}
         print(json.dumps(printable, indent=2, sort_keys=True, default=str))
@@ -140,6 +138,22 @@ def _dispatch(args) -> int:
         return 0
 
     raise ValueError(f"unknown command {args.command}")
+
+
+def _read_family(data) -> MatrixFamily:
+    """The family of a `solve` input: a nonempty list of matrices, each a
+    nonempty list of equal-length rows of JSON integers.  A float, a
+    boolean or a malformed shape raises ValueError, an invalid input."""
+    if not isinstance(data, list) or not data:
+        raise ValueError("the input must be a nonempty list of matrices")
+    for k, m in enumerate(data, 1):
+        if not (isinstance(m, list) and m
+                and all(isinstance(row, list) for row in m)
+                and len({len(row) for row in m}) == 1):
+            raise ValueError(f"matrix {k} is not a list of equal-length rows")
+        if not all(type(v) is int for row in m for v in row):
+            raise ValueError(f"matrix {k} has an entry that is not an integer")
+    return MatrixFamily.make(data)
 
 
 if __name__ == "__main__":

@@ -316,7 +316,7 @@ def _build_field(family: MatrixFamily, candidates: CandidateSet):
         lam_elem = ctx.generator()
 
     srs = [spectral_radius(c.value) for c in candidates.candidates]
-    if all(m.is_nonnegative() for m in family.matrices):
+    if all(min(m.entries) >= 0 for m in family.matrices):
         hull = HullKind.P
     elif any(sr.leading_complex for sr in srs):
         hull = HullKind.C
@@ -576,6 +576,8 @@ def verify_certificate(cert: dict) -> VerifyResult:
     letter, the word is walked from the seed, so every rejection keeps
     the reason a walk gives.
     """
+    if not isinstance(cert, dict):
+        return VerifyResult(False, "malformed certificate: not a JSON object")
     try:
         return _verify(cert)
     except (KeyError, ValueError, TypeError, AlgebraicError) as exc:

@@ -24,6 +24,15 @@ when a complex pair attains the radius; for a nonnegative matrix
 is the real root of a reversed cubic, so no number field is built for
 it.
 
+Three facts of a matrix are computed at most once per `IntMatrix`
+object, at their first read, and kept on it (`_fact`): its entries in
+row-major order, its columns and its spectral-radius entry (minimal
+polynomial, isolating interval and the two leading-eigenvalue flags).
+A campaign's member matrices are shared by every pair that holds them
+(`reduce.decode`), so the quick lemmas read each member's order tests and
+radius from the object, and `spectral_radius` builds a fresh value from
+the entry on each call.  Equality and hashing read the rows alone.
+
 A product is computed row by column in Python integers: the columns of
 the right factor are taken once, and each entry is the sum of the
 elementwise products of a row and a column (`sum(map(mul, row, col))`),
@@ -40,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import acos, cbrt, copysign, cos, floor, isqrt, pi, sqrt
-from operator import le, mul
+from operator import mul
 from typing import Iterable, Sequence
 
 from .algebraic import (
@@ -66,11 +75,47 @@ from .linalg import kernel
 _CUBIC_CELL_BITS = 24
 
 
+class _fact:
+    """A per-matrix fact: computed at its first read and stored in the
+    matrix's `__dict__` under its own name, where every later read finds
+    it without reaching this descriptor.  That is what
+    `functools.cached_property` does, without the lock that Python 3.11
+    takes on each of its misses."""
+
+    __slots__ = ("fn", "name")
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense square integer matrix, row-major."""
+    """Dense square integer matrix, row-major, with its entries, columns
+    and spectral radius kept as facts of the object (`_fact`)."""
 
     rows: tuple[tuple[int, ...], ...]
+
+    @_fact
+    def entries(self) -> tuple[int, ...]:
+        """The entries in row-major order."""
+        return tuple(chain.from_iterable(self.rows))
+
+    @_fact
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.rows))
+
+    @_fact
+    def radius(self) -> tuple:
+        """(minpoly, lo, hi, simple, complex) of the spectral radius
+        (`_radius_entry`), from which `spectral_radius` builds a fresh
+        value on every call."""
+        return _radius_entry(self)
 
     @staticmethod
     def make(rows: Iterable[Iterable[int]]) -> "IntMatrix":
@@ -108,13 +153,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return not any(map(any, self.rows))
 
-    def is_nonnegative(self) -> bool:
-        return all(v >= 0 for r in self.rows for v in r)
-
-    def entrywise_leq(self, other: "IntMatrix") -> bool:
-        return all(map(le, chain.from_iterable(self.rows),
-                       chain.from_iterable(other.rows)))
-
     def apply(self, vec: Sequence) -> list:
         """The product with a vector of ints, Fractions or FieldElements,
         by the one integer-combination kernel
@@ -122,7 +160,8 @@ class IntMatrix:
         return integer_combinations(self.rows, vec)
 
     def flat(self) -> list[int]:
-        return [v for r in self.rows for v in r]
+        """The entries as a JSON-ready list."""
+        return list(self.entries)
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(v) for v in r) for r in self.rows) + "]"
@@ -223,31 +262,35 @@ def spectral_radius(A: IntMatrix) -> SpectralRadius:
 
     Dimensions 1 to 3 take closed forms: a 1x1 matrix [a] has the simple
     real radius |a|, a 2x2 matrix its trace and determinant
-    (`_spectral_radius_2x2`), a 3x3 matrix the roots of its
+    (`_quadratic_radius`), a 3x3 matrix the roots of its
     characteristic cubic (`_cubic_radius`).  Factoring the characteristic
     polynomial and isolating its roots (`_radius_by_factoring`) serves
     only dimension 4 and up and a cubic whose roots float seeds cannot
-    place.  From dimension 3 on the result depends on the characteristic
-    polynomial alone and is memoized by it (`MEMO_SIZE` entries).  Every
-    call returns a fresh value, built from the interval of the first
-    computation, so refining one result never narrows another.
+    place.  The radius is a fact of the matrix object (`IntMatrix.radius`),
+    computed once per matrix; from dimension 3 on it depends on the
+    characteristic polynomial alone and is also memoized by it
+    (`MEMO_SIZE` entries), which serves distinct matrices with one
+    polynomial.  Every call returns a fresh value, built from the
+    interval of the first computation, so refining one result never
+    narrows another.
     """
-    if A.is_zero():
-        return SpectralRadius(RealAlgebraic.from_rational(0), True, False)
-    if A.dim == 1:
-        return SpectralRadius(_integer_radius(abs(A.rows[0][0])), True, False)
-    if A.dim == 2:
-        return _spectral_radius_2x2(A)
-    minpoly, lo, hi, simple, leading_complex = _spectral_radius_of(char_poly(A))
+    minpoly, lo, hi, simple, leading_complex = A.radius
     return SpectralRadius(RealAlgebraic(minpoly, lo, hi), simple, leading_complex)
 
 
-def _spectral_radius_2x2(A: IntMatrix) -> SpectralRadius:
-    """The radius of a nonzero 2x2 matrix from its trace and determinant,
-    with no factoring (`_quadratic_radius`)."""
-    (a, b), (c, d) = A.rows
-    value, attaining, leading_complex = _quadratic_radius(a + d, a * d - b * c)
-    return SpectralRadius(value, attaining == 1, leading_complex)
+def _radius_entry(A: IntMatrix) -> tuple:
+    """(minpoly, lo, hi, simple, complex) of A's spectral radius: the zero
+    matrix's 0 by convention, the closed forms of dimensions 1 and 2,
+    and `_spectral_radius_of` the characteristic polynomial above."""
+    if A.is_zero():
+        return _entry(_integer_radius(0), True, False)
+    if A.dim == 1:
+        return _entry(_integer_radius(abs(A.rows[0][0])), True, False)
+    if A.dim == 2:
+        (a, b), (c, d) = A.rows
+        value, attaining, leading_complex = _quadratic_radius(a + d, a * d - b * c)
+        return _entry(value, attaining == 1, leading_complex)
+    return _spectral_radius_of(char_poly(A))
 
 
 def _quadratic_radius(t: int, det: int) -> tuple[RealAlgebraic, int, bool]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import le, mul
 from typing import Iterator, Optional
 
 from .algebraic import (
@@ -216,11 +216,11 @@ def quick_decide(pair: tuple[IntMatrix, IntMatrix]) -> ReductionVerdict:
     """Settle a pair by reduction lemmas, or report that it needs the
     polytope algorithm.  Checks run in both orderings of the pair."""
     A1, A2 = pair
-    nonneg = A1.is_nonnegative() and A2.is_nonnegative()
+    nonneg = min(A1.entries) >= 0 and min(A2.entries) >= 0
 
     # a zero member never changes the joint spectral radius
     for X, Y in ((A1, A2), (A2, A1)):
-        if Y.is_zero():
+        if not any(Y.entries):
             sr = spectral_radius(X)
             return ReductionVerdict(
                 Outcome.SETTLED, Reason.ZERO, jsr=sr.value,
@@ -228,17 +228,17 @@ def quick_decide(pair: tuple[IntMatrix, IntMatrix]) -> ReductionVerdict:
                 witness={"zero_member": 2 if Y is A2 else 1})
 
     if nonneg:
-        I = IntMatrix.identity(A1.dim)
+        eye = IntMatrix.identity(A1.dim).entries
         for idx, (X, Y) in enumerate(((A1, A2), (A2, A1))):
             base_word = (1,) if idx == 0 else (2,)
             # (a) Y <= X entrywise
-            if Y.entrywise_leq(X):
+            if all(map(le, Y.entries, X.entries)):
                 return ReductionVerdict(
                     Outcome.SETTLED, Reason.DOMINATED,
                     jsr=spectral_radius(X).value, smp_word=base_word,
                     witness={"dominating": base_word[0]})
             # (c) Y <= identity
-            if Y.entrywise_leq(I):
+            if all(map(le, Y.entries, eye)):
                 return ReductionVerdict(
                     Outcome.SETTLED, Reason.SUB_IDENTITY,
                     jsr=spectral_radius(X).value, smp_word=base_word,
@@ -285,7 +285,7 @@ def _product_leq(P: IntMatrix, Q: IntMatrix, R: IntMatrix, S: IntMatrix
                  ) -> bool:
     """P Q <= R S entrywise, compared entry by entry without building
     either product, up to the first entry that fails."""
-    q_cols, s_cols = tuple(zip(*Q.rows)), tuple(zip(*S.rows))
+    q_cols, s_cols = Q.columns, S.columns
     for p, r in zip(P.rows, R.rows):
         for q, s in zip(q_cols, s_cols):
             if sum(map(mul, p, q)) > sum(map(mul, r, s)):

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -172,14 +173,15 @@ class TestDeterministicRecords:
 
 class TestGoldenRecords:
     """The stored records of two whole dimension-2 sets, of half the F3
-    A1=3 slice and of the F3 records that take the exact dimension-3 LP,
-    pinned by the sha256 of their lines with `seconds` dropped (the
-    header included, each line `json.dumps(..., sort_keys=True)`, joined
-    by newlines).  The dimension-2 sets do not reach the float LP
-    prefilter, so their pins do not depend on the scipy build; the F3
-    records do, and their membership counts show its verdicts.  A change
-    that is meant to alter records must update the pin here and say which
-    records changed and why."""
+    A1=3 slice, of the F3 A1=1 slice (quick lemmas only) and of the F3
+    records that take the exact dimension-3 LP, pinned by the sha256 of
+    their lines with `seconds` dropped (the header included, each line
+    `json.dumps(..., sort_keys=True)`, joined by newlines).  The
+    dimension-2 sets do not reach the float LP prefilter, so their pins
+    do not depend on the scipy build; the F3 records do, and their
+    membership counts show its verdicts.  A change that is meant to alter
+    records must update the pin here and say which records changed and
+    why."""
 
     F2 = "5fc7b8ee7094544b91a053fc391b8860cb91526ab9d0acd37ae917e9931cb663"
     # the F2s orbit representatives with first code 1, 4 or 5: every
@@ -194,6 +196,10 @@ class TestGoldenRecords:
     # f3-search sample, whose 3x3 radii take the characteristic cubic's
     # closed form
     F3_SEARCH = "29ebf8615c7c27b8132349d6b437ab1ded3c002a2c6e5d868883d27ee1341254"
+
+    # the F3 A1=1 slice, codes 1/0 to 1/511, every one settled by a quick
+    # lemma or a duplicate: the zero record is the out-of-slice 0/1
+    F3_A1_1 = "4b80592e9eb57f0115a6fa9583335c2cae5cf31238038e79e04dd686f5cf981b"
 
     def _digest(self, path) -> str:
         text = "\n".join(_lines_without_seconds(path))
@@ -219,6 +225,20 @@ class TestGoldenRecords:
         assert summary["counts"] == {"settled": 207, "proved": 46,
                                      "duplicate": 7, "unresolved": 1}
         self._check(store_path, self.F3_SEARCH, "f3-search sample")
+
+    def test_f3_quick_lemma_slice(self, tmp_path):
+        store_path = tmp_path / "f3a1.jsonl"
+        run_campaign("binary", 3, store_path, only_a1=1)
+        kinds = Counter(
+            "duplicate" if rec["status"] == "duplicate"
+            else (rec["status"], *rec["witness"])
+            for rec in Store(store_path).records.values())
+        assert kinds == {("settled", "zero_member"): 1,
+                         ("settled", "dominating"): 53,
+                         ("settled", "product_order"): 58,
+                         ("settled", "sub_identity"): 56,
+                         "duplicate": 345}
+        self._check(store_path, self.F3_A1_1, "F3 A1=1")
 
     def test_f3_exact_lp_records(self, tmp_path):
         store_path = tmp_path / "f3.jsonl"

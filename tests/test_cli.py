@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from jsrcert.campaign import Store
 from jsrcert.cli import main
 
@@ -87,3 +89,54 @@ def test_solve_proves_a_pair_whose_radii_are_closer_than_a_fixed_guard(
     assert rec["status"] == "proved"
     assert main(["verify", "--certificate",
                  str(tmp_path / "close.certificate.json")]) == 0
+
+
+@pytest.mark.parametrize("data", [
+    [[[1.5, 0], [0, 1]], [[1, 0], [0, 1]]],  # a float, not truncated to 1
+    [[[1.0, 0], [0, 1]], [[1, 0], [0, 1]]],
+    [[[True, 0], [0, 1]], [[1, 0], [0, 1]]],  # a JSON boolean
+    [[["1", 0], [0, 1]], [[1, 0], [0, 1]]],
+    [[[None, 0], [0, 1]], [[1, 0], [0, 1]]],
+    [1, 2],  # members that are not matrices
+    [[1, 2], [3, 4]],  # rows that are not lists
+    [[[1, 0], [0]], [[1, 0], [0, 1]]],  # rows of different lengths
+    [[[1, 0], [0, 1]], []],  # a matrix without rows
+    [[[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1]]],  # not square
+    [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]],  # two dimensions
+    [],
+    {"matrices": [[[1]]]},
+])
+def test_solve_rejects_invalid_input(tmp_path, capsys, data):
+    family = tmp_path / "bad.json"
+    family.write_text(json.dumps(data))
+    assert main(["solve", "--matrices", str(family)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+    assert not (tmp_path / "bad.certificate.json").exists()
+
+
+@pytest.mark.parametrize("text", ["[]", "3", "null", '"certificate"'])
+def test_verify_rejects_a_certificate_that_is_not_an_object(
+        tmp_path, capsys, text):
+    cert = tmp_path / "cert.json"
+    cert.write_text(text)
+    assert main(["verify", "--certificate", str(cert)]) == 1
+    assert capsys.readouterr().out.startswith("REJECT: malformed certificate")
+
+
+def test_a_missing_store_is_an_error(tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    for argv in (["report", "--store", str(missing)],
+                 ["report", "--store", str(missing), "--strict"],
+                 ["diff", "--store", str(missing), "--expected",
+                  str(tmp_path / "table.csv")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: no campaign store")
+        assert not captured.out
+    assert not missing.exists()
+    # an empty file has no header either
+    missing.touch()
+    with pytest.raises(ValueError, match="no campaign store"):
+        Store(missing)
+    assert missing.read_bytes() == b""

@@ -146,9 +146,11 @@ class TestSpectralRadiusCache:
 
     def test_similar_matrices_share_one_entry(self):
         Pm = M([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+        # a fresh object: self.A keeps the radius it read in another test
+        A = M(self.A.rows)
         matcore._spectral_radius_of.cache_clear()
         values = [spectral_radius(X).value
-                  for X in (self.A, self.A.transpose(), Pm.transpose() @ self.A @ Pm)]
+                  for X in (A, A.transpose(), Pm.transpose() @ A @ Pm)]
         info = matcore._spectral_radius_of.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         assert len({v.interval() for v in values}) == 1
